@@ -1171,8 +1171,8 @@ pub fn e24_palette_engine(sz: SizeClass) -> Vec<Row> {
 /// * the final coloring is legal (the service's own `Verify` verb);
 /// * a second same-seed replay under the *reference* executor is **bit-identical** — final
 ///   colors and every per-batch `(frontier, repaired, strategy)` triple (`replay_identical`);
-/// * the incrementally patched CSR equals a from-scratch rebuild of the model edge set,
-///   field for field (`patch_identical`).
+/// * the in-place patched adjacency, frozen into a CSR, equals a from-scratch rebuild of
+///   the model edge set, field for field (`patch_identical`).
 ///
 /// Deterministic columns (operation/edge/repair tallies, strategy counts, colors, the
 /// post-compaction palette) are gated by the perf pipeline; `wall_updates_per_sec`,
@@ -1263,7 +1263,7 @@ pub fn e25_service_sustained_updates(sz: SizeClass) -> Vec<Row> {
             service.handle(Request::Verify),
             Response::Verified { legal: true, conflicts: 0 }
         );
-        // The incremental CSR patch path must equal a from-scratch rebuild of the model
+        // The frozen in-place adjacency must equal a from-scratch rebuild of the model
         // edge set — the whole Graph (offsets, adjacency, ports, ids), not just the edges.
         let rebuilt = Graph::from_edges(n, model.iter().copied().collect::<Vec<_>>())
             .expect("model edges are valid");

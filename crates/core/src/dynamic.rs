@@ -5,9 +5,11 @@
 //! of [`GraphUpdate`]s — mixed edge insertions and removals — by repairing only the
 //! **conflict frontier**, the vertices incident to a newly monochromatic edge:
 //!
-//! 1. the batch is folded into a last-write-wins overlay and applied to the CSR through
-//!    [`Graph::patched`], an incremental merge that keeps identifiers stable and is
-//!    bit-identical to a from-scratch rebuild without re-sorting the whole edge list;
+//! 1. the batch is folded into a last-write-wins overlay, validated in full, and applied in
+//!    place to an [`Adjacency`] — per-vertex sorted neighbor lists — in O(batch · degree);
+//!    the frozen [`Graph`] that [`DynamicColoring::graph`] returns is materialized only
+//!    when a caller asks for it (a full re-coloring is the only step on the write path
+//!    that does), and it is bit-identical to a from-scratch rebuild;
 //! 2. the frontier is collected by checking exactly the genuinely new edges — removals
 //!    never create conflicts, so deletion-only batches are repair-free by construction;
 //! 3. if the [`RepairPolicy`] selects a local repair, the induced subgraph on the frontier
@@ -18,7 +20,10 @@
 //!    and any solution is legal against both repaired and untouched neighbors;
 //! 4. if the policy escalates (by default: frontier above a threshold), the driver falls
 //!    back to a full re-coloring of the new graph;
-//! 5. legality of the *entire* coloring is independently re-verified after every batch.
+//! 5. legality is re-verified on every edge incident to a repaired vertex or a new edge —
+//!    enough, because the coloring was legal before the batch and nothing else changed —
+//!    and on the whole graph after a full re-coloring or a compaction.  A failed batch
+//!    (invalid edge, failed repair) leaves the graph and the coloring untouched.
 //!
 //! Deletions free palette slack without spending it: after edges vanish, the maintained
 //! coloring may use far more colors than the shrunken maximum degree warrants.
@@ -56,12 +61,13 @@
 //! # }
 //! ```
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
 use crate::error::CoreError;
 use crate::ghaffari_kuhn::{ghaffari_kuhn_coloring, ghaffari_kuhn_list_coloring};
 use crate::list_coloring::ColorLists;
-use arbcolor_graph::{Color, Coloring, Graph, InducedSubgraph, PaletteSet, Vertex};
+use arbcolor_graph::{Adjacency, Color, Coloring, Graph, PaletteSet, Vertex};
 use arbcolor_runtime::{obs, RoundReport};
 
 /// One batched mutation of the maintained graph.
@@ -174,8 +180,14 @@ impl BatchOutcome {
 /// A legal coloring maintained across batched edge insertions and removals.
 #[derive(Debug, Clone)]
 pub struct DynamicColoring {
-    graph: Graph,
+    adjacency: Adjacency,
+    /// `adjacency` frozen into a CSR: filled on demand by [`DynamicColoring::graph`] (or
+    /// seeded with the constructor's graph) and cleared by every mutation.
+    frozen: OnceCell<Graph>,
     coloring: Coloring,
+    /// How many vertices hold each color, so the maximum color is known without a pass
+    /// over all vertices.
+    color_counts: BTreeMap<Color, usize>,
     policy: RepairPolicy,
     auto_compact: bool,
 }
@@ -211,7 +223,14 @@ impl DynamicColoring {
             });
         }
         let policy = RepairPolicy::Auto { frontier_threshold: Self::default_threshold(graph.n()) };
-        Ok(DynamicColoring { graph, coloring, policy, auto_compact: false })
+        Ok(DynamicColoring {
+            adjacency: Adjacency::from_graph(&graph),
+            frozen: OnceCell::from(graph),
+            color_counts: color_counts(coloring.colors()),
+            coloring,
+            policy,
+            auto_compact: false,
+        })
     }
 
     /// Selects how conflicting batches are repaired (see [`RepairPolicy`]).
@@ -236,20 +255,18 @@ impl DynamicColoring {
         self
     }
 
-    /// Overrides the frontier threshold above which a batch triggers a full re-coloring.
-    #[deprecated(
-        since = "0.2.0",
-        note = "select the strategy explicitly with \
-                `with_repair_policy(RepairPolicy::Auto { frontier_threshold })`"
-    )]
-    #[must_use]
-    pub fn with_frontier_threshold(self, threshold: usize) -> Self {
-        self.with_repair_policy(RepairPolicy::Auto { frontier_threshold: threshold })
+    /// The current graph as an immutable CSR.
+    ///
+    /// Materialized from [`DynamicColoring::adjacency`] on the first call after a mutation,
+    /// in O(n + m), and cached until the next one.  Readers that need only degrees and
+    /// neighbor lists should use the adjacency instead.
+    pub fn graph(&self) -> &Graph {
+        self.frozen.get_or_init(|| self.adjacency.freeze())
     }
 
-    /// The current graph.
-    pub fn graph(&self) -> &Graph {
-        &self.graph
+    /// The current graph as mutable sorted neighbor lists (never materializes a CSR).
+    pub fn adjacency(&self) -> &Adjacency {
+        &self.adjacency
     }
 
     /// The maintained coloring (always legal on [`DynamicColoring::graph`]).
@@ -257,25 +274,20 @@ impl DynamicColoring {
         &self.coloring
     }
 
-    /// Applies one batch of insertions to the graph and repairs the coloring.
-    #[deprecated(since = "0.2.0", note = "use `apply(&[GraphUpdate::InsertEdges(..)])`")]
-    pub fn insert_edges(&mut self, edges: &[(Vertex, Vertex)]) -> Result<BatchOutcome, CoreError> {
-        self.apply(&[GraphUpdate::InsertEdges(edges.to_vec())])
-    }
-
     /// Applies one batch of [`GraphUpdate`]s — mixed insertions and removals — and repairs
     /// the coloring.
     ///
     /// Updates resolve in order with last-write-wins semantics per edge; the net effect is
-    /// applied to the CSR in one [`Graph::patched`] merge.  Removals never create
-    /// conflicts, so only the genuinely new edges feed the conflict frontier.
+    /// applied in place to the [`Adjacency`], so a batch of `b` edges costs
+    /// O(b · degree) plus the repair.  Removals never create conflicts, so only the
+    /// genuinely new edges feed the conflict frontier.
     ///
     /// # Errors
     ///
     /// Returns the graph layer's typed errors for invalid edges (out-of-range endpoints,
-    /// self-loops) before any state changes, propagates the repair coloring's errors, and
-    /// returns [`CoreError::InvariantViolated`] if the post-repair legality check fails (a
-    /// driver bug by construction).
+    /// self-loops) before any state changes, propagates the repair coloring's errors after
+    /// reverting the batch, and returns [`CoreError::InvariantViolated`] if the
+    /// post-repair legality check fails (a driver bug by construction).
     pub fn apply(&mut self, updates: &[GraphUpdate]) -> Result<BatchOutcome, CoreError> {
         let span = obs::phase("dynamic-apply");
 
@@ -286,7 +298,7 @@ impl DynamicColoring {
         for update in updates {
             for &(u, v) in update.edges() {
                 submitted_edges += 1;
-                let key = self.validated_canonical(u, v)?;
+                let key = self.adjacency.canonical_edge(u, v)?;
                 overlay.insert(key, update.is_insert());
             }
         }
@@ -295,15 +307,21 @@ impl DynamicColoring {
         let mut to_insert: Vec<(Vertex, Vertex)> = Vec::new();
         let mut to_remove: Vec<(Vertex, Vertex)> = Vec::new();
         for (&(u, v), &present) in &overlay {
-            match (present, self.graph.has_edge(u, v)) {
+            match (present, self.adjacency.has_edge(u, v)) {
                 (true, false) => to_insert.push((u, v)),
                 (false, true) => to_remove.push((u, v)),
                 _ => {}
             }
         }
-        let new_graph = {
+        // The frozen CSR goes stale; it is kept aside so a failed repair can restore it.
+        let stale = {
             let _patch = obs::phase("csr-patch");
-            self.graph.patched(&to_insert, &to_remove)?
+            self.patch(&to_insert, &to_remove);
+            if to_insert.is_empty() && to_remove.is_empty() {
+                None
+            } else {
+                self.frozen.take()
+            }
         };
 
         // The conflict frontier: endpoints of newly monochromatic edges.  Checking the new
@@ -322,31 +340,24 @@ impl DynamicColoring {
             RepairPolicy::AlwaysLocal => false,
             RepairPolicy::AlwaysFull => true,
         };
-        let (repaired, strategy, report) = if frontier.is_empty() {
-            self.graph = new_graph;
-            (Vec::new(), RepairStrategy::NoConflict, RoundReport::zero())
+        let repair = if frontier.is_empty() {
+            Ok((Vec::new(), RepairStrategy::NoConflict, RoundReport::zero()))
         } else if escalate {
-            let run = {
-                let _full = obs::phase("full-recolor");
-                ghaffari_kuhn_coloring(&new_graph)?
-            };
-            let repaired: Vec<Vertex> = self
-                .coloring
-                .colors()
-                .iter()
-                .zip(run.coloring.colors())
-                .enumerate()
-                .filter(|(_, (old, new))| old != new)
-                .map(|(v, _)| v)
-                .collect();
-            self.graph = new_graph;
-            self.coloring = run.coloring;
-            (repaired, RepairStrategy::FullRecolor, run.report)
+            self.recolor_fully()
         } else {
             let _local = obs::phase("frontier-repair");
-            let (repaired, report) = self.repair_frontier(&new_graph, &frontier)?;
-            self.graph = new_graph;
-            (repaired, RepairStrategy::LocalRepair, report)
+            self.repair_frontier(&frontier)
+                .map(|(repaired, report)| (repaired, RepairStrategy::LocalRepair, report))
+        };
+        let (repaired, strategy, report) = match repair {
+            Ok(repair) => repair,
+            Err(err) => {
+                // Neither repair path touches the coloring before it succeeds, so undoing
+                // the edge changes restores the state exactly.
+                self.patch(&to_remove, &to_insert);
+                self.frozen = stale.map_or_else(OnceCell::new, OnceCell::from);
+                return Err(err);
+            }
         };
         span.charge(report);
 
@@ -363,18 +374,32 @@ impl DynamicColoring {
 
         if self.auto_compact
             && outcome.removed_edges > 0
-            && self.coloring.max_color() as usize > self.graph.max_degree()
+            && self.max_color() as usize > self.adjacency.max_degree()
         {
             outcome.compaction = Some(self.compact());
         }
 
         // Independent post-condition: the maintained coloring is legal on the new graph.
-        if !self.coloring.is_legal(&self.graph) {
+        // The coloring was legal before the batch, so after a local repair only edges at a
+        // recolored vertex or a new edge can conflict; whole-graph recolorings get a
+        // whole-graph check.
+        let legal = if strategy == RepairStrategy::FullRecolor || outcome.compaction.is_some() {
+            self.monochromatic_edges() == 0
+        } else {
+            let colors = self.coloring.colors();
+            outcome
+                .repaired
+                .iter()
+                .chain(to_insert.iter().flat_map(|(u, v)| [u, v]))
+                .all(|&v| self.adjacency.neighbors(v).iter().all(|&u| colors[u] != colors[v]))
+        };
+        debug_assert!(
+            !legal || self.monochromatic_edges() == 0,
+            "the local legality check missed a conflict"
+        );
+        if !legal {
             return Err(CoreError::InvariantViolated {
-                reason: format!(
-                    "repair left {} monochromatic edges",
-                    self.coloring.conflicts(&self.graph).len()
-                ),
+                reason: format!("repair left {} monochromatic edges", self.monochromatic_edges()),
             });
         }
 
@@ -405,19 +430,20 @@ impl DynamicColoring {
         let _span = obs::phase("compaction");
         let colors_before = self.coloring.distinct_colors();
         let initial = self.coloring.colors().to_vec();
+        let n = self.adjacency.n();
 
         // Sweep to a fixpoint: descending current color, ties by ascending vertex index,
         // so the loosest vertices move first, into the slack the tight ones never
         // occupied.  Each improving pass strictly decreases the (integer) sum of colors,
         // so the loop terminates; in practice two or three passes suffice.
-        let mut palette = PaletteSet::new(self.graph.max_degree() as u64 + 1);
+        let mut palette = PaletteSet::new(self.adjacency.max_degree() as u64 + 1);
         loop {
-            let mut order: Vec<Vertex> = (0..self.graph.n()).collect();
+            let mut order: Vec<Vertex> = (0..n).collect();
             order.sort_unstable_by_key(|&v| (std::cmp::Reverse(self.coloring.color(v)), v));
             let mut moved = false;
             for &v in &order {
                 palette.clear();
-                for &u in self.graph.neighbors(v) {
+                for &u in self.adjacency.neighbors(v) {
                     palette.strike(self.coloring.color(u));
                 }
                 let free = palette
@@ -449,7 +475,7 @@ impl DynamicColoring {
             }
         }
         let mut recolored = 0usize;
-        for v in 0..self.graph.n() {
+        for v in 0..n {
             let relabeled = rank[self.coloring.color(v) as usize];
             if relabeled != self.coloring.color(v) {
                 self.coloring.set(v, relabeled);
@@ -458,6 +484,7 @@ impl DynamicColoring {
                 recolored += 1;
             }
         }
+        self.color_counts = color_counts(self.coloring.colors());
 
         let delta = CompactionDelta {
             colors_before,
@@ -469,39 +496,65 @@ impl DynamicColoring {
         delta
     }
 
-    /// Validates one submitted edge against the current graph and returns it in canonical
-    /// `u < v` order.
-    fn validated_canonical(&self, u: Vertex, v: Vertex) -> Result<(Vertex, Vertex), CoreError> {
-        let n = self.graph.n();
-        if u >= n {
-            return Err(arbcolor_graph::GraphError::VertexOutOfRange { vertex: u, n }.into());
+    /// Removes `remove` and inserts `insert` in place; both hold validated edges, each
+    /// absent (for `insert`) or present (for `remove`), so swapping the two arguments
+    /// undoes a call.
+    fn patch(&mut self, insert: &[(Vertex, Vertex)], remove: &[(Vertex, Vertex)]) {
+        for &(u, v) in remove {
+            self.adjacency.remove_edge(u, v).expect("edges are validated before the patch");
         }
-        if v >= n {
-            return Err(arbcolor_graph::GraphError::VertexOutOfRange { vertex: v, n }.into());
+        for &(u, v) in insert {
+            self.adjacency.insert_edge(u, v).expect("edges are validated before the patch");
         }
-        if u == v {
-            return Err(arbcolor_graph::GraphError::SelfLoop { vertex: u }.into());
-        }
-        Ok(if u < v { (u, v) } else { (v, u) })
     }
 
-    /// Re-colors the induced subgraph on `frontier` with a list-coloring instance that is
-    /// compatible with every non-frontier neighbor.  Returns the ascending list of
-    /// vertices that changed color and the simulated cost.
+    /// The largest color in use (0 on the empty graph).
+    fn max_color(&self) -> Color {
+        self.color_counts.keys().next_back().copied().unwrap_or(0)
+    }
+
+    /// Counts monochromatic edges over the whole adjacency, without freezing it.
+    fn monochromatic_edges(&self) -> usize {
+        let colors = self.coloring.colors();
+        self.adjacency.edges().filter(|&(u, v)| colors[u] == colors[v]).count()
+    }
+
+    /// Re-colors the whole graph from scratch and returns the vertices whose color changed.
+    /// The only write-path step that freezes the adjacency: the run is O(n + m) anyway.
+    fn recolor_fully(&mut self) -> Result<(Vec<Vertex>, RepairStrategy, RoundReport), CoreError> {
+        let _full = obs::phase("full-recolor");
+        let run = ghaffari_kuhn_coloring(self.graph())?;
+        let repaired: Vec<Vertex> = self
+            .coloring
+            .colors()
+            .iter()
+            .zip(run.coloring.colors())
+            .enumerate()
+            .filter(|(_, (old, new))| old != new)
+            .map(|(v, _)| v)
+            .collect();
+        self.coloring = run.coloring;
+        self.color_counts = color_counts(self.coloring.colors());
+        Ok((repaired, RepairStrategy::FullRecolor, run.report))
+    }
+
+    /// Re-colors the induced subgraph on `frontier` (ascending) with a list-coloring
+    /// instance that is compatible with every non-frontier neighbor.  Returns the
+    /// ascending list of vertices that changed color and the simulated cost.
     fn repair_frontier(
         &mut self,
-        new_graph: &Graph,
         frontier: &[Vertex],
     ) -> Result<(Vec<Vertex>, RoundReport), CoreError> {
-        let sub = InducedSubgraph::new(new_graph, frontier);
+        let sub = self.adjacency.induced(frontier);
         let lists: Vec<Vec<Color>> = frontier
             .iter()
             .map(|&v| {
                 // {0, …, deg(v)} minus the colors of v's neighbors outside the frontier.
                 // At most deg(v) − deg_sub(v) removals hit the base list, so at least
                 // deg_sub(v) + 1 colors survive: the instance always has greedy slack.
-                let mut list: Vec<Color> = (0..=new_graph.degree(v) as Color).collect();
-                let blocked: Vec<Color> = new_graph
+                let mut list: Vec<Color> = (0..=self.adjacency.degree(v) as Color).collect();
+                let blocked: Vec<Color> = self
+                    .adjacency
                     .neighbors(v)
                     .iter()
                     .filter(|&&u| sub.map.to_child(u).is_none())
@@ -515,9 +568,12 @@ impl DynamicColoring {
         let run = ghaffari_kuhn_list_coloring(&sub.graph, &instance)?;
         let mut repaired = Vec::new();
         for (child, &parent) in frontier.iter().enumerate() {
+            let old_color = self.coloring.color(parent);
             let new_color = run.coloring.color(child);
-            if self.coloring.color(parent) != new_color {
+            if old_color != new_color {
                 self.coloring.set(parent, new_color);
+                uncount(&mut self.color_counts, old_color);
+                *self.color_counts.entry(new_color).or_insert(0) += 1;
                 repaired.push(parent);
             }
         }
@@ -525,10 +581,29 @@ impl DynamicColoring {
     }
 }
 
+/// How many vertices hold each color.
+fn color_counts(colors: &[Color]) -> BTreeMap<Color, usize> {
+    let mut counts = BTreeMap::new();
+    for &c in colors {
+        *counts.entry(c).or_insert(0) += 1;
+    }
+    counts
+}
+
+/// Takes one vertex off `color`'s count, dropping colors nobody holds any more.
+fn uncount(counts: &mut BTreeMap<Color, usize>, color: Color) {
+    if let Some(count) = counts.get_mut(&color) {
+        *count -= 1;
+        if *count == 0 {
+            counts.remove(&color);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arbcolor_graph::generators;
+    use arbcolor_graph::{generators, GraphError};
 
     #[test]
     fn no_conflict_batches_change_nothing() {
@@ -583,6 +658,7 @@ mod tests {
             .collect();
         assert_eq!(outcome.repaired, changed);
         assert!(changed.len() <= outcome.frontier);
+        assert!(dynamic.frozen.get().is_none(), "a local repair must not materialize the CSR");
         assert!(dynamic.coloring().is_legal(dynamic.graph()));
     }
 
@@ -767,6 +843,33 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_failing_on_its_last_edge_changes_nothing() {
+        let g = generators::cycle(8).unwrap().with_shuffled_ids(1);
+        let invalid = [
+            ((0, 99), GraphError::VertexOutOfRange { vertex: 99, n: 8 }),
+            ((5, 5), GraphError::SelfLoop { vertex: 5 }),
+        ];
+        for (edge, expected) in invalid {
+            let mut dynamic = DynamicColoring::new(g.clone()).unwrap();
+            dynamic.apply(&[GraphUpdate::InsertEdges(vec![(0, 4)])]).unwrap();
+            let graph = dynamic.graph().clone();
+            let coloring = dynamic.coloring().clone();
+            let err = dynamic
+                .apply(&[
+                    GraphUpdate::InsertEdges(vec![(1, 5), (2, 6)]),
+                    GraphUpdate::RemoveEdges(vec![(0, 1), (0, 4)]),
+                    GraphUpdate::InsertEdges(vec![(3, 7), edge]),
+                ])
+                .unwrap_err();
+            assert_eq!(err, CoreError::Graph(expected));
+            assert_eq!(dynamic.graph(), &graph);
+            assert_eq!(dynamic.adjacency().m(), graph.m());
+            assert_eq!(dynamic.adjacency().freeze(), graph);
+            assert_eq!(dynamic.coloring(), &coloring);
+        }
+    }
+
+    #[test]
     fn identifiers_survive_rebuilds() {
         let g = generators::cycle(10).unwrap().with_shuffled_ids(3);
         let ids = g.ids().to_vec();
@@ -785,21 +888,5 @@ mod tests {
         let g = generators::cycle(4).unwrap();
         let illegal = Coloring::constant(&g);
         assert!(DynamicColoring::from_parts(g, illegal).is_err());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn the_deprecated_shims_forward_to_the_new_api() {
-        let g = generators::cycle(8).unwrap();
-        let mut via_shim = DynamicColoring::new(g.clone()).unwrap().with_frontier_threshold(2);
-        assert_eq!(via_shim.repair_policy(), RepairPolicy::Auto { frontier_threshold: 2 });
-        let mut via_apply = DynamicColoring::new(g)
-            .unwrap()
-            .with_repair_policy(RepairPolicy::Auto { frontier_threshold: 2 });
-        let batch = [(0usize, 4usize), (1, 5)];
-        let a = via_shim.insert_edges(&batch).unwrap();
-        let b = via_apply.apply(&[GraphUpdate::InsertEdges(batch.to_vec())]).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(via_shim.coloring(), via_apply.coloring());
     }
 }

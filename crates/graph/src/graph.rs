@@ -301,9 +301,10 @@ impl Graph {
 
     /// Assembles the CSR arrays from a canonical edge list that is already sorted,
     /// de-duplicated, validated, and ordered `u < v` per edge.  Both [`GraphBuilder::build`]
-    /// and [`Graph::patched`] funnel through here, which is what makes a patched graph
-    /// bit-identical to a from-scratch rebuild over the same edge set.
-    fn from_sorted_edges(n: usize, edges: Vec<(Vertex, Vertex)>) -> Graph {
+    /// and [`Adjacency::freeze`](crate::Adjacency::freeze) funnel through here, which is
+    /// what makes a frozen adjacency bit-identical to a from-scratch rebuild over the same
+    /// edge set.
+    pub(crate) fn from_sorted_edges(n: usize, edges: Vec<(Vertex, Vertex)>) -> Graph {
         debug_assert!(
             edges.windows(2).all(|w| w[0] < w[1]) && edges.iter().all(|&(u, v)| u < v && v < n),
             "from_sorted_edges requires a sorted, de-duplicated, canonical edge list"
@@ -340,97 +341,6 @@ impl Graph {
         );
 
         Graph { n, offsets, adjacency, arc_edge, mirror_arc, edges, ids: (1..=n as u64).collect() }
-    }
-
-    /// Returns a copy of the graph with `insert` edges added and `remove` edges taken out,
-    /// preserving the vertex identifiers without re-validation.
-    ///
-    /// This is the incremental update path for small batches: the existing canonical edge
-    /// list is already sorted, so the patch sorts only the batch and merges in
-    /// O(n + m + b log b) — a full [`GraphBuilder`] rebuild re-sorts all `m + b` edges and
-    /// re-checks the identifier permutation on top.  The result is **bit-identical** to a
-    /// from-scratch rebuild over the same final edge set (both paths assemble the CSR from
-    /// the same sorted list), so callers may switch freely between the two.
-    ///
-    /// Semantics: removals are applied first, then insertions.  Removing an absent edge and
-    /// inserting a present one are no-ops; an edge named in both lists ends up present.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::VertexOutOfRange`] or [`GraphError::SelfLoop`] if any edge in
-    /// either list is invalid; the graph is untouched on error.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use arbcolor_graph::Graph;
-    /// let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)])?;
-    /// let h = g.patched(&[(0, 3)], &[(1, 2)])?;
-    /// assert_eq!(h.m(), 3);
-    /// assert!(h.has_edge(0, 3) && !h.has_edge(1, 2));
-    /// # Ok::<(), arbcolor_graph::GraphError>(())
-    /// ```
-    pub fn patched(
-        &self,
-        insert: &[(Vertex, Vertex)],
-        remove: &[(Vertex, Vertex)],
-    ) -> Result<Graph, GraphError> {
-        let canon = |&(u, v): &(Vertex, Vertex)| -> Result<(Vertex, Vertex), GraphError> {
-            if u >= self.n {
-                return Err(GraphError::VertexOutOfRange { vertex: u, n: self.n });
-            }
-            if v >= self.n {
-                return Err(GraphError::VertexOutOfRange { vertex: v, n: self.n });
-            }
-            if u == v {
-                return Err(GraphError::SelfLoop { vertex: u });
-            }
-            Ok(if u < v { (u, v) } else { (v, u) })
-        };
-        let mut ins = insert.iter().map(canon).collect::<Result<Vec<_>, _>>()?;
-        ins.sort_unstable();
-        ins.dedup();
-        let mut rem = remove.iter().map(canon).collect::<Result<Vec<_>, _>>()?;
-        rem.sort_unstable();
-        rem.dedup();
-
-        // Merge the two sorted streams; the (sorted) removal set filters old edges only, so
-        // "remove then insert" falls out of the case analysis.
-        let mut edges = Vec::with_capacity(self.edges.len() + ins.len());
-        let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
-        while i < self.edges.len() || j < ins.len() {
-            let old = self.edges.get(i).copied();
-            let add = ins.get(j).copied();
-            let take_old = match (old, add) {
-                (Some(o), Some(x)) => o <= x,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if take_old {
-                let o = old.expect("take_old implies an old edge remains");
-                i += 1;
-                if add == Some(o) {
-                    // Inserting a present edge: keep it (even if also named in `remove`).
-                    j += 1;
-                    edges.push(o);
-                    continue;
-                }
-                while k < rem.len() && rem[k] < o {
-                    k += 1;
-                }
-                if k < rem.len() && rem[k] == o {
-                    continue; // removed
-                }
-                edges.push(o);
-            } else {
-                edges.push(add.expect("!take_old implies an insert edge remains"));
-                j += 1;
-            }
-        }
-
-        let mut g = Graph::from_sorted_edges(self.n, edges);
-        g.ids = self.ids.clone();
-        Ok(g)
     }
 }
 

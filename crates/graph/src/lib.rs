@@ -6,6 +6,8 @@
 //! * [`Graph`] — a compact, immutable undirected simple graph in CSR (compressed sparse row)
 //!   form, with a canonical edge index and per-vertex unique identifiers (the LOCAL model
 //!   assumes IDs from `{1, …, n}`).
+//! * [`Adjacency`] — the mutable twin of [`Graph`]: per-vertex sorted neighbor lists that
+//!   absorb edge insertions and removals in O(degree) and freeze into a bit-identical CSR.
 //! * [`subgraph`] — induced subgraphs with index mappings back to the parent graph, used by
 //!   the recursive procedures of the paper (which recurse on color classes).
 //! * [`orientation`] — complete and *partial* edge orientations together with their
@@ -43,6 +45,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod adjacency;
 pub mod coloring;
 pub mod degeneracy;
 pub mod error;
@@ -54,6 +57,7 @@ pub mod palette;
 pub mod properties;
 pub mod subgraph;
 
+pub use adjacency::Adjacency;
 pub use coloring::{Color, Coloring};
 pub use error::GraphError;
 pub use graph::{ArcIdx, EdgeIdx, Graph, GraphBuilder, Vertex};

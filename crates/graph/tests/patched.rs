@@ -1,14 +1,14 @@
-//! Property suite for the incremental CSR patch path.
+//! Property suite for graphs patched in place.
 //!
-//! `Graph::patched` promises to be **bit-identical** to throwing every surviving edge at a
-//! fresh `GraphBuilder` and re-attaching the identifiers — same CSR arrays, same canonical
-//! edge order, same mirror-arc table.  The dynamic-coloring driver and the serving layer
-//! both lean on that equivalence, so it is pinned here across the full generator suite
-//! with randomized insert/remove batches (including overlapping, duplicated, and no-op
-//! edges).
+//! An `Adjacency` that absorbs edge removals and insertions and is then frozen promises to
+//! be **bit-identical** to throwing every surviving edge at a fresh `GraphBuilder` and
+//! re-attaching the identifiers — same CSR arrays, same canonical edge order, same
+//! mirror-arc table.  The dynamic-coloring driver and the serving layer both lean on that
+//! equivalence, so it is pinned here across the full generator suite with randomized
+//! insert/remove batches (including overlapping, duplicated, and no-op edges).
 
 use arbcolor_graph::generators::seeded_suite as generator_suite;
-use arbcolor_graph::{Graph, GraphBuilder, GraphError, Vertex};
+use arbcolor_graph::{Adjacency, Graph, GraphBuilder, GraphError, Vertex};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -63,6 +63,19 @@ fn random_batch(
     (insert, remove)
 }
 
+/// Copies `g` into an adjacency, removes `remove`, inserts `insert`, and freezes it.
+fn patched(g: &Graph, insert: &[(Vertex, Vertex)], remove: &[(Vertex, Vertex)]) -> Graph {
+    let mut adjacency = Adjacency::from_graph(g);
+    for &(u, v) in remove {
+        adjacency.remove_edge(u, v).unwrap();
+    }
+    for &(u, v) in insert {
+        adjacency.insert_edge(u, v).unwrap();
+    }
+    assert_eq!(adjacency.m(), adjacency.edges().count(), "edge count drifted");
+    adjacency.freeze()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -75,7 +88,7 @@ proptest! {
         for (family, g) in generator_suite(n, seed) {
             let g = g.with_shuffled_ids(seed);
             let (insert, remove) = random_batch(&mut rng, &g, n / 2, n / 3);
-            let patched = g.patched(&insert, &remove).unwrap();
+            let patched = patched(&g, &insert, &remove);
             let oracle = rebuilt(&g, &insert, &remove);
             prop_assert_eq!(&patched, &oracle, "patched != rebuilt on {}", family);
             prop_assert_eq!(patched.ids(), g.ids(), "ids drifted on {}", family);
@@ -87,33 +100,35 @@ proptest! {
 fn patched_applies_removals_before_insertions() {
     let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
     // (1, 2) is both removed and (re-)inserted: insert wins.
-    let h = g.patched(&[(2, 1), (0, 3)], &[(1, 2), (2, 3), (0, 3)]).unwrap();
+    let h = patched(&g, &[(2, 1), (0, 3)], &[(1, 2), (2, 3), (0, 3)]);
     assert_eq!(h.edges(), &[(0, 1), (0, 3), (1, 2)]);
 }
 
 #[test]
 fn patched_is_a_no_op_for_empty_batches() {
     let g = Graph::from_edges(5, [(0, 1), (1, 2), (3, 4)]).unwrap().with_shuffled_ids(7);
-    let h = g.patched(&[], &[]).unwrap();
-    assert_eq!(h, g);
+    assert_eq!(patched(&g, &[], &[]), g);
 }
 
 #[test]
 fn patched_surfaces_typed_errors_from_both_lists() {
     let g = Graph::from_edges(3, [(0, 1)]).unwrap();
+    let mut adjacency = Adjacency::from_graph(&g);
     assert_eq!(
-        g.patched(&[(0, 9)], &[]).unwrap_err(),
+        adjacency.insert_edge(0, 9).unwrap_err(),
         GraphError::VertexOutOfRange { vertex: 9, n: 3 }
     );
-    assert_eq!(g.patched(&[], &[(2, 2)]).unwrap_err(), GraphError::SelfLoop { vertex: 2 });
+    assert_eq!(adjacency.remove_edge(2, 2).unwrap_err(), GraphError::SelfLoop { vertex: 2 });
+    // Rejected edges leave the adjacency untouched.
+    assert_eq!(adjacency.freeze(), g);
 }
 
 #[test]
 fn patched_can_empty_and_refill_a_graph() {
     let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]).unwrap();
-    let empty = g.patched(&[], g.edges()).unwrap();
+    let empty = patched(&g, &[], g.edges());
     assert_eq!(empty.m(), 0);
     assert_eq!(empty.num_arcs(), 0);
-    let refilled = empty.patched(g.edges(), &[]).unwrap();
+    let refilled = patched(&empty, g.edges(), &[]);
     assert_eq!(refilled, g);
 }

@@ -1,7 +1,7 @@
 //! The coloring service: a protocol-agnostic state machine and the TCP daemon around it.
 //!
 //! [`ColoringService`] owns a [`DynamicColoring`] plus an epoch counter and a bounded
-//! history of epoch-stamped coloring snapshots; [`ColoringService::handle`] maps every
+//! history of per-epoch undo lists; [`ColoringService::handle`] maps every
 //! [`Request`] to a [`Response`] with no I/O at all, which is what the unit and
 //! integration tests drive.  [`ServiceServer`] wraps that state machine in a `std::net`
 //! TCP accept loop — one thread per connection, a shared `Mutex` around the state with a
@@ -17,9 +17,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use arbcolor::dynamic::DynamicColoring;
+use arbcolor::dynamic::{DynamicColoring, RepairStrategy};
 use arbcolor::CoreError;
-use arbcolor_graph::{Graph, GraphError};
+use arbcolor_graph::{Color, Graph, GraphError, Vertex};
 use arbcolor_runtime::obs;
 
 use crate::protocol::{read_frame, write_frame, Request, Response, ServiceError, ServiceStats};
@@ -53,15 +53,26 @@ impl Default for ServiceConfig {
 /// The protocol-agnostic service state machine.
 ///
 /// Owns the dynamic coloring, stamps every successful mutation with a fresh epoch, and
-/// retains the last [`ServiceConfig::snapshot_history`] colorings so clients can read
-/// consistent snapshots slightly behind the write head.  All I/O lives in
-/// [`ServiceServer`]; this type is driven directly in tests and benchmarks.
+/// keeps the last [`ServiceConfig::snapshot_history`] colorings reachable so clients can
+/// read consistent snapshots slightly behind the write head.
+///
+/// Epochs are not copied.  The service keeps the head coloring plus, per retained epoch,
+/// an undo list of `(vertex, previous color)` for the vertices that epoch recolored — the
+/// repaired vertices of a local repair, or an O(n) diff after a full re-coloring or a
+/// compaction, which cost O(n) anyway.  [`Request::Snapshot`] rebuilds an older epoch by
+/// undoing the newer lists onto a copy of the head, so a read costs O(n) (the copy it
+/// returns) and a write costs only its own changes.  All I/O lives in [`ServiceServer`];
+/// this type is driven directly in tests and benchmarks.
 #[derive(Debug)]
 pub struct ColoringService {
     dynamic: DynamicColoring,
     config: ServiceConfig,
     epoch: u64,
-    snapshots: VecDeque<(u64, Vec<u64>)>,
+    /// The coloring at `epoch`.
+    head: Vec<Color>,
+    /// `(e, list)` for each retained epoch `e` after the oldest, ascending: `list` holds
+    /// the color at epoch `e - 1` of every vertex epoch `e` changed.
+    undo: VecDeque<(u64, Vec<(Vertex, Color)>)>,
     shutdown_requested: bool,
     batches: u64,
     new_edges: u64,
@@ -79,11 +90,12 @@ impl ColoringService {
     /// Propagates any failure of the initial coloring pass.
     pub fn new(graph: Graph, config: ServiceConfig) -> Result<Self, CoreError> {
         let dynamic = DynamicColoring::new(graph)?.with_auto_compact(config.auto_compact);
-        let mut service = ColoringService {
+        Ok(ColoringService {
+            head: dynamic.coloring().colors().to_vec(),
             dynamic,
             config,
             epoch: 0,
-            snapshots: VecDeque::new(),
+            undo: VecDeque::new(),
             shutdown_requested: false,
             batches: 0,
             new_edges: 0,
@@ -91,9 +103,7 @@ impl ColoringService {
             repaired: 0,
             compactions: 0,
             queries: 0,
-        };
-        service.record_snapshot();
-        Ok(service)
+        })
     }
 
     /// Starts a service over an edgeless graph on `n` vertices.
@@ -121,17 +131,43 @@ impl ColoringService {
         &self.dynamic
     }
 
-    fn record_snapshot(&mut self) {
-        let colors = self.dynamic.coloring().colors().to_vec();
-        self.snapshots.push_back((self.epoch, colors));
-        while self.snapshots.len() > self.config.snapshot_history.max(1) {
-            self.snapshots.pop_front();
+    /// The oldest epoch [`Request::Snapshot`] can still reach.
+    fn oldest_epoch(&self) -> u64 {
+        self.epoch - self.undo.len() as u64
+    }
+
+    /// Stamps a new epoch after a successful mutation.  `changed` names every vertex the
+    /// mutation may have recolored, or is `None` when any vertex may have changed.
+    fn advance_epoch(&mut self, changed: Option<&[Vertex]>) {
+        let colors = self.dynamic.coloring().colors();
+        let mut undo = Vec::new();
+        let mut sync = |v: Vertex| {
+            if self.head[v] != colors[v] {
+                undo.push((v, self.head[v]));
+                self.head[v] = colors[v];
+            }
+        };
+        match changed {
+            Some(vertices) => vertices.iter().copied().for_each(&mut sync),
+            None => (0..colors.len()).for_each(&mut sync),
+        }
+        self.epoch += 1;
+        self.undo.push_back((self.epoch, undo));
+        while self.undo.len() >= self.config.snapshot_history.max(1) {
+            self.undo.pop_front();
         }
     }
 
-    fn advance_epoch(&mut self) {
-        self.epoch += 1;
-        self.record_snapshot();
+    /// The coloring at a retained `epoch`: the head with every newer undo list applied,
+    /// newest first.
+    fn coloring_at(&self, epoch: u64) -> Vec<Color> {
+        let mut colors = self.head.clone();
+        for (_, undo) in self.undo.iter().rev().take_while(|(e, _)| *e > epoch) {
+            for &(v, previous) in undo.iter().rev() {
+                colors[v] = previous;
+            }
+        }
+        colors
     }
 
     /// Handles one request, mutating the state as needed.  Never panics on bad input —
@@ -156,7 +192,9 @@ impl ColoringService {
                     if outcome.compaction.is_some() {
                         self.compactions += 1;
                     }
-                    self.advance_epoch();
+                    let local = outcome.strategy != RepairStrategy::FullRecolor
+                        && outcome.compaction.is_none();
+                    self.advance_epoch(local.then_some(&outcome.repaired[..]));
                     Response::Applied {
                         epoch: self.epoch,
                         submitted_edges: outcome.submitted_edges as u64,
@@ -177,7 +215,7 @@ impl ColoringService {
                 Err(err) => Response::Error(core_error_to_service(&err)),
             },
             Request::QueryColors(vertices) => {
-                let n = self.dynamic.graph().n();
+                let n = self.dynamic.adjacency().n();
                 let mut colors = Vec::with_capacity(vertices.len());
                 for v in vertices {
                     if v >= n {
@@ -193,27 +231,23 @@ impl ColoringService {
             }
             Request::Snapshot(epoch) => {
                 let requested = epoch.unwrap_or(self.epoch);
-                match self.snapshots.iter().find(|(e, _)| *e == requested) {
-                    Some((epoch, colors)) => {
-                        Response::Snapshot { epoch: *epoch, colors: colors.clone() }
-                    }
-                    None => {
-                        let oldest = self.snapshots.front().map_or(0, |(e, _)| *e);
-                        let newest = self.snapshots.back().map_or(0, |(e, _)| *e);
-                        Response::Error(ServiceError::EpochUnavailable {
-                            requested,
-                            oldest,
-                            newest,
-                        })
-                    }
+                let oldest = self.oldest_epoch();
+                if (oldest..=self.epoch).contains(&requested) {
+                    Response::Snapshot { epoch: requested, colors: self.coloring_at(requested) }
+                } else {
+                    Response::Error(ServiceError::EpochUnavailable {
+                        requested,
+                        oldest,
+                        newest: self.epoch,
+                    })
                 }
             }
             Request::Stats => Response::Stats(ServiceStats {
-                n: self.dynamic.graph().n() as u64,
-                m: self.dynamic.graph().m() as u64,
+                n: self.dynamic.adjacency().n() as u64,
+                m: self.dynamic.adjacency().m() as u64,
                 epoch: self.epoch,
                 colors: self.dynamic.coloring().distinct_colors() as u64,
-                max_degree: self.dynamic.graph().max_degree() as u64,
+                max_degree: self.dynamic.adjacency().max_degree() as u64,
                 batches: self.batches,
                 new_edges: self.new_edges,
                 removed_edges: self.removed_edges,
@@ -224,7 +258,7 @@ impl ColoringService {
             Request::Compact => {
                 let delta = self.dynamic.compact();
                 self.compactions += 1;
-                self.advance_epoch();
+                self.advance_epoch(None);
                 Response::Compacted {
                     epoch: self.epoch,
                     colors_before: delta.colors_before as u64,
@@ -233,14 +267,13 @@ impl ColoringService {
                 }
             }
             Request::Verify => {
+                // A full pass over every edge: this is the independent check.
+                let colors = self.dynamic.coloring().colors();
                 let conflicts = self
                     .dynamic
-                    .graph()
+                    .adjacency()
                     .edges()
-                    .iter()
-                    .filter(|&&(u, v)| {
-                        self.dynamic.coloring().colors()[u] == self.dynamic.coloring().colors()[v]
-                    })
+                    .filter(|&(u, v)| colors[u] == colors[v])
                     .count() as u64;
                 Response::Verified { legal: conflicts == 0, conflicts }
             }
@@ -524,7 +557,6 @@ fn serve_connection(
 mod tests {
     use super::*;
     use arbcolor::dynamic::GraphUpdate;
-    use arbcolor_graph::Vertex;
 
     fn service(n: usize) -> ColoringService {
         ColoringService::empty(n, ServiceConfig::default()).expect("empty service")
@@ -579,6 +611,73 @@ mod tests {
     }
 
     #[test]
+    fn undo_logs_rebuild_every_retained_epoch_exactly() {
+        let history = 4;
+        let config =
+            ServiceConfig { snapshot_history: history, auto_compact: true, ..Default::default() };
+        let mut svc = ColoringService::empty(16, config).unwrap();
+        // copies[e] is a full copy of the coloring taken at epoch e.
+        let mut copies = vec![svc.dynamic().coloring().colors().to_vec()];
+        let mut seen = Vec::new();
+        let same_colored_pair = |svc: &ColoringService| {
+            let colors = svc.dynamic().coloring().colors();
+            (0..16)
+                .flat_map(|u| (u + 1..16).map(move |v| (u, v)))
+                .find(|&(u, v)| colors[u] == colors[v] && !svc.dynamic().adjacency().has_edge(u, v))
+                .expect("a same-colored non-adjacent pair")
+        };
+        let clique: Vec<(Vertex, Vertex)> =
+            (10..16).flat_map(|u| (u + 1..16).map(move |v| (u, v))).collect();
+        for step in 0..12 {
+            let request = match step {
+                // Ten frontier vertices on an edgeless graph trip the n/4 threshold.
+                0 => Request::Apply(vec![GraphUpdate::InsertEdges(
+                    (0..5).map(|i| (2 * i, 2 * i + 1)).collect(),
+                )]),
+                3 => Request::Apply(vec![GraphUpdate::InsertEdges(clique.clone())]),
+                // Deleting the clique leaves its colors above the new maximum degree.
+                4 => Request::Apply(vec![GraphUpdate::RemoveEdges(clique.clone())]),
+                7 => Request::Compact,
+                _ => Request::Apply(vec![GraphUpdate::InsertEdges(vec![same_colored_pair(&svc)])]),
+            };
+            match svc.handle(request) {
+                Response::Applied { strategy, compacted, .. } => {
+                    seen.push((Some(strategy), compacted.is_some()))
+                }
+                Response::Compacted { .. } => seen.push((None, true)),
+                other => panic!("step {step}: unexpected reply {other:?}"),
+            }
+            copies.push(svc.dynamic().coloring().colors().to_vec());
+            let newest = svc.epoch();
+            assert_eq!(newest as usize + 1, copies.len());
+            let oldest = (newest + 1).saturating_sub(history as u64);
+            for (epoch, copy) in copies.iter().enumerate() {
+                let epoch = epoch as u64;
+                match svc.handle(Request::Snapshot(Some(epoch))) {
+                    Response::Snapshot { epoch: got, colors } if epoch >= oldest => {
+                        assert_eq!((got, &colors), (epoch, copy), "epoch {epoch} at step {step}");
+                    }
+                    Response::Error(ServiceError::EpochUnavailable {
+                        requested,
+                        oldest: o,
+                        newest: n,
+                    }) if epoch < oldest => {
+                        assert_eq!((requested, o, n), (epoch, oldest, newest));
+                    }
+                    other => panic!("epoch {epoch} at step {step}: {other:?}"),
+                }
+            }
+        }
+        assert!(seen.contains(&(Some(RepairStrategy::FullRecolor), false)), "{seen:?}");
+        assert!(seen.contains(&(Some(RepairStrategy::LocalRepair), false)), "{seen:?}");
+        assert!(
+            seen.iter().any(|&(strategy, compacted)| strategy.is_some() && compacted),
+            "{seen:?}"
+        );
+        assert!(seen.contains(&(None, true)), "{seen:?}");
+    }
+
+    #[test]
     fn bad_edges_and_bad_queries_become_typed_errors() {
         let mut svc = service(4);
         match svc.handle(Request::Apply(vec![GraphUpdate::InsertEdges(vec![(0, 9)])])) {
@@ -595,6 +694,26 @@ mod tests {
         }
         // A failed batch leaves the epoch (and therefore the coloring) untouched.
         assert_eq!(svc.epoch(), 0);
+    }
+
+    #[test]
+    fn a_batch_failing_on_its_last_edge_leaves_the_service_untouched() {
+        let mut svc = service(6);
+        svc.handle(Request::Apply(vec![GraphUpdate::InsertEdges(vec![(0, 1), (1, 2)])]));
+        let graph = svc.dynamic().graph().clone();
+        let colors = svc.dynamic().coloring().clone();
+        for bad in [(3, 60), (4, 4)] {
+            let reply = svc.handle(Request::Apply(vec![
+                GraphUpdate::InsertEdges(vec![(2, 3), (0, 2)]),
+                GraphUpdate::RemoveEdges(vec![(0, 1)]),
+                GraphUpdate::InsertEdges(vec![(4, 5), bad]),
+            ]));
+            assert!(matches!(reply, Response::Error(_)), "{reply:?}");
+            assert_eq!(svc.epoch(), 1);
+            assert_eq!(svc.dynamic().graph(), &graph);
+            assert_eq!(svc.dynamic().adjacency().m(), 2);
+            assert_eq!(svc.dynamic().coloring(), &colors);
+        }
     }
 
     #[test]

@@ -129,6 +129,50 @@ proptest! {
     }
 }
 
+/// A long mixed stream — conflicting inserts, removals, no-op updates, local repairs,
+/// full re-colorings and auto-compactions — keeps the lazily frozen graph bit-identical to
+/// a from-scratch rebuild of the model edge set after every batch, identifiers included.
+#[test]
+fn the_frozen_graph_equals_a_rebuild_after_every_batch_of_a_stream() {
+    for (family, g) in generator_suite(40, 7) {
+        let g = g.with_shuffled_ids(3);
+        let mut rng = ChaCha8Rng::seed_from_u64(g.m() as u64);
+        let mut model: std::collections::BTreeSet<(Vertex, Vertex)> =
+            g.edges().iter().copied().collect();
+        let mut dynamic = DynamicColoring::new(g.clone()).unwrap().with_auto_compact(true);
+        for round in 0..12 {
+            let n = g.n();
+            let mut inserts = Vec::new();
+            while inserts.len() < 1 + round % 5 {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if u != v {
+                    inserts.push((u, v));
+                }
+            }
+            let removals = delete_batch(dynamic.graph(), &mut rng, round % 4);
+            dynamic
+                .apply(&[
+                    GraphUpdate::RemoveEdges(removals.clone()),
+                    GraphUpdate::InsertEdges(inserts.clone()),
+                ])
+                .unwrap();
+            for &(u, v) in &removals {
+                model.remove(&(u.min(v), u.max(v)));
+            }
+            for &(u, v) in &inserts {
+                model.insert((u.min(v), u.max(v)));
+            }
+            let rebuilt = Graph::from_edges(n, model.iter().copied())
+                .unwrap()
+                .with_vertex_ids(g.ids().to_vec())
+                .unwrap();
+            assert_eq!(*dynamic.graph(), rebuilt, "round {round} on {family}");
+            assert_eq!(dynamic.adjacency().m(), rebuilt.m(), "round {round} on {family}");
+            assert!(dynamic.coloring().is_legal(&rebuilt), "round {round} on {family}");
+        }
+    }
+}
+
 /// The same mixed update sequence (inserts, deletes, and a compaction sweep) replayed
 /// under every executor kind produces bit-identical colorings and batch outcomes (the
 /// E20/E25 guarantee, pinned here at test sizes).
