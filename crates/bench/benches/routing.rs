@@ -78,12 +78,12 @@ fn bench_headliner_fabric(c: &mut Criterion) {
         .find(|a| a.name() == "ghaffari_kuhn")
         .expect("registry has the GK headliner");
     for (label, kind) in
-        [("gk/flat", ExecutorKind::Sequential), ("gk/reference", ExecutorKind::Reference)]
+        [("gk/flat", ExecutorKind::sharded(1)), ("gk/reference", ExecutorKind::Reference)]
     {
         group.bench_with_input(BenchmarkId::new(label, n), &g, |b, g| {
             set_default_executor(kind);
             b.iter(|| gk.run(g).unwrap());
-            set_default_executor(ExecutorKind::Sequential);
+            set_default_executor(ExecutorKind::sharded(1));
         });
     }
     group.finish();

@@ -1,5 +1,5 @@
-//! Criterion bench group `sharded_scale`: the same LOCAL executions under the sequential
-//! [`Executor`] and the [`ShardedExecutor`] at growing `n` and thread counts.
+//! Criterion bench group `sharded_scale`: the same LOCAL executions under the work-stealing
+//! [`Executor`] at growing `n` and thread counts.
 //!
 //! Two tiers are timed: the raw simulator on a message-heavy flood (isolating executor
 //! overhead and barrier costs from algorithm logic), and the full Barenboim–Elkin pipeline
@@ -9,9 +9,7 @@
 
 use arbcolor::legal_coloring::{a_power_coloring, APowerParams};
 use arbcolor_graph::generators;
-use arbcolor_runtime::{
-    algorithms::FloodMaxId, set_default_executor, Executor, ExecutorKind, ShardedExecutor,
-};
+use arbcolor_runtime::{algorithms::FloodMaxId, set_default_executor, Executor, ExecutorKind};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_executor_overhead(c: &mut Criterion) {
@@ -20,22 +18,11 @@ fn bench_executor_overhead(c: &mut Criterion) {
     for n in [10_000usize, 40_000] {
         let g = generators::union_of_random_forests(n, 3, 11).unwrap().with_shuffled_ids(4);
         let flood = FloodMaxId { rounds: 12 };
-        group.bench_with_input(BenchmarkId::new("flood/sequential", n), &g, |b, g| {
-            b.iter(|| Executor::new(g).run(&flood).unwrap())
-        });
         for threads in [1usize, 2, 4] {
             group.bench_with_input(
                 BenchmarkId::new(format!("flood/sharded_t{threads}"), n),
                 &g,
-                |b, g| {
-                    b.iter(|| {
-                        ShardedExecutor::new(g)
-                            .with_threads(threads)
-                            .with_sequential_cutoff(0)
-                            .run(&flood)
-                            .unwrap()
-                    })
-                },
+                |b, g| b.iter(|| Executor::new(g).with_threads(threads).run(&flood).unwrap()),
             );
         }
     }
@@ -48,14 +35,14 @@ fn bench_pipeline_dispatch(c: &mut Criterion) {
     let n = 6_000usize;
     let g = generators::union_of_random_forests(n, 4, 37).unwrap().with_shuffled_ids(1);
     for (label, kind) in [
-        ("be/sequential", ExecutorKind::Sequential),
+        ("be/sharded_t1", ExecutorKind::sharded(1)),
         ("be/sharded_t2", ExecutorKind::sharded(2)),
         ("be/sharded_t4", ExecutorKind::sharded(4)),
     ] {
         group.bench_with_input(BenchmarkId::new(label, n), &g, |b, g| {
             set_default_executor(kind);
             b.iter(|| a_power_coloring(g, 4, APowerParams { eta: 0.5, epsilon: 1.0 }).unwrap());
-            set_default_executor(ExecutorKind::Sequential);
+            set_default_executor(ExecutorKind::sharded(1));
         });
     }
     group.finish();

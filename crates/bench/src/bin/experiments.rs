@@ -14,21 +14,19 @@
 //! `--json` the output is pure JSON lines — one row object per line, no markdown headers —
 //! so it can be piped straight into a file or a line-oriented tool.
 //!
-//! `--par N` (or `--par=N`) sets the process-wide executor configuration: `N > 1` runs every
-//! experiment on the sharded simulator with `N` pool threads (`arbcolor_runtime::shard`),
-//! `N = 1` forces the sequential executor.  Results are bit-identical either way — the CI
-//! `bench-smoke` job runs the tier under both and fails on any diff — only wall-clock
-//! changes.  E17 additionally performs its own 1-vs-4-thread sweep to report speedups.
+//! `--par N` (or `--par=N`) sets the process-wide executor configuration: every experiment
+//! runs on the work-stealing executor (`arbcolor_runtime::shard`) with a budget of `N`
+//! threads (default 1, which steps every round on the calling thread).  Results are
+//! bit-identical at every `N` — the CI `bench-smoke` job runs the tier under `--par 1` and
+//! `--par 4` and fails on any diff — only wall-clock changes.  E17 additionally performs
+//! its own 1-vs-4-thread sweep to report speedups.
 //!
-//! `--par-cutoff N` (or `--par-cutoff=N`) overrides the sequential-fallback cutoff of the
-//! sharded paths (default ~2k vertices).  `--par-cutoff 0` forces even tiny graphs through
-//! the sharded executor and the parallel bucket phase — the CI cross-executor gate uses it
-//! so the smoke tier genuinely exercises the parallel code on every experiment.
-//!
-//! `--chunk-size N` (or `--chunk-size=N`) overrides the work-stealing chunk size of the
-//! sharded executor (default 1024 frontier vertices per steal).  Results are bit-identical
-//! at every chunk size — the CI diff leg runs a non-default value to prove it — only the
-//! steal granularity (and thus load balance) changes.
+//! `--chunk-size N` (or `--chunk-size=N`) overrides the work-stealing chunk size (default
+//! 1024 frontier vertices per steal).  A run uses at most one worker per chunk of its
+//! graph, so a small chunk size also spreads small graphs across the threads — the CI diff
+//! leg runs `--chunk-size 7` so even the tiny smoke graphs execute on several workers.
+//! Results are bit-identical at every chunk size; only the steal granularity (and thus
+//! load balance) changes.
 //!
 //! `--seed N` (or `--seed=N`) sets the process-wide experiment seed (default 42) that
 //! randomized contenders derive their PRNGs from — currently E22's HKMT headliner.  For a
@@ -57,9 +55,7 @@
 use arbcolor_bench::experiments::{self, SizeClass};
 use arbcolor_bench::perf::{PerfDoc, PERF_EXPERIMENTS};
 use arbcolor_bench::Row;
-use arbcolor_runtime::{
-    obs, set_default_chunk_size, set_default_executor, set_default_sequential_cutoff, ExecutorKind,
-};
+use arbcolor_runtime::{obs, set_default_chunk_size, set_default_executor, ExecutorKind};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -68,7 +64,6 @@ fn main() {
 
     // Collect positionals while pulling out `--flag VALUE` options (with `=` forms).
     let mut par: Option<&str> = None;
-    let mut par_cutoff: Option<&str> = None;
     let mut chunk_size: Option<&str> = None;
     let mut perf_out: Option<&str> = None;
     let mut seed: Option<&str> = None;
@@ -79,7 +74,6 @@ fn main() {
         let arg = &args[i];
         for (flag, slot) in [
             ("--par", &mut par),
-            ("--par-cutoff", &mut par_cutoff),
             ("--chunk-size", &mut chunk_size),
             ("--perf-out", &mut perf_out),
             ("--seed", &mut seed),
@@ -109,18 +103,11 @@ fn main() {
             })
         })
     };
-    if let Some(cutoff) = parse_flag("--par-cutoff", par_cutoff) {
-        set_default_sequential_cutoff(cutoff);
-    }
     if let Some(chunk) = parse_flag("--chunk-size", chunk_size) {
         set_default_chunk_size(chunk);
     }
     if let Some(threads) = parse_flag("--par", par) {
-        set_default_executor(if threads > 1 {
-            ExecutorKind::sharded(threads)
-        } else {
-            ExecutorKind::Sequential
-        });
+        set_default_executor(ExecutorKind::sharded(threads));
     }
     if let Some(value) = seed {
         let parsed = value.parse::<u64>().unwrap_or_else(|_| {

@@ -432,17 +432,17 @@ pub fn e16_headline_head_to_head(sz: SizeClass) -> Vec<Row> {
 }
 
 /// E17 — the sharded-simulator scale sweep: both headliners on growing forest unions under
-/// the sequential executor (`threads = 1`) and the sharded executor (`threads = 4`).
+/// the work-stealing executor at `threads = 1` and at `threads = 4`.
 ///
 /// Rounds, messages, and palettes are re-checked to be **bit-identical** across executors
 /// before a row is emitted (the determinism guarantee of `arbcolor_runtime::shard`); the
 /// wall-clock column is the only quantity allowed to differ.  `speedup_vs_seq` is the
-/// sequential wall-clock divided by the row's wall-clock, so the `threads = 4` rows report
+/// one-thread wall-clock divided by the row's wall-clock, so the `threads = 4` rows report
 /// the parallel speedup of the whole pipeline on the same graph.
 ///
 /// At `Scale(1)` this is the `n ∈ {10⁵, 10⁶}` sweep of the reproduction index — minutes of
-/// work; the smoke tier shrinks it to one n just above the sharded executor's sequential
-/// cutoff so CI exercises the parallel path end to end in seconds.
+/// work; the smoke tier shrinks it to n = 4 000, enough default chunks to keep four workers
+/// busy, so CI exercises the parallel path end to end in seconds.
 pub fn e17_sharded_scale(sz: SizeClass) -> Vec<Row> {
     let sizes: Vec<usize> = match sz {
         SizeClass::Smoke => vec![4_000],
@@ -458,11 +458,7 @@ pub fn e17_sharded_scale(sz: SizeClass) -> Vec<Row> {
         for algorithm in headline_algorithms() {
             let mut sequential: Option<(usize, RoundReport, f64)> = None;
             for threads in [1usize, 4] {
-                set_default_executor(if threads == 1 {
-                    ExecutorKind::Sequential
-                } else {
-                    ExecutorKind::sharded(threads)
-                });
+                set_default_executor(ExecutorKind::sharded(threads));
                 let start = Instant::now();
                 let outcome = algorithm.run(&g).unwrap_or_else(|e| {
                     panic!("{} failed on forests n={n}, threads={threads}: {e}", algorithm.name())
@@ -515,7 +511,7 @@ pub fn e17_sharded_scale(sz: SizeClass) -> Vec<Row> {
 /// * a raw-executor race on a message-dense flood (`FloodMaxId`), isolating delivery cost —
 ///   this is where the `O(Σ deg²)`-per-round term of the old fabric shows directly;
 /// * both headline coloring pipelines dispatched through the process-wide executor switch
-///   (`ExecutorKind::Reference` vs `ExecutorKind::Sequential`), at the *smallest* size of
+///   (`ExecutorKind::Reference` vs `ExecutorKind::sharded(1)`), at the *smallest* size of
 ///   the sweep (`10⁵` at `Scale(1)`) — racing the quadratic fabric through a whole
 ///   pipeline at the 10× size would measure minutes of known-slow baseline, so the larger
 ///   sizes keep the flood race only.
@@ -575,7 +571,7 @@ pub fn e18_routing_fabric(sz: SizeClass) -> Vec<Row> {
             // Full-pipeline race: every run_algorithm call of both headliners lands on one
             // fabric or the other via the process-wide switch.
             for algorithm in headline_algorithms() {
-                set_default_executor(ExecutorKind::Sequential);
+                set_default_executor(ExecutorKind::sharded(1));
                 let start = Instant::now();
                 let flat = algorithm.run(g).unwrap_or_else(|e| {
                     panic!("{} failed on {family} n={n}: {e}", algorithm.name())
@@ -679,7 +675,7 @@ pub fn e19_real_graph_ingestion(_sz: SizeClass) -> Vec<Row> {
 /// re-coloring the post-batch graph); the experiment asserts that at least one batch per
 /// dataset repairs strictly fewer vertices than the baseline would touch.
 ///
-/// The entire batch sequence is replayed under the sequential, sharded, and reference
+/// The entire batch sequence is replayed under the one-thread, four-thread, and reference
 /// executors and the final colorings (plus all per-batch frontier/repair counts) are
 /// asserted **bit-identical** — only the `wall_ms_*` columns may differ between runs.  The
 /// fixtures have fixed sizes, so the [`SizeClass`] is ignored.
@@ -738,7 +734,7 @@ pub fn e20_dynamic_recoloring(_sz: SizeClass) -> Vec<Row> {
         // other kind must be bit-identical in everything but wall-clock.
         let ambient = default_executor();
         let (final_coloring, outcomes, walls) = run_sequence(ambient, &base, &batches);
-        for kind in [ExecutorKind::Sequential, ExecutorKind::sharded(4), ExecutorKind::Reference] {
+        for kind in [ExecutorKind::sharded(1), ExecutorKind::sharded(4), ExecutorKind::Reference] {
             if kind == ambient {
                 continue;
             }
@@ -806,8 +802,8 @@ pub fn e20_dynamic_recoloring(_sz: SizeClass) -> Vec<Row> {
 /// advisory and should track the collapsing frontier rather than `n` (an everyone-runs
 /// round loop pays O(n) per round regardless of how many vertices still act).
 ///
-/// The sweep is replayed on the work-stealing executor and asserted **bit-identical**
-/// before any row is emitted.  At `Scale(1)` the graph has 10⁶ vertices; the smoke tier
+/// The sweep is replayed on four threads and asserted **bit-identical** before any row is
+/// emitted.  At `Scale(1)` the graph has 10⁶ vertices; the smoke tier
 /// shrinks it to 4 000.
 ///
 /// [`ScheduledListColor`]: arbcolor_runtime::algorithms::ScheduledListColor
@@ -816,7 +812,7 @@ pub fn e21_frontier_collapse(sz: SizeClass) -> Vec<Row> {
     use arbcolor_baselines::greedy::sequential_greedy;
     use arbcolor_graph::Coloring;
     use arbcolor_runtime::algorithms::{ListColorSchedule, ListColorSlot, ScheduledListColor};
-    use arbcolor_runtime::{ActivitySummary, Executor, ShardedExecutor};
+    use arbcolor_runtime::{ActivitySummary, Executor};
 
     let n = match sz {
         SizeClass::Smoke => 4_000,
@@ -840,12 +836,8 @@ pub fn e21_frontier_collapse(sz: SizeClass) -> Vec<Row> {
     let (result, trace) = Executor::new(&g).run_traced(&algorithm).expect("sweep terminates");
     let wall_ms_total = start.elapsed().as_secs_f64() * 1e3;
 
-    // Determinism: the work-stealing executor must reproduce the sweep bit for bit.
-    let stolen = ShardedExecutor::new(&g)
-        .with_threads(4)
-        .with_sequential_cutoff(0)
-        .run(&algorithm)
-        .expect("sweep terminates");
+    // Determinism: four threads must reproduce the sweep bit for bit.
+    let stolen = Executor::new(&g).with_threads(4).run(&algorithm).expect("sweep terminates");
     assert_eq!(stolen.outputs, result.outputs, "outputs diverged between executors");
     assert_eq!(stolen.report, result.report, "cost diverged between executors");
 

@@ -19,7 +19,7 @@ use arbcolor_decompose::linial::linial_coloring;
 use arbcolor_decompose::reduction::greedy_reduce;
 use arbcolor_graph::{Graph, InducedSubgraph, Orientation, Vertex};
 use arbcolor_runtime::{
-    default_executor, default_sequential_cutoff, parallel_max, CostLedger, RoundReport, WorkPool,
+    default_chunk_size, default_executor, parallel_max, CostLedger, RoundReport, WorkPool,
 };
 
 /// An acyclic (partial) orientation produced by one of the orientation procedures, together
@@ -102,9 +102,10 @@ type BucketColorings = (Vec<(usize, u64)>, RoundReport, Vec<usize>);
 /// The H-partition buckets are vertex-disjoint and the LOCAL model already charges them as
 /// one parallel phase, so when the process-wide executor configuration has a thread budget
 /// (see [`arbcolor_runtime::set_default_executor`]) the buckets are materialized and colored
-/// on a [`WorkPool`]; the result is identical either way.  Small graphs stay sequential —
-/// the recursive drivers invoke this on many tiny subgraphs, and those should not pay pool
-/// setup costs (the same rationale as the sharded executor's sequential cutoff).
+/// on a [`WorkPool`]; the result is identical either way.  A graph that fits in one default
+/// chunk stays on the caller — the recursive drivers invoke this on many tiny subgraphs, and
+/// those should not pay pool setup costs (the size rule of the
+/// [`Executor`](arbcolor_runtime::Executor)).
 fn color_buckets<F>(
     graph: &Graph,
     partition: &HPartition,
@@ -113,8 +114,7 @@ fn color_buckets<F>(
 where
     F: Fn(&Graph) -> Result<(Vec<u64>, RoundReport, usize), CoreError> + Send + Sync,
 {
-    let threads =
-        if graph.n() <= default_sequential_cutoff() { 1 } else { default_executor().threads() };
+    let threads = if graph.n() <= default_chunk_size() { 1 } else { default_executor().threads() };
     let order: Vec<usize> = (0..partition.buckets().len()).collect();
     color_buckets_in_order(graph, partition, &order, threads, color_bucket)
 }

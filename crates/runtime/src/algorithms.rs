@@ -581,7 +581,7 @@ impl<'a> Algorithm for HalvingSplit<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::Executor;
+    use crate::Executor;
     use arbcolor_graph::generators;
 
     #[test]

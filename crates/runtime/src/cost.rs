@@ -14,10 +14,10 @@
 //!   [`RuntimeError::CongestBudgetExceeded`]
 //!   (naming the round, the edge, and the measured width) as soon as any single edge
 //!   carries more than `bits_per_edge` bits in one round.
-//! * `BandwidthMeter` (crate-internal) — the per-arc accumulator all three executors feed
-//!   from their delivery paths, symmetrically, so `total_bits` and `max_edge_bits` in
-//!   [`RoundReport`] are bit-identical across the sequential, the
-//!   work-stealing, and the reference executor.
+//! * `BandwidthMeter` (crate-internal) — the per-arc accumulator both executors feed from
+//!   their delivery paths, symmetrically, so `total_bits` and `max_edge_bits` in
+//!   [`RoundReport`] are bit-identical across the work-stealing executor (at any thread
+//!   count) and the reference executor.
 //!
 //! The process-wide default ([`set_default_cost_mode`]/[`default_cost_mode`]) mirrors
 //! [`set_default_executor`](crate::set_default_executor): freshly constructed executors pick

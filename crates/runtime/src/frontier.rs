@@ -1,14 +1,14 @@
-//! Frontier scheduling primitives shared by the executors.
+//! Frontier scheduling primitives of the round loop.
 //!
-//! Both executors drive node programs off a **frontier**: the set of vertices that must act
-//! in the upcoming round because they received a message or explicitly scheduled themselves
-//! with [`NodeCtx::wake_next_round`](crate::NodeCtx::wake_next_round).  A round then costs
+//! The [`Executor`](crate::Executor) drives node programs off a **frontier**: the set of
+//! vertices that must act in the upcoming round because they received a message or
+//! explicitly scheduled themselves with
+//! [`NodeCtx::wake_next_round`](crate::NodeCtx::wake_next_round).  A round then costs
 //! O(|frontier| + messages) instead of O(n), which is where the late rounds of the
 //! headline algorithms — tiny active sets, most vertices finalized and silent — stop paying
 //! for the vertices that no longer participate.
 //!
-//! Two small types live here so `network.rs` and `shard.rs` share one implementation instead
-//! of the copy-pasted bookkeeping they used to carry:
+//! Two small types live here:
 //!
 //! * [`Frontier`] — an epoch-stamped dense bitmap plus a fill list.  Marking is O(1) with
 //!   mark-once dedup, enumeration is O(|frontier| log |frontier|) (the fill list is sorted
@@ -76,9 +76,7 @@ impl Frontier {
     }
 }
 
-/// Halt bookkeeping shared by the executors: one flag per vertex plus a maintained count,
-/// replacing the `Vec<bool>` + `active_count` pairs previously duplicated between the
-/// sequential and sharded executors.
+/// Halt bookkeeping of the round loop: one flag per vertex plus a maintained count.
 #[derive(Debug, Clone)]
 pub struct ActiveSet {
     live: Vec<bool>,

@@ -12,20 +12,20 @@
 //!   node program only ever sees its own [`NodeCtx`] (identifier, degree, neighbor
 //!   identifiers, `n`) and the messages delivered to it, which keeps implementations honest
 //!   about locality.
-//! * [`Executor`] — runs an algorithm on a graph until every node halts, returning the
-//!   per-vertex outputs and a [`RoundReport`] with round and message counts.  Delivery runs
-//!   on the arc-indexed message fabric (see [`network`]): O(1) mirror-table routing into
-//!   flat one-slot-per-port mailboxes, zero heap allocation per steady-state round.
+//! * [`Executor`] — the round loop: runs an algorithm on a graph until every node halts,
+//!   returning the per-vertex outputs and a [`RoundReport`] with round and message counts.
+//!   Each round steps only the frontier, in fixed-size chunks that workers steal off a
+//!   shared cursor and commit in chunk order, so results are bit-identical at any thread
+//!   count and chunk size (see [`shard`]); at the default of one thread the chunks run on
+//!   the caller with no pool.  Delivery runs on the arc-indexed message fabric (see
+//!   [`network`]): O(1) mirror-table routing into flat one-slot-per-port mailboxes.
 //! * [`mod@reference`] — the pre-fabric `Vec<Vec<…>>` executor with linear-scan routing, kept
 //!   as the bit-identity oracle and the baseline the `routing` benches race against.
 //! * [`frontier`] — the epoch-stamped frontier bitmap and shared halt bookkeeping behind
-//!   both executors' O(|active|) rounds: delivery marks the receiver, programs self-schedule
-//!   with [`NodeCtx::wake_next_round`], quiescent vertices cost nothing.
-//! * [`shard`] — the parallel simulator: a hand-rolled [`WorkPool`] and the
-//!   [`ShardedExecutor`], which work-steals fixed-size frontier chunks off a shared atomic
-//!   cursor yet commits results in chunk order, so outputs, rounds, and message counts are
-//!   bit-identical to [`Executor`] at any thread count and chunk size; plus the
-//!   process-wide [`ExecutorKind`] switch consulted by [`run_algorithm`].
+//!   O(|active|) rounds: delivery marks the receiver, programs self-schedule with
+//!   [`NodeCtx::wake_next_round`], quiescent vertices cost nothing.
+//! * [`shard`] — the round loop's home: the [`Executor`], a hand-rolled [`WorkPool`], and
+//!   the process-wide [`ExecutorKind`] switch consulted by [`run_algorithm`].
 //! * [`composition`] — cost accounting for multi-phase algorithms (sequential phases add,
 //!   parallel executions on disjoint subgraphs take the maximum), mirroring how the paper
 //!   accounts for the recursion of Procedure Legal-Coloring, where disjoint subgraphs proceed
@@ -75,13 +75,12 @@ pub use composition::{parallel_max, CostLedger, PhaseCost};
 pub use cost::{default_cost_mode, set_default_cost_mode, CostMode, MessageCost};
 pub use frontier::{ActiveSet, Frontier};
 pub use metrics::{ActivitySummary, RoundReport};
-pub use network::{ExecutionResult, Executor, RuntimeError, TracedRun};
+pub use network::{ExecutionResult, RuntimeError, TracedRun};
 pub use node::{Algorithm, Inbox, NeighborIds, NodeCtx, NodeProgram, Outbox, Status};
 pub use obs::{PhaseGuard, RecordingGuard, SpanCollector, SpanKind, SpanRecord};
 pub use reference::ReferenceExecutor;
 pub use shard::{
-    default_chunk_size, default_executor, default_sequential_cutoff, run_algorithm,
-    set_default_chunk_size, set_default_executor, set_default_sequential_cutoff, ExecutorKind,
-    PoolScope, ShardedExecutor, WorkPool,
+    default_chunk_size, default_executor, run_algorithm, set_default_chunk_size,
+    set_default_executor, Executor, ExecutorKind, PoolScope, WorkPool,
 };
 pub use trace::{RoundTrace, TraceConfig, TraceRecorder};

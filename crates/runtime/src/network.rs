@@ -1,4 +1,4 @@
-//! The synchronous executor and the arc-indexed message fabric.
+//! The arc-indexed message fabric and the types shared by every executor.
 //!
 //! # The message fabric
 //!
@@ -22,22 +22,21 @@
 //!
 //! # Frontier-driven rounds
 //!
-//! On top of the fabric, the executor only steps the **frontier** (see
-//! [`frontier`](crate::frontier)): delivering a message marks the receiver's frontier bit,
-//! and [`NodeCtx::wake_next_round`] marks the caller, so a round walks the sorted frontier
-//! instead of all of `0..n` — O(|frontier| + messages) per round.  Halted vertices can still
-//! be marked by late mail; they are skipped at iteration time (their mailbox window is
-//! consumed and dropped, matching the previous semantics of messages to halted nodes).  The
-//! loop condition, round accounting, and termination check are unchanged, so rounds and
-//! message counts are bit-identical to the everyone-runs executor for any program honoring
-//! the activation contract of [`NodeProgram`].
+//! On top of the fabric, the round loop ([`Executor`](crate::Executor)) only steps the
+//! **frontier** (see [`frontier`](crate::frontier)): delivering a message marks the
+//! receiver's frontier bit, and [`NodeCtx::wake_next_round`] marks the caller, so a round
+//! walks the sorted frontier instead of all of `0..n` — O(|frontier| + messages) per round.
+//! Halted vertices can still be marked by late mail; they are skipped at iteration time
+//! (their mailbox window is consumed and dropped).  Every vertex with mail is on the
+//! frontier, so a mailbox cursor seeded once per frontier chunk walks the chunk's windows
+//! in ascending vertex order.
+//!
+//! This module holds the fabric and the types every executor shares; the loop itself lives
+//! in [`shard`](crate::shard).
 
-use crate::cost::{default_cost_mode, BandwidthMeter, CostMode, MessageCost};
-use crate::frontier::{ActiveSet, Frontier};
 use crate::metrics::RoundReport;
-use crate::node::{Algorithm, Inbox, NeighborIds, NodeCtx, NodeProgram, Outbox, Status};
-use crate::obs;
-use crate::trace::{RoundTrace, TraceConfig, TraceRecorder};
+use crate::node::{Inbox, NeighborIds, NodeCtx};
+use crate::trace::TraceRecorder;
 use arbcolor_graph::{Graph, Vertex};
 use std::error::Error;
 use std::fmt;
@@ -54,8 +53,8 @@ pub enum RuntimeError {
         /// How many nodes were still active when the limit was hit.
         still_active: usize,
     },
-    /// Under [`CostMode::Congest`], a single edge carried more bits in one round than the
-    /// configured per-edge budget allows.
+    /// Under [`CostMode::Congest`](crate::CostMode::Congest), a single edge carried more
+    /// bits in one round than the configured per-edge budget allows.
     CongestBudgetExceeded {
         /// The round whose deliveries exceeded the budget (1-based; round `r`'s deliveries
         /// are the messages sent in round `r - 1`, with round 1 carrying the `init` sends).
@@ -101,237 +100,8 @@ pub struct ExecutionResult<O> {
 }
 
 /// An execution result paired with the per-round activity trace that produced it — what
-/// [`Executor::run_traced`] returns on success.
+/// [`Executor::run_traced`](crate::Executor::run_traced) returns on success.
 pub type TracedRun<O> = (ExecutionResult<O>, TraceRecorder);
-
-/// Runs [`Algorithm`]s on a [`Graph`] until every node halts.
-#[derive(Debug, Clone)]
-pub struct Executor<'g> {
-    graph: &'g Graph,
-    max_rounds: usize,
-    cost_mode: CostMode,
-}
-
-impl<'g> Executor<'g> {
-    /// Default safety limit on the number of rounds.
-    pub const DEFAULT_MAX_ROUNDS: usize = 1_000_000;
-
-    /// Creates an executor for `graph` with the default round limit and the process-wide
-    /// default cost mode (see [`set_default_cost_mode`](crate::set_default_cost_mode)).
-    pub fn new(graph: &'g Graph) -> Self {
-        Executor { graph, max_rounds: Self::DEFAULT_MAX_ROUNDS, cost_mode: default_cost_mode() }
-    }
-
-    /// Overrides the round limit (useful for tests that expect termination within a bound).
-    #[must_use]
-    pub fn with_max_rounds(mut self, max_rounds: usize) -> Self {
-        self.max_rounds = max_rounds;
-        self
-    }
-
-    /// Overrides the cost mode: under [`CostMode::Congest`] the run fails with
-    /// [`RuntimeError::CongestBudgetExceeded`] as soon as a round overloads an edge.
-    /// Bandwidth is recorded into the [`RoundReport`] in every mode.
-    #[must_use]
-    pub fn with_cost_mode(mut self, cost_mode: CostMode) -> Self {
-        self.cost_mode = cost_mode;
-        self
-    }
-
-    /// The graph this executor runs on.
-    pub fn graph(&self) -> &Graph {
-        self.graph
-    }
-
-    /// Runs `algorithm` until every node halts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::RoundLimitExceeded`] if the algorithm does not terminate within
-    /// the configured round limit.
-    pub fn run<A: Algorithm>(
-        &self,
-        algorithm: &A,
-    ) -> Result<ExecutionResult<<A::Node as NodeProgram>::Output>, RuntimeError> {
-        self.run_inner(algorithm, None)
-    }
-
-    /// Runs `algorithm` like [`run`](Self::run), additionally recording one
-    /// [`RoundTrace`] per round (frontier size, messages, halts, wall-clock) — the
-    /// instrumentation behind the per-round activity plots of experiment E21.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::RoundLimitExceeded`] if the algorithm does not terminate within
-    /// the configured round limit.
-    pub fn run_traced<A: Algorithm>(
-        &self,
-        algorithm: &A,
-    ) -> Result<TracedRun<<A::Node as NodeProgram>::Output>, RuntimeError> {
-        self.run_traced_with(algorithm, TraceConfig::default())
-    }
-
-    /// Like [`run_traced`](Self::run_traced) with an explicit [`TraceConfig`] (e.g. to
-    /// capture per-round halted-vertex identities, which are off by default).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::RoundLimitExceeded`] if the algorithm does not terminate within
-    /// the configured round limit.
-    pub fn run_traced_with<A: Algorithm>(
-        &self,
-        algorithm: &A,
-        config: TraceConfig,
-    ) -> Result<TracedRun<<A::Node as NodeProgram>::Output>, RuntimeError> {
-        let mut recorder = TraceRecorder::new();
-        let result = self.run_inner(algorithm, Some((&mut recorder, config)))?;
-        Ok((result, recorder))
-    }
-
-    fn run_inner<A: Algorithm>(
-        &self,
-        algorithm: &A,
-        trace: Option<(&mut TraceRecorder, TraceConfig)>,
-    ) -> Result<ExecutionResult<<A::Node as NodeProgram>::Output>, RuntimeError> {
-        let span = obs::exec_span(algorithm.name());
-        let (mut trace, trace_config) = match trace {
-            Some((recorder, config)) => (Some(recorder), config),
-            None => (None, TraceConfig::default()),
-        };
-        let graph = self.graph;
-        let n = graph.n();
-        let id_space = id_space_of(graph);
-        let id_table = neighbor_id_table(graph);
-        let contexts: Vec<NodeCtx> =
-            graph.vertices().map(|v| node_ctx(graph, v, id_space, &id_table)).collect();
-        let mut nodes: Vec<A::Node> = contexts.iter().map(|ctx| algorithm.node(ctx)).collect();
-        let mut active = ActiveSet::new(n);
-        let mut frontier = Frontier::new(n);
-        let mut schedule: Vec<Vertex> = Vec::new();
-        let mut report = RoundReport::zero();
-
-        // The double-buffered flat mailboxes (one slot per arc) and the single outbox
-        // every vertex reuses: after the warm-up fills below, a round performs no heap
-        // allocation on the one-message-per-port fast path.
-        let mut pending: ArcMailboxes<<A::Node as NodeProgram>::Msg> =
-            ArcMailboxes::new(graph.arc_span(0..n));
-        let mut inboxes: ArcMailboxes<<A::Node as NodeProgram>::Msg> =
-            ArcMailboxes::new(graph.arc_span(0..n));
-        let mut outbox = Outbox::new(0);
-        let mut meter = BandwidthMeter::new(graph.num_arcs());
-
-        // Initialization: local computation plus the sends of the first round.  `init` runs
-        // for every vertex; from here on only the frontier is stepped.
-        let mut any_outgoing = false;
-        for v in 0..n {
-            outbox.reset(contexts[v].degree);
-            let status = nodes[v].init(&contexts[v], &mut outbox);
-            let woke = contexts[v].take_wake();
-            if status == Status::Halted {
-                active.halt(v);
-            } else if woke {
-                frontier.mark(v);
-            }
-            any_outgoing |= !outbox.is_empty();
-            deliver(graph, v, &mut outbox, &mut pending, &mut report, &mut frontier, &mut meter);
-        }
-        // Delivery-side trace attribution: round `r` records the messages and bits it
-        // *delivers* (sent in round `r − 1`; round 1 carries the `init` sends), so the
-        // per-round columns sum bit-exactly to the headline report.
-        let mut carry_messages = report.messages;
-        let mut carry_bits =
-            meter.finish_round(graph, report.rounds + 1, self.cost_mode, &mut report)?;
-
-        // Main loop: one iteration = one synchronous round.
-        while active.count() > 0 || any_outgoing {
-            if report.rounds >= self.max_rounds {
-                return Err(RuntimeError::RoundLimitExceeded {
-                    limit: self.max_rounds,
-                    still_active: active.count(),
-                });
-            }
-            report.rounds += 1;
-            std::mem::swap(&mut pending, &mut inboxes);
-            pending.clear();
-            inboxes.seal();
-            frontier.take(&mut schedule);
-
-            let round_started = trace.as_ref().map(|_| std::time::Instant::now());
-            let active_at_start = active.count();
-            let messages_before = report.messages;
-            let mut halted_this_round: Vec<usize> = Vec::new();
-            let mut halts_this_round = 0usize;
-            let mut stepped = 0usize;
-
-            any_outgoing = false;
-            let mut cursor = MailboxCursor::default();
-            for &v in &schedule {
-                let arcs = graph.arc_range(v);
-                let window = cursor.advance(&inboxes, arcs.end);
-                if !active.is_active(v) {
-                    // Mail to a halted vertex: consume the window, drop the messages (they
-                    // were counted at send time), exactly as before the frontier.
-                    continue;
-                }
-                stepped += 1;
-                let inbox = inboxes.read(window, arcs);
-                outbox.reset(contexts[v].degree);
-                let status = nodes[v].round(&contexts[v], &inbox, &mut outbox);
-                let woke = contexts[v].take_wake();
-                if status == Status::Halted {
-                    active.halt(v);
-                    halts_this_round += 1;
-                    if trace_config.capture_halted && trace.is_some() {
-                        halted_this_round.push(v);
-                    }
-                } else if woke {
-                    frontier.mark(v);
-                }
-                any_outgoing |= !outbox.is_empty();
-                deliver(
-                    graph,
-                    v,
-                    &mut outbox,
-                    &mut pending,
-                    &mut report,
-                    &mut frontier,
-                    &mut meter,
-                );
-            }
-            let round_bits =
-                meter.finish_round(graph, report.rounds + 1, self.cost_mode, &mut report)?;
-            if let Some(recorder) = trace.as_deref_mut() {
-                recorder.record(RoundTrace {
-                    round: report.rounds,
-                    active_nodes: active_at_start,
-                    frontier: stepped,
-                    messages: carry_messages,
-                    total_bits: carry_bits.total,
-                    max_edge_bits: carry_bits.max_edge,
-                    halts: halts_this_round,
-                    halted: halted_this_round,
-                    wall_ns: round_started
-                        .map(|t| t.elapsed().as_nanos().min(u64::MAX as u128) as u64)
-                        .unwrap_or(0),
-                });
-            }
-            carry_messages = report.messages - messages_before;
-            carry_bits = round_bits;
-            if active.count() == 0 {
-                break;
-            }
-        }
-
-        let outputs =
-            nodes.iter().zip(contexts.iter()).map(|(node, ctx)| node.output(ctx)).collect();
-        span.charge(report);
-        if let Some(recorder) = trace {
-            span.attach_trace(recorder);
-        }
-        obs::record_run(&report);
-        Ok(ExecutionResult { outputs, report })
-    }
-}
 
 /// Upper bound on the identifier space of `graph` as exposed through [`NodeCtx::id_space`].
 pub(crate) fn id_space_of(graph: &Graph) -> u64 {
@@ -345,7 +115,7 @@ pub(crate) fn neighbor_id_table(graph: &Graph) -> Arc<[u64]> {
     (0..graph.num_arcs()).map(|a| graph.id(graph.arc_target(a))).collect()
 }
 
-/// Builds the [`NodeCtx`] of vertex `v` (shared by the sequential and sharded executors so
+/// Builds the [`NodeCtx`] of vertex `v` (shared by the executor and the reference oracle so
 /// node programs observe byte-identical contexts under either).
 pub(crate) fn node_ctx(graph: &Graph, v: usize, id_space: u64, id_table: &Arc<[u64]>) -> NodeCtx {
     NodeCtx::new(
@@ -367,11 +137,9 @@ pub(crate) fn arc_owner(graph: &Graph, arc: usize) -> Vertex {
 
 /// The flat arc-indexed mailbox buffer of one executor side (pending or inbox).
 ///
-/// Covers a contiguous arc span (the whole graph for the sequential executor, one shard's
-/// arcs for the sharded one).  `slots[a - span.start]` holds the first message delivered to
-/// arc `a` in the current round; additional messages to the same arc overflow into `spill`
-/// in arrival order.  `filled` lists the occupied arcs so clearing is O(messages), not
-/// O(arcs).
+/// `slots[a]` holds the first message delivered to arc `a` in the current round;
+/// additional messages to the same arc overflow into `spill` in arrival order.  `filled`
+/// lists the occupied arcs so clearing is O(messages), not O(arcs).
 pub(crate) struct ArcMailboxes<M> {
     /// First (usually only) message per arc this round.
     slots: Vec<Option<M>>,
@@ -380,25 +148,22 @@ pub(crate) struct ArcMailboxes<M> {
     /// Overflow messages as `(arc, message)`, arrival order; stably sorted by arc by
     /// [`ArcMailboxes::seal`].
     spill: Vec<(usize, M)>,
-    /// First arc index covered by this buffer.
-    base: usize,
 }
 
 impl<M> ArcMailboxes<M> {
-    /// An empty buffer covering the given arc span.
-    pub(crate) fn new(span: std::ops::Range<usize>) -> Self {
+    /// An empty buffer with one slot per arc of a graph with `arcs` arcs.
+    pub(crate) fn new(arcs: usize) -> Self {
         ArcMailboxes {
-            slots: (0..span.len()).map(|_| None).collect(),
+            slots: (0..arcs).map(|_| None).collect(),
             filled: Vec::new(),
             spill: Vec::new(),
-            base: span.start,
         }
     }
 
-    /// Delivers `message` to `arc` (a global arc index inside this buffer's span).
+    /// Delivers `message` to `arc`.
     #[inline]
     pub(crate) fn push(&mut self, arc: usize, message: M) {
-        let slot = &mut self.slots[arc - self.base];
+        let slot = &mut self.slots[arc];
         if slot.is_none() {
             *slot = Some(message);
             self.filled.push(arc);
@@ -420,32 +185,30 @@ impl<M> ArcMailboxes<M> {
     /// Empties the buffer in O(messages), retaining all capacity.
     pub(crate) fn clear(&mut self) {
         for &arc in &self.filled {
-            self.slots[arc - self.base] = None;
+            self.slots[arc] = None;
         }
         self.filled.clear();
         self.spill.clear();
     }
 
-    /// The inbox of the vertex owning `arcs`, given its `window` from a [`MailboxCursor`] or
-    /// [`ArcMailboxes::window_of`].
+    /// The inbox of the vertex owning `arcs`, given its `window` from a [`MailboxCursor`].
     pub(crate) fn read(&self, window: MailboxWindow, arcs: std::ops::Range<usize>) -> Inbox<'_, M> {
         Inbox::from_slots(
-            &self.slots[arcs.start - self.base..arcs.end - self.base],
+            &self.slots[arcs.clone()],
             &self.filled[window.filled],
             &self.spill[window.spill],
             arcs.start,
         )
     }
 
-    /// The [`MailboxWindow`] of the vertex owning `arcs` in a **sealed** buffer, by binary
-    /// search — O(log messages), position-independent, so the work-stealing executor can
-    /// resolve windows for arbitrary frontier chunks without a sequential cursor walk.
-    pub(crate) fn window_of(&self, arcs: std::ops::Range<usize>) -> MailboxWindow {
-        let filled_start = self.filled.partition_point(|&a| a < arcs.start);
-        let filled_end = self.filled.partition_point(|&a| a < arcs.end);
-        let spill_start = self.spill.partition_point(|&(a, _)| a < arcs.start);
-        let spill_end = self.spill.partition_point(|&(a, _)| a < arcs.end);
-        MailboxWindow { filled: filled_start..filled_end, spill: spill_start..spill_end }
+    /// A [`MailboxCursor`] positioned at the first fill and spill entries with arc `>= arc`
+    /// in a **sealed** buffer, by binary search — O(log messages), so each frontier chunk
+    /// seeds its own cursor wherever it starts.
+    pub(crate) fn cursor_at(&self, arc: usize) -> MailboxCursor {
+        MailboxCursor {
+            filled_pos: self.filled.partition_point(|&a| a < arc),
+            spill_pos: self.spill.partition_point(|&(a, _)| a < arc),
+        }
     }
 }
 
@@ -456,9 +219,9 @@ pub(crate) struct MailboxWindow {
     spill: std::ops::Range<usize>,
 }
 
-/// Walks a sealed [`ArcMailboxes`] in ascending vertex order, handing each vertex its
-/// [`MailboxWindow`] in O(messages for that vertex) amortized.
-#[derive(Default)]
+/// Walks a sealed [`ArcMailboxes`] in ascending vertex order from the position
+/// [`ArcMailboxes::cursor_at`] seeded, handing each vertex its [`MailboxWindow`] in
+/// O(messages for that vertex) amortized.
 pub(crate) struct MailboxCursor {
     filled_pos: usize,
     spill_pos: usize,
@@ -480,37 +243,12 @@ impl MailboxCursor {
     }
 }
 
-/// Routes the outbox of `sender` into the pending flat mailboxes: one mirror-table read per
-/// message, no `port_of` scan, no allocation (the outbox is drained in place and reused).
-/// Every delivery marks the receiver in `frontier` so it is stepped in the next round, and
-/// charges the message's measured width to the receiving arc in `meter`.
-#[inline]
-pub(crate) fn deliver<M>(
-    graph: &Graph,
-    sender: usize,
-    outbox: &mut Outbox<M>,
-    pending: &mut ArcMailboxes<M>,
-    report: &mut RoundReport,
-    frontier: &mut Frontier,
-    meter: &mut BandwidthMeter,
-) where
-    M: Clone + MessageCost,
-{
-    let first_arc = graph.arc_range(sender).start;
-    let mirror = graph.mirror_arcs();
-    for (port, message) in outbox.drain() {
-        let arc = first_arc + port;
-        meter.add(mirror[arc], message.encoded_bits());
-        pending.push(mirror[arc], message);
-        frontier.mark(graph.arc_target(arc));
-        report.messages += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algorithms::{FloodMaxId, ProposeMaxId};
+    use crate::node::{Algorithm, NodeProgram, Outbox, Status};
+    use crate::Executor;
     use arbcolor_graph::generators;
 
     #[test]

@@ -31,8 +31,8 @@
 //!
 //! Wall-clock fields (`start_ns`, `wall_ns`) are advisory: they vary with hardware and are
 //! never gated or diffed.  The `report` field of every span is deterministic — for a fixed
-//! graph, algorithm, and seed it is bit-identical across the sequential, work-stealing,
-//! and reference executors at any thread count and chunk size.
+//! graph, algorithm, and seed it is bit-identical across the work-stealing executor (at
+//! any thread count and chunk size) and the reference executor.
 
 pub mod chrome;
 pub mod registry;

@@ -1,65 +1,67 @@
-//! Parallel execution of LOCAL algorithms by deterministic work-stealing.
+//! The round loop: deterministic work-stealing execution of LOCAL algorithms.
 //!
-//! The LOCAL model charges one round of cost for all vertices acting *in parallel*, but the
-//! sequential [`Executor`] simulates every node program on one thread, so
-//! wall-clock time scales far worse than the round complexity the algorithms promise.  This
-//! module closes that gap without giving up determinism:
+//! The LOCAL model charges one round of cost for all vertices acting *in parallel*.  Every
+//! production execution in the workspace steps that synchronous round through one loop,
+//! [`Executor::run`], which simulates the node programs on any number of threads without
+//! giving up determinism:
 //!
 //! * [`WorkPool`] — a hand-rolled fixed-size work pool built from `std::thread` and `mpsc`
 //!   channels only (the build environment has no registry access, so no rayon).  A pool is
 //!   cheap to construct; [`WorkPool::scope`] spawns the workers, runs a closure that may
 //!   submit any number of fork/join batches through [`PoolScope::map`], and joins all
-//!   workers before returning.
-//! * [`ShardedExecutor`] — steps each round's frontier (see [`frontier`](crate::frontier))
-//!   in fixed-size chunks that worker threads **steal** off a shared atomic cursor.  The
-//!   frontier replaces the fixed contiguous vertex shards of earlier revisions: work
-//!   follows the vertices that actually act, so a round costs O(|frontier| + messages)
-//!   regardless of `n`, and a collapsing frontier no longer leaves most workers idling over
-//!   finalized vertices.
+//!   workers before returning.  A one-thread pool spawns nothing: the closure and every
+//!   batch run on the calling thread.
+//! * [`Executor`] — steps each round's frontier (see [`frontier`](crate::frontier)) in
+//!   fixed-size chunks that workers **steal** off a shared atomic cursor, so a round costs
+//!   O(|frontier| + messages) regardless of `n` and a skewed frontier spreads across the
+//!   workers.  A run uses `min(threads, ⌈n / chunk_size⌉)` workers; when that is one —
+//!   always at the default of one thread — the chunks are stepped in order on the caller.
 //! * [`ExecutorKind`] — a value describing which executor to use, plus a process-wide
-//!   default ([`set_default_executor`]/[`default_executor`]) consulted by
-//!   [`run_algorithm`], the entry point the algorithm drivers across the workspace go
-//!   through.  Flipping the default reconfigures the whole stack.
+//!   default ([`set_default_executor`]/[`default_executor`], initially
+//!   [`ExecutorKind::sharded(1)`](ExecutorKind::sharded)) consulted by [`run_algorithm`],
+//!   the entry point the algorithm drivers across the workspace go through.  Flipping the
+//!   default reconfigures the whole stack.
+//!
+//! The only other implementation of the round is the [`ReferenceExecutor`] (pre-fabric
+//! mailboxes, linear-scan routing, no frontier), kept as the oracle the equivalence suites
+//! compare against.
 //!
 //! # Determinism guarantee
 //!
-//! For every graph, algorithm, chunk size, and thread count, [`ShardedExecutor::run`]
-//! produces **bit-identical** outputs, round counts, and message counts to the sequential
-//! [`Executor`].  The argument:
+//! For every graph, algorithm, chunk size, and thread count, [`Executor::run`] produces
+//! **bit-identical** outputs, round counts, and message and bit counts — the ones the
+//! [`ReferenceExecutor`] oracle produces.  The argument:
 //!
 //! 1. The round's work list is the sorted frontier — a deterministic vertex sequence fixed
 //!    *before* any worker runs — split into fixed-size chunks.  The atomic claim cursor
 //!    only decides **which worker** steps which chunk, never the chunk contents.
-//! 2. Workers buffer everything they produce (outgoing `(arc, message)` pairs in
-//!    vertex-then-port order, halts, wakeups) into per-chunk results; nothing is applied
+//! 2. Workers buffer everything they produce (outgoing messages with their receiving arcs
+//!    in vertex-then-port order, halts and wakeups) into per-chunk results; nothing is applied
 //!    concurrently.  The coordinator then commits the chunks **in chunk order**, so the
-//!    pending mailboxes receive messages in ascending sender order — exactly the order the
-//!    sequential delivery loop produces, spill arrival included.
+//!    pending mailboxes receive messages in ascending sender order, spill arrival included.
 //! 3. The per-round barrier (the fork/join of [`PoolScope::map`]) makes the exchange
 //!    synchronous: no message produced in round `r` is observable before round `r + 1`.
 //!
 //! Scheduling therefore decides *who* computes, never *what* is computed: any thread count
 //! (including 1) and any chunk size yield the same execution.  The cross-crate suite
 //! `tests/sharded_executor.rs` and the CI cross-executor diff enforce this at thread counts
-//! {1, 2, 4} × chunk sizes {1, 64, 4096}.
+//! {1, 2, 4} × chunk sizes {1, 7, 64, 4096}.
 //!
 //! # Example
 //!
 //! ```
 //! use arbcolor_graph::generators;
-//! use arbcolor_runtime::{algorithms::FloodMaxId, Executor, ShardedExecutor};
+//! use arbcolor_runtime::{algorithms::FloodMaxId, Executor, ReferenceExecutor};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let g = generators::cycle(64)?;
 //! let algorithm = FloodMaxId { rounds: 8 };
-//! let sequential = Executor::new(&g).run(&algorithm)?;
-//! let stolen = ShardedExecutor::new(&g)
-//!     .with_threads(2)
-//!     .with_chunk_size(16)
-//!     .with_sequential_cutoff(0)
-//!     .run(&algorithm)?;
-//! assert_eq!(sequential.outputs, stolen.outputs);
-//! assert_eq!(sequential.report, stolen.report);
+//! let oracle = ReferenceExecutor::new(&g).run(&algorithm)?;
+//! let inline = Executor::new(&g).run(&algorithm)?;
+//! let stolen = Executor::new(&g).with_threads(2).with_chunk_size(16).run(&algorithm)?;
+//! assert_eq!(inline.outputs, oracle.outputs);
+//! assert_eq!(stolen.outputs, oracle.outputs);
+//! assert_eq!(stolen.report, oracle.report);
 //! # Ok(())
 //! # }
 //! ```
@@ -68,8 +70,8 @@ use crate::cost::{default_cost_mode, BandwidthMeter, CostMode, MessageCost};
 use crate::frontier::{ActiveSet, Frontier};
 use crate::metrics::RoundReport;
 use crate::network::{
-    arc_owner, id_space_of, neighbor_id_table, node_ctx, ArcMailboxes, ExecutionResult, Executor,
-    RuntimeError, TracedRun,
+    id_space_of, neighbor_id_table, node_ctx, ArcMailboxes, ExecutionResult, RuntimeError,
+    TracedRun,
 };
 use crate::node::{Algorithm, NodeCtx, NodeProgram, Outbox, Status};
 use crate::obs;
@@ -110,11 +112,15 @@ impl WorkPool {
     }
 
     /// Spawns the workers, runs `f` with a [`PoolScope`] handle for submitting fork/join
-    /// batches, then shuts the workers down and joins them.
+    /// batches, then shuts the workers down and joins them.  A one-thread pool spawns no
+    /// worker: `f` and every batch it submits run on the calling thread.
     ///
     /// Jobs submitted through the scope must not themselves submit to the same scope (the
     /// API makes this impossible: jobs never see the [`PoolScope`]).
     pub fn scope<'env, R>(&self, f: impl FnOnce(&PoolScope<'env>) -> R) -> R {
+        if self.threads == 1 {
+            return f(&PoolScope { workers: Vec::new() });
+        }
         std::thread::scope(|s| {
             let mut workers = Vec::with_capacity(self.threads);
             for _ in 0..self.threads {
@@ -170,9 +176,9 @@ impl<'env> PoolScope<'env> {
         if count == 0 {
             return Vec::new();
         }
-        if self.workers.len() == 1 || count == 1 {
-            // A single worker executes submissions in item order anyway; skip the channel
-            // round-trips and run inline.
+        if self.workers.len() <= 1 || count == 1 {
+            // A single worker (or none, in a one-thread pool) executes submissions in item
+            // order anyway; skip the channel round-trips and run inline.
             return items.into_iter().enumerate().map(|(i, item)| f(i, item)).collect();
         }
         let f = Arc::new(f);
@@ -207,9 +213,7 @@ impl<'env> PoolScope<'env> {
 /// Which simulator implementation to run an algorithm on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutorKind {
-    /// The single-threaded [`Executor`] on the flat message fabric.
-    Sequential,
-    /// The work-stealing [`ShardedExecutor`] with explicit thread count and chunk size.
+    /// The work-stealing [`Executor`] with explicit thread count and chunk size.
     Sharded {
         /// Worker threads of the pool.
         threads: usize,
@@ -219,24 +223,24 @@ pub enum ExecutorKind {
     },
     /// The pre-fabric `Vec<Vec<…>>` [`ReferenceExecutor`] with linear-scan routing.  A test
     /// and bench oracle (the equivalence suites and experiment E18 race it against the flat
-    /// executors); never faster, so not a production choice.
+    /// executor); never faster, so not a production choice.
     Reference,
 }
 
 impl ExecutorKind {
-    /// A work-stealing configuration with the given thread count and the process-wide
-    /// default chunk size.
-    pub fn sharded(threads: usize) -> Self {
-        ExecutorKind::Sharded { threads: threads.max(1), chunk_size: 0 }
+    /// A work-stealing configuration with the given thread count (clamped to at least 1)
+    /// and the process-wide default chunk size.  `sharded(1)` is the process-wide default.
+    pub const fn sharded(threads: usize) -> Self {
+        ExecutorKind::Sharded { threads: if threads == 0 { 1 } else { threads }, chunk_size: 0 }
     }
 
-    /// The worker-thread budget of this configuration (1 for [`ExecutorKind::Sequential`]).
+    /// The worker-thread budget of this configuration (1 for [`ExecutorKind::Reference`]).
     ///
     /// Phase drivers that parallelize *across* disjoint subgraphs (rather than across the
     /// vertices of one execution) use this as their pool size.
     pub fn threads(&self) -> usize {
         match self {
-            ExecutorKind::Sequential | ExecutorKind::Reference => 1,
+            ExecutorKind::Reference => 1,
             ExecutorKind::Sharded { threads, .. } => (*threads).max(1),
         }
     }
@@ -261,9 +265,8 @@ impl ExecutorKind {
         <A::Node as NodeProgram>::Output: Send,
     {
         match *self {
-            ExecutorKind::Sequential => Executor::new(graph).run(algorithm),
             ExecutorKind::Sharded { threads, chunk_size } => {
-                let mut executor = ShardedExecutor::new(graph).with_threads(threads);
+                let mut executor = Executor::new(graph).with_threads(threads);
                 if chunk_size > 0 {
                     executor = executor.with_chunk_size(chunk_size);
                 }
@@ -274,8 +277,8 @@ impl ExecutorKind {
     }
 }
 
-/// The process-wide default executor configuration (starts out sequential).
-static DEFAULT_EXECUTOR: Mutex<ExecutorKind> = Mutex::new(ExecutorKind::Sequential);
+/// The process-wide default executor configuration (starts out at one thread).
+static DEFAULT_EXECUTOR: Mutex<ExecutorKind> = Mutex::new(ExecutorKind::sharded(1));
 
 /// Sets the process-wide default executor used by [`run_algorithm`].
 ///
@@ -290,36 +293,16 @@ pub fn default_executor() -> ExecutorKind {
     *DEFAULT_EXECUTOR.lock().expect("executor-kind lock")
 }
 
-/// The process-wide default for the sharded executor's sequential cutoff (see
-/// [`ShardedExecutor::with_sequential_cutoff`]).
-static SEQUENTIAL_CUTOFF: AtomicUsize =
-    AtomicUsize::new(ShardedExecutor::DEFAULT_SEQUENTIAL_CUTOFF);
-
-/// Sets the process-wide default sequential cutoff picked up by new [`ShardedExecutor`]s
-/// (and by the parallel phase drivers that mirror its small-work fallback).
-///
-/// Results are identical at any cutoff; lowering it only forces the parallel code paths on
-/// smaller graphs.  The CI cross-executor gate runs the smoke tier with cutoff 0 so even
-/// tiny workloads execute sharded and diff against the sequential rows.
-pub fn set_default_sequential_cutoff(cutoff: usize) {
-    SEQUENTIAL_CUTOFF.store(cutoff, Ordering::Relaxed);
-}
-
-/// The current process-wide default sequential cutoff.
-pub fn default_sequential_cutoff() -> usize {
-    SEQUENTIAL_CUTOFF.load(Ordering::Relaxed)
-}
-
 /// The process-wide default for the work-stealing chunk size (see
-/// [`ShardedExecutor::with_chunk_size`]).
-static CHUNK_SIZE: AtomicUsize = AtomicUsize::new(ShardedExecutor::DEFAULT_CHUNK_SIZE);
+/// [`Executor::with_chunk_size`]).
+static CHUNK_SIZE: AtomicUsize = AtomicUsize::new(Executor::DEFAULT_CHUNK_SIZE);
 
-/// Sets the process-wide default chunk size picked up by new [`ShardedExecutor`]s (clamped
-/// to at least 1).
+/// Sets the process-wide default chunk size picked up by new [`Executor`]s (clamped to at
+/// least 1).
 ///
-/// Results are identical at any chunk size — the chunking only decides steal granularity.
-/// Binaries expose it as `--chunk-size` so CI can diff a non-default granularity against
-/// the sequential rows.
+/// Results are identical at any chunk size — the chunking only decides steal granularity
+/// and, through it, how many workers a run uses.  Binaries expose it as `--chunk-size` so
+/// CI can split even tiny graphs across workers and diff the rows against one thread.
 pub fn set_default_chunk_size(chunk_size: usize) {
     CHUNK_SIZE.store(chunk_size.max(1), Ordering::Relaxed);
 }
@@ -332,8 +315,7 @@ pub fn default_chunk_size() -> usize {
 /// Runs `algorithm` on `graph` under the process-wide default executor configuration.
 ///
 /// This is the entry point the algorithm drivers across the workspace use, so a single
-/// [`set_default_executor`] call switches the whole stack between the sequential and the
-/// work-stealing simulator.
+/// [`set_default_executor`] call reconfigures the whole stack.
 ///
 /// # Errors
 ///
@@ -353,77 +335,102 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Work-stealing executor
+// The round loop
 // ---------------------------------------------------------------------------
 
 /// Everything one stolen chunk produced, buffered for an in-order commit: outgoing
-/// `(receiver arc, message)` pairs in vertex-then-port order (the arc index *is* the
-/// routing information — it pins both the receiving vertex and its port), plus the
-/// vertices that halted or scheduled a wakeup.
+/// `(receiver arc, receiver, message)` triples in vertex-then-port order (the arc index *is*
+/// the routing information — it pins both the receiving vertex and its port; the receiver
+/// is read on the sender's side, where the adjacency is walked in order, to spare the commit
+/// a random lookup per message), plus the vertices that halted or scheduled a wakeup.
+///
+/// A run keeps one per chunk index for all its rounds; the commit drains it and keeps the
+/// capacity, so steady-state rounds allocate nothing.
 struct ChunkOut<M> {
-    outgoing: Vec<(ArcIdx, M)>,
-    halts: Vec<Vertex>,
-    wakeups: Vec<Vertex>,
+    outgoing: Vec<(ArcIdx, Vertex, M)>,
+    /// Vertices that halted (`true`) or scheduled a wakeup (`false`), in vertex order.
+    transitions: Vec<(Vertex, bool)>,
     /// Vertices actually stepped in this chunk (the chunk's share of the round frontier).
     stepped: usize,
+    /// The outbox every vertex of the chunk sends into.
+    outbox: Outbox<M>,
 }
 
-impl<M> ChunkOut<M> {
+impl<M: Clone> ChunkOut<M> {
     fn new() -> Self {
-        ChunkOut { outgoing: Vec::new(), halts: Vec::new(), wakeups: Vec::new(), stepped: 0 }
+        ChunkOut {
+            outgoing: Vec::new(),
+            transitions: Vec::new(),
+            stepped: 0,
+            outbox: Outbox::new(0),
+        }
+    }
+
+    /// Files the step of vertex `v`: its halt or wakeup, and the messages it left in the
+    /// outbox — one mirror-arc and one target read per message, both in `v`'s arc order,
+    /// appended in port order so `outgoing` stays in global sender order.
+    fn record(&mut self, graph: &Graph, v: Vertex, status: Status, woke: bool) {
+        if status == Status::Halted {
+            self.transitions.push((v, true));
+        } else if woke {
+            self.transitions.push((v, false));
+        }
+        let first_arc = graph.arc_range(v).start;
+        let mirror = graph.mirror_arcs();
+        for (port, message) in self.outbox.drain() {
+            let arc = first_arc + port;
+            self.outgoing.push((mirror[arc], graph.arc_target(arc), message));
+        }
     }
 }
 
-/// Runs [`Algorithm`]s on a [`Graph`] by splitting each round's frontier into fixed-size
-/// chunks that pool workers claim from a shared atomic cursor, committing results in chunk
-/// order — bit-identical to the sequential [`Executor`] at any thread count and chunk size
-/// (see the [module docs](self) for the argument).
+/// Runs [`Algorithm`]s on a [`Graph`] until every node halts, by splitting each round's
+/// frontier into fixed-size chunks that workers claim from a shared atomic cursor and
+/// committing their results in chunk order — bit-identical at any thread count and chunk
+/// size (see the [module docs](self) for the argument).
 ///
-/// Graphs at or below the [sequential cutoff](Self::with_sequential_cutoff) are delegated
-/// to the sequential executor: the results are identical either way, and the many small
-/// subgraph executions of the recursive drivers should not pay pool setup costs.
+/// A run uses `min(threads, ⌈n / chunk_size⌉)` workers.  With one worker — the default, and
+/// every graph that fits in one chunk — no pool is spawned and the chunks are stepped in
+/// order on the calling thread, so the many small subgraph executions of the recursive
+/// drivers pay no thread setup.
 #[derive(Debug, Clone)]
-pub struct ShardedExecutor<'g> {
+pub struct Executor<'g> {
     graph: &'g Graph,
     max_rounds: usize,
     threads: usize,
     chunk_size: usize,
-    sequential_cutoff: usize,
     cost_mode: CostMode,
 }
 
-impl<'g> ShardedExecutor<'g> {
-    /// Below this many vertices the sequential executor is used (results are identical; the
-    /// pool only pays off once chunks hold real work).
-    pub const DEFAULT_SEQUENTIAL_CUTOFF: usize = 2048;
+impl<'g> Executor<'g> {
+    /// Default safety limit on the number of rounds.
+    pub const DEFAULT_MAX_ROUNDS: usize = 1_000_000;
 
     /// Default number of frontier vertices per stolen chunk: small enough to balance a
     /// skewed frontier across workers, large enough to amortize the claim.
     pub const DEFAULT_CHUNK_SIZE: usize = 1024;
 
-    /// Creates a work-stealing executor for `graph` with one thread per available CPU, the
-    /// default round limit, and the process-wide default sequential cutoff and chunk size
-    /// (see [`set_default_sequential_cutoff`], [`set_default_chunk_size`]).
+    /// Creates an executor for `graph` with one thread, the default round limit, and the
+    /// process-wide default chunk size and cost mode (see [`set_default_chunk_size`] and
+    /// [`set_default_cost_mode`](crate::set_default_cost_mode)).
     pub fn new(graph: &'g Graph) -> Self {
-        let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-        ShardedExecutor {
+        Executor {
             graph,
-            max_rounds: Executor::DEFAULT_MAX_ROUNDS,
-            threads,
+            max_rounds: Self::DEFAULT_MAX_ROUNDS,
+            threads: 1,
             chunk_size: default_chunk_size(),
-            sequential_cutoff: default_sequential_cutoff(),
             cost_mode: default_cost_mode(),
         }
     }
 
-    /// Overrides the round limit.
+    /// Overrides the round limit (useful for tests that expect termination within a bound).
     #[must_use]
     pub fn with_max_rounds(mut self, max_rounds: usize) -> Self {
         self.max_rounds = max_rounds;
         self
     }
 
-    /// Sets the worker-thread count (clamped to at least 1).
+    /// Sets the worker-thread budget (clamped to at least 1).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -433,24 +440,17 @@ impl<'g> ShardedExecutor<'g> {
     /// Sets the number of frontier vertices per stolen chunk (clamped to at least 1).
     ///
     /// The chunk size never affects results — only how finely the frontier is dealt out to
-    /// the workers.
+    /// the workers, and how many workers a graph of `n` vertices can keep busy.
     #[must_use]
     pub fn with_chunk_size(mut self, chunk_size: usize) -> Self {
         self.chunk_size = chunk_size.max(1);
         self
     }
 
-    /// Sets the vertex count at or below which the sequential executor is used instead.
-    /// Pass 0 to force the work-stealing path even on tiny graphs (the equivalence tests
-    /// do).
-    #[must_use]
-    pub fn with_sequential_cutoff(mut self, cutoff: usize) -> Self {
-        self.sequential_cutoff = cutoff;
-        self
-    }
-
-    /// Overrides the cost mode (see [`Executor::with_cost_mode`]); the accounting is
-    /// bit-identical to the sequential executor's at any thread count and chunk size.
+    /// Overrides the cost mode: under [`CostMode::Congest`] the run fails with
+    /// [`RuntimeError::CongestBudgetExceeded`] as soon as a round overloads an edge.
+    /// Bandwidth is recorded into the [`RoundReport`] in every mode, bit-identically at any
+    /// thread count and chunk size.
     #[must_use]
     pub fn with_cost_mode(mut self, cost_mode: CostMode) -> Self {
         self.cost_mode = cost_mode;
@@ -482,9 +482,10 @@ impl<'g> ShardedExecutor<'g> {
     }
 
     /// Runs `algorithm` like [`run`](Self::run), additionally recording one
-    /// [`RoundTrace`] per round.  The deterministic trace columns (round, active nodes,
-    /// frontier, messages, bits, halts) are bit-identical to the sequential
-    /// [`Executor::run_traced`] at any thread count and chunk size; only `wall_ns` differs.
+    /// [`RoundTrace`] per round (frontier size, messages, halts, wall-clock) — the
+    /// instrumentation behind the per-round activity plots of experiment E21.  The
+    /// deterministic trace columns are bit-identical at any thread count and chunk size;
+    /// only `wall_ns` differs.
     ///
     /// # Errors
     ///
@@ -503,7 +504,8 @@ impl<'g> ShardedExecutor<'g> {
         self.run_traced_with(algorithm, TraceConfig::default())
     }
 
-    /// Like [`run_traced`](Self::run_traced) with an explicit [`TraceConfig`].
+    /// Like [`run_traced`](Self::run_traced) with an explicit [`TraceConfig`] (e.g. to
+    /// capture per-round halted-vertex identities, which are off by default).
     ///
     /// # Errors
     ///
@@ -536,68 +538,60 @@ impl<'g> ShardedExecutor<'g> {
         <A::Node as NodeProgram>::Msg: Send + Sync,
         <A::Node as NodeProgram>::Output: Send,
     {
-        let graph = self.graph;
-        let n = graph.n();
-        if n <= self.sequential_cutoff {
-            let sequential = Executor::new(graph)
-                .with_max_rounds(self.max_rounds)
-                .with_cost_mode(self.cost_mode);
-            return match trace {
-                None => sequential.run(algorithm),
-                Some((recorder, config)) => {
-                    let (result, recorded) = sequential.run_traced_with(algorithm, config)?;
-                    *recorder = recorded;
-                    Ok(result)
-                }
-            };
-        }
         let span = obs::exec_span(algorithm.name());
         let (mut trace, trace_config) = match trace {
             Some((recorder, config)) => (Some(recorder), config),
             None => (None, TraceConfig::default()),
         };
 
+        let graph = self.graph;
+        let n = graph.n();
         let chunk = self.chunk_size.max(1);
         let id_space = id_space_of(graph);
         let id_table = neighbor_id_table(graph);
-        let pool = WorkPool::new(self.threads);
+        // More workers than chunks would only idle; one worker means no pool at all.
+        let pool = WorkPool::new(self.threads.min(n.div_ceil(chunk)));
         let workers = pool.threads();
 
-        // Build contexts and node programs in parallel over contiguous ranges (results
-        // concatenate in range order, so the build is deterministic), then wrap each node
-        // in an uncontended per-vertex mutex: the runtime forbids unsafe code, and a vertex
-        // is stepped by exactly one worker per round, so the locks never block.
-        const BUILD_CHUNK: usize = 4096;
-        let ranges: Vec<std::ops::Range<usize>> = (0..n.div_ceil(BUILD_CHUNK))
-            .map(|c| c * BUILD_CHUNK..((c + 1) * BUILD_CHUNK).min(n))
-            .collect();
-        let mut contexts: Vec<NodeCtx> = Vec::with_capacity(n);
-        let mut nodes: Vec<Mutex<A::Node>> = Vec::with_capacity(n);
-        for (ctxs, ns) in pool.map(ranges, |_, range| {
+        // Build contexts and node programs in parallel, one contiguous range per worker
+        // (results concatenate in range order, so the build is deterministic; a single
+        // range is taken as is, not copied), then wrap each node in an uncontended
+        // per-vertex mutex: the runtime forbids unsafe code, and a vertex is stepped by
+        // exactly one worker per round, so the locks never block.
+        let range_len = n.div_ceil(workers);
+        let (mut contexts, mut nodes): (Vec<NodeCtx>, Vec<Mutex<A::Node>>) = Default::default();
+        for (ctxs, ns) in pool.map(vec![(); workers], |w, ()| {
+            let range = (w * range_len).min(n)..((w + 1) * range_len).min(n);
             let ctxs: Vec<NodeCtx> =
                 range.map(|v| node_ctx(graph, v, id_space, &id_table)).collect();
             let ns: Vec<Mutex<A::Node>> =
                 ctxs.iter().map(|ctx| Mutex::new(algorithm.node(ctx))).collect();
             (ctxs, ns)
         }) {
-            contexts.extend(ctxs);
-            nodes.extend(ns);
+            if contexts.is_empty() {
+                (contexts, nodes) = (ctxs, ns);
+            } else {
+                contexts.extend(ctxs);
+                nodes.extend(ns);
+            }
         }
 
-        // Shared round state.  Workers only ever read these during a fork/join batch; the
-        // coordinator writes between batches, so the locks are uncontended.
-        let inbox_lock: RwLock<ArcMailboxes<<A::Node as NodeProgram>::Msg>> =
-            RwLock::new(ArcMailboxes::new(graph.arc_span(0..n)));
-        let schedule_lock: RwLock<Vec<Vertex>> = RwLock::new(Vec::new());
-        let active_lock: RwLock<ActiveSet> = RwLock::new(ActiveSet::new(n));
+        // Shared round state.  Workers only ever read it during a fork/join batch; the
+        // coordinator writes it between batches, so the lock is uncontended.
+        let round_lock = RwLock::new(RoundState {
+            inboxes: ArcMailboxes::new(graph.num_arcs()),
+            schedule: Vec::new(),
+            active: ActiveSet::new(n),
+        });
         let claim = AtomicUsize::new(0);
+        let chunk_outs: Vec<Mutex<ChunkOut<<A::Node as NodeProgram>::Msg>>> =
+            (0..n.div_ceil(chunk)).map(|_| Mutex::new(ChunkOut::new())).collect();
         // Shadow everything the worker closures capture with references: the closures are
         // `move` (they must not borrow the coordinator's per-round locals), and moving a
         // reference is a copy.
-        let inbox_lock = &inbox_lock;
-        let schedule_lock = &schedule_lock;
-        let active_lock = &active_lock;
+        let round_lock = &round_lock;
         let claim = &claim;
+        let chunk_outs = &chunk_outs;
         let contexts = &contexts;
         let nodes = &nodes;
 
@@ -606,58 +600,50 @@ impl<'g> ShardedExecutor<'g> {
             let mut frontier = Frontier::new(n);
             let mut meter = BandwidthMeter::new(graph.num_arcs());
             let mut pending: ArcMailboxes<<A::Node as NodeProgram>::Msg> =
-                ArcMailboxes::new(graph.arc_span(0..n));
+                ArcMailboxes::new(graph.num_arcs());
 
-            // Initialization: `init` runs for every vertex, in work-stolen chunks of
-            // `0..n`.  Like every step, results are committed in chunk order.
-            let init_chunks = n.div_ceil(chunk);
-            claim.store(0, Ordering::SeqCst);
-            let produced = scope.map(vec![(); workers], move |_, ()| {
-                let mut produced: Vec<(usize, ChunkOut<_>)> = Vec::new();
-                let mut outbox = Outbox::new(0);
-                loop {
-                    let c = claim.fetch_add(1, Ordering::Relaxed);
-                    if c >= init_chunks {
-                        break;
-                    }
-                    let mut out = ChunkOut::new();
-                    for v in c * chunk..((c + 1) * chunk).min(n) {
-                        outbox.reset(contexts[v].degree);
-                        let status =
-                            nodes[v].lock().expect("node lock").init(&contexts[v], &mut outbox);
-                        let woke = contexts[v].take_wake();
-                        if status == Status::Halted {
-                            out.halts.push(v);
-                        } else if woke {
-                            out.wakeups.push(v);
-                        }
-                        route_outbox(graph, v, &mut outbox, &mut out);
-                    }
-                    produced.push((c, out));
+            // Initialization: local computation plus the sends of the first round.  `init`
+            // runs for every vertex, in work-stolen chunks of `0..n`; from here on only the
+            // frontier is stepped.  Like every step, results are committed in chunk order.
+            let init_chunks = chunk_outs.len();
+            // Relaxed suffices: handing the batch to the workers orders this reset before
+            // their claims.
+            claim.store(0, Ordering::Relaxed);
+            scope.map(vec![(); workers], move |_, ()| loop {
+                let c = claim.fetch_add(1, Ordering::Relaxed);
+                if c >= init_chunks {
+                    break;
                 }
-                produced
+                let out = &mut *chunk_outs[c].lock().expect("chunk lock");
+                for v in c * chunk..((c + 1) * chunk).min(n) {
+                    out.outbox.reset(contexts[v].degree);
+                    let status =
+                        nodes[v].lock().expect("node lock").init(&contexts[v], &mut out.outbox);
+                    out.record(graph, v, status, contexts[v].take_wake());
+                }
             });
-            let init_messages = commit_chunks(
-                graph,
-                produced,
-                &mut pending,
-                &mut frontier,
-                &mut active_lock.write().expect("active lock"),
-                &mut meter,
-                None,
-            )
-            .messages;
+            let (init_messages, mut total_active) = {
+                let mut state = round_lock.write().expect("round lock");
+                let stats = commit_chunks(
+                    &chunk_outs[..init_chunks],
+                    &mut pending,
+                    &mut frontier,
+                    &mut state.active,
+                    &mut meter,
+                    None,
+                );
+                (stats.messages, state.active.count())
+            };
             report.messages += init_messages;
-            // Delivery-side trace attribution, as in the sequential executor: round `r`
-            // records what it delivers (the sends of round `r − 1`; round 1 carries `init`).
+            // Delivery-side trace attribution: round `r` records the messages and bits it
+            // *delivers* (sent in round `r − 1`; round 1 carries the `init` sends), so the
+            // per-round columns sum bit-exactly to the headline report.
             let mut carry_messages = init_messages;
             let mut carry_bits =
                 meter.finish_round(graph, report.rounds + 1, self.cost_mode, &mut report)?;
             let mut any_outgoing = init_messages > 0;
-            let mut total_active = active_lock.read().expect("active lock").count();
 
-            // Main loop: one iteration = one synchronous round, mirroring the sequential
-            // executor statement for statement so round and message counts stay identical.
+            // Main loop: one iteration = one synchronous round.
             while total_active > 0 || any_outgoing {
                 if report.rounds >= self.max_rounds {
                     return Err(RuntimeError::RoundLimitExceeded {
@@ -672,71 +658,66 @@ impl<'g> ShardedExecutor<'g> {
                 let mut halted_this_round: Vec<Vertex> = Vec::new();
 
                 // Flip the mailbox double buffer and publish the round's sorted frontier.
-                {
-                    let mut inboxes = inbox_lock.write().expect("inbox lock");
-                    std::mem::swap(&mut pending, &mut *inboxes);
-                    pending.clear();
-                    inboxes.seal();
-                }
                 let round_chunks = {
-                    let mut schedule = schedule_lock.write().expect("schedule lock");
-                    frontier.take(&mut schedule);
-                    schedule.len().div_ceil(chunk)
+                    let mut state = round_lock.write().expect("round lock");
+                    let state = &mut *state;
+                    std::mem::swap(&mut pending, &mut state.inboxes);
+                    pending.clear();
+                    state.inboxes.seal();
+                    frontier.take(&mut state.schedule);
+                    state.schedule.len().div_ceil(chunk)
                 };
-                claim.store(0, Ordering::SeqCst);
+                claim.store(0, Ordering::Relaxed);
 
-                let produced = scope.map(vec![(); workers], move |_, ()| {
-                    let schedule = schedule_lock.read().expect("schedule lock");
-                    let inboxes = inbox_lock.read().expect("inbox lock");
-                    let alive = active_lock.read().expect("active lock");
-                    let mut produced: Vec<(usize, ChunkOut<_>)> = Vec::new();
-                    let mut outbox = Outbox::new(0);
+                scope.map(vec![(); workers], move |_, ()| {
+                    let state = round_lock.read().expect("round lock");
+                    let RoundState { inboxes, schedule, active } = &*state;
                     loop {
                         let c = claim.fetch_add(1, Ordering::Relaxed);
                         if c >= round_chunks {
                             break;
                         }
-                        let mut out = ChunkOut::new();
-                        for &v in &schedule[c * chunk..((c + 1) * chunk).min(schedule.len())] {
-                            if !alive.is_active(v) {
-                                // Mail to a halted vertex is dropped unread (it was
-                                // counted at send time), as in the sequential executor.
+                        let out = &mut *chunk_outs[c].lock().expect("chunk lock");
+                        let vertices = &schedule[c * chunk..((c + 1) * chunk).min(schedule.len())];
+                        // Only scheduled vertices have mail and a chunk's vertices ascend,
+                        // so one search seeds a cursor that walks the whole chunk.
+                        let mut cursor = inboxes.cursor_at(graph.arc_range(vertices[0]).start);
+                        for &v in vertices {
+                            let arcs = graph.arc_range(v);
+                            let window = cursor.advance(inboxes, arcs.end);
+                            if !active.is_active(v) {
+                                // Mail to a halted vertex is dropped unread (it was counted
+                                // at send time).
                                 continue;
                             }
                             out.stepped += 1;
-                            let arcs = graph.arc_range(v);
-                            let window = inboxes.window_of(arcs.clone());
                             let inbox = inboxes.read(window, arcs);
-                            outbox.reset(contexts[v].degree);
+                            out.outbox.reset(contexts[v].degree);
                             let status = nodes[v].lock().expect("node lock").round(
                                 &contexts[v],
                                 &inbox,
-                                &mut outbox,
+                                &mut out.outbox,
                             );
-                            let woke = contexts[v].take_wake();
-                            if status == Status::Halted {
-                                out.halts.push(v);
-                            } else if woke {
-                                out.wakeups.push(v);
-                            }
-                            route_outbox(graph, v, &mut outbox, &mut out);
+                            out.record(graph, v, status, contexts[v].take_wake());
                         }
-                        produced.push((c, out));
                     }
-                    produced
                 });
 
                 let halted_sink = (trace.is_some() && trace_config.capture_halted)
                     .then_some(&mut halted_this_round);
-                let stats = commit_chunks(
-                    graph,
-                    produced,
-                    &mut pending,
-                    &mut frontier,
-                    &mut active_lock.write().expect("active lock"),
-                    &mut meter,
-                    halted_sink,
-                );
+                let stats = {
+                    let mut state = round_lock.write().expect("round lock");
+                    let stats = commit_chunks(
+                        &chunk_outs[..round_chunks],
+                        &mut pending,
+                        &mut frontier,
+                        &mut state.active,
+                        &mut meter,
+                        halted_sink,
+                    );
+                    total_active = state.active.count();
+                    stats
+                };
                 report.messages += stats.messages;
                 let round_bits =
                     meter.finish_round(graph, report.rounds + 1, self.cost_mode, &mut report)?;
@@ -758,7 +739,6 @@ impl<'g> ShardedExecutor<'g> {
                 carry_messages = report.messages - messages_before;
                 carry_bits = round_bits;
                 any_outgoing = stats.messages > 0;
-                total_active = active_lock.read().expect("active lock").count();
                 if total_active == 0 {
                     break;
                 }
@@ -780,20 +760,12 @@ impl<'g> ShardedExecutor<'g> {
     }
 }
 
-/// Routes a stepped vertex's outbox into its chunk's buffered output: one mirror-arc read
-/// per message, no adjacency scan, appended in port order so the chunk's `outgoing` list
-/// stays in global sender order.
-fn route_outbox<M: Clone>(
-    graph: &Graph,
-    sender: Vertex,
-    outbox: &mut Outbox<M>,
-    out: &mut ChunkOut<M>,
-) {
-    let first_arc = graph.arc_range(sender).start;
-    let mirror = graph.mirror_arcs();
-    for (port, message) in outbox.drain() {
-        out.outgoing.push((mirror[first_arc + port], message));
-    }
+/// What the workers read during a round: the sealed inboxes, the round's sorted frontier,
+/// and the halt flags.  The coordinator writes it only between fork/join batches.
+struct RoundState<M> {
+    inboxes: ArcMailboxes<M>,
+    schedule: Vec<Vertex>,
+    active: ActiveSet,
 }
 
 /// What [`commit_chunks`] applied, summed over the committed chunks.
@@ -807,41 +779,40 @@ struct CommitStats {
     halts: usize,
 }
 
-/// Commits the chunks produced by one fork/join step **in chunk order**: pushes the
-/// outgoing messages into the pending mailboxes (ascending sender order — the order the
-/// sequential delivery loop produces), charges each message's measured width to its arc in
-/// `meter`, marks every receiver and self-scheduled wakeup in the frontier, and applies the
-/// halts.  When `halted_sink` is given, the halted vertices are also collected into it (in
-/// chunk order = ascending vertex order, matching the sequential trace).
+/// Commits the chunks produced by one fork/join step **in chunk order**, draining each:
+/// pushes the outgoing messages into the pending mailboxes (ascending sender order),
+/// charges each message's measured width to its arc in `meter`, marks every receiver and
+/// self-scheduled wakeup in the frontier, and applies the halts.  When `halted_sink` is
+/// given, the halted vertices are also collected into it (in chunk order = ascending vertex
+/// order).
 fn commit_chunks<M: MessageCost>(
-    graph: &Graph,
-    produced: Vec<Vec<(usize, ChunkOut<M>)>>,
+    chunk_outs: &[Mutex<ChunkOut<M>>],
     pending: &mut ArcMailboxes<M>,
     frontier: &mut Frontier,
     active: &mut ActiveSet,
     meter: &mut BandwidthMeter,
     mut halted_sink: Option<&mut Vec<Vertex>>,
 ) -> CommitStats {
-    let mut chunks: Vec<(usize, ChunkOut<M>)> = produced.into_iter().flatten().collect();
-    chunks.sort_unstable_by_key(|&(c, _)| c);
     let mut stats = CommitStats::default();
-    for (_, out) in chunks {
+    for slot in chunk_outs {
+        let out = &mut *slot.lock().expect("chunk lock");
         stats.messages += out.outgoing.len();
-        stats.stepped += out.stepped;
-        stats.halts += out.halts.len();
-        for (arc, message) in out.outgoing {
+        stats.stepped += std::mem::take(&mut out.stepped);
+        for (arc, receiver, message) in out.outgoing.drain(..) {
             meter.add(arc, message.encoded_bits());
             pending.push(arc, message);
-            frontier.mark(arc_owner(graph, arc));
+            frontier.mark(receiver);
         }
-        if let Some(sink) = halted_sink.as_deref_mut() {
-            sink.extend_from_slice(&out.halts);
-        }
-        for v in out.halts {
-            active.halt(v);
-        }
-        for v in out.wakeups {
-            frontier.mark(v);
+        for (v, halted) in out.transitions.drain(..) {
+            if halted {
+                stats.halts += 1;
+                active.halt(v);
+                if let Some(sink) = halted_sink.as_deref_mut() {
+                    sink.push(v);
+                }
+            } else {
+                frontier.mark(v);
+            }
         }
     }
     stats
@@ -892,19 +863,30 @@ mod tests {
     }
 
     #[test]
+    fn a_one_thread_pool_runs_jobs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let pool = WorkPool::new(1);
+        let ran_on = pool.scope(|scope| {
+            assert!(scope.workers.is_empty(), "a one-thread pool spawns no worker");
+            scope.map(vec![(); 3], |_, ()| std::thread::current().id())
+        });
+        assert_eq!(ran_on, vec![caller; 3]);
+        assert_eq!(pool.map(vec![(); 2], |_, ()| std::thread::current().id()), vec![caller; 2]);
+    }
+
+    #[test]
     fn work_stealing_matches_sequential_on_a_cycle() {
         let g = generators::cycle(30).unwrap().with_shuffled_ids(7);
-        let sequential = Executor::new(&g).run(&ProposeMaxId).unwrap();
+        let oracle = ReferenceExecutor::new(&g).run(&ProposeMaxId).unwrap();
         for chunk_size in [1usize, 4, 64] {
             for threads in [1usize, 2, 4] {
-                let stolen = ShardedExecutor::new(&g)
+                let stolen = Executor::new(&g)
                     .with_threads(threads)
                     .with_chunk_size(chunk_size)
-                    .with_sequential_cutoff(0)
                     .run(&ProposeMaxId)
                     .unwrap();
-                assert_eq!(stolen.outputs, sequential.outputs);
-                assert_eq!(stolen.report, sequential.report);
+                assert_eq!(stolen.outputs, oracle.outputs);
+                assert_eq!(stolen.report, oracle.report);
             }
         }
     }
@@ -912,28 +894,25 @@ mod tests {
     #[test]
     fn work_stealing_round_limit_matches_sequential() {
         let g = generators::path(9).unwrap();
-        let sequential =
-            Executor::new(&g).with_max_rounds(3).run(&FloodMaxId { rounds: 100 }).unwrap_err();
-        let stolen = ShardedExecutor::new(&g)
-            .with_threads(2)
-            .with_chunk_size(2)
-            .with_sequential_cutoff(0)
+        let oracle = ReferenceExecutor::new(&g)
             .with_max_rounds(3)
             .run(&FloodMaxId { rounds: 100 })
             .unwrap_err();
-        assert_eq!(stolen, sequential);
+        let stolen = Executor::new(&g)
+            .with_threads(2)
+            .with_chunk_size(2)
+            .with_max_rounds(3)
+            .run(&FloodMaxId { rounds: 100 })
+            .unwrap_err();
+        assert_eq!(stolen, oracle);
     }
 
     #[test]
     fn work_stealing_handles_isolated_vertices_and_empty_graphs() {
         for n in [0usize, 5] {
             let g = Graph::empty(n);
-            let result = ShardedExecutor::new(&g)
-                .with_threads(2)
-                .with_chunk_size(2)
-                .with_sequential_cutoff(0)
-                .run(&ProposeMaxId)
-                .unwrap();
+            let result =
+                Executor::new(&g).with_threads(2).with_chunk_size(2).run(&ProposeMaxId).unwrap();
             assert_eq!(result.report, RoundReport::zero());
             assert_eq!(result.outputs.len(), n);
         }
@@ -960,11 +939,12 @@ mod tests {
     #[test]
     fn executor_kind_dispatch_agrees_across_kinds() {
         let g = generators::grid(5, 6).unwrap().with_shuffled_ids(3);
-        let sequential = ExecutorKind::Sequential.run(&g, &FloodMaxId { rounds: 4 }).unwrap();
-        let stolen = ExecutorKind::Sharded { threads: 2, chunk_size: 5 }
-            .run(&g, &FloodMaxId { rounds: 4 })
-            .unwrap();
-        assert_eq!(sequential.outputs, stolen.outputs);
-        assert_eq!(sequential.report, stolen.report);
+        let oracle = ExecutorKind::Reference.run(&g, &FloodMaxId { rounds: 4 }).unwrap();
+        for kind in [ExecutorKind::sharded(1), ExecutorKind::Sharded { threads: 2, chunk_size: 5 }]
+        {
+            let stolen = kind.run(&g, &FloodMaxId { rounds: 4 }).unwrap();
+            assert_eq!(oracle.outputs, stolen.outputs, "{kind:?}");
+            assert_eq!(oracle.report, stolen.report, "{kind:?}");
+        }
     }
 }

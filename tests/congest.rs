@@ -5,8 +5,8 @@
 //!
 //! * **Seeded bit-identity.**  For a fixed seed, the HKMT randomized pipeline — colors,
 //!   rounds, messages, *and* the new `total_bits` / `max_edge_bits` columns — is a pure
-//!   function of the instance: identical across the sequential, work-stealing (at 1, 2, and
-//!   4 threads), and reference executors.
+//!   function of the instance: identical across the work-stealing executor (at 1, 2, and
+//!   4 threads) and the reference executor.
 //! * **Seed sensitivity without correctness loss.**  Different seeds may color differently,
 //!   but every seed yields a legal coloring within `Δ + 1`.
 //! * **Budget enforcement.**  In [`CostMode::Congest`] every executor rejects a message
@@ -22,7 +22,7 @@ use arbcolor_graph::generators;
 use arbcolor_runtime::algorithms::ProposeMaxId;
 use arbcolor_runtime::{
     default_executor, set_default_executor, CostMode, Executor, ExecutorKind, ReferenceExecutor,
-    RuntimeError, ShardedExecutor,
+    RuntimeError,
 };
 
 /// Runs the full HKMT pipeline under `kind` and returns its outcome signature.
@@ -44,7 +44,7 @@ fn hkmt_signature(kind: ExecutorKind, seed: u64) -> (Vec<u64>, usize, usize, u64
 
 #[test]
 fn hkmt_is_bit_identical_across_executors_and_thread_counts_for_a_fixed_seed() {
-    let expected = hkmt_signature(ExecutorKind::Sequential, 42);
+    let expected = hkmt_signature(ExecutorKind::sharded(1), 42);
     assert!(expected.3 > 0, "the trials must have been charged for their messages");
     for threads in [1usize, 2, 4] {
         assert_eq!(
@@ -59,7 +59,7 @@ fn hkmt_is_bit_identical_across_executors_and_thread_counts_for_a_fixed_seed() {
         "reference executor diverged"
     );
     // Same instance, same seed, run again: no hidden global state.
-    assert_eq!(hkmt_signature(ExecutorKind::Sequential, 42), expected);
+    assert_eq!(hkmt_signature(ExecutorKind::sharded(1), 42), expected);
 }
 
 #[test]
@@ -96,9 +96,9 @@ fn congest_mode_rejects_an_over_wide_message_with_the_typed_error() {
     };
     check(Executor::new(&g).with_cost_mode(tight).run(&ProposeMaxId).unwrap_err());
     check(
-        ShardedExecutor::new(&g)
+        Executor::new(&g)
             .with_threads(4)
-            .with_sequential_cutoff(0)
+            .with_chunk_size(1)
             .with_cost_mode(tight)
             .run(&ProposeMaxId)
             .unwrap_err(),

@@ -187,7 +187,7 @@ fn repair_sequences_are_bit_identical_across_executor_kinds() {
     type SequenceFingerprint = (Vec<u64>, Vec<(usize, Vec<Vertex>)>, (usize, usize));
     let previous = default_executor();
     let mut reference: Option<SequenceFingerprint> = None;
-    for kind in [ExecutorKind::Sequential, ExecutorKind::sharded(3), ExecutorKind::Reference] {
+    for kind in [ExecutorKind::sharded(1), ExecutorKind::sharded(3), ExecutorKind::Reference] {
         set_default_executor(kind);
         let mut rng = ChaCha8Rng::seed_from_u64(23);
         let mut dynamic = DynamicColoring::new(base.clone()).unwrap();

@@ -1,6 +1,6 @@
 //! Equivalence suite for the arc-indexed message fabric.
 //!
-//! The flat-mailbox executors ([`Executor`] and [`ShardedExecutor`]) must stay
+//! The flat-mailbox [`Executor`], at one thread and work-stolen across several, must stay
 //! **bit-identical** — same per-vertex outputs, same round count, same message count — to
 //! the [`ReferenceExecutor`], the preserved pre-fabric implementation with per-vertex
 //! `Vec<Vec<(port, message)>>` mailboxes and linear-scan routing.  The reference shares no
@@ -12,7 +12,6 @@ use arbcolor_graph::generators;
 use arbcolor_runtime::algorithms::{FloodMaxId, ProposeMaxId};
 use arbcolor_runtime::{
     default_executor, set_default_executor, Executor, ExecutorKind, ReferenceExecutor,
-    ShardedExecutor,
 };
 use proptest::prelude::*;
 
@@ -41,10 +40,7 @@ proptest! {
             prop_assert_eq!(propose_flat.report, propose_ref.report, "propose cost on {}", family);
 
             for chunk_size in [1usize, 2, 3, 7] {
-                let stolen = ShardedExecutor::new(&g)
-                    .with_threads(2)
-                    .with_chunk_size(chunk_size)
-                    .with_sequential_cutoff(0);
+                let stolen = Executor::new(&g).with_threads(2).with_chunk_size(chunk_size);
                 let flood_ws = stolen.run(&flood).unwrap();
                 prop_assert_eq!(
                     &flood_ws.outputs, &flood_ref.outputs,
@@ -66,13 +62,13 @@ fn headline_pipelines_are_identical_under_the_reference_kind() {
     // End-to-end: both headline coloring pipelines, dispatched through the process-wide
     // executor switch, must produce the same palette, per-vertex colors, and LOCAL cost
     // whether every `run_algorithm` call lands on the old Vec-of-Vecs simulator or the flat
-    // message fabric (sequential and sharded).
+    // message fabric (one thread and three).
     let g = generators::union_of_random_forests(400, 3, 33).unwrap().with_shuffled_ids(7);
     let previous = default_executor();
     for algorithm in headline_algorithms() {
         set_default_executor(ExecutorKind::Reference);
         let reference = algorithm.run(&g).unwrap();
-        for kind in [ExecutorKind::Sequential, ExecutorKind::sharded(3)] {
+        for kind in [ExecutorKind::sharded(1), ExecutorKind::sharded(3)] {
             set_default_executor(kind);
             let flat = algorithm.run(&g).unwrap();
             assert_eq!(flat.colors, reference.colors, "{} palette under {kind:?}", flat.name);
@@ -93,7 +89,7 @@ fn reference_kind_dispatches_and_reports_one_thread() {
     let g = generators::grid(5, 6).unwrap().with_shuffled_ids(3);
     assert_eq!(ExecutorKind::Reference.threads(), 1);
     let reference = ExecutorKind::Reference.run(&g, &FloodMaxId { rounds: 4 }).unwrap();
-    let flat = ExecutorKind::Sequential.run(&g, &FloodMaxId { rounds: 4 }).unwrap();
+    let flat = ExecutorKind::sharded(1).run(&g, &FloodMaxId { rounds: 4 }).unwrap();
     assert_eq!(reference.outputs, flat.outputs);
     assert_eq!(reference.report, flat.report);
 }

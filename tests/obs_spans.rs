@@ -1,8 +1,8 @@
 //! Observability suite: phase spans, traced rounds, and their determinism contract.
 //!
-//! Two invariants are pinned here, both across all three executors (sequential flat,
-//! work-stealing sharded at several thread counts and a non-default chunk size, and the
-//! pre-fabric reference):
+//! Two invariants are pinned here, both across the executors (the work-stealing executor at
+//! its one-thread default and at several thread counts with a non-default chunk size, and
+//! the pre-fabric reference):
 //!
 //! * **Trace/report consistency** — the per-round `messages` and `total_bits` columns of a
 //!   [`TraceRecorder`] sum to the headline [`RoundReport`](arbcolor_runtime::RoundReport)
@@ -17,9 +17,8 @@ use arbcolor_baselines::registry::congest_headliners;
 use arbcolor_graph::generators;
 use arbcolor_runtime::algorithms::FloodMaxId;
 use arbcolor_runtime::{
-    default_chunk_size, default_executor, default_sequential_cutoff, obs, set_default_chunk_size,
-    set_default_executor, set_default_sequential_cutoff, Executor, ExecutorKind, ReferenceExecutor,
-    RoundReport, ShardedExecutor, TraceConfig, TraceRecorder,
+    default_chunk_size, default_executor, obs, set_default_chunk_size, set_default_executor,
+    Executor, ExecutorKind, ReferenceExecutor, RoundReport, TraceConfig, TraceRecorder,
 };
 
 mod common;
@@ -41,15 +40,15 @@ fn per_round_columns_sum_to_the_report_on_every_executor() {
         let flood = FloodMaxId { rounds: 4 };
         let (seq, seq_trace) = Executor::new(&g).run_traced(&flood).unwrap();
         let (reference, ref_trace) = ReferenceExecutor::new(&g).run_traced(&flood).unwrap();
-        let mut traces = vec![("seq", &seq, seq_trace), ("reference", &reference, ref_trace)];
+        let mut traces =
+            vec![("one-thread", &seq, seq_trace), ("reference", &reference, ref_trace)];
 
         let sharded_runs: Vec<_> = [1usize, 2, 4]
             .iter()
             .map(|&threads| {
-                ShardedExecutor::new(&g)
+                Executor::new(&g)
                     .with_threads(threads)
                     .with_chunk_size(7)
-                    .with_sequential_cutoff(0)
                     .run_traced(&flood)
                     .unwrap()
             })
@@ -110,12 +109,11 @@ fn halted_capture_is_opt_in_and_consistent() {
     }
     assert_eq!(default_trace.completion_round(), full_trace.completion_round());
 
-    // The sharded executor captures the same identities, in the same (chunk-ascending,
-    // i.e. vertex-ascending) order as the sequential schedule.
-    let (_, sharded_full) = ShardedExecutor::new(&g)
+    // Two workers capture the same identities, in the same (chunk-ascending, i.e.
+    // vertex-ascending) order as one thread.
+    let (_, sharded_full) = Executor::new(&g)
         .with_threads(2)
         .with_chunk_size(5)
-        .with_sequential_cutoff(0)
         .run_traced_with(&flood, TraceConfig::with_halted())
         .unwrap();
     let halted = |t: &TraceRecorder| -> Vec<Vec<usize>> {
@@ -152,16 +150,11 @@ fn executors_record_exec_spans_with_round_instants() {
 struct ExecutorConfigGuard {
     executor: ExecutorKind,
     chunk: usize,
-    cutoff: usize,
 }
 
 impl ExecutorConfigGuard {
     fn capture() -> Self {
-        ExecutorConfigGuard {
-            executor: default_executor(),
-            chunk: default_chunk_size(),
-            cutoff: default_sequential_cutoff(),
-        }
+        ExecutorConfigGuard { executor: default_executor(), chunk: default_chunk_size() }
     }
 }
 
@@ -169,7 +162,6 @@ impl Drop for ExecutorConfigGuard {
     fn drop(&mut self) {
         set_default_executor(self.executor);
         set_default_chunk_size(self.chunk);
-        set_default_sequential_cutoff(self.cutoff);
     }
 }
 
@@ -184,15 +176,14 @@ fn headliner_phase_rollups_sum_to_the_report_and_match_across_executors() {
     // name → (phase name, deterministic phase report fields) per executor kind.
     let mut per_kind: Vec<Vec<HeadlinerRollup>> = Vec::new();
     for kind in [
-        ExecutorKind::Sequential,
         ExecutorKind::sharded(1),
+        ExecutorKind::Sharded { threads: 2, chunk_size: 1 },
         ExecutorKind::sharded(2),
         ExecutorKind::sharded(4),
         ExecutorKind::Reference,
     ] {
         set_default_executor(kind);
         set_default_chunk_size(7); // non-default, to prove chunking cannot leak into costs
-        set_default_sequential_cutoff(0);
 
         let collector = obs::SpanCollector::new();
         let _guard = obs::install(&collector);

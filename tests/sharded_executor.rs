@@ -1,28 +1,28 @@
 //! Cross-crate equivalence suite for the work-stealing parallel simulator.
 //!
-//! The contract of `arbcolor_runtime::shard` is that the [`ShardedExecutor`] is
-//! **bit-identical** to the sequential [`Executor`] and to the [`ReferenceExecutor`] oracle
-//! — same per-vertex outputs, same round count, same message count — for every graph, every
-//! chunk size, and every thread count.  This suite drives that claim over the full generator
-//! suite with randomized sizes and seeds, and checks it end to end through the headline
-//! coloring pipelines dispatched via the process-wide executor switch.
+//! The contract of `arbcolor_runtime::shard` is that the work-stealing [`Executor`] is
+//! **bit-identical** to the [`ReferenceExecutor`] oracle — same per-vertex outputs, same
+//! round count, same message count — for every graph, every chunk size, and every thread
+//! count, including the one-thread default that steps every chunk on the caller.  This
+//! suite drives that claim over the full generator suite with randomized sizes and seeds,
+//! and checks it end to end through the headline coloring pipelines dispatched via the
+//! process-wide executor switch.
 
 use arbcolor_baselines::registry::headline_algorithms;
 use arbcolor_graph::generators;
 use arbcolor_runtime::algorithms::{FloodMaxId, ProposeMaxId};
 use arbcolor_runtime::{
-    default_executor, default_sequential_cutoff, set_default_executor,
-    set_default_sequential_cutoff, Executor, ExecutorKind, ReferenceExecutor, ShardedExecutor,
+    default_executor, set_default_executor, Executor, ExecutorKind, ReferenceExecutor,
 };
 use proptest::prelude::*;
 
 /// Thread counts the equivalence matrix is driven over.
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
-/// Chunk sizes the equivalence matrix is driven over (1 = one vertex per steal, 64 =
-/// several chunks per round on the suite's graphs, 4096 = larger than every frontier so a
-/// single worker claims everything).
-const CHUNK_SIZES: [usize; 3] = [1, 64, 4096];
+/// Chunk sizes the equivalence matrix is driven over (1 = one vertex per steal, 7 and 64 =
+/// several chunks per round on the suite's graphs, 4096 = larger than every graph so a
+/// single worker steps everything on the caller).
+const CHUNK_SIZES: [usize; 4] = [1, 7, 64, 4096];
 
 mod common;
 use common::generator_suite;
@@ -41,7 +41,7 @@ proptest! {
             let flood_seq = Executor::new(&g).run(&flood).unwrap();
             let propose_seq = Executor::new(&g).run(&ProposeMaxId).unwrap();
             // The oracle executor (pre-fabric, everyone-runs, no frontier code) must agree
-            // with the frontier-driven sequential executor...
+            // with the frontier-driven executor at its one-thread default...
             let flood_ref = ReferenceExecutor::new(&g).run(&flood).unwrap();
             prop_assert_eq!(&flood_ref.outputs, &flood_seq.outputs, "flood oracle on {}", family);
             prop_assert_eq!(flood_ref.report, flood_seq.report, "flood oracle cost on {}", family);
@@ -51,10 +51,8 @@ proptest! {
             // ...and so must the work-stealing executor at every (threads, chunk) config.
             for threads in THREAD_COUNTS {
                 for chunk_size in CHUNK_SIZES {
-                    let stolen = ShardedExecutor::new(&g)
-                        .with_threads(threads)
-                        .with_chunk_size(chunk_size)
-                        .with_sequential_cutoff(0);
+                    let stolen =
+                        Executor::new(&g).with_threads(threads).with_chunk_size(chunk_size);
                     let flood_ws = stolen.run(&flood).unwrap();
                     prop_assert_eq!(
                         &flood_ws.outputs, &flood_seq.outputs,
@@ -77,20 +75,11 @@ proptest! {
 fn repeated_work_stealing_runs_with_different_thread_counts_agree() {
     let g = generators::union_of_random_forests(300, 4, 9).unwrap().with_shuffled_ids(2);
     let flood = FloodMaxId { rounds: 12 };
-    let reference = ShardedExecutor::new(&g)
-        .with_threads(1)
-        .with_chunk_size(16)
-        .with_sequential_cutoff(0)
-        .run(&flood)
-        .unwrap();
+    let reference = Executor::new(&g).with_threads(1).with_chunk_size(16).run(&flood).unwrap();
     for repetition in 0..3 {
         for threads in [1usize, 2, 3, 8] {
-            let again = ShardedExecutor::new(&g)
-                .with_threads(threads)
-                .with_chunk_size(16)
-                .with_sequential_cutoff(0)
-                .run(&flood)
-                .unwrap();
+            let again =
+                Executor::new(&g).with_threads(threads).with_chunk_size(16).run(&flood).unwrap();
             assert_eq!(
                 again.outputs, reference.outputs,
                 "outputs drifted at threads={threads}, repetition={repetition}"
@@ -104,14 +93,10 @@ fn repeated_work_stealing_runs_with_different_thread_counts_agree() {
 fn chunk_size_never_changes_results() {
     let g = generators::gnp(250, 0.02, 41).unwrap().with_shuffled_ids(6);
     let flood = FloodMaxId { rounds: 9 };
-    let reference = Executor::new(&g).run(&flood).unwrap();
+    let reference = ReferenceExecutor::new(&g).run(&flood).unwrap();
     for chunk_size in [1usize, 2, 3, 7, 11, 250, 4096] {
-        let stolen = ShardedExecutor::new(&g)
-            .with_threads(3)
-            .with_chunk_size(chunk_size)
-            .with_sequential_cutoff(0)
-            .run(&flood)
-            .unwrap();
+        let stolen =
+            Executor::new(&g).with_threads(3).with_chunk_size(chunk_size).run(&flood).unwrap();
         assert_eq!(stolen.outputs, reference.outputs, "chunk_size={chunk_size}");
         assert_eq!(stolen.report, reference.report, "chunk_size={chunk_size}");
     }
@@ -124,12 +109,8 @@ fn headline_pipelines_are_identical_under_every_executor_kind() {
     // coloring and the same LOCAL cost under every executor configuration.
     let g = generators::union_of_random_forests(400, 3, 33).unwrap().with_shuffled_ids(7);
     let previous = default_executor();
-    let previous_cutoff = default_sequential_cutoff();
-    // Force the work-stealing path even on this small graph (and on the smaller subgraphs
-    // the recursive drivers spawn).
-    set_default_sequential_cutoff(0);
     for algorithm in headline_algorithms() {
-        set_default_executor(ExecutorKind::Sequential);
+        set_default_executor(ExecutorKind::sharded(1));
         let sequential = algorithm.run(&g).unwrap();
         let kinds = [
             ExecutorKind::Reference,
@@ -150,5 +131,4 @@ fn headline_pipelines_are_identical_under_every_executor_kind() {
         }
     }
     set_default_executor(previous);
-    set_default_sequential_cutoff(previous_cutoff);
 }
