@@ -7,8 +7,8 @@
 //!   every arc of a dense graph;
 //! * a message-dense flood on the full executors — delivery plus mailbox management, no
 //!   algorithm logic;
-//! * the Ghaffari–Kuhn pipeline through the process-wide executor switch — what experiment
-//!   E18 measures at much larger `n`.
+//! * the Ghaffari–Kuhn pipeline under an installed run configuration — what experiment E18
+//!   measures at much larger `n`.
 //!
 //! Outputs are bit-identical across fabrics (enforced by `tests/message_fabric.rs`), so
 //! every comparison is pure wall-clock.
@@ -16,7 +16,7 @@
 use arbcolor_baselines::registry::headline_algorithms;
 use arbcolor_graph::generators;
 use arbcolor_runtime::{
-    algorithms::FloodMaxId, set_default_executor, Executor, ExecutorKind, ReferenceExecutor,
+    algorithms::FloodMaxId, Executor, ExecutorKind, ReferenceExecutor, RunConfig,
 };
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -81,9 +81,8 @@ fn bench_headliner_fabric(c: &mut Criterion) {
         [("gk/flat", ExecutorKind::sharded(1)), ("gk/reference", ExecutorKind::Reference)]
     {
         group.bench_with_input(BenchmarkId::new(label, n), &g, |b, g| {
-            set_default_executor(kind);
+            let _config = RunConfig { executor: kind, ..RunConfig::default() }.install();
             b.iter(|| gk.run(g).unwrap());
-            set_default_executor(ExecutorKind::sharded(1));
         });
     }
     group.finish();

@@ -3,13 +3,13 @@
 //!
 //! Two tiers are timed: the raw simulator on a message-heavy flood (isolating executor
 //! overhead and barrier costs from algorithm logic), and the full Barenboim–Elkin pipeline
-//! dispatched through the process-wide executor switch (what experiment E17 measures at
-//! much larger `n`).  Outputs are bit-identical across all variants, so the comparison is
+//! under an installed run configuration (what experiment E17 measures at much larger
+//! `n`).  Outputs are bit-identical across all variants, so the comparison is
 //! pure wall-clock.
 
 use arbcolor::legal_coloring::{a_power_coloring, APowerParams};
 use arbcolor_graph::generators;
-use arbcolor_runtime::{algorithms::FloodMaxId, set_default_executor, Executor, ExecutorKind};
+use arbcolor_runtime::{algorithms::FloodMaxId, Executor, ExecutorKind, RunConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_executor_overhead(c: &mut Criterion) {
@@ -40,9 +40,8 @@ fn bench_pipeline_dispatch(c: &mut Criterion) {
         ("be/sharded_t4", ExecutorKind::sharded(4)),
     ] {
         group.bench_with_input(BenchmarkId::new(label, n), &g, |b, g| {
-            set_default_executor(kind);
+            let _config = RunConfig { executor: kind, ..RunConfig::default() }.install();
             b.iter(|| a_power_coloring(g, 4, APowerParams { eta: 0.5, epsilon: 1.0 }).unwrap());
-            set_default_executor(ExecutorKind::sharded(1));
         });
     }
     group.finish();

@@ -14,19 +14,18 @@
 //! `--json` the output is pure JSON lines — one row object per line, no markdown headers —
 //! so it can be piped straight into a file or a line-oriented tool.
 //!
-//! `--par N` (or `--par=N`) sets the process-wide executor configuration: every experiment
-//! runs on the work-stealing executor (`arbcolor_runtime::shard`) with a budget of `N`
-//! threads (default 1, which steps every round on the calling thread).  Results are
-//! bit-identical at every `N` — the CI `bench-smoke` job runs the tier under `--par 1` and
-//! `--par 4` and fails on any diff — only wall-clock changes.  E17 additionally performs
-//! its own 1-vs-4-thread sweep to report speedups.
-//!
-//! `--chunk-size N` (or `--chunk-size=N`) overrides the work-stealing chunk size (default
-//! 1024 frontier vertices per steal).  A run uses at most one worker per chunk of its
-//! graph, so a small chunk size also spreads small graphs across the threads — the CI diff
-//! leg runs `--chunk-size 7` so even the tiny smoke graphs execute on several workers.
-//! Results are bit-identical at every chunk size; only the steal granularity (and thus
-//! load balance) changes.
+//! `--par N` (or `--par=N`) and `--chunk-size N` (or `--chunk-size=N`) build the one
+//! `arbcolor_runtime::RunConfig` installed for the whole invocation: every experiment runs
+//! on the work-stealing executor (`arbcolor_runtime::shard`) with a budget of `N` threads
+//! (default 1, which steps every round on the calling thread) and the given chunk size
+//! (default 1024 frontier vertices per steal).  Results are bit-identical at every `N` —
+//! the CI `bench-smoke` job runs the tier under `--par 1` and `--par 4` and fails on any
+//! diff — only wall-clock changes.  E17 additionally performs its own 1-vs-4-thread sweep
+//! to report speedups; experiments that switch thread count keep the chunk size.  A run
+//! uses at most one worker per chunk of its graph, so a small chunk size also spreads
+//! small graphs across the threads — the CI diff leg runs `--chunk-size 7` so even the
+//! tiny smoke graphs execute on several workers.  Results are bit-identical at every chunk
+//! size; only the steal granularity (and thus load balance) changes.
 //!
 //! `--seed N` (or `--seed=N`) sets the process-wide experiment seed (default 42) that
 //! randomized contenders derive their PRNGs from — currently E22's HKMT headliner.  For a
@@ -55,7 +54,7 @@
 use arbcolor_bench::experiments::{self, SizeClass};
 use arbcolor_bench::perf::{PerfDoc, PERF_EXPERIMENTS};
 use arbcolor_bench::Row;
-use arbcolor_runtime::{obs, set_default_chunk_size, set_default_executor, ExecutorKind};
+use arbcolor_runtime::{obs, Executor, ExecutorKind, RunConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -103,12 +102,14 @@ fn main() {
             })
         })
     };
-    if let Some(chunk) = parse_flag("--chunk-size", chunk_size) {
-        set_default_chunk_size(chunk);
-    }
-    if let Some(threads) = parse_flag("--par", par) {
-        set_default_executor(ExecutorKind::sharded(threads));
-    }
+    // `--par`/`--chunk-size`: the run configuration of every experiment in this invocation.
+    let executor = ExecutorKind::Sharded {
+        threads: parse_flag("--par", par).unwrap_or(1).max(1),
+        chunk_size: parse_flag("--chunk-size", chunk_size)
+            .unwrap_or(Executor::DEFAULT_CHUNK_SIZE)
+            .max(1),
+    };
+    let _config = RunConfig { executor, ..RunConfig::default() }.install();
     if let Some(value) = seed {
         let parsed = value.parse::<u64>().unwrap_or_else(|_| {
             eprintln!("--seed expects a number, got {value:?}");

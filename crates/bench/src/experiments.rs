@@ -22,10 +22,7 @@ use arbcolor_baselines::registry::{congest_headliners, headline_algorithms, stan
 use arbcolor_decompose::defective::defective_coloring;
 use arbcolor_decompose::forests::bounded_outdegree_orientation;
 use arbcolor_graph::{degeneracy, generators, Graph};
-use arbcolor_runtime::{
-    default_cost_mode, default_executor, set_default_cost_mode, set_default_executor, CostMode,
-    ExecutorKind, RoundReport,
-};
+use arbcolor_runtime::{CostMode, ExecutorKind, RoundReport, RunConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -43,6 +40,20 @@ pub fn set_experiment_seed(seed: u64) {
 /// The current experiment seed (see [`set_experiment_seed`]).
 pub fn experiment_seed() -> u64 {
     EXPERIMENT_SEED.load(Ordering::Relaxed)
+}
+
+/// The current [`RunConfig`] (the CLI's `--par`/`--chunk-size`) with its executor replaced
+/// by `executor`.  A work-stealing `executor` keeps the current chunk size, so
+/// `--chunk-size` still reaches experiments that switch thread count.
+fn ambient_with(executor: ExecutorKind) -> RunConfig {
+    let ambient = RunConfig::current();
+    let executor = match (executor, ambient.executor) {
+        (ExecutorKind::Sharded { threads, .. }, ExecutorKind::Sharded { chunk_size, .. }) => {
+            ExecutorKind::Sharded { threads, chunk_size }
+        }
+        _ => executor,
+    };
+    RunConfig { executor, ..ambient }
 }
 
 /// How large the experiment workloads should be.
@@ -451,14 +462,13 @@ pub fn e17_sharded_scale(sz: SizeClass) -> Vec<Row> {
             vec![100_000 * factor, 1_000_000 * factor]
         }
     };
-    let previous = default_executor();
     let mut rows = Vec::new();
     for n in sizes {
         let g = generators::union_of_random_forests(n, 3, 101).unwrap().with_shuffled_ids(16);
         for algorithm in headline_algorithms() {
             let mut sequential: Option<(usize, RoundReport, f64)> = None;
             for threads in [1usize, 4] {
-                set_default_executor(ExecutorKind::sharded(threads));
+                let _config = ambient_with(ExecutorKind::sharded(threads)).install();
                 let start = Instant::now();
                 let outcome = algorithm.run(&g).unwrap_or_else(|e| {
                     panic!("{} failed on forests n={n}, threads={threads}: {e}", algorithm.name())
@@ -496,7 +506,6 @@ pub fn e17_sharded_scale(sz: SizeClass) -> Vec<Row> {
             }
         }
     }
-    set_default_executor(previous);
     rows
 }
 
@@ -510,7 +519,7 @@ pub fn e17_sharded_scale(sz: SizeClass) -> Vec<Row> {
 ///
 /// * a raw-executor race on a message-dense flood (`FloodMaxId`), isolating delivery cost —
 ///   this is where the `O(Σ deg²)`-per-round term of the old fabric shows directly;
-/// * both headline coloring pipelines dispatched through the process-wide executor switch
+/// * both headline coloring pipelines dispatched through an installed run configuration
 ///   (`ExecutorKind::Reference` vs `ExecutorKind::sharded(1)`), at the *smallest* size of
 ///   the sweep (`10⁵` at `Scale(1)`) — racing the quadratic fabric through a whole
 ///   pipeline at the 10× size would measure minutes of known-slow baseline, so the larger
@@ -532,7 +541,6 @@ pub fn e18_routing_fabric(sz: SizeClass) -> Vec<Row> {
         }
     };
     let headliner_n = *sizes.iter().min().expect("the sweep is never empty");
-    let previous = default_executor();
     let mut rows = Vec::new();
     type FamilyGen = fn(usize) -> Graph;
     let families: Vec<(&str, FamilyGen)> = vec![
@@ -569,20 +577,22 @@ pub fn e18_routing_fabric(sz: SizeClass) -> Vec<Row> {
                 continue;
             }
             // Full-pipeline race: every run_algorithm call of both headliners lands on one
-            // fabric or the other via the process-wide switch.
+            // fabric or the other via the installed run configuration.
             for algorithm in headline_algorithms() {
-                set_default_executor(ExecutorKind::sharded(1));
+                let config = ambient_with(ExecutorKind::sharded(1)).install();
                 let start = Instant::now();
                 let flat = algorithm.run(g).unwrap_or_else(|e| {
                     panic!("{} failed on {family} n={n}: {e}", algorithm.name())
                 });
                 let wall_flat = start.elapsed().as_secs_f64() * 1e3;
-                set_default_executor(ExecutorKind::Reference);
+                drop(config);
+                let config = ambient_with(ExecutorKind::Reference).install();
                 let start = Instant::now();
                 let reference = algorithm.run(g).unwrap_or_else(|e| {
                     panic!("{} failed on {family} n={n} (reference): {e}", algorithm.name())
                 });
                 let wall_ref = start.elapsed().as_secs_f64() * 1e3;
+                drop(config);
                 assert_eq!(
                     (flat.colors, flat.report, flat.coloring.colors()),
                     (reference.colors, reference.report, reference.coloring.colors()),
@@ -603,7 +613,6 @@ pub fn e18_routing_fabric(sz: SizeClass) -> Vec<Row> {
             }
         }
     }
-    set_default_executor(previous);
     rows
 }
 
@@ -686,15 +695,14 @@ pub fn e20_dynamic_recoloring(_sz: SizeClass) -> Vec<Row> {
 
     const BATCHES: usize = 3;
 
-    /// Replays the whole insertion sequence under `kind`, returning the final coloring,
+    /// Replays the whole insertion sequence under `config`, returning the final coloring,
     /// the per-batch outcomes, and the per-batch repair wall-clock.
     fn run_sequence(
-        kind: ExecutorKind,
+        config: RunConfig,
         base: &Graph,
         batches: &[Vec<(usize, usize)>],
     ) -> (Coloring, Vec<BatchOutcome>, Vec<f64>) {
-        let previous = default_executor();
-        set_default_executor(kind);
+        let _config = config.install();
         let mut dynamic = DynamicColoring::new(base.clone()).expect("initial coloring");
         let mut outcomes = Vec::new();
         let mut walls = Vec::new();
@@ -705,7 +713,6 @@ pub fn e20_dynamic_recoloring(_sz: SizeClass) -> Vec<Row> {
             walls.push(start.elapsed().as_secs_f64() * 1e3);
             outcomes.push(outcome);
         }
-        set_default_executor(previous);
         (dynamic.coloring().clone(), outcomes, walls)
     }
 
@@ -732,13 +739,14 @@ pub fn e20_dynamic_recoloring(_sz: SizeClass) -> Vec<Row> {
 
         // Primary run under the ambient (CLI-selected) executor; replays under every
         // other kind must be bit-identical in everything but wall-clock.
-        let ambient = default_executor();
+        let ambient = RunConfig::current();
         let (final_coloring, outcomes, walls) = run_sequence(ambient, &base, &batches);
         for kind in [ExecutorKind::sharded(1), ExecutorKind::sharded(4), ExecutorKind::Reference] {
-            if kind == ambient {
+            let config = ambient_with(kind);
+            if config == ambient {
                 continue;
             }
-            let (coloring, replay, _) = run_sequence(kind, &base, &batches);
+            let (coloring, replay, _) = run_sequence(config, &base, &batches);
             assert_eq!(
                 coloring.colors(),
                 final_coloring.colors(),
@@ -885,15 +893,6 @@ pub fn e21_frontier_collapse(sz: SizeClass) -> Vec<Row> {
 /// [`experiment_seed`] (the `--seed` flag), so for a fixed seed the whole table is
 /// bit-identical across executors — the CI `congest-smoke` job diffs exactly that.
 pub fn e22_congest_bandwidth_race(sz: SizeClass) -> Vec<Row> {
-    /// Restores the process-wide cost mode even if an assertion unwinds mid-experiment.
-    struct CostModeGuard(CostMode);
-    impl Drop for CostModeGuard {
-        fn drop(&mut self) {
-            set_default_cost_mode(self.0);
-        }
-    }
-    let _restore = CostModeGuard(default_cost_mode());
-
     let families = headline_families(sz);
     let mut rows = Vec::new();
     for (family, g) in &families {
@@ -901,9 +900,7 @@ pub fn e22_congest_bandwidth_race(sz: SizeClass) -> Vec<Row> {
         // value, so 64·⌈log₂ n⌉ bits per edge per round holds with room while still being
         // O(log n) — the executors reject any send that would exceed it.
         let budget = CostMode::congest_for(g.n(), 64);
-        set_default_cost_mode(CostMode::Congest {
-            bits_per_edge: budget.bits_per_edge().expect("congest_for returns Congest"),
-        });
+        let _congest = RunConfig { cost_mode: budget, ..RunConfig::current() }.install();
         let delta_plus_one = g.max_degree() + 1;
         for algorithm in congest_headliners(experiment_seed()) {
             let outcome = algorithm
@@ -1194,12 +1191,11 @@ pub fn e25_service_sustained_updates(sz: SizeClass) -> Vec<Row> {
         wall_ms_total: f64,
     }
 
-    /// Replays `ops` against a fresh service on `n` vertices under `kind`; the final
+    /// Replays `ops` against a fresh service on `n` vertices under `config`; the final
     /// `Compact` request is issued explicitly so every family reports a post-compaction
     /// palette.
-    fn replay(kind: ExecutorKind, n: usize, ops: &[WorkloadOp]) -> Replay {
-        let previous = default_executor();
-        set_default_executor(kind);
+    fn replay(config: RunConfig, n: usize, ops: &[WorkloadOp]) -> Replay {
+        let _config = config.install();
         let mut service =
             ColoringService::empty(n, ServiceConfig::default()).expect("service starts");
         let mut model: BTreeSet<(usize, usize)> = BTreeSet::new();
@@ -1264,7 +1260,6 @@ pub fn e25_service_sustained_updates(sz: SizeClass) -> Vec<Row> {
             Response::Stats(stats) => stats,
             other => panic!("stats failed: {other:?}"),
         };
-        set_default_executor(previous);
         Replay {
             colors: service.dynamic().coloring().colors().to_vec(),
             batches,
@@ -1325,12 +1320,11 @@ pub fn e25_service_sustained_updates(sz: SizeClass) -> Vec<Row> {
     ];
 
     let mut rows = Vec::new();
-    let ambient = default_executor();
     for (family, config) in families {
         let ops = generate(&config);
         assert_eq!(ops, generate(&config), "the workload stream must be replayable");
-        let run = replay(ambient, config.n, &ops);
-        let reference = replay(ExecutorKind::Reference, config.n, &ops);
+        let run = replay(RunConfig::current(), config.n, &ops);
+        let reference = replay(ambient_with(ExecutorKind::Reference), config.n, &ops);
         let replay_identical = run.colors == reference.colors && run.batches == reference.batches;
         assert!(replay_identical, "{family}: same-seed replay diverged between executors");
         assert!(run.legal, "{family}: final coloring is illegal");
@@ -1550,9 +1544,9 @@ mod tests {
 
     #[test]
     fn e22_enforces_the_congest_budget_and_restores_the_cost_mode() {
-        let before = default_cost_mode();
+        let before = RunConfig::current();
         let rows = e22_congest_bandwidth_race(SizeClass::Smoke);
-        assert_eq!(default_cost_mode(), before, "E22 must restore the process cost mode");
+        assert_eq!(RunConfig::current(), before, "E22 must restore the run configuration");
         // Three headliners per family, every row within its enforced budget.
         assert_eq!(rows.len() % 3, 0);
         assert!(rows.iter().any(|r| r.workload.contains("hkmt_random")));

@@ -33,11 +33,11 @@
 //! increases.  [`DynamicColoring::with_auto_compact`] folds that sweep into `apply`
 //! whenever a batch with removals leaves the palette looser than `Δ+1`.
 //!
-//! Every step is deterministic and runs on whatever executor the process-wide
-//! [`ExecutorKind`](arbcolor_runtime::ExecutorKind) switch selects, so repair sequences are
-//! bit-identical across the sequential, sharded, and reference simulators — experiment E20
-//! asserts exactly that, and E25 replays mixed sustained-update workloads against the same
-//! invariant.  When an [`obs`] collector is installed, every batch
+//! Every step is deterministic and runs on whatever executor the current
+//! [`RunConfig`](arbcolor_runtime::RunConfig) selects, so repair sequences are
+//! bit-identical across the work-stealing executor (at any thread count) and the reference
+//! simulator — experiment E20 asserts exactly that, and E25 replays mixed sustained-update
+//! workloads against the same invariant.  When an [`obs`] collector is installed, every batch
 //! decomposes into `dynamic-apply` / `csr-patch` / repair phase spans and feeds the
 //! `dynamic.*` metrics counters.
 //!

@@ -18,9 +18,7 @@ use arbcolor_decompose::hpartition::{h_partition, HPartition};
 use arbcolor_decompose::linial::linial_coloring;
 use arbcolor_decompose::reduction::greedy_reduce;
 use arbcolor_graph::{Graph, InducedSubgraph, Orientation, Vertex};
-use arbcolor_runtime::{
-    default_chunk_size, default_executor, parallel_max, CostLedger, RoundReport, WorkPool,
-};
+use arbcolor_runtime::{parallel_max, CostLedger, ExecutorKind, RoundReport, RunConfig, WorkPool};
 
 /// An acyclic (partial) orientation produced by one of the orientation procedures, together
 /// with the parameters the paper's analysis guarantees for it.
@@ -100,11 +98,11 @@ type BucketColorings = (Vec<(usize, u64)>, RoundReport, Vec<usize>);
 /// `(bucket, color)` keys plus the parallel cost of the bucket phase.
 ///
 /// The H-partition buckets are vertex-disjoint and the LOCAL model already charges them as
-/// one parallel phase, so when the process-wide executor configuration has a thread budget
-/// (see [`arbcolor_runtime::set_default_executor`]) the buckets are materialized and colored
-/// on a [`WorkPool`]; the result is identical either way.  A graph that fits in one default
-/// chunk stays on the caller — the recursive drivers invoke this on many tiny subgraphs, and
-/// those should not pay pool setup costs (the size rule of the
+/// one parallel phase, so when the current thread's [`RunConfig`] has a thread budget the
+/// buckets are materialized and colored on a [`WorkPool`], whose workers run under that
+/// same config; the result is identical either way.  A graph that fits in one of the
+/// config's chunks stays on the caller — the recursive drivers invoke this on many tiny
+/// subgraphs, and those should not pay pool setup costs (the size rule of the
 /// [`Executor`](arbcolor_runtime::Executor)).
 fn color_buckets<F>(
     graph: &Graph,
@@ -114,7 +112,10 @@ fn color_buckets<F>(
 where
     F: Fn(&Graph) -> Result<(Vec<u64>, RoundReport, usize), CoreError> + Send + Sync,
 {
-    let threads = if graph.n() <= default_chunk_size() { 1 } else { default_executor().threads() };
+    let threads = match RunConfig::current().executor {
+        ExecutorKind::Sharded { threads, chunk_size } if graph.n() > chunk_size => threads,
+        _ => 1,
+    };
     let order: Vec<usize> = (0..partition.buckets().len()).collect();
     color_buckets_in_order(graph, partition, &order, threads, color_bucket)
 }

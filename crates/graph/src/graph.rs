@@ -130,22 +130,6 @@ impl Graph {
         self.offsets[v]..self.offsets[v + 1]
     }
 
-    /// The arc indices owned by a contiguous vertex range (used by sharded executors to size
-    /// per-shard arc buffers; empty ranges yield empty spans).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vertices.end > n`.
-    pub fn arc_span(&self, vertices: std::ops::Range<Vertex>) -> std::ops::Range<ArcIdx> {
-        assert!(vertices.end <= self.n, "vertex range out of bounds");
-        if vertices.start >= vertices.end {
-            let at = self.offsets[vertices.start.min(self.n)];
-            at..at
-        } else {
-            self.offsets[vertices.start]..self.offsets[vertices.end]
-        }
-    }
-
     /// The head (target vertex) of arc `a`: `arc_target(arc_range(v).start + p)` is the
     /// neighbor at port `p` of `v`.
     ///
@@ -507,16 +491,6 @@ mod tests {
                 assert_eq!(g.arc_target(g.arc_range(v).start + port), u);
             }
         }
-    }
-
-    #[test]
-    fn arc_span_matches_concatenated_ranges() {
-        let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]).unwrap();
-        assert_eq!(g.arc_span(0..g.n()), 0..g.num_arcs());
-        assert_eq!(g.arc_span(1..3).start, g.arc_range(1).start);
-        assert_eq!(g.arc_span(1..3).end, g.arc_range(2).end);
-        assert!(g.arc_span(2..2).is_empty());
-        assert!(g.arc_span(5..5).is_empty());
     }
 
     #[test]

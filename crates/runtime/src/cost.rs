@@ -19,14 +19,13 @@
 //!   [`RoundReport`] are bit-identical across the work-stealing executor (at any thread
 //!   count) and the reference executor.
 //!
-//! The process-wide default ([`set_default_cost_mode`]/[`default_cost_mode`]) mirrors
-//! [`set_default_executor`](crate::set_default_executor): freshly constructed executors pick
-//! it up, so one call switches every driver in the workspace into Congest accounting.
+//! Executors start out in [`CostMode::Local`]; a [`RunConfig`](crate::RunConfig) carries the
+//! mode the drivers' runs use, so installing one with [`CostMode::Congest`] switches every
+//! run of a driver on the installing thread into Congest accounting.
 
 use crate::metrics::RoundReport;
 use crate::network::{arc_owner, RuntimeError};
 use arbcolor_graph::Graph;
-use std::sync::Mutex;
 
 /// The measured width of a message on the wire, in bits.
 ///
@@ -96,23 +95,6 @@ impl CostMode {
             CostMode::Congest { bits_per_edge } => Some(*bits_per_edge),
         }
     }
-}
-
-/// The process-wide default cost mode (starts out LOCAL).
-static DEFAULT_COST_MODE: Mutex<CostMode> = Mutex::new(CostMode::Local);
-
-/// Sets the process-wide default cost mode picked up by freshly constructed executors.
-///
-/// Like [`set_default_executor`](crate::set_default_executor), binaries typically set this
-/// once from a CLI flag; bandwidth is *recorded* in every mode, so flipping to
-/// [`CostMode::Congest`] only adds the budget assertion.
-pub fn set_default_cost_mode(mode: CostMode) {
-    *DEFAULT_COST_MODE.lock().expect("cost-mode lock") = mode;
-}
-
-/// The current process-wide default cost mode.
-pub fn default_cost_mode() -> CostMode {
-    *DEFAULT_COST_MODE.lock().expect("cost-mode lock")
 }
 
 /// What one round put on the wire, as reported by [`BandwidthMeter::finish_round`].
@@ -234,14 +216,6 @@ mod tests {
         assert_eq!(CostMode::congest_for(1000, 4).bits_per_edge(), Some(40), "ceil(log2)");
         assert_eq!(CostMode::congest_for(0, 4).bits_per_edge(), Some(4), "n clamps to 2");
         assert_eq!(CostMode::Local.bits_per_edge(), None);
-    }
-
-    #[test]
-    fn default_cost_mode_round_trips() {
-        let before = default_cost_mode();
-        set_default_cost_mode(CostMode::Congest { bits_per_edge: 96 });
-        assert_eq!(default_cost_mode().bits_per_edge(), Some(96));
-        set_default_cost_mode(before);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!   O(|active|) rounds: delivery marks the receiver, programs self-schedule with
 //!   [`NodeCtx::wake_next_round`], quiescent vertices cost nothing.
 //! * [`shard`] — the round loop's home: the [`Executor`], a hand-rolled [`WorkPool`], and
-//!   the process-wide [`ExecutorKind`] switch consulted by [`run_algorithm`].
+//!   the thread-scoped [`RunConfig`] (executor kind and cost mode) of [`run_algorithm`].
 //! * [`composition`] — cost accounting for multi-phase algorithms (sequential phases add,
 //!   parallel executions on disjoint subgraphs take the maximum), mirroring how the paper
 //!   accounts for the recursion of Procedure Legal-Coloring, where disjoint subgraphs proceed
@@ -72,7 +72,7 @@ pub mod shard;
 pub mod trace;
 
 pub use composition::{parallel_max, CostLedger, PhaseCost};
-pub use cost::{default_cost_mode, set_default_cost_mode, CostMode, MessageCost};
+pub use cost::{CostMode, MessageCost};
 pub use frontier::{ActiveSet, Frontier};
 pub use metrics::{ActivitySummary, RoundReport};
 pub use network::{ExecutionResult, RuntimeError, TracedRun};
@@ -80,7 +80,7 @@ pub use node::{Algorithm, Inbox, NeighborIds, NodeCtx, NodeProgram, Outbox, Stat
 pub use obs::{PhaseGuard, RecordingGuard, SpanCollector, SpanKind, SpanRecord};
 pub use reference::ReferenceExecutor;
 pub use shard::{
-    default_chunk_size, default_executor, run_algorithm, set_default_chunk_size,
-    set_default_executor, Executor, ExecutorKind, PoolScope, WorkPool,
+    default_executor, run_algorithm, set_default_executor, ConfigGuard, Executor, ExecutorKind,
+    PoolScope, RunConfig, WorkPool,
 };
 pub use trace::{RoundTrace, TraceConfig, TraceRecorder};

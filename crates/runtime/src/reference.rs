@@ -15,7 +15,7 @@
 //!
 //! It is not optimized, and should not be used outside tests and benches.
 
-use crate::cost::{default_cost_mode, BandwidthMeter, CostMode, MessageCost};
+use crate::cost::{BandwidthMeter, CostMode, MessageCost};
 use crate::metrics::RoundReport;
 use crate::network::{
     id_space_of, neighbor_id_table, node_ctx, ExecutionResult, RuntimeError, TracedRun,
@@ -35,13 +35,13 @@ pub struct ReferenceExecutor<'g> {
 }
 
 impl<'g> ReferenceExecutor<'g> {
-    /// Creates a reference executor for `graph` with the default round limit and the
-    /// process-wide default cost mode.
+    /// Creates a reference executor for `graph` with the default round limit and
+    /// [`CostMode::Local`].
     pub fn new(graph: &'g Graph) -> Self {
         ReferenceExecutor {
             graph,
             max_rounds: crate::Executor::DEFAULT_MAX_ROUNDS,
-            cost_mode: default_cost_mode(),
+            cost_mode: CostMode::Local,
         }
     }
 

@@ -16,11 +16,10 @@
 //!   O(|frontier| + messages) regardless of `n` and a skewed frontier spreads across the
 //!   workers.  A run uses `min(threads, ⌈n / chunk_size⌉)` workers; when that is one —
 //!   always at the default of one thread — the chunks are stepped in order on the caller.
-//! * [`ExecutorKind`] — a value describing which executor to use, plus a process-wide
-//!   default ([`set_default_executor`]/[`default_executor`], initially
-//!   [`ExecutorKind::sharded(1)`](ExecutorKind::sharded)) consulted by [`run_algorithm`],
-//!   the entry point the algorithm drivers across the workspace go through.  Flipping the
-//!   default reconfigures the whole stack.
+//! * [`RunConfig`] — an [`ExecutorKind`] plus a [`CostMode`].  [`run_algorithm`], the entry
+//!   point of the drivers across the workspace, runs under the current thread's value;
+//!   [`RunConfig::install`] scopes one to a thread and the [`WorkPool`]s it spawns, so one
+//!   install reconfigures a whole driver without touching other threads' runs.
 //!
 //! The only other implementation of the round is the [`ReferenceExecutor`] (pre-fabric
 //! mailboxes, linear-scan routing, no frontier), kept as the oracle the equivalence suites
@@ -66,7 +65,7 @@
 //! # }
 //! ```
 
-use crate::cost::{default_cost_mode, BandwidthMeter, CostMode, MessageCost};
+use crate::cost::{BandwidthMeter, CostMode, MessageCost};
 use crate::frontier::{ActiveSet, Frontier};
 use crate::metrics::RoundReport;
 use crate::network::{
@@ -78,6 +77,8 @@ use crate::obs;
 use crate::reference::ReferenceExecutor;
 use crate::trace::{RoundTrace, TraceConfig, TraceRecorder};
 use arbcolor_graph::{ArcIdx, Graph, Vertex};
+use std::cell::Cell;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 
@@ -113,7 +114,8 @@ impl WorkPool {
 
     /// Spawns the workers, runs `f` with a [`PoolScope`] handle for submitting fork/join
     /// batches, then shuts the workers down and joins them.  A one-thread pool spawns no
-    /// worker: `f` and every batch it submits run on the calling thread.
+    /// worker: `f` and every batch it submits run on the calling thread.  Workers run under
+    /// the caller's [`RunConfig`], so a job's [`run_algorithm`] calls behave as the caller's.
     ///
     /// Jobs submitted through the scope must not themselves submit to the same scope (the
     /// API makes this impossible: jobs never see the [`PoolScope`]).
@@ -121,11 +123,13 @@ impl WorkPool {
         if self.threads == 1 {
             return f(&PoolScope { workers: Vec::new() });
         }
+        let config = RunConfig::current();
         std::thread::scope(|s| {
             let mut workers = Vec::with_capacity(self.threads);
             for _ in 0..self.threads {
                 let (sender, receiver) = mpsc::channel::<Job<'env>>();
                 s.spawn(move || {
+                    let _config = config.install();
                     while let Ok(job) = receiver.recv() {
                         job();
                     }
@@ -207,7 +211,7 @@ impl<'env> PoolScope<'env> {
 }
 
 // ---------------------------------------------------------------------------
-// Executor selection
+// Run configuration
 // ---------------------------------------------------------------------------
 
 /// Which simulator implementation to run an algorithm on.
@@ -217,8 +221,7 @@ pub enum ExecutorKind {
     Sharded {
         /// Worker threads of the pool.
         threads: usize,
-        /// Vertices per stolen frontier chunk; 0 means "use the process-wide default"
-        /// (see [`set_default_chunk_size`]).
+        /// Vertices per stolen frontier chunk (see [`Executor::with_chunk_size`]).
         chunk_size: usize,
     },
     /// The pre-fabric `Vec<Vec<…>>` [`ReferenceExecutor`] with linear-scan routing.  A test
@@ -229,30 +232,65 @@ pub enum ExecutorKind {
 
 impl ExecutorKind {
     /// A work-stealing configuration with the given thread count (clamped to at least 1)
-    /// and the process-wide default chunk size.  `sharded(1)` is the process-wide default.
+    /// and [`Executor::DEFAULT_CHUNK_SIZE`].  `sharded(1)` is the default.
     pub const fn sharded(threads: usize) -> Self {
-        ExecutorKind::Sharded { threads: if threads == 0 { 1 } else { threads }, chunk_size: 0 }
+        ExecutorKind::Sharded {
+            threads: if threads == 0 { 1 } else { threads },
+            chunk_size: Executor::DEFAULT_CHUNK_SIZE,
+        }
     }
 
     /// The worker-thread budget of this configuration (1 for [`ExecutorKind::Reference`]).
-    ///
-    /// Phase drivers that parallelize *across* disjoint subgraphs (rather than across the
-    /// vertices of one execution) use this as their pool size.
     pub fn threads(&self) -> usize {
         match self {
             ExecutorKind::Reference => 1,
             ExecutorKind::Sharded { threads, .. } => (*threads).max(1),
         }
     }
+}
 
-    /// Runs `algorithm` on `graph` under this executor configuration.
-    ///
-    /// All configurations produce bit-identical results; only wall-clock time differs.
+/// The configuration a run executes under: which executor steps its rounds and which cost
+/// model charges them.
+///
+/// Each thread has a current value ([`RunConfig::current`], initially one thread under
+/// [`CostMode::Local`]) that [`run_algorithm`] runs under.  [`RunConfig::install`] replaces
+/// it until the guard drops, and the [`WorkPool`] workers a thread spawns inherit it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunConfig {
+    /// The executor every [`run_algorithm`] call dispatches to.
+    pub executor: ExecutorKind,
+    /// The cost model those runs charge and enforce.
+    pub cost_mode: CostMode,
+}
+
+thread_local! {
+    static CURRENT_CONFIG: Cell<RunConfig> = const { Cell::new(RunConfig::DEFAULT) };
+}
+
+impl RunConfig {
+    const DEFAULT: RunConfig =
+        RunConfig { executor: ExecutorKind::sharded(1), cost_mode: CostMode::Local };
+
+    /// The current thread's configuration.
+    pub fn current() -> Self {
+        CURRENT_CONFIG.get()
+    }
+
+    /// Makes this the current thread's configuration until the returned guard drops, which
+    /// restores the previous one (installs nest; unwinding restores too).
+    #[must_use = "the configuration is uninstalled when the guard drops"]
+    pub fn install(self) -> ConfigGuard {
+        ConfigGuard { previous: CURRENT_CONFIG.replace(self), _thread: PhantomData }
+    }
+
+    /// Runs `algorithm` on `graph` under this configuration.  Every executor produces
+    /// bit-identical results; only wall-clock time differs.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::RoundLimitExceeded`] if the algorithm does not terminate
-    /// within the default round limit.
+    /// within the default round limit, or [`RuntimeError::CongestBudgetExceeded`] if a
+    /// round overloads an edge under [`CostMode::Congest`].
     pub fn run<A>(
         &self,
         graph: &Graph,
@@ -264,63 +302,61 @@ impl ExecutorKind {
         <A::Node as NodeProgram>::Msg: Send + Sync,
         <A::Node as NodeProgram>::Output: Send,
     {
-        match *self {
-            ExecutorKind::Sharded { threads, chunk_size } => {
-                let mut executor = Executor::new(graph).with_threads(threads);
-                if chunk_size > 0 {
-                    executor = executor.with_chunk_size(chunk_size);
-                }
-                executor.run(algorithm)
+        match self.executor {
+            ExecutorKind::Sharded { threads, chunk_size } => Executor::new(graph)
+                .with_threads(threads)
+                .with_chunk_size(chunk_size)
+                .with_cost_mode(self.cost_mode)
+                .run(algorithm),
+            ExecutorKind::Reference => {
+                ReferenceExecutor::new(graph).with_cost_mode(self.cost_mode).run(algorithm)
             }
-            ExecutorKind::Reference => ReferenceExecutor::new(graph).run(algorithm),
         }
     }
 }
 
-/// The process-wide default executor configuration (starts out at one thread).
-static DEFAULT_EXECUTOR: Mutex<ExecutorKind> = Mutex::new(ExecutorKind::sharded(1));
+impl Default for RunConfig {
+    fn default() -> Self {
+        RunConfig::DEFAULT
+    }
+}
 
-/// Sets the process-wide default executor used by [`run_algorithm`].
-///
-/// All kinds produce bit-identical results, so flipping the default mid-run changes
-/// wall-clock behaviour only; binaries typically set it once from a CLI flag.
+/// Restores the previously current [`RunConfig`] on drop.  Returned by
+/// [`RunConfig::install`]; tied to the installing thread.
+#[derive(Debug)]
+pub struct ConfigGuard {
+    previous: RunConfig,
+    _thread: PhantomData<*const ()>,
+}
+
+impl Drop for ConfigGuard {
+    fn drop(&mut self) {
+        CURRENT_CONFIG.set(self.previous);
+    }
+}
+
+/// Replaces the current thread's executor, keeping its cost mode.  Only `scalebench/` still
+/// calls this; everything else installs a scoped [`RunConfig`].
 pub fn set_default_executor(kind: ExecutorKind) {
-    *DEFAULT_EXECUTOR.lock().expect("executor-kind lock") = kind;
+    CURRENT_CONFIG.set(RunConfig { executor: kind, ..RunConfig::current() });
 }
 
-/// The current process-wide default executor configuration.
+/// The current thread's executor.  Only `scalebench/` still calls this; everything else
+/// reads [`RunConfig::current`].
 pub fn default_executor() -> ExecutorKind {
-    *DEFAULT_EXECUTOR.lock().expect("executor-kind lock")
+    RunConfig::current().executor
 }
 
-/// The process-wide default for the work-stealing chunk size (see
-/// [`Executor::with_chunk_size`]).
-static CHUNK_SIZE: AtomicUsize = AtomicUsize::new(Executor::DEFAULT_CHUNK_SIZE);
-
-/// Sets the process-wide default chunk size picked up by new [`Executor`]s (clamped to at
-/// least 1).
-///
-/// Results are identical at any chunk size — the chunking only decides steal granularity
-/// and, through it, how many workers a run uses.  Binaries expose it as `--chunk-size` so
-/// CI can split even tiny graphs across workers and diff the rows against one thread.
-pub fn set_default_chunk_size(chunk_size: usize) {
-    CHUNK_SIZE.store(chunk_size.max(1), Ordering::Relaxed);
-}
-
-/// The current process-wide default work-stealing chunk size.
-pub fn default_chunk_size() -> usize {
-    CHUNK_SIZE.load(Ordering::Relaxed)
-}
-
-/// Runs `algorithm` on `graph` under the process-wide default executor configuration.
+/// Runs `algorithm` on `graph` under the current thread's [`RunConfig`].
 ///
 /// This is the entry point the algorithm drivers across the workspace use, so a single
-/// [`set_default_executor`] call reconfigures the whole stack.
+/// [`RunConfig::install`] reconfigures every run a driver makes.
 ///
 /// # Errors
 ///
 /// Returns [`RuntimeError::RoundLimitExceeded`] if the algorithm does not terminate within
-/// the default round limit.
+/// the default round limit, or [`RuntimeError::CongestBudgetExceeded`] if a round overloads
+/// an edge under [`CostMode::Congest`].
 pub fn run_algorithm<A>(
     graph: &Graph,
     algorithm: &A,
@@ -331,7 +367,7 @@ where
     <A::Node as NodeProgram>::Msg: Send + Sync,
     <A::Node as NodeProgram>::Output: Send,
 {
-    default_executor().run(graph, algorithm)
+    RunConfig::current().run(graph, algorithm)
 }
 
 // ---------------------------------------------------------------------------
@@ -410,16 +446,15 @@ impl<'g> Executor<'g> {
     /// skewed frontier across workers, large enough to amortize the claim.
     pub const DEFAULT_CHUNK_SIZE: usize = 1024;
 
-    /// Creates an executor for `graph` with one thread, the default round limit, and the
-    /// process-wide default chunk size and cost mode (see [`set_default_chunk_size`] and
-    /// [`set_default_cost_mode`](crate::set_default_cost_mode)).
+    /// Creates an executor for `graph` with one thread, the default round limit and chunk
+    /// size, and [`CostMode::Local`].
     pub fn new(graph: &'g Graph) -> Self {
         Executor {
             graph,
             max_rounds: Self::DEFAULT_MAX_ROUNDS,
             threads: 1,
-            chunk_size: default_chunk_size(),
-            cost_mode: default_cost_mode(),
+            chunk_size: Self::DEFAULT_CHUNK_SIZE,
+            cost_mode: CostMode::Local,
         }
     }
 
@@ -920,29 +955,23 @@ mod tests {
 
     #[test]
     fn default_executor_round_trips() {
-        let before = default_executor();
-        set_default_executor(ExecutorKind::sharded(3));
-        assert_eq!(default_executor().threads(), 3);
-        set_default_executor(before);
-    }
-
-    #[test]
-    fn default_chunk_size_round_trips_and_clamps() {
-        let before = default_chunk_size();
-        set_default_chunk_size(64);
-        assert_eq!(default_chunk_size(), 64);
-        set_default_chunk_size(0);
-        assert_eq!(default_chunk_size(), 1, "chunk size clamps to at least 1");
-        set_default_chunk_size(before);
+        let kind = ExecutorKind::Sharded { threads: 3, chunk_size: 5 };
+        let config = RunConfig { executor: kind, ..RunConfig::default() }.install();
+        assert_eq!(default_executor(), kind);
+        drop(config);
+        assert_eq!(default_executor(), ExecutorKind::sharded(1));
     }
 
     #[test]
     fn executor_kind_dispatch_agrees_across_kinds() {
         let g = generators::grid(5, 6).unwrap().with_shuffled_ids(3);
-        let oracle = ExecutorKind::Reference.run(&g, &FloodMaxId { rounds: 4 }).unwrap();
+        let run = |executor| {
+            RunConfig { executor, ..RunConfig::default() }.run(&g, &FloodMaxId { rounds: 4 })
+        };
+        let oracle = run(ExecutorKind::Reference).unwrap();
         for kind in [ExecutorKind::sharded(1), ExecutorKind::Sharded { threads: 2, chunk_size: 5 }]
         {
-            let stolen = kind.run(&g, &FloodMaxId { rounds: 4 }).unwrap();
+            let stolen = run(kind).unwrap();
             assert_eq!(oracle.outputs, stolen.outputs, "{kind:?}");
             assert_eq!(oracle.report, stolen.report, "{kind:?}");
         }

@@ -15,13 +15,13 @@
 
 use arbcolor_baselines::registry::congest_headliners;
 use arbcolor_graph::generators;
-use arbcolor_runtime::{set_default_cost_mode, CostMode};
+use arbcolor_runtime::{CostMode, RunConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let g = generators::barabasi_albert(2_000, 3, 101)?.with_shuffled_ids(8);
     let budget = CostMode::congest_for(g.n(), 64);
     let budget_bits = budget.bits_per_edge().expect("congest_for returns Congest");
-    set_default_cost_mode(budget);
+    let congest = RunConfig { cost_mode: budget, ..RunConfig::default() }.install();
 
     println!(
         "CONGEST accounting on preferential attachment: n = {}, Δ = {}, budget = {} bits/edge/round\n",
@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    set_default_cost_mode(CostMode::Local);
+    drop(congest);
     println!("\nEvery run stayed within the enforced budget — the executors would have");
     println!("rejected any single-edge round above {budget_bits} bits with a typed error.");
     Ok(())

@@ -14,24 +14,22 @@
 //!   [`RuntimeError::CongestBudgetExceeded`] — naming the round, edge, width, and budget —
 //!   rather than panicking or silently truncating.
 //!
-//! The executor-kind and cost-mode knobs are process-wide, so the tests that flip them run
-//! inside one `#[test]` each (tests in one binary run concurrently by default).
+//! The executor kind and cost mode are a thread-scoped [`RunConfig`], so each test installs
+//! its own and cannot disturb the tests running beside it on other threads.
 
 use arbcolor::hkmt::hkmt_coloring;
 use arbcolor_graph::generators;
 use arbcolor_runtime::algorithms::ProposeMaxId;
 use arbcolor_runtime::{
-    default_executor, set_default_executor, CostMode, Executor, ExecutorKind, ReferenceExecutor,
-    RuntimeError,
+    CostMode, Executor, ExecutorKind, ReferenceExecutor, RunConfig, RuntimeError,
 };
 
 /// Runs the full HKMT pipeline under `kind` and returns its outcome signature.
 fn hkmt_signature(kind: ExecutorKind, seed: u64) -> (Vec<u64>, usize, usize, u64, u64) {
     let g = generators::barabasi_albert(600, 3, 71).unwrap().with_shuffled_ids(4);
-    let previous = default_executor();
-    set_default_executor(kind);
+    let config = RunConfig { executor: kind, ..RunConfig::default() }.install();
     let run = hkmt_coloring(&g, seed).expect("HKMT colors the fixture");
-    set_default_executor(previous);
+    drop(config);
     assert!(run.coloring.is_legal(&g));
     (
         run.coloring.colors().to_vec(),

@@ -9,7 +9,7 @@
 
 use arbcolor::dynamic::{DynamicColoring, GraphUpdate, RepairStrategy};
 use arbcolor_graph::{Graph, Vertex};
-use arbcolor_runtime::{default_executor, set_default_executor, ExecutorKind};
+use arbcolor_runtime::{ExecutorKind, RunConfig};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -185,10 +185,9 @@ fn repair_sequences_are_bit_identical_across_executor_kinds() {
     /// Final colors, per-batch `(frontier, repaired)` counts, and the compaction delta of
     /// one replay.
     type SequenceFingerprint = (Vec<u64>, Vec<(usize, Vec<Vertex>)>, (usize, usize));
-    let previous = default_executor();
     let mut reference: Option<SequenceFingerprint> = None;
     for kind in [ExecutorKind::sharded(1), ExecutorKind::sharded(3), ExecutorKind::Reference] {
-        set_default_executor(kind);
+        let _config = RunConfig { executor: kind, ..RunConfig::default() }.install();
         let mut rng = ChaCha8Rng::seed_from_u64(23);
         let mut dynamic = DynamicColoring::new(base.clone()).unwrap();
         let mut counts = Vec::new();
@@ -217,7 +216,6 @@ fn repair_sequences_are_bit_identical_across_executor_kinds() {
             }
         }
     }
-    set_default_executor(previous);
 }
 
 /// Ingested fixtures flow through the dynamic driver end to end (the E20 pipeline at its

@@ -10,9 +10,7 @@
 use arbcolor_baselines::registry::headline_algorithms;
 use arbcolor_graph::generators;
 use arbcolor_runtime::algorithms::{FloodMaxId, ProposeMaxId};
-use arbcolor_runtime::{
-    default_executor, set_default_executor, Executor, ExecutorKind, ReferenceExecutor,
-};
+use arbcolor_runtime::{Executor, ExecutorKind, ReferenceExecutor, RunConfig};
 use proptest::prelude::*;
 
 mod common;
@@ -59,17 +57,18 @@ proptest! {
 
 #[test]
 fn headline_pipelines_are_identical_under_the_reference_kind() {
-    // End-to-end: both headline coloring pipelines, dispatched through the process-wide
-    // executor switch, must produce the same palette, per-vertex colors, and LOCAL cost
+    // End-to-end: both headline coloring pipelines, dispatched through the installed run
+    // configuration, must produce the same palette, per-vertex colors, and LOCAL cost
     // whether every `run_algorithm` call lands on the old Vec-of-Vecs simulator or the flat
     // message fabric (one thread and three).
     let g = generators::union_of_random_forests(400, 3, 33).unwrap().with_shuffled_ids(7);
-    let previous = default_executor();
     for algorithm in headline_algorithms() {
-        set_default_executor(ExecutorKind::Reference);
+        let config =
+            RunConfig { executor: ExecutorKind::Reference, ..RunConfig::default() }.install();
         let reference = algorithm.run(&g).unwrap();
+        drop(config);
         for kind in [ExecutorKind::sharded(1), ExecutorKind::sharded(3)] {
-            set_default_executor(kind);
+            let _config = RunConfig { executor: kind, ..RunConfig::default() }.install();
             let flat = algorithm.run(&g).unwrap();
             assert_eq!(flat.colors, reference.colors, "{} palette under {kind:?}", flat.name);
             assert_eq!(flat.report, reference.report, "{} cost under {kind:?}", flat.name);
@@ -81,15 +80,17 @@ fn headline_pipelines_are_identical_under_the_reference_kind() {
             );
         }
     }
-    set_default_executor(previous);
 }
 
 #[test]
 fn reference_kind_dispatches_and_reports_one_thread() {
     let g = generators::grid(5, 6).unwrap().with_shuffled_ids(3);
     assert_eq!(ExecutorKind::Reference.threads(), 1);
-    let reference = ExecutorKind::Reference.run(&g, &FloodMaxId { rounds: 4 }).unwrap();
-    let flat = ExecutorKind::sharded(1).run(&g, &FloodMaxId { rounds: 4 }).unwrap();
+    let run = |executor| {
+        RunConfig { executor, ..RunConfig::default() }.run(&g, &FloodMaxId { rounds: 4 })
+    };
+    let reference = run(ExecutorKind::Reference).unwrap();
+    let flat = run(ExecutorKind::sharded(1)).unwrap();
     assert_eq!(reference.outputs, flat.outputs);
     assert_eq!(reference.report, flat.report);
 }

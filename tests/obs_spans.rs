@@ -17,8 +17,8 @@ use arbcolor_baselines::registry::congest_headliners;
 use arbcolor_graph::generators;
 use arbcolor_runtime::algorithms::FloodMaxId;
 use arbcolor_runtime::{
-    default_chunk_size, default_executor, obs, set_default_chunk_size, set_default_executor,
-    Executor, ExecutorKind, ReferenceExecutor, RoundReport, TraceConfig, TraceRecorder,
+    obs, Executor, ExecutorKind, ReferenceExecutor, RoundReport, RunConfig, TraceConfig,
+    TraceRecorder,
 };
 
 mod common;
@@ -146,44 +146,24 @@ fn executors_record_exec_spans_with_round_instants() {
         .any(|(k, v)| k == "executor.rounds" && *v == result.report.rounds as u64));
 }
 
-/// Restores the process-wide executor configuration even if an assertion unwinds.
-struct ExecutorConfigGuard {
-    executor: ExecutorKind,
-    chunk: usize,
-}
-
-impl ExecutorConfigGuard {
-    fn capture() -> Self {
-        ExecutorConfigGuard { executor: default_executor(), chunk: default_chunk_size() }
-    }
-}
-
-impl Drop for ExecutorConfigGuard {
-    fn drop(&mut self) {
-        set_default_executor(self.executor);
-        set_default_chunk_size(self.chunk);
-    }
-}
-
 /// One headliner's rollup: its name plus the `(phase name, phase report)` attribution.
 type HeadlinerRollup = (String, Vec<(String, RoundReport)>);
 
 #[test]
 fn headliner_phase_rollups_sum_to_the_report_and_match_across_executors() {
-    let _restore = ExecutorConfigGuard::capture();
     let g = generators::union_of_random_forests(300, 3, 57).unwrap().with_shuffled_ids(4);
 
     // name → (phase name, deterministic phase report fields) per executor kind.
     let mut per_kind: Vec<Vec<HeadlinerRollup>> = Vec::new();
+    // Non-default chunk sizes, to prove chunking cannot leak into costs.
     for kind in [
-        ExecutorKind::sharded(1),
+        ExecutorKind::Sharded { threads: 1, chunk_size: 7 },
         ExecutorKind::Sharded { threads: 2, chunk_size: 1 },
-        ExecutorKind::sharded(2),
-        ExecutorKind::sharded(4),
+        ExecutorKind::Sharded { threads: 2, chunk_size: 7 },
+        ExecutorKind::Sharded { threads: 4, chunk_size: 7 },
         ExecutorKind::Reference,
     ] {
-        set_default_executor(kind);
-        set_default_chunk_size(7); // non-default, to prove chunking cannot leak into costs
+        let _config = RunConfig { executor: kind, ..RunConfig::default() }.install();
 
         let collector = obs::SpanCollector::new();
         let _guard = obs::install(&collector);

@@ -5,15 +5,13 @@
 //! round count, same message count — for every graph, every chunk size, and every thread
 //! count, including the one-thread default that steps every chunk on the caller.  This
 //! suite drives that claim over the full generator suite with randomized sizes and seeds,
-//! and checks it end to end through the headline coloring pipelines dispatched via the
-//! process-wide executor switch.
+//! and checks it end to end through the headline coloring pipelines dispatched via an
+//! installed run configuration.
 
 use arbcolor_baselines::registry::headline_algorithms;
 use arbcolor_graph::generators;
 use arbcolor_runtime::algorithms::{FloodMaxId, ProposeMaxId};
-use arbcolor_runtime::{
-    default_executor, set_default_executor, Executor, ExecutorKind, ReferenceExecutor,
-};
+use arbcolor_runtime::{Executor, ExecutorKind, ReferenceExecutor, RunConfig};
 use proptest::prelude::*;
 
 /// Thread counts the equivalence matrix is driven over.
@@ -105,12 +103,10 @@ fn chunk_size_never_changes_results() {
 #[test]
 fn headline_pipelines_are_identical_under_every_executor_kind() {
     // End-to-end: the full Barenboim–Elkin and Ghaffari–Kuhn pipelines, dispatched through
-    // the process-wide executor switch the whole stack consults, must produce the same
+    // the installed run configuration the whole stack consults, must produce the same
     // coloring and the same LOCAL cost under every executor configuration.
     let g = generators::union_of_random_forests(400, 3, 33).unwrap().with_shuffled_ids(7);
-    let previous = default_executor();
     for algorithm in headline_algorithms() {
-        set_default_executor(ExecutorKind::sharded(1));
         let sequential = algorithm.run(&g).unwrap();
         let kinds = [
             ExecutorKind::Reference,
@@ -118,7 +114,7 @@ fn headline_pipelines_are_identical_under_every_executor_kind() {
             ExecutorKind::Sharded { threads: 4, chunk_size: 1 },
         ];
         for kind in kinds {
-            set_default_executor(kind);
+            let _config = RunConfig { executor: kind, ..RunConfig::default() }.install();
             let parallel = algorithm.run(&g).unwrap();
             assert_eq!(parallel.colors, sequential.colors, "{} palette", sequential.name);
             assert_eq!(parallel.report, sequential.report, "{} cost", sequential.name);
@@ -130,5 +126,4 @@ fn headline_pipelines_are_identical_under_every_executor_kind() {
             );
         }
     }
-    set_default_executor(previous);
 }
