@@ -27,10 +27,11 @@
 //! tiny smoke graphs execute on several workers.  Results are bit-identical at every chunk
 //! size; only the steal granularity (and thus load balance) changes.
 //!
-//! `--seed N` (or `--seed=N`) sets the process-wide experiment seed (default 42) that
-//! randomized contenders derive their PRNGs from — currently E22's HKMT headliner.  For a
-//! fixed seed every table is bit-identical across executors and thread counts; the CI
-//! `congest-smoke` job runs E22 under both executors with the same seed and diffs the rows.
+//! `--seed N` (or `--seed=N`) sets the seed (default 42) that randomized contenders derive
+//! their PRNGs from — currently the HKMT headliner of E22 and E23, which take it as an
+//! argument through the catalog.  For a fixed seed every table is bit-identical across
+//! executors and thread counts; the CI `congest-smoke` job runs E22 under both executors
+//! with the same seed and diffs the rows.
 //!
 //! `--perf-out FILE` (or `--perf-out=FILE`) additionally writes the performance-tracking
 //! rows (the experiments in `arbcolor_bench::perf::PERF_EXPERIMENTS` — currently the
@@ -110,13 +111,12 @@ fn main() {
             .max(1),
     };
     let _config = RunConfig { executor, ..RunConfig::default() }.install();
-    if let Some(value) = seed {
-        let parsed = value.parse::<u64>().unwrap_or_else(|_| {
+    let seed = seed.map_or(experiments::DEFAULT_SEED, |value| {
+        value.parse::<u64>().unwrap_or_else(|_| {
             eprintln!("--seed expects a number, got {value:?}");
             std::process::exit(1);
-        });
-        experiments::set_experiment_seed(parsed);
-    }
+        })
+    });
 
     // `--trace-out`: record every executor run and driver phase for the whole invocation.
     let collector = trace_out.map(|_| obs::SpanCollector::new());
@@ -142,7 +142,7 @@ fn main() {
     };
 
     // Filter the lazy catalog first so selecting one experiment runs only that experiment.
-    let catalog = experiments::catalog();
+    let catalog = experiments::catalog(seed);
     let unknown: Vec<&String> =
         which.iter().filter(|w| *w != "ALL" && !catalog.iter().any(|(id, _)| id == w)).collect();
     if !unknown.is_empty() {

@@ -23,24 +23,13 @@ use arbcolor_decompose::defective::defective_coloring;
 use arbcolor_decompose::forests::bounded_outdegree_orientation;
 use arbcolor_graph::{degeneracy, generators, Graph};
 use arbcolor_runtime::{CostMode, ExecutorKind, RoundReport, RunConfig};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 const EPS: f64 = 1.0;
 
-/// The process-wide seed for experiments with randomized contenders (E22's HKMT headliner).
-/// Defaults to 42 — the value every committed table and CI baseline was produced with.
-static EXPERIMENT_SEED: AtomicU64 = AtomicU64::new(42);
-
-/// Sets the seed randomized experiments derive their PRNGs from (the `--seed` CLI flag).
-pub fn set_experiment_seed(seed: u64) {
-    EXPERIMENT_SEED.store(seed, Ordering::Relaxed);
-}
-
-/// The current experiment seed (see [`set_experiment_seed`]).
-pub fn experiment_seed() -> u64 {
-    EXPERIMENT_SEED.load(Ordering::Relaxed)
-}
+/// The seed of the randomized contenders (E22/E23's HKMT headliner) when `--seed` is not
+/// given — the value every committed table and CI baseline was produced with.
+pub const DEFAULT_SEED: u64 = 42;
 
 /// The current [`RunConfig`] (the CLI's `--par`/`--chunk-size`) with its executor replaced
 /// by `executor`.  A work-stealing `executor` keeps the current chunk size, so
@@ -120,7 +109,7 @@ pub fn e2_complete_orientation(sz: SizeClass) -> Vec<Row> {
                     (oriented.bucket_palette_bound + 1) as f64
                         * (oriented.partition.num_buckets + 1) as f64,
                 )
-                .with("rounds", oriented.report().rounds as f64),
+                .with("rounds", oriented.report.rounds as f64),
         );
     }
     rows
@@ -139,7 +128,7 @@ pub fn e3_partial_orientation(sz: SizeClass) -> Vec<Row> {
                 .with("measured_deficit", oriented.orientation.max_deficit(&g) as f64)
                 .with("measured_out_degree", oriented.orientation.max_out_degree(&g) as f64)
                 .with("measured_length", oriented.measured_length as f64)
-                .with("rounds", oriented.report().rounds as f64),
+                .with("rounds", oriented.report.rounds as f64),
         );
     }
     rows
@@ -156,7 +145,7 @@ pub fn e4_arbdefective_coloring(sz: SizeClass) -> Vec<Row> {
             Row::new("E4", format!("forests n={}, a={a}, k={k}, t={t}", g.n()))
                 .with("claimed_arbdefect", out.arbdefect_bound() as f64)
                 .with("measured_arbdefect", worst as f64)
-                .with("rounds", out.ledger.total().rounds as f64),
+                .with("rounds", out.report.rounds as f64),
         );
     }
     rows
@@ -305,7 +294,7 @@ pub fn e12_mis(sz: SizeClass) -> Vec<Row> {
         rows.push(
             Row::new("E12", format!("forests n={}, a={a}", g.n()))
                 .with("det_size", det.size as f64)
-                .with("det_rounds", det.ledger.total().rounds as f64)
+                .with("det_rounds", det.report.rounds as f64)
                 .with("luby_size", luby.size as f64)
                 .with("luby_rounds", luby.report.rounds as f64),
         );
@@ -375,7 +364,7 @@ pub fn e15_primitives(sz: SizeClass) -> Vec<Row> {
                 .with("target_arbdefect", d as f64)
                 .with("measured_arbdefect", worst as f64)
                 .with("colors", out.coloring.distinct_colors() as f64)
-                .with("rounds", out.ledger.total().rounds as f64),
+                .with("rounds", out.report.rounds as f64),
         );
     }
     rows
@@ -889,10 +878,10 @@ pub fn e21_frontier_collapse(sz: SizeClass) -> Vec<Row> {
 /// Every row reports the two bandwidth columns the perf gate tracks (`total_bits`, the
 /// pipeline's aggregate traffic, and `max_edge_bits`, the worst single-edge round) next to
 /// the budget they were enforced under, and every coloring is re-verified legal within
-/// `Δ + 1` before its row is emitted.  The HKMT contender draws from the process-wide
-/// [`experiment_seed`] (the `--seed` flag), so for a fixed seed the whole table is
-/// bit-identical across executors — the CI `congest-smoke` job diffs exactly that.
-pub fn e22_congest_bandwidth_race(sz: SizeClass) -> Vec<Row> {
+/// `Δ + 1` before its row is emitted.  The HKMT contender draws from `seed` (the `--seed`
+/// flag), so for a fixed seed the whole table is bit-identical across executors — the CI
+/// `congest-smoke` job diffs exactly that.
+pub fn e22_congest_bandwidth_race(sz: SizeClass, seed: u64) -> Vec<Row> {
     let families = headline_families(sz);
     let mut rows = Vec::new();
     for (family, g) in &families {
@@ -902,7 +891,7 @@ pub fn e22_congest_bandwidth_race(sz: SizeClass) -> Vec<Row> {
         let budget = CostMode::congest_for(g.n(), 64);
         let _congest = RunConfig { cost_mode: budget, ..RunConfig::current() }.install();
         let delta_plus_one = g.max_degree() + 1;
-        for algorithm in congest_headliners(experiment_seed()) {
+        for algorithm in congest_headliners(seed) {
             let outcome = algorithm
                 .run(g)
                 .unwrap_or_else(|e| panic!("{} failed on {family}: {e}", algorithm.name()));
@@ -959,9 +948,9 @@ pub fn e22_congest_bandwidth_race(sz: SizeClass) -> Vec<Row> {
 /// the headline report in `rounds`, `messages`, and `total_bits` — the invariant the
 /// `tests/obs_spans.rs` suite also checks across executors — and emits one
 /// `ph_<phase>_{rounds,messages,bits}` column triple per phase.  All phase columns are
-/// deterministic (HKMT draws from the process-wide [`experiment_seed`]), so the perf gate
-/// tracks them like any other cost column.
-pub fn e23_phase_breakdown(sz: SizeClass) -> Vec<Row> {
+/// deterministic (HKMT draws from `seed`, the `--seed` flag), so the perf gate tracks them
+/// like any other cost column.
+pub fn e23_phase_breakdown(sz: SizeClass, seed: u64) -> Vec<Row> {
     use arbcolor_runtime::obs;
 
     // Reuse the collector installed by `--trace-out` when present (so E23's spans land in
@@ -974,7 +963,7 @@ pub fn e23_phase_breakdown(sz: SizeClass) -> Vec<Row> {
     let mut rows = Vec::new();
     for (family, g) in &families {
         let delta_plus_one = g.max_degree() + 1;
-        for algorithm in congest_headliners(experiment_seed()) {
+        for algorithm in congest_headliners(seed) {
             let parent = collector.len();
             let span = obs::phase(algorithm.name());
             let outcome = algorithm
@@ -1435,44 +1424,41 @@ fn grow(graph: &Graph, batch: &[(usize, usize)]) -> Graph {
     builder.build().with_vertex_ids(graph.ids().to_vec()).expect("ids are a permutation")
 }
 
-/// One experiment of the catalog.
-pub type ExperimentFn = fn(SizeClass) -> Vec<Row>;
+/// One experiment of the catalog, ready to run at a size class.
+pub type Experiment = Box<dyn Fn(SizeClass) -> Vec<Row>>;
 
-/// The experiment catalog: `(id, function)` pairs in index order.  Callers that only want a
-/// single experiment should filter this *before* running anything — every entry is lazy.
-pub fn catalog() -> Vec<(&'static str, ExperimentFn)> {
+/// The experiment catalog: `(id, experiment)` pairs in index order, with the experiments
+/// that race randomized contenders (E22, E23) drawing from `seed`.  Callers that only want
+/// a single experiment should filter this *before* running anything — every entry is lazy.
+pub fn catalog(seed: u64) -> Vec<(&'static str, Experiment)> {
+    let sized = |run: fn(SizeClass) -> Vec<Row>| -> Experiment { Box::new(run) };
     vec![
-        ("E1", e1_simple_arbdefective),
-        ("E2", e2_complete_orientation),
-        ("E3", e3_partial_orientation),
-        ("E4", e4_arbdefective_coloring),
-        ("E5", e5_one_shot),
-        ("E6", e6_o_a_coloring),
-        ("E7", e7_a_one_plus_o1),
-        ("E8", e8_headline),
-        ("E9", e9_sparse_delta),
-        ("E10", e10_sub_quadratic),
-        ("E11", e11_tradeoff),
-        ("E12", e12_mis),
-        ("E13", e13_baseline_table),
-        ("E14", e14_figure1),
-        ("E15", e15_primitives),
-        ("E16", e16_headline_head_to_head),
-        ("E17", e17_sharded_scale),
-        ("E18", e18_routing_fabric),
-        ("E19", e19_real_graph_ingestion),
-        ("E20", e20_dynamic_recoloring),
-        ("E21", e21_frontier_collapse),
-        ("E22", e22_congest_bandwidth_race),
-        ("E23", e23_phase_breakdown),
-        ("E24", e24_palette_engine),
-        ("E25", e25_service_sustained_updates),
+        ("E1", sized(e1_simple_arbdefective)),
+        ("E2", sized(e2_complete_orientation)),
+        ("E3", sized(e3_partial_orientation)),
+        ("E4", sized(e4_arbdefective_coloring)),
+        ("E5", sized(e5_one_shot)),
+        ("E6", sized(e6_o_a_coloring)),
+        ("E7", sized(e7_a_one_plus_o1)),
+        ("E8", sized(e8_headline)),
+        ("E9", sized(e9_sparse_delta)),
+        ("E10", sized(e10_sub_quadratic)),
+        ("E11", sized(e11_tradeoff)),
+        ("E12", sized(e12_mis)),
+        ("E13", sized(e13_baseline_table)),
+        ("E14", sized(e14_figure1)),
+        ("E15", sized(e15_primitives)),
+        ("E16", sized(e16_headline_head_to_head)),
+        ("E17", sized(e17_sharded_scale)),
+        ("E18", sized(e18_routing_fabric)),
+        ("E19", sized(e19_real_graph_ingestion)),
+        ("E20", sized(e20_dynamic_recoloring)),
+        ("E21", sized(e21_frontier_collapse)),
+        ("E22", Box::new(move |sz| e22_congest_bandwidth_race(sz, seed))),
+        ("E23", Box::new(move |sz| e23_phase_breakdown(sz, seed))),
+        ("E24", sized(e24_palette_engine)),
+        ("E25", sized(e25_service_sustained_updates)),
     ]
-}
-
-/// Runs every experiment at the given size, returning `(experiment id, rows)` pairs.
-pub fn run_all(sz: SizeClass) -> Vec<(&'static str, Vec<Row>)> {
-    catalog().into_iter().map(|(id, run)| (id, run(sz))).collect()
 }
 
 #[cfg(test)]
@@ -1499,7 +1485,7 @@ mod tests {
     fn catalog_includes_the_scale_and_routing_sweeps() {
         // E17/E18 are exercised (and their executors cross-checked) by the CI smoke tier;
         // here we only pin their catalog identities so `experiments -- E17`/`E18` resolve.
-        let ids: Vec<&str> = catalog().iter().map(|(id, _)| *id).collect();
+        let ids: Vec<&str> = catalog(DEFAULT_SEED).iter().map(|(id, _)| *id).collect();
         assert_eq!(ids.first(), Some(&"E1"));
         assert_eq!(ids.last(), Some(&"E25"));
         assert_eq!(ids.len(), 25);
@@ -1545,7 +1531,7 @@ mod tests {
     #[test]
     fn e22_enforces_the_congest_budget_and_restores_the_cost_mode() {
         let before = RunConfig::current();
-        let rows = e22_congest_bandwidth_race(SizeClass::Smoke);
+        let rows = e22_congest_bandwidth_race(SizeClass::Smoke, DEFAULT_SEED);
         assert_eq!(RunConfig::current(), before, "E22 must restore the run configuration");
         // Three headliners per family, every row within its enforced budget.
         assert_eq!(rows.len() % 3, 0);
@@ -1561,7 +1547,7 @@ mod tests {
     fn e23_phase_columns_sum_to_the_headline_report() {
         // The experiment itself asserts the bit-exact sum before emitting a row; here we
         // re-check the emitted columns and pin the phase vocabulary per headliner.
-        let rows = e23_phase_breakdown(SizeClass::Smoke);
+        let rows = e23_phase_breakdown(SizeClass::Smoke, DEFAULT_SEED);
         assert_eq!(rows.len() % 3, 0);
         for row in &rows {
             assert_eq!(row.values["legal"], 1.0);

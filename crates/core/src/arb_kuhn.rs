@@ -15,7 +15,7 @@ use crate::error::CoreError;
 use arbcolor_decompose::forests::bounded_outdegree_orientation;
 use arbcolor_decompose::linial::{RecolorSchedule, RecolorStep};
 use arbcolor_graph::{Coloring, Graph, Orientation};
-use arbcolor_runtime::{run_algorithm, Algorithm, CostLedger, Inbox, NodeCtx, Outbox, Status};
+use arbcolor_runtime::{run_algorithm, Algorithm, Inbox, NodeCtx, Outbox, RoundReport, Status};
 use std::collections::HashMap;
 
 /// The Arb-Recolor iteration driver (node-program factory).
@@ -119,8 +119,8 @@ pub struct ArbKuhnColoring {
     pub orientation: Orientation,
     /// Per-class witness orientations (restrictions of `orientation` to the classes).
     pub witnesses: HashMap<u64, Orientation>,
-    /// Per-phase LOCAL cost.
-    pub ledger: CostLedger,
+    /// LOCAL cost: the bounded out-degree orientation, then the recoloring iterations.
+    pub report: RoundReport,
 }
 
 impl ArbKuhnColoring {
@@ -150,9 +150,7 @@ pub fn arb_kuhn_coloring(
     target_arbdefect: usize,
     epsilon: f64,
 ) -> Result<ArbKuhnColoring, CoreError> {
-    let mut ledger = CostLedger::new();
     let bounded = bounded_outdegree_orientation(graph, arboricity.max(1), epsilon)?;
-    ledger.push("orientation", bounded.report);
 
     let id_space = graph.ids().iter().copied().max().unwrap_or(1);
     let schedule =
@@ -160,7 +158,7 @@ pub fn arb_kuhn_coloring(
     let algorithm =
         ArbRecolorAlgorithm { graph, orientation: &bounded.orientation, schedule: &schedule };
     let result = run_algorithm(graph, &algorithm)?;
-    ledger.push("arb-recolor", result.report);
+    let report = bounded.report.then(result.report);
     let coloring = Coloring::new(graph, result.outputs)?;
     let arbdefect_bound = schedule.total_budget() as usize;
 
@@ -182,7 +180,7 @@ pub fn arb_kuhn_coloring(
         palette_bound: schedule.final_colors(),
         orientation: bounded.orientation,
         witnesses,
-        ledger,
+        report,
     };
     let worst = out.verify(graph).map_err(|e| CoreError::InvariantViolated {
         reason: format!("Lemma 5.1 witness check failed: {e}"),
@@ -234,10 +232,6 @@ mod tests {
         let g = generators::union_of_random_forests(1000, 4, 9).unwrap().with_shuffled_ids(8);
         let out = arb_kuhn_coloring(&g, 4, 2, 1.0).unwrap();
         let logn = (g.n() as f64).log2().ceil() as usize;
-        assert!(
-            out.ledger.total().rounds <= 6 * logn + 20,
-            "rounds {} exceed O(log n)",
-            out.ledger.total().rounds
-        );
+        assert!(out.report.rounds <= 6 * logn + 20, "rounds {} exceed O(log n)", out.report.rounds);
     }
 }

@@ -10,7 +10,7 @@ use crate::error::CoreError;
 use crate::orientation_procs::{partial_orientation, OrientedGraph};
 use crate::simple_arbdefective::{simple_arbdefective, ArbdefectiveColoring};
 use arbcolor_graph::Graph;
-use arbcolor_runtime::CostLedger;
+use arbcolor_runtime::RoundReport;
 
 /// Output of Procedure Arbdefective-Coloring.
 #[derive(Debug, Clone)]
@@ -19,8 +19,8 @@ pub struct ArbdefectiveDecomposition {
     pub coloring: ArbdefectiveColoring,
     /// The partial orientation it was computed from.
     pub oriented: OrientedGraph,
-    /// Per-phase LOCAL cost of the whole procedure.
-    pub ledger: CostLedger,
+    /// LOCAL cost of the whole procedure: the partial orientation, then the DAG sweep.
+    pub report: RoundReport,
 }
 
 impl ArbdefectiveDecomposition {
@@ -66,8 +66,6 @@ pub fn arbdefective_coloring(
         });
     }
     let oriented = partial_orientation(graph, arboricity, t, epsilon)?;
-    let mut ledger = CostLedger::new();
-    ledger.extend(&oriented.ledger);
     let coloring = simple_arbdefective(
         graph,
         &oriented.orientation,
@@ -75,8 +73,8 @@ pub fn arbdefective_coloring(
         oriented.out_degree_bound,
         oriented.deficit_bound,
     )?;
-    ledger.push("simple-arbdefective-sweep", coloring.report);
-    Ok(ArbdefectiveDecomposition { coloring, oriented, ledger })
+    let report = oriented.report.then(coloring.report);
+    Ok(ArbdefectiveDecomposition { coloring, oriented, report })
 }
 
 #[cfg(test)]
@@ -125,7 +123,7 @@ mod tests {
         let g = generators::gnp(500, 0.04, 11).unwrap().with_shuffled_ids(12);
         let a = arbcolor_graph::degeneracy::degeneracy(&g);
         let out = arbdefective_coloring(&g, a, 2, 2, 1.0).unwrap();
-        let rounds = out.ledger.total().rounds;
+        let rounds = out.report.rounds;
         let structural =
             (out.oriented.bucket_palette_bound + 2) * (out.oriented.partition.num_buckets + 2) + 64;
         assert!(rounds <= structural, "rounds {rounds} exceed structural bound {structural}");

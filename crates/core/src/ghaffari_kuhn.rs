@@ -44,7 +44,7 @@ use arbcolor_graph::{ColorPool, Coloring, Graph, InducedSubgraph, Vertex};
 use arbcolor_runtime::algorithms::{
     HalvingSplit, ListColorSchedule, ScheduledListColor, SplitChoice, SplitSlot,
 };
-use arbcolor_runtime::{obs, parallel_max, run_algorithm, CostLedger, RoundReport};
+use arbcolor_runtime::{obs, parallel_max, run_algorithm, RoundReport};
 
 /// Color-space size at or below which an instance is finished by a direct greedy list sweep
 /// (its maximum degree is below this bound too, because lists have greedy slack).
@@ -114,7 +114,7 @@ pub fn ghaffari_kuhn_list_coloring(
         });
     }
     let space = lists.color_space();
-    let mut ledger = CostLedger::new();
+    let mut report = RoundReport::zero();
     let mut colors: Vec<Option<u64>> = vec![None; graph.n()];
     let mut deferred: Vec<Vertex> = Vec::new();
     let mut active = vec![Instance {
@@ -202,9 +202,7 @@ pub fn ghaffari_kuhn_list_coloring(
         }
 
         let level_report = parallel_max(&leaf_reports).alongside(parallel_max(&split_reports));
-        if level_report != RoundReport::zero() {
-            ledger.push(format!("level-{level}"), level_report);
-        }
+        report = report.then(level_report);
         level_span.charge(level_report);
         drop(level_span);
         active = next;
@@ -223,19 +221,20 @@ pub fn ghaffari_kuhn_list_coloring(
             cleanup_lists.push_slice(lists.list(parent));
             forbidden.push_iter(graph.neighbors(parent).iter().filter_map(|&u| colors[u]));
         }
-        let (cleanup_colors, report) = scheduled_sweep(&sub.graph, cleanup_lists, Some(forbidden))?;
+        let (cleanup_colors, cleanup) =
+            scheduled_sweep(&sub.graph, cleanup_lists, Some(forbidden))?;
         for (child, c) in cleanup_colors.into_iter().enumerate() {
             colors[sub.map.to_parent(child)] = Some(c);
         }
-        cleanup_span.charge(report);
-        ledger.push("deferred-cleanup", report);
+        cleanup_span.charge(cleanup);
+        report = report.then(cleanup);
     }
 
     let colors: Vec<u64> =
         colors.into_iter().map(|c| c.expect("the recursion covers every vertex")).collect();
     let coloring = Coloring::new(graph, colors)?;
     lists.verify(graph, &coloring)?;
-    Ok(ColoringRun::new(coloring, space, ledger))
+    Ok(ColoringRun::new(coloring, space, report))
 }
 
 /// Greedily list colors a (sub)graph over a legal schedule: Linial plus Kuhn–Wattenhofer

@@ -33,8 +33,7 @@ use crate::list_coloring::ColorLists;
 use crate::report::ColoringRun;
 use arbcolor_graph::{Coloring, Graph, InducedSubgraph, PaletteSet, PaletteStats, Vertex};
 use arbcolor_runtime::{
-    obs, run_algorithm, Algorithm, CostLedger, Inbox, MessageCost, NodeCtx, NodeProgram, Outbox,
-    Status,
+    obs, run_algorithm, Algorithm, Inbox, MessageCost, NodeCtx, NodeProgram, Outbox, Status,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -277,12 +276,11 @@ pub fn hkmt_list_coloring(
         });
     }
 
-    let mut ledger = CostLedger::new();
     let trials_span = obs::phase("random-trials");
     let trials = RandomTrials::new(seed, default_trials(graph.n()), lists);
     let sampling = run_algorithm(graph, &trials)?;
     obs::record_palette(trials.stats());
-    ledger.push("random-trials", sampling.report);
+    let mut report = sampling.report;
     trials_span.charge(sampling.report);
     drop(trials_span);
     let mut colors: Vec<Option<u64>> = sampling.outputs;
@@ -324,7 +322,7 @@ pub fn hkmt_list_coloring(
         for child in 0..sub.graph.n() {
             colors[sub.map.to_parent(child)] = Some(fallback.coloring.color(child));
         }
-        ledger.push("gk-fallback", fallback.report);
+        report = report.then(fallback.report);
         fallback_span.charge(fallback.report);
         drop(fallback_span);
     }
@@ -339,7 +337,7 @@ pub fn hkmt_list_coloring(
         .collect::<Result<_, _>>()?;
     let coloring = Coloring::new(graph, colors)?;
     lists.verify(graph, &coloring)?;
-    Ok(ColoringRun::new(coloring, lists.color_space(), ledger))
+    Ok(ColoringRun::new(coloring, lists.color_space(), report))
 }
 
 /// The `(deg+1)` entry point: every vertex lists `{0, …, deg(v)}`, so the result uses at

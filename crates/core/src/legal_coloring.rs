@@ -24,7 +24,7 @@ use crate::report::ColoringRun;
 use arbcolor_decompose::arb_linear::arboricity_linear_coloring;
 use arbcolor_decompose::hpartition::degree_threshold;
 use arbcolor_graph::{Coloring, Graph, InducedSubgraph, PartitionScratch};
-use arbcolor_runtime::{obs, parallel_max, CostLedger, RoundReport};
+use arbcolor_runtime::{obs, parallel_max, RoundReport};
 
 /// Parameters of the raw Legal-Coloring driver.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,9 +66,9 @@ struct PhaseScratch {
     partition: PartitionScratch,
     next_group: Vec<usize>,
     branch_reports: Vec<RoundReport>,
-    /// Per-branch "h-partition" ledger entries of the current refinement iteration, kept
-    /// alongside the branch totals so the iteration's cost can be attributed to
-    /// observability spans (H-partition share vs. the rest of the arbdefective work).
+    /// Per-branch H-partition reports of the current refinement iteration, kept alongside
+    /// the branch totals so the iteration's cost can be attributed to observability spans
+    /// (H-partition share vs. the rest of the arbdefective work).
     branch_hpartitions: Vec<RoundReport>,
 }
 
@@ -90,7 +90,7 @@ pub fn legal_coloring(
             reason: format!("the refinement parameter p must be at least 2, got {p}"),
         });
     }
-    let mut ledger = CostLedger::new();
+    let mut report = RoundReport::zero();
     let arboricity = arboricity.max(1);
 
     // `group[v]` identifies the subgraph of the current decomposition that contains `v`.
@@ -118,30 +118,22 @@ pub fn legal_coloring(
                 continue;
             }
             let refined = arbdefective_coloring(&sub.graph, alpha, p as u64, p, epsilon)?;
-            scratch.branch_reports.push(refined.ledger.total());
-            scratch.branch_hpartitions.push(
-                refined
-                    .ledger
-                    .phases()
-                    .iter()
-                    .find(|phase| phase.name == "h-partition")
-                    .map(|phase| phase.report)
-                    .unwrap_or_default(),
-            );
+            scratch.branch_reports.push(refined.report);
+            scratch.branch_hpartitions.push(refined.oriented.partition.report);
             for child in 0..sub.graph.n() {
                 let color = refined.coloring.coloring.color(child) as usize;
                 scratch.next_group[sub.map.to_parent(child)] = g_index * p + color;
             }
         }
         // Attribute the iteration's cost to observability spans: the H-partition share
-        // (parallel-max over the branches' "h-partition" entries) plus the exact residual
+        // (parallel-max over the branches' H-partition reports) plus the exact residual
         // (the remaining arbdefective work), which `then`-compose back to the iteration's
-        // ledger entry — so the phase rollup sums to the headline report bit-exactly.
+        // report — so the phase rollup sums to the headline report bit-exactly.
         let iteration_total = parallel_max(&scratch.branch_reports);
         let hpartition_share = parallel_max(&scratch.branch_hpartitions);
         obs::record_leaf("h-partition", hpartition_share);
         obs::record_leaf("arbdefective", obs::residual(iteration_total, hpartition_share));
-        ledger.push_parallel("refine", &scratch.branch_reports);
+        report = report.then(iteration_total);
         std::mem::swap(&mut group, &mut scratch.next_group);
         num_groups *= p;
         alpha = new_alpha;
@@ -165,9 +157,10 @@ pub fn legal_coloring(
                 g_index as u64 * palette + inner.coloring.color(child);
         }
     }
-    final_span.charge(parallel_max(&scratch.branch_reports));
+    let final_report = parallel_max(&scratch.branch_reports);
+    final_span.charge(final_report);
     drop(final_span);
-    ledger.push_parallel("final-legal-coloring", &scratch.branch_reports);
+    report = report.then(final_report);
 
     let coloring = Coloring::new(graph, colors)?;
     if !coloring.is_legal(graph) {
@@ -176,7 +169,7 @@ pub fn legal_coloring(
         });
     }
     let palette_bound = num_groups as u64 * palette;
-    Ok(ColoringRun::new(coloring, palette_bound, ledger))
+    Ok(ColoringRun::new(coloring, palette_bound, report))
 }
 
 /// Lemma 4.1: a single invocation of Procedure Arbdefective-Coloring with
@@ -194,9 +187,7 @@ pub fn one_shot_coloring(
     let arboricity = arboricity.max(1);
     let k = (arboricity as f64).powf(1.0 / 3.0).ceil() as usize;
     let k = k.max(1);
-    let mut ledger = CostLedger::new();
     let refined = arbdefective_coloring(graph, arboricity, k as u64, k, epsilon)?;
-    ledger.extend(&refined.ledger);
     let class_bound = refined.arbdefect_bound().max(1);
     let palette = degree_threshold(class_bound, epsilon) as u64 + 1;
 
@@ -212,14 +203,14 @@ pub fn one_shot_coloring(
             colors[sub.map.to_parent(child)] = class_color * palette + inner.coloring.color(child);
         }
     }
-    ledger.push_parallel("class-legal-coloring", &branch_reports);
+    let report = refined.report.then(parallel_max(&branch_reports));
     let coloring = Coloring::new(graph, colors)?;
     if !coloring.is_legal(graph) {
         return Err(CoreError::InvariantViolated {
             reason: "one-shot coloring produced a monochromatic edge".to_string(),
         });
     }
-    Ok(ColoringRun::new(coloring, k as u64 * palette, ledger))
+    Ok(ColoringRun::new(coloring, k as u64 * palette, report))
 }
 
 /// Theorem 4.3 / Corollary 4.4: an `O(a)`-coloring in `O(a^µ log n)` rounds, via

@@ -9,7 +9,7 @@
 use crate::error::CoreError;
 use crate::legal_coloring::{o_a_coloring, OaParams};
 use arbcolor_graph::{Coloring, Graph};
-use arbcolor_runtime::{run_algorithm, Algorithm, CostLedger, Inbox, NodeCtx, Outbox, Status};
+use arbcolor_runtime::{run_algorithm, Algorithm, Inbox, NodeCtx, Outbox, RoundReport, Status};
 
 /// The class-sweep MIS algorithm (node-program factory).
 #[derive(Debug, Clone)]
@@ -86,8 +86,8 @@ pub struct MisResult {
     pub in_mis: Vec<bool>,
     /// Size of the independent set.
     pub size: usize,
-    /// Per-phase LOCAL cost (coloring phases plus the class sweep).
-    pub ledger: CostLedger,
+    /// LOCAL cost (the coloring, if this call computed it, plus the class sweep).
+    pub report: RoundReport,
 }
 
 impl MisResult {
@@ -133,9 +133,7 @@ pub fn mis_from_coloring(graph: &Graph, coloring: &Coloring) -> Result<MisResult
     let result = run_algorithm(graph, &algorithm)?;
     let in_mis = result.outputs;
     let size = in_mis.iter().filter(|&&b| b).count();
-    let mut ledger = CostLedger::new();
-    ledger.push("mis-class-sweep", result.report);
-    let mis = MisResult { in_mis, size, ledger };
+    let mis = MisResult { in_mis, size, report: result.report };
     mis.verify(graph)?;
     Ok(mis)
 }
@@ -154,10 +152,7 @@ pub fn mis_bounded_arboricity(
 ) -> Result<MisResult, CoreError> {
     let coloring_run = o_a_coloring(graph, arboricity, OaParams { mu, epsilon })?;
     let mut mis = mis_from_coloring(graph, &coloring_run.coloring)?;
-    let mut ledger = CostLedger::new();
-    ledger.extend(&coloring_run.ledger);
-    ledger.extend(&mis.ledger);
-    mis.ledger = ledger;
+    mis.report = coloring_run.report.then(mis.report);
     Ok(mis)
 }
 
@@ -191,11 +186,7 @@ mod tests {
             assert!(mis.size > 0);
             // Rounds are O(colors + a^µ log n); sanity-check against a generous bound.
             let logn = (g.n() as f64).log2().ceil() as usize;
-            assert!(
-                mis.ledger.total().rounds <= 500 * logn,
-                "rounds {} look unbounded",
-                mis.ledger.total().rounds
-            );
+            assert!(mis.report.rounds <= 500 * logn, "rounds {} look unbounded", mis.report.rounds);
         }
     }
 

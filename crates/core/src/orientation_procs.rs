@@ -18,7 +18,7 @@ use arbcolor_decompose::hpartition::{h_partition, HPartition};
 use arbcolor_decompose::linial::linial_coloring;
 use arbcolor_decompose::reduction::greedy_reduce;
 use arbcolor_graph::{Graph, InducedSubgraph, Orientation, Vertex};
-use arbcolor_runtime::{parallel_max, CostLedger, ExecutorKind, RoundReport, RunConfig, WorkPool};
+use arbcolor_runtime::{parallel_max, ExecutorKind, RoundReport, RunConfig, WorkPool};
 
 /// An acyclic (partial) orientation produced by one of the orientation procedures, together
 /// with the parameters the paper's analysis guarantees for it.
@@ -38,18 +38,15 @@ pub struct OrientedGraph {
     pub bucket_palette_bound: usize,
     /// The measured length (longest consistently oriented path) of the orientation.
     pub measured_length: usize,
-    /// The H-partition both procedures are built on.
+    /// The H-partition both procedures are built on (its `report` is the procedure's
+    /// H-partition share of [`OrientedGraph::report`]).
     pub partition: HPartition,
-    /// Per-phase LOCAL cost.
-    pub ledger: CostLedger,
+    /// Total LOCAL cost: the H-partition, the parallel bucket colorings, and one round to
+    /// learn the neighbors' keys.
+    pub report: RoundReport,
 }
 
 impl OrientedGraph {
-    /// Total LOCAL cost.
-    pub fn report(&self) -> RoundReport {
-        self.ledger.total()
-    }
-
     /// Independently re-checks out-degree, deficit and acyclicity against the graph.
     ///
     /// # Errors
@@ -180,9 +177,7 @@ pub fn complete_orientation(
     arboricity: usize,
     epsilon: f64,
 ) -> Result<OrientedGraph, CoreError> {
-    let mut ledger = CostLedger::new();
     let partition = h_partition(graph, arboricity, epsilon)?;
-    ledger.push("h-partition", partition.report);
     let bound = partition.degree_bound;
 
     // Legally color every bucket with at most `A + 1` colors (buckets have maximum degree ≤ A).
@@ -193,9 +188,8 @@ pub fn complete_orientation(
         let report = linial.report.then(reduced.report);
         Ok((reduced.coloring.colors().to_vec(), report, palette as usize))
     })?;
-    ledger.push_parallel("bucket-legal-coloring", &[bucket_cost]);
     // Learning the neighbors' (bucket, color) keys takes one round.
-    ledger.push("orientation", RoundReport::new(1, 2 * graph.m()));
+    let report = partition.report.then(bucket_cost).then(RoundReport::new(1, 2 * graph.m()));
 
     let orientation = orient_by_keys(graph, &key);
     let measured_length = orientation.length(graph)?;
@@ -206,7 +200,7 @@ pub fn complete_orientation(
         bucket_palette_bound: palettes.into_iter().max().unwrap_or(1),
         measured_length,
         partition,
-        ledger,
+        report,
     };
     oriented.verify(graph)?;
     Ok(oriented)
@@ -229,9 +223,7 @@ pub fn partial_orientation(
         return Err(CoreError::InvalidParameter { reason: "t must be positive".to_string() });
     }
     let arboricity = arboricity.max(1);
-    let mut ledger = CostLedger::new();
     let partition = h_partition(graph, arboricity, epsilon)?;
-    ledger.push("h-partition", partition.report);
     let bound = partition.degree_bound;
     let deficit_bound = arboricity / t;
 
@@ -268,8 +260,7 @@ pub fn partial_orientation(
             defective.output.palette_bound as usize,
         ))
     })?;
-    ledger.push_parallel("bucket-defective-coloring", &[bucket_cost]);
-    ledger.push("orientation", RoundReport::new(1, 2 * graph.m()));
+    let report = partition.report.then(bucket_cost).then(RoundReport::new(1, 2 * graph.m()));
 
     let orientation = orient_by_keys(graph, &key);
     let measured_length = orientation.length(graph)?;
@@ -280,7 +271,7 @@ pub fn partial_orientation(
         bucket_palette_bound: palettes.into_iter().max().unwrap_or(1),
         measured_length,
         partition,
-        ledger,
+        report,
     };
     oriented.verify(graph)?;
     Ok(oriented)
@@ -330,9 +321,9 @@ mod tests {
         // O(log n) rounds: the H-partition dominates; allow a generous constant.
         let bound = 12 * ((g.n() as f64).log2().ceil() as usize + 2);
         assert!(
-            oriented.report().rounds <= bound,
+            oriented.report.rounds <= bound,
             "rounds {} exceed O(log n) bound {bound}",
-            oriented.report().rounds
+            oriented.report.rounds
         );
     }
 

@@ -1,7 +1,7 @@
 //! Uniform execution summaries returned by the top-level coloring entry points.
 
 use arbcolor_graph::{Coloring, Graph};
-use arbcolor_runtime::{CostLedger, RoundReport};
+use arbcolor_runtime::RoundReport;
 use serde::{Deserialize, Serialize};
 
 /// The result of running one of the paper's coloring algorithms.
@@ -13,18 +13,17 @@ pub struct ColoringRun {
     pub colors_used: usize,
     /// Theoretical bound on the palette for the chosen parameters.
     pub palette_bound: u64,
-    /// Total simulated LOCAL cost.
+    /// Total simulated LOCAL cost.  Drivers that record phase spans charge them with the
+    /// reports this total is composed from, so an installed
+    /// [`SpanCollector`](arbcolor_runtime::SpanCollector) holds the per-phase breakdown.
     pub report: RoundReport,
-    /// Per-phase breakdown of the cost.
-    pub ledger: CostLedger,
 }
 
 impl ColoringRun {
     /// Builds a run summary from its parts, computing `colors_used`.
-    pub fn new(coloring: Coloring, palette_bound: u64, ledger: CostLedger) -> Self {
+    pub fn new(coloring: Coloring, palette_bound: u64, report: RoundReport) -> Self {
         let colors_used = coloring.distinct_colors();
-        let report = ledger.total();
-        ColoringRun { coloring, colors_used, palette_bound, report, ledger }
+        ColoringRun { coloring, colors_used, palette_bound, report }
     }
 
     /// Produces the flat statistics row used by the experiment harness.
@@ -72,9 +71,7 @@ mod tests {
     fn stats_reflect_the_coloring() {
         let g = generators::cycle(6).unwrap();
         let coloring = Coloring::new(&g, vec![0, 1, 0, 1, 0, 1]).unwrap();
-        let mut ledger = CostLedger::new();
-        ledger.push("phase", RoundReport::new(3, 12));
-        let run = ColoringRun::new(coloring, 2, ledger);
+        let run = ColoringRun::new(coloring, 2, RoundReport::new(3, 12));
         assert_eq!(run.colors_used, 2);
         assert_eq!(run.report, RoundReport::new(3, 12));
         let stats = run.stats(&g);

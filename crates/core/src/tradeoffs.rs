@@ -16,7 +16,7 @@ use crate::error::CoreError;
 use crate::legal_coloring::{a_power_coloring, o_a_coloring, APowerParams, OaParams};
 use crate::report::ColoringRun;
 use arbcolor_graph::{Coloring, Graph};
-use arbcolor_runtime::CostLedger;
+use arbcolor_runtime::parallel_max;
 
 /// Shared driver: split with Arb-Kuhn at arbdefect `split`, color every class in parallel with
 /// `color_class`, then merge the class colorings with disjoint palettes of uniform size (the
@@ -31,9 +31,7 @@ fn split_then_color<F>(
 where
     F: FnMut(&Graph, usize) -> Result<ColoringRun, CoreError>,
 {
-    let mut ledger = CostLedger::new();
     let decomposition = arb_kuhn_coloring(graph, arboricity, split, epsilon)?;
-    ledger.extend(&decomposition.ledger);
     let class_bound = decomposition.arbdefect_bound.max(1);
 
     let classes = decomposition.coloring.class_subgraphs(graph);
@@ -55,7 +53,7 @@ where
         branch_reports.push(inner.report);
         inner_colorings.push(Some(inner));
     }
-    ledger.push_parallel("class-coloring", &branch_reports);
+    let report = decomposition.report.then(parallel_max(&branch_reports));
 
     // Merge with disjoint palettes.
     let mut colors = vec![0u64; graph.n()];
@@ -75,7 +73,7 @@ where
         });
     }
     let palette_bound = class_slots.len() as u64 * class_palette;
-    Ok(ColoringRun::new(coloring, palette_bound, ledger))
+    Ok(ColoringRun::new(coloring, palette_bound, report))
 }
 
 /// Theorem 5.2: an `O(a²/g)`-style coloring in `O(log g · log n)` rounds, where `split_g` is

@@ -20,7 +20,7 @@ use crate::hpartition::h_partition;
 use crate::linial::linial_coloring;
 use crate::reduction::{run_greedy_sweep, SweepSchedule, SweepSlot};
 use arbcolor_graph::{Coloring, Graph, InducedSubgraph};
-use arbcolor_runtime::{obs, CostLedger, RoundReport};
+use arbcolor_runtime::{obs, RoundReport};
 
 /// Output of [`arboricity_linear_coloring`].
 #[derive(Debug, Clone)]
@@ -31,8 +31,6 @@ pub struct ArbLinearColoring {
     pub palette: u64,
     /// Total LOCAL cost.
     pub report: RoundReport,
-    /// Per-phase cost breakdown.
-    pub ledger: CostLedger,
 }
 
 /// Computes a legal coloring with `⌊(2+ε)a⌋ + 1` colors, given an upper bound `arboricity ≥ a`.
@@ -61,9 +59,8 @@ pub fn arboricity_linear_coloring(
     arboricity: usize,
     epsilon: f64,
 ) -> Result<ArbLinearColoring, DecomposeError> {
-    let mut ledger = CostLedger::new();
     let partition = h_partition(graph, arboricity, epsilon)?;
-    ledger.push("h-partition", partition.report);
+    let mut report = partition.report;
     obs::record_leaf("h-partition", partition.report);
     let palette = partition.degree_bound as u64 + 1;
 
@@ -79,13 +76,13 @@ pub fn arboricity_linear_coloring(
 
         // Schedule within the bucket: Linial classes of the bucket subgraph.
         let linial = linial_coloring(&sub.graph)?;
-        ledger.push("bucket-linial", linial.report);
+        report = report.then(linial.report);
         obs::record_leaf("bucket-linial", linial.report);
         let (schedule, _) = linial.coloring.normalized();
 
         // One round in which already-colored neighbors announce their colors to the bucket.
         let announce = RoundReport::new(1, 2 * graph.m());
-        ledger.push("collect-neighbor-colors", announce);
+        report = report.then(announce);
         obs::record_leaf("collect-neighbor-colors", announce);
 
         let slots: Vec<SweepSlot> = (0..sub.graph.n())
@@ -103,7 +100,7 @@ pub fn arboricity_linear_coloring(
             .collect();
         let (bucket_colors, sweep_report) =
             run_greedy_sweep(&sub.graph, &SweepSchedule::new(&slots))?;
-        ledger.push("bucket-sweep", sweep_report);
+        report = report.then(sweep_report);
         obs::record_leaf("bucket-sweep", sweep_report);
         for (child, &c) in bucket_colors.iter().enumerate() {
             colors[sub.map.to_parent(child)] = Some(c);
@@ -120,8 +117,7 @@ pub fn arboricity_linear_coloring(
             reason: "arboricity-linear coloring produced a monochromatic edge".to_string(),
         });
     }
-    let report = ledger.total();
-    Ok(ArbLinearColoring { coloring, palette, report, ledger })
+    Ok(ArbLinearColoring { coloring, palette, report })
 }
 
 #[cfg(test)]
@@ -152,12 +148,18 @@ mod tests {
     }
 
     #[test]
-    fn ledger_contains_per_bucket_phases() {
+    fn phase_spans_cover_the_buckets_and_sum_to_the_report() {
         let g = generators::union_of_random_forests(150, 2, 9).unwrap();
+        let collector = obs::SpanCollector::new();
+        let _guard = obs::install(&collector);
+        let root = obs::phase("arb-linear");
         let out = arboricity_linear_coloring(&g, 2, 1.0).unwrap();
-        assert!(out.ledger.phases().iter().any(|p| p.name == "h-partition"));
-        assert!(out.ledger.phases().iter().any(|p| p.name == "bucket-sweep"));
-        assert_eq!(out.ledger.total(), out.report);
+        drop(root);
+        let phases = obs::phase_rollup(&collector.snapshot(), 0);
+        assert!(phases.iter().any(|(name, _)| name == "h-partition"));
+        assert!(phases.iter().any(|(name, _)| name == "bucket-sweep"));
+        let sum = phases.iter().fold(RoundReport::zero(), |acc, (_, r)| acc.then(*r));
+        assert_eq!(sum, out.report);
     }
 
     #[test]

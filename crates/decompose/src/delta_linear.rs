@@ -17,7 +17,7 @@ use crate::error::DecomposeError;
 use crate::linial::linial_coloring;
 use crate::reduction::{greedy_reduce, kw_reduce};
 use arbcolor_graph::{Coloring, Graph};
-use arbcolor_runtime::{parallel_max, CostLedger, RoundReport};
+use arbcolor_runtime::{parallel_max, RoundReport};
 use std::collections::HashMap;
 
 /// Output of [`delta_plus_one_coloring`].
@@ -27,8 +27,6 @@ pub struct DeltaPlusOne {
     pub coloring: Coloring,
     /// Total LOCAL cost.
     pub report: RoundReport,
-    /// Per-phase breakdown.
-    pub ledger: CostLedger,
 }
 
 /// Computes a `(Δ+1)`-coloring in time roughly linear in `Δ`.
@@ -52,16 +50,14 @@ pub struct DeltaPlusOne {
 /// # }
 /// ```
 pub fn delta_plus_one_coloring(graph: &Graph) -> Result<DeltaPlusOne, DecomposeError> {
-    let (coloring, ledger) = color_recursive(graph, 0)?;
-    let report = ledger.total();
-    Ok(DeltaPlusOne { coloring, report, ledger })
+    let (coloring, report) = color_recursive(graph, 0)?;
+    Ok(DeltaPlusOne { coloring, report })
 }
 
 /// Maximum recursion depth guard (Δ halves every level, so 64 levels is unreachable).
 const MAX_DEPTH: usize = 64;
 
-fn color_recursive(graph: &Graph, depth: usize) -> Result<(Coloring, CostLedger), DecomposeError> {
-    let mut ledger = CostLedger::new();
+fn color_recursive(graph: &Graph, depth: usize) -> Result<(Coloring, RoundReport), DecomposeError> {
     let delta = graph.max_degree();
 
     if depth >= MAX_DEPTH {
@@ -73,15 +69,12 @@ fn color_recursive(graph: &Graph, depth: usize) -> Result<(Coloring, CostLedger)
     // Base case: small degree — Linial followed by a one-class-per-round reduction.
     if delta <= 3 || graph.n() <= 16 {
         let linial = linial_coloring(graph)?;
-        ledger.push("base-linial", linial.report);
         let reduced = greedy_reduce(graph, &linial.coloring, delta as u64 + 1)?;
-        ledger.push("base-reduce", reduced.report);
-        return Ok((reduced.coloring, ledger));
+        return Ok((reduced.coloring, linial.report.then(reduced.report)));
     }
 
     // Split into color classes of maximum degree ≤ ⌊Δ/2⌋.
     let defective = defective_coloring(graph, 2)?;
-    ledger.push("defective-split", defective.output.report);
     let partition = defective.output.coloring;
     let class_subgraphs = partition.class_subgraphs(graph);
 
@@ -90,20 +83,19 @@ fn color_recursive(graph: &Graph, depth: usize) -> Result<(Coloring, CostLedger)
     let mut class_colorings = HashMap::new();
     let mut branch_reports = Vec::new();
     for (class_color, sub) in class_subgraphs {
-        let (child_coloring, child_ledger) = color_recursive(&sub.graph, depth + 1)?;
+        let (child_coloring, child_report) = color_recursive(&sub.graph, depth + 1)?;
         debug_assert!(child_coloring.max_color() < child_palette);
-        branch_reports.push(child_ledger.total());
+        branch_reports.push(child_report);
         class_colorings.insert(class_color, (sub, child_coloring));
     }
-    ledger.push("recurse-parallel", parallel_max(&branch_reports));
 
     // Merge with disjoint palettes and reduce back to Δ + 1.
     let combined =
         Coloring::combine_with_palettes(graph, &partition, &class_colorings, child_palette);
     debug_assert!(combined.is_legal(graph));
     let reduced = kw_reduce(graph, &combined)?;
-    ledger.push("kw-reduce", reduced.report);
-    Ok((reduced.coloring, ledger))
+    let report = defective.output.report.then(parallel_max(&branch_reports)).then(reduced.report);
+    Ok((reduced.coloring, report))
 }
 
 #[cfg(test)]
@@ -139,15 +131,6 @@ mod tests {
         let r_small = delta_plus_one_coloring(&small).unwrap().report.rounds;
         let r_large = delta_plus_one_coloring(&large).unwrap().report.rounds;
         assert!(r_large <= 4 * r_small.max(8), "small {r_small}, large {r_large}");
-    }
-
-    #[test]
-    fn ledger_phases_cover_the_recursion() {
-        let g = generators::gnp(120, 0.1, 7).unwrap().with_shuffled_ids(8);
-        let out = delta_plus_one_coloring(&g).unwrap();
-        let names: Vec<&str> = out.ledger.phases().iter().map(|p| p.name.as_str()).collect();
-        assert!(names.contains(&"defective-split") || names.contains(&"base-linial"));
-        assert_eq!(out.ledger.total(), out.report);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! | [`cole_vishkin`] | Cole–Vishkin 1986 | 3-coloring of rooted forests in `O(log* n)` rounds |
 //! | [`delta_linear`] | Barenboim–Elkin STOC'09 / Kuhn SPAA'09 | `(Δ+1)`-coloring in time linear in `Δ` |
 //!
-//! All functions return both their combinatorial output and a cost ledger
-//! ([`arbcolor_runtime::CostLedger`]) recording simulated LOCAL rounds per phase.
+//! All functions return both their combinatorial output and its total simulated LOCAL cost
+//! ([`arbcolor_runtime::RoundReport`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

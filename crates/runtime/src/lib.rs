@@ -26,9 +26,10 @@
 //!   [`NodeCtx::wake_next_round`], quiescent vertices cost nothing.
 //! * [`shard`] — the round loop's home: the [`Executor`], a hand-rolled [`WorkPool`], and
 //!   the thread-scoped [`RunConfig`] (executor kind and cost mode) of [`run_algorithm`].
-//! * [`composition`] — cost accounting for multi-phase algorithms (sequential phases add,
-//!   parallel executions on disjoint subgraphs take the maximum), mirroring how the paper
-//!   accounts for the recursion of Procedure Legal-Coloring, where disjoint subgraphs proceed
+//! * [`metrics`] — the [`RoundReport`] cost record and its two composition rules
+//!   (sequential phases add with [`RoundReport::then`]; parallel executions on disjoint
+//!   subgraphs take the maximum with [`parallel_max`]), mirroring how the paper accounts for
+//!   the recursion of Procedure Legal-Coloring, where disjoint subgraphs proceed
 //!   concurrently.
 //! * [`cost`] — CONGEST-model bandwidth accounting: every message reports a measured bit
 //!   width ([`MessageCost`]), the executors accumulate per-edge and total bits into the
@@ -60,7 +61,6 @@
 #![warn(missing_docs)]
 
 pub mod algorithms;
-pub mod composition;
 pub mod cost;
 pub mod frontier;
 pub mod metrics;
@@ -71,10 +71,9 @@ pub mod reference;
 pub mod shard;
 pub mod trace;
 
-pub use composition::{parallel_max, CostLedger, PhaseCost};
 pub use cost::{CostMode, MessageCost};
 pub use frontier::{ActiveSet, Frontier};
-pub use metrics::{ActivitySummary, RoundReport};
+pub use metrics::{parallel_max, ActivitySummary, RoundReport};
 pub use network::{ExecutionResult, RuntimeError, TracedRun};
 pub use node::{Algorithm, Inbox, NeighborIds, NodeCtx, NodeProgram, Outbox, Status};
 pub use obs::{PhaseGuard, RecordingGuard, SpanCollector, SpanKind, SpanRecord};

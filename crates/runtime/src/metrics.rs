@@ -1,4 +1,12 @@
 //! Round and message accounting.
+//!
+//! The paper composes procedures in two ways, and [`RoundReport`] has one combinator for
+//! each: **sequentially** ([`RoundReport::then`] — e.g. Procedure Arbdefective-Coloring runs
+//! Procedure Partial-Orientation and then Procedure Simple-Arbdefective; rounds add) and **in
+//! parallel on disjoint subgraphs** ([`RoundReport::alongside`], folded over many branches by
+//! [`parallel_max`] — e.g. Procedure Legal-Coloring recurses on every subgraph of the current
+//! decomposition simultaneously; disjoint subgraphs exchange no messages, so rounds take the
+//! maximum).  Every driver composes its headline report from these two combinators.
 
 use serde::{Deserialize, Serialize};
 use std::ops::Add;
@@ -65,6 +73,12 @@ impl Add for RoundReport {
     }
 }
 
+/// Combines the reports of executions that ran concurrently on disjoint subgraphs:
+/// rounds take the maximum, messages add.
+pub fn parallel_max(branches: &[RoundReport]) -> RoundReport {
+    branches.iter().fold(RoundReport::zero(), |acc, &r| acc.alongside(r))
+}
+
 /// Aggregate view of a per-round activity trace (see
 /// [`TraceRecorder`](crate::trace::TraceRecorder)): how much round-loop work the
 /// frontier-driven executor actually did, against what an everyone-runs executor would have
@@ -117,6 +131,13 @@ mod tests {
         assert_eq!(a + b, RoundReport::new(8, 150));
         assert_eq!(a.alongside(b), RoundReport::new(5, 150));
         assert_eq!(RoundReport::zero().then(a), a);
+    }
+
+    #[test]
+    fn parallel_branches_take_max_rounds() {
+        let branches = [RoundReport::new(3, 30), RoundReport::new(7, 10), RoundReport::new(5, 5)];
+        assert_eq!(parallel_max(&branches), RoundReport::new(7, 45));
+        assert_eq!(parallel_max(&[]), RoundReport::zero());
     }
 
     #[test]

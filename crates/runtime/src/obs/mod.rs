@@ -16,15 +16,16 @@
 //!   wall time) when the guard drops, and [`PhaseGuard::charge`] attributes a
 //!   deterministic [`RoundReport`] delta to it.  Spans nest: a span opened while another
 //!   is open becomes its child.
-//! * [`record_leaf`] — records an already-closed child span with a known report, for
-//!   attributions that are *computed* rather than measured in place (e.g. the per-iteration
-//!   H-partition share of Procedure Legal-Coloring, which interleaves with the rest of the
-//!   arbdefective work across branches and is separated out with [`residual`]).
+//! * [`record_leaf`] — records an already-closed child span with a known report.  The one
+//!   attribution that is *computed* rather than measured in place is Procedure
+//!   Legal-Coloring's refine loop: each iteration's H-partition share interleaves with the
+//!   rest of the arbdefective work across branches and is separated out with [`residual`].
 //! * [`phase_rollup`] — aggregates the direct phase children of a span by name, in
-//!   first-seen order.  Because the drivers charge spans with the exact ledger entries the
-//!   headline [`RoundReport`] is composed from, the rollup of a run's phases sums (via
-//!   [`RoundReport::then`]) to the headline report — the invariant experiment E23 and the
-//!   `obs_spans` suite assert across all three executors.
+//!   first-seen order.  The span tree is the only per-phase record of a run: the drivers
+//!   charge their spans with the very reports they compose the headline [`RoundReport`]
+//!   from, so the rollup of a run's phases sums (via [`RoundReport::then`]) to the headline
+//!   report — the invariant experiment E23 and the `obs_spans` suite assert across all
+//!   three executors.
 //! * [`chrome`] — exports a collector as Chrome trace-event JSON (loadable in Perfetto:
 //!   spans as nested slices, traced rounds as instant events), and [`summary_table`]
 //!   renders the same tree as text together with the metrics registry.
@@ -242,9 +243,10 @@ fn open_span(name: String, kind: SpanKind) -> PhaseGuard {
     PhaseGuard { target: Some((collector, index)) }
 }
 
-/// Records an already-closed child span of the currently open span, carrying a computed
-/// report (no-op without an installed collector).  Used for exact attributions that are
-/// derived after the fact rather than measured in place — see [`residual`].
+/// Records an already-closed child span of the currently open span, carrying a report
+/// known only after the work ran (no-op without an installed collector).  Legal-Coloring's
+/// refine loop uses it for the one computed attribution of the span tree: each iteration's
+/// H-partition share and its [`residual`].
 pub fn record_leaf(name: impl Into<String>, report: RoundReport) {
     let Some(collector) = current() else { return };
     let start_ns = collector.elapsed_ns();
@@ -327,7 +329,9 @@ pub fn record_palette(stats: &arbcolor_graph::PaletteStats) {
 
 /// The exact remainder of `total` after removing the `part` attributed elsewhere:
 /// rounds/messages/bits subtract (saturating), while `max_edge_bits` keeps `total`'s peak
-/// so that `part.then(residual(total, part))` reproduces `total` exactly.
+/// so that `part.then(residual(total, part))` reproduces `total` exactly.  Legal-Coloring's
+/// refine loop charges an iteration as its H-partition share plus this residual, the
+/// `arbdefective` rest — the one computed attribution of the span tree.
 pub fn residual(total: RoundReport, part: RoundReport) -> RoundReport {
     RoundReport {
         rounds: total.rounds.saturating_sub(part.rounds),
@@ -340,9 +344,9 @@ pub fn residual(total: RoundReport, part: RoundReport) -> RoundReport {
 /// Aggregates the direct [`SpanKind::Phase`] children of span `parent` by name, in
 /// first-seen order, composing repeated names sequentially with [`RoundReport::then`].
 ///
-/// When the drivers charge their phase spans with the ledger entries the headline report
-/// is composed from, the `then`-fold of the returned reports equals the headline
-/// [`RoundReport`] exactly.
+/// The drivers charge their phase spans with the reports they compose the headline report
+/// from, so the `then`-fold of the returned reports equals the headline [`RoundReport`]
+/// exactly.
 pub fn phase_rollup(spans: &[SpanRecord], parent: usize) -> Vec<(String, RoundReport)> {
     let mut rollup: Vec<(String, RoundReport)> = Vec::new();
     for span in spans {
@@ -424,7 +428,7 @@ pub fn summary_table(collector: &SpanCollector) -> String {
         "span", "rounds", "messages", "total_bits", "wall_ms"
     );
     let mut depths: Vec<usize> = Vec::with_capacity(spans.len());
-    for (i, span) in spans.iter().enumerate() {
+    for span in &spans {
         let depth = span.parent.map(|p| depths[p] + 1).unwrap_or(0);
         depths.push(depth);
         let label = format!("{}{}", "  ".repeat(depth), span.name);
@@ -437,7 +441,6 @@ pub fn summary_table(collector: &SpanCollector) -> String {
             span.report.total_bits,
             span.wall_ns as f64 / 1e6,
         );
-        let _ = i;
     }
     let metrics = collector.metrics();
     if !metrics.is_empty() {

@@ -12,6 +12,7 @@
 use arbcolor::ghaffari_kuhn::ghaffari_kuhn_coloring;
 use arbcolor::legal_coloring::sparse_delta_plus_one;
 use arbcolor_graph::{degeneracy, generators, Graph};
+use arbcolor_runtime::obs;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workloads: Vec<(&str, Graph)> = vec![
@@ -62,12 +63,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\nGhaffari–Kuhn phase breakdown on the last workload:");
-    let gk = ghaffari_kuhn_coloring(&workloads.last().unwrap().1)?;
-    for phase in gk.ledger.phases() {
-        println!(
-            "  {:<20} {:>6} rounds {:>10} messages",
-            phase.name, phase.report.rounds, phase.report.messages
-        );
+    let collector = obs::SpanCollector::new();
+    let _recording = obs::install(&collector);
+    let root = obs::phase("ghaffari-kuhn");
+    ghaffari_kuhn_coloring(&workloads.last().unwrap().1)?;
+    drop(root);
+    for (name, report) in obs::phase_rollup(&collector.snapshot(), 0) {
+        println!("  {:<20} {:>6} rounds {:>10} messages", name, report.rounds, report.messages);
     }
     Ok(())
 }

@@ -26,8 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     deterministic.verify(&topology)?;
     println!(
         "paper (deterministic): {} cluster heads in {} simulated rounds",
-        deterministic.size,
-        deterministic.ledger.total().rounds
+        deterministic.size, deterministic.report.rounds
     );
 
     let randomized = luby_mis(&topology, 99);

@@ -5,6 +5,7 @@
 
 use arbcolor::legal_coloring::{a_power_coloring, APowerParams};
 use arbcolor_graph::{degeneracy, generators, properties};
+use arbcolor_runtime::obs;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A graph whose arboricity is at most 3 by construction (a union of 3 random forests),
@@ -21,9 +22,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         summary.degeneracy
     );
 
-    // Corollary 4.6: O(a^{1+η}) colors in O(log a · log n) rounds.
+    // Corollary 4.6: O(a^{1+η}) colors in O(log a · log n) rounds.  The driver records its
+    // phases as spans under the root span while a collector is installed.
     let a = degeneracy::degeneracy(&graph);
+    let collector = obs::SpanCollector::new();
+    let _recording = obs::install(&collector);
+    let root = obs::phase("a-power-coloring");
     let run = a_power_coloring(&graph, a, APowerParams { eta: 0.5, epsilon: 1.0 })?;
+    drop(root);
 
     assert!(run.coloring.is_legal(&graph));
     println!(
@@ -31,11 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         run.colors_used, run.palette_bound, run.report.rounds, run.report.messages
     );
     println!("phase breakdown:");
-    for phase in run.ledger.phases() {
-        println!(
-            "  {:<24} {:>6} rounds {:>10} messages",
-            phase.name, phase.report.rounds, phase.report.messages
-        );
+    for (name, report) in obs::phase_rollup(&collector.snapshot(), 0) {
+        println!("  {:<24} {:>6} rounds {:>10} messages", name, report.rounds, report.messages);
     }
     Ok(())
 }

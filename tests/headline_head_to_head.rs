@@ -6,6 +6,7 @@ use arbcolor::ghaffari_kuhn::{ghaffari_kuhn_coloring, ghaffari_kuhn_list_colorin
 use arbcolor::list_coloring::ColorLists;
 use arbcolor_baselines::registry::headline_algorithms;
 use arbcolor_graph::{generators, Graph};
+use arbcolor_runtime::{obs, RoundReport};
 use proptest::prelude::*;
 
 fn families() -> Vec<(&'static str, Graph)> {
@@ -62,12 +63,23 @@ fn ghaffari_kuhn_round_envelope_holds_across_families() {
 
 #[test]
 fn ghaffari_kuhn_is_deterministic_across_runs() {
-    for (_, g) in families() {
-        let a = ghaffari_kuhn_coloring(&g).unwrap();
-        let b = ghaffari_kuhn_coloring(&g).unwrap();
+    // One run under a root span: the coloring plus the rollup of its phase spans.
+    let traced = |g: &Graph| {
+        let collector = obs::SpanCollector::new();
+        let _recording = obs::install(&collector);
+        let root = obs::phase("ghaffari-kuhn");
+        let run = ghaffari_kuhn_coloring(g).unwrap();
+        drop(root);
+        (run, obs::phase_rollup(&collector.snapshot(), 0))
+    };
+    for (family, g) in families() {
+        let (a, a_phases) = traced(&g);
+        let (b, b_phases) = traced(&g);
         assert_eq!(a.coloring, b.coloring);
         assert_eq!(a.report, b.report);
-        assert_eq!(a.ledger, b.ledger);
+        assert_eq!(a_phases, b_phases, "{family}: phase rollups differ");
+        let sum = a_phases.iter().fold(RoundReport::zero(), |acc, (_, r)| acc.then(*r));
+        assert_eq!(sum, a.report, "{family}: phases do not sum to the report");
     }
 }
 

@@ -13,6 +13,7 @@
 //!   roll up (`obs::phase_rollup`) to the exact headline report, and the per-phase reports
 //!   are themselves bit-identical across executors.
 
+use arbcolor::legal_coloring::{legal_coloring, LegalColoringParams};
 use arbcolor_baselines::registry::congest_headliners;
 use arbcolor_graph::generators;
 use arbcolor_runtime::algorithms::FloodMaxId;
@@ -202,4 +203,38 @@ fn headliner_phase_rollups_sum_to_the_report_and_match_across_executors() {
     assert!(gk.1.iter().any(|(name, _)| name.starts_with("level-")), "{gk:?}");
     let hkmt = &per_kind[0][2];
     assert!(hkmt.1.iter().any(|(name, _)| name == "random-trials"), "{hkmt:?}");
+}
+
+/// Legal-Coloring's refine loop attributes each iteration computationally (the H-partition
+/// share plus its `arbdefective` residual); the headliner graphs above never enter that loop
+/// (`p = 6` and degeneracy ≤ 6), so this pins it on a graph of arboricity 12.
+#[test]
+fn refine_loop_rollup_sums_to_the_report_and_matches_across_executors() {
+    let g = generators::union_of_random_forests(400, 12, 7).unwrap().with_shuffled_ids(3);
+    let params = LegalColoringParams { p: 6, epsilon: 1.0 };
+
+    let mut rollups = Vec::new();
+    for kind in [
+        ExecutorKind::sharded(1),
+        ExecutorKind::Sharded { threads: 2, chunk_size: 7 },
+        ExecutorKind::Reference,
+    ] {
+        let _config = RunConfig { executor: kind, ..RunConfig::default() }.install();
+        let collector = obs::SpanCollector::new();
+        let _guard = obs::install(&collector);
+        let span = obs::phase("legal-coloring-run");
+        let run = legal_coloring(&g, 12, params).unwrap();
+        span.charge(run.report);
+        drop(span);
+
+        let phases = obs::phase_rollup(&collector.snapshot(), 0);
+        let names: Vec<&str> = phases.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, ["h-partition", "arbdefective", "legal-coloring"], "under {kind:?}");
+        let sum = phases.iter().fold(RoundReport::zero(), |acc, (_, r)| acc.then(*r));
+        assert_eq!(sum, run.report, "refine-loop phases do not sum under {kind:?}");
+        rollups.push(phases);
+    }
+    for other in &rollups[1..] {
+        assert_eq!(other, &rollups[0], "refine-loop rollups diverge across executors");
+    }
 }
