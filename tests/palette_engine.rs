@@ -6,16 +6,22 @@
 //! in every output: these tests pin FNV-1a fingerprints of the full color vectors plus the
 //! cost counters of Ghaffari–Kuhn and HKMT runs, captured on the pre-engine code, so any
 //! future change to the pick paths that shifts even one color on one vertex fails loudly.
+//! The same table pins Linial, Kuhn-defective and Arb-Kuhn runs, the three users of the
+//! polynomial recoloring step.
 //! A second suite races the bitset [`ScheduledListColor`] against the preserved
 //! [`VecScanListColor`] reference on fresh inputs.
 //!
 //! [`ScheduledListColor`]: arbcolor_runtime::algorithms::ScheduledListColor
 //! [`VecScanListColor`]: arbcolor_runtime::algorithms::VecScanListColor
 
+use arbcolor::arb_kuhn::arb_kuhn_coloring;
 use arbcolor::ghaffari_kuhn::ghaffari_kuhn_coloring;
 use arbcolor::hkmt::hkmt_coloring;
 use arbcolor::report::ColoringRun;
 use arbcolor_baselines::greedy::sequential_greedy;
+use arbcolor_decompose::defective::defective_coloring;
+use arbcolor_decompose::linial::linial_coloring;
+use arbcolor_graph::degeneracy::degeneracy;
 use arbcolor_graph::{generators, Graph};
 use arbcolor_runtime::algorithms::{
     ListColorSchedule, ListColorSlot, ScheduledListColor, VecScanListColor,
@@ -42,8 +48,9 @@ fn families() -> Vec<(&'static str, Graph)> {
     ]
 }
 
-/// `(family, algo, colors-fnv, colors_used, rounds, messages, total_bits)` captured on the
-/// pre-palette-engine code (commit `4aacd29`): the engine must reproduce every field.
+/// `(family, algo, colors-fnv, colors_used, rounds, messages, total_bits)`.  The GK/HKMT rows
+/// were captured on the pre-palette-engine code (commit `4aacd29`): the engine must
+/// reproduce every field.
 const PINNED: &[(&str, &str, u64, usize, usize, usize, u64)] = &[
     ("gnp", "gk", 0xb1fcc4cfbf84bc61, 19, 81, 16252, 43070),
     ("gnp", "hkmt-42", 0x49ebad75f7ecbfac, 30, 7, 22792, 103737),
@@ -57,6 +64,20 @@ const PINNED: &[(&str, &str, u64, usize, usize, usize, u64)] = &[
     ("star-forest", "gk", 0x2b503d103dce6efe, 6, 35, 1640, 1798),
     ("star-forest", "hkmt-42", 0xd3629a08f6d9b17f, 11, 3, 3340, 16262),
     ("star-forest", "hkmt-7", 0x5b799825941a9be4, 11, 3, 3286, 15308),
+    // Recoloring rows, captured before Linial, Kuhn-defective and Arb-Recolor shared one
+    // α-selection kernel.
+    ("forests", "linial", 0x141197aedb73f7e5, 121, 1, 17980, 191386),
+    ("forests", "defective-2", 0x83e28bea7d8bab1d, 94, 1, 17980, 191386),
+    ("forests", "defective-4", 0x71a40157995bdfdc, 100, 1, 17980, 191386),
+    ("forests", "arb-kuhn-0", 0xa723611e78a83d15, 87, 2, 35960, 209366),
+    ("forests", "arb-kuhn-1", 0xb0b6b03073fab469, 70, 2, 35960, 209366),
+    ("forests", "arb-kuhn-3", 0x864bcdce89e38c80, 68, 2, 35960, 209366),
+    ("grid", "linial", 0xa97e78bb873c4704, 38, 2, 28320, 203061),
+    ("grid", "defective-2", 0x123fb9b1ecbdbb3d, 25, 2, 28320, 201606),
+    ("grid", "defective-4", 0x4d2cadb8d78e8fa6, 59, 1, 14160, 153791),
+    ("grid", "arb-kuhn-0", 0x176dc73d3a41f431, 39, 3, 42480, 216722),
+    ("grid", "arb-kuhn-1", 0x775b1f4dde7f0a75, 51, 2, 28320, 167951),
+    ("grid", "arb-kuhn-3", 0x9c9e7255ba4c2d90, 29, 3, 42480, 211329),
 ];
 
 fn check_pin(family: &str, algo: &str, run: &ColoringRun) {
@@ -84,6 +105,50 @@ fn hkmt_outputs_are_bit_identical_to_the_pre_engine_code_for_both_seeds() {
     for (family, g) in &families() {
         for seed in [42u64, 7] {
             check_pin(family, &format!("hkmt-{seed}"), &hkmt_coloring(g, seed).unwrap());
+        }
+    }
+}
+
+/// The two recoloring families: sparse enough that every schedule below runs at least one
+/// recoloring iteration, and the grid runs two or three.
+fn recoloring_families() -> Vec<(&'static str, Graph)> {
+    vec![
+        ("forests", generators::union_of_random_forests(3000, 3, 29).unwrap().with_shuffled_ids(7)),
+        ("grid", generators::grid(60, 60).unwrap().with_shuffled_ids(11)),
+    ]
+}
+
+/// Linial, Kuhn-defective (`p` ∈ {2, 4}) and Arb-Kuhn (`d` ∈ {0, 1, 3}) runs on `g`, keyed
+/// like the pin table.  Arb-Kuhn gets the degeneracy as its arboricity bound.
+fn recoloring_runs(g: &Graph) -> Vec<(String, ColoringRun)> {
+    let mut runs = Vec::new();
+    let out = linial_coloring(g).unwrap();
+    runs.push((
+        "linial".to_string(),
+        ColoringRun::new(out.coloring, out.palette_bound, out.report),
+    ));
+    for p in [2usize, 4] {
+        let out = defective_coloring(g, p).unwrap().output;
+        runs.push((
+            format!("defective-{p}"),
+            ColoringRun::new(out.coloring, out.palette_bound, out.report),
+        ));
+    }
+    for d in [0usize, 1, 3] {
+        let out = arb_kuhn_coloring(g, degeneracy(g), d, 1.0).unwrap();
+        runs.push((
+            format!("arb-kuhn-{d}"),
+            ColoringRun::new(out.coloring, out.palette_bound, out.report),
+        ));
+    }
+    runs
+}
+
+#[test]
+fn recoloring_outputs_are_pinned() {
+    for (family, g) in &recoloring_families() {
+        for (algo, run) in recoloring_runs(g) {
+            check_pin(family, &algo, &run);
         }
     }
 }
