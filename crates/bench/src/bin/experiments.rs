@@ -1,4 +1,5 @@
-//! Regenerates every experiment table of EXPERIMENTS.md.
+//! Regenerates every experiment table (the experiments are defined in
+//! `crates/bench/src/experiments.rs`).
 //!
 //! Usage:
 //!   cargo run --release -p arbcolor_bench --bin experiments             # all experiments, scale 1
@@ -39,10 +40,10 @@
 //! workloads, the E21 frontier-collapse trace, the E22 CONGEST bandwidth race, the E23
 //! per-phase cost breakdown, the E24 palette-engine race, and the E25 sustained-update
 //! service benchmark) as one machine-readable JSON document (schema
-//! `arbcolor-perf-v1`).  The CI `bench-smoke` job archives one per PR under the
-//! `BENCH_PR<N>.json` naming scheme and the `perf_gate` binary diffs its deterministic
-//! columns against the committed baseline of the previous PR, failing the build on
-//! regressions (wall-clock columns stay advisory).
+//! `arbcolor-perf-v1`).  The CI `bench-smoke` job writes it to `perf-current.json` and the
+//! `perf_gate` binary diffs its deterministic columns against the newest committed
+//! `BENCH_PR<N>.json` baseline, failing the build on regressions (wall-clock columns stay
+//! advisory).
 //!
 //! `--trace-out FILE` (or `--trace-out=FILE`) installs an observability collector
 //! (`arbcolor_runtime::obs`) for the whole run and writes a Chrome trace-event JSON file on

@@ -1,7 +1,7 @@
-//! One function per experiment of the reproduction index (DESIGN.md §5).
+//! One function per experiment of the reproduction index (see [`catalog`]).
 //!
-//! Every function takes a [`SizeClass`] — `Scale(1)` reproduces the sizes recorded in
-//! EXPERIMENTS.md, larger scales grow the graphs, and `Smoke` shrinks every workload to a
+//! Every function takes a [`SizeClass`] — `Scale(1)` runs the reference sizes, larger scales
+//! grow the graphs, and `Smoke` shrinks every workload to a
 //! tiny fraction so the whole suite finishes in seconds (the CI `bench-smoke` job runs it on
 //! every pull request and archives the JSON rows).  All experiments are deterministic: graph
 //! generators and randomized baselines take fixed seeds.

@@ -1,5 +1,5 @@
-//! Experiment harness reproducing every claim of the paper (see DESIGN.md §5 for the
-//! experiment index and EXPERIMENTS.md for the recorded results).
+//! Experiment harness reproducing every claim of the paper (the experiment index is the
+//! catalog in [`experiments`]; the `experiments` binary regenerates the results).
 //!
 //! Each experiment function returns a vector of [`Row`]s; the `experiments` binary prints them
 //! as markdown tables and JSON lines.  The same functions back the Criterion benchmarks, which

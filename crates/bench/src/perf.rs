@@ -1,9 +1,9 @@
 //! The per-PR performance-tracking document and the regression gate that diffs two of them.
 //!
 //! `experiments --perf-out FILE` serializes a [`PerfDoc`] (schema `arbcolor-perf-v1`)
-//! holding the rows of the perf-tracked experiments ([`PERF_EXPERIMENTS`]).  CI archives one
-//! per PR under the naming scheme `BENCH_PR<N>.json` and the `perf_gate` binary compares the
-//! fresh document against the committed baseline of the previous PR:
+//! holding the rows of the perf-tracked experiments ([`PERF_EXPERIMENTS`]).  CI writes the
+//! fresh document to the uncommitted `perf-current.json` and the `perf_gate` binary compares
+//! it against the newest baseline committed at the repo root as `BENCH_PR<N>.json`:
 //!
 //! * **deterministic columns** (colors, rounds, messages, …) are *gated* — any worsening
 //!   fails the build, because the whole stack is seeded and bit-reproducible, so a drift

@@ -5,105 +5,22 @@
 //! `A = ⌊(2+ε)a⌋` (Lemma 2.4, `O(log n)` rounds) and then runs `O(log* n)` iterations of
 //! Procedure **Arb-Recolor** (Algorithm 3): a vertex of current color `χ` with parents colored
 //! `y_1, …, y_δ` (δ ≤ A) picks `α` minimizing `|{i : ϕ_χ(α) = ϕ_{y_i}(α)}|` and adopts the
-//! pair color `(α, ϕ_χ(α))`.  Lemma 5.1 bounds the number of parents that can end up sharing
-//! the vertex's new color, so after the whole schedule every color class induces a subgraph in
-//! which each vertex has at most `d` parents — an acyclic orientation with out-degree ≤ `d`,
-//! i.e. arboricity ≤ `d` (Lemma 2.5): a `d`-arbdefective `O((a/d)²)`-coloring in `O(log n)`
-//! rounds.
+//! pair color `(α, ϕ_χ(α))`.  The iterations are Linial's recoloring program
+//! ([`RecolorAlgorithm::arb_recolor`]) with only the parents' colors passed to the shared
+//! α-selection kernel ([`PolynomialFamily::best_alpha`]).  Lemma 5.1 bounds the number of
+//! parents that can end up sharing the vertex's new color, so after the whole schedule every
+//! color class induces a subgraph in which each vertex has at most `d` parents — an acyclic
+//! orientation with out-degree ≤ `d`, i.e. arboricity ≤ `d` (Lemma 2.5): a `d`-arbdefective
+//! `O((a/d)²)`-coloring in `O(log n)` rounds.
+//!
+//! [`PolynomialFamily::best_alpha`]: arbcolor_decompose::algebraic::PolynomialFamily::best_alpha
 
 use crate::error::CoreError;
 use arbcolor_decompose::forests::bounded_outdegree_orientation;
-use arbcolor_decompose::linial::{RecolorSchedule, RecolorStep};
+use arbcolor_decompose::linial::{RecolorAlgorithm, RecolorSchedule};
 use arbcolor_graph::{Coloring, Graph, Orientation};
-use arbcolor_runtime::{run_algorithm, Algorithm, Inbox, NodeCtx, Outbox, RoundReport, Status};
+use arbcolor_runtime::{run_algorithm, RoundReport};
 use std::collections::HashMap;
-
-/// The Arb-Recolor iteration driver (node-program factory).
-#[derive(Debug, Clone)]
-pub struct ArbRecolorAlgorithm<'a> {
-    graph: &'a Graph,
-    orientation: &'a Orientation,
-    schedule: &'a RecolorSchedule,
-}
-
-/// Node program of [`ArbRecolorAlgorithm`].
-#[derive(Debug, Clone)]
-pub struct ArbRecolorNode {
-    parent_ports: Vec<usize>,
-    steps: Vec<RecolorStep>,
-    color: u64,
-    iteration: usize,
-}
-
-impl arbcolor_runtime::node::NodeProgram for ArbRecolorNode {
-    type Msg = u64;
-    type Output = u64;
-
-    fn init(&mut self, ctx: &NodeCtx, outbox: &mut Outbox<u64>) -> Status {
-        if self.steps.is_empty() {
-            return Status::Halted;
-        }
-        outbox.broadcast(self.color);
-        // `iteration` advances every round (isolated vertices included), so self-schedule
-        // while active rather than relying on incoming mail.
-        ctx.wake_next_round();
-        Status::Active
-    }
-
-    fn round(&mut self, ctx: &NodeCtx, inbox: &Inbox<'_, u64>, outbox: &mut Outbox<u64>) -> Status {
-        let family = &self.steps[self.iteration].family;
-        // Only the parents' colors matter for Arb-Recolor.
-        let parent_colors: Vec<u64> =
-            self.parent_ports.iter().filter_map(|&p| inbox.from_port(p).copied()).collect();
-        let mut best_alpha = 0u64;
-        let mut best = usize::MAX;
-        for alpha in 0..family.q {
-            let own = family.evaluate(self.color, alpha);
-            let collisions = parent_colors
-                .iter()
-                .filter(|&&y| y != self.color && family.evaluate(y, alpha) == own)
-                .count();
-            if collisions < best {
-                best = collisions;
-                best_alpha = alpha;
-                if best == 0 {
-                    break;
-                }
-            }
-        }
-        self.color = family.pair_color(self.color, best_alpha);
-        self.iteration += 1;
-        if self.iteration == self.steps.len() {
-            Status::Halted
-        } else {
-            outbox.broadcast(self.color);
-            ctx.wake_next_round();
-            Status::Active
-        }
-    }
-
-    fn output(&self, _ctx: &NodeCtx) -> u64 {
-        self.color
-    }
-}
-
-impl Algorithm for ArbRecolorAlgorithm<'_> {
-    type Node = ArbRecolorNode;
-
-    fn node(&self, ctx: &NodeCtx) -> ArbRecolorNode {
-        let v = ctx.vertex;
-        ArbRecolorNode {
-            parent_ports: self.orientation.parent_ports(self.graph, v).collect(),
-            steps: self.schedule.steps.clone(),
-            color: self.graph.id(v) - 1,
-            iteration: 0,
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "arb-recolor"
-    }
-}
 
 /// Output of [`arb_kuhn_coloring`].
 #[derive(Debug, Clone)]
@@ -155,8 +72,8 @@ pub fn arb_kuhn_coloring(
     let id_space = graph.ids().iter().copied().max().unwrap_or(1);
     let schedule =
         RecolorSchedule::build(id_space, bounded.out_degree_bound, target_arbdefect as u64);
-    let algorithm =
-        ArbRecolorAlgorithm { graph, orientation: &bounded.orientation, schedule: &schedule };
+    let initial: Vec<u64> = graph.ids().iter().map(|&id| id - 1).collect();
+    let algorithm = RecolorAlgorithm::arb_recolor(&schedule, &initial, graph, &bounded.orientation);
     let result = run_algorithm(graph, &algorithm)?;
     let report = bounded.report.then(result.report);
     let coloring = Coloring::new(graph, result.outputs)?;

@@ -13,9 +13,8 @@
 //! [`PolynomialFamily`] packages this construction; [`choose_prime_field`] picks the smallest
 //! prime `q` satisfying the constraint `q > agreement · slack` required by the recoloring
 //! lemmas (where `slack` is `Δ` for Linial, `(Δ − d′)/(d − d′ + 1)` for defective/arbdefective
-//! recoloring).
-
-use serde::{Deserialize, Serialize};
+//! recoloring).  [`PolynomialFamily::best_alpha`] is the one recoloring decision all three
+//! make.
 
 /// Whether `x` is prime (deterministic trial division; the fields used here are tiny).
 pub fn is_prime(x: u64) -> bool {
@@ -66,7 +65,7 @@ pub fn digits_needed(m: u64, q: u64) -> u32 {
 }
 
 /// A polynomial function family `{ϕ_χ : F_q → F_q}` for colors `χ ∈ [0, colors)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PolynomialFamily {
     /// The prime field size (both `|A|` and `|B|`).
     pub q: u64,
@@ -107,16 +106,12 @@ impl PolynomialFamily {
     pub fn evaluate(&self, color: u64, alpha: u64) -> u64 {
         assert!(color < self.colors, "color {color} out of range (< {})", self.colors);
         assert!(alpha < self.q, "alpha {alpha} outside the field F_{}", self.q);
-        // Horner evaluation over the base-q digits of `color`, most significant digit first.
-        let mut digits = Vec::with_capacity(self.digits as usize);
-        let mut value = color;
+        // Little-endian power sum over the base-q digits of `color`: Σ c_i · α^i.
+        let (mut value, mut power, mut acc) = (color, 1, 0);
         for _ in 0..self.digits {
-            digits.push(value % self.q);
+            acc = (acc + value % self.q * power) % self.q;
+            power = power * alpha % self.q;
             value /= self.q;
-        }
-        let mut acc = 0u64;
-        for &digit in digits.iter().rev() {
-            acc = (acc * alpha + digit) % self.q;
         }
         acc
     }
@@ -124,6 +119,42 @@ impl PolynomialFamily {
     /// The new color encoding the pair `(α, ϕ_color(α))`, as a single integer `α · q + ϕ`.
     pub fn pair_color(&self, color: u64, alpha: u64) -> u64 {
         alpha * self.q + self.evaluate(color, alpha)
+    }
+
+    /// The recoloring decision of Linial's step, Kuhn's defective coloring and Arb-Recolor:
+    /// the smallest `α ∈ F_q` minimizing the number of `neighbors` whose color differs from
+    /// `color` and whose polynomial agrees with `ϕ_color` at `α`.  The callers differ only in
+    /// which neighbor colors they pass (all of them, or only the parents').
+    ///
+    /// The scan stops at the first `α` without collisions, and stops counting an `α` as soon
+    /// as it ties the best count so far (it can no longer be the smallest minimizer).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `color` or a differently-colored neighbor is `≥ colors`.
+    pub fn best_alpha(&self, color: u64, neighbors: &[u64]) -> u64 {
+        let mut best_alpha = 0;
+        let mut best = usize::MAX;
+        for alpha in 0..self.q {
+            let own = self.evaluate(color, alpha);
+            let mut collisions = 0;
+            for &y in neighbors {
+                if y != color && self.evaluate(y, alpha) == own {
+                    collisions += 1;
+                    if collisions == best {
+                        break;
+                    }
+                }
+            }
+            if collisions < best {
+                best = collisions;
+                best_alpha = alpha;
+                if best == 0 {
+                    break;
+                }
+            }
+        }
+        best_alpha
     }
 }
 
@@ -151,6 +182,7 @@ pub fn choose_prime_field(colors: u64, slack: u64) -> PolynomialFamily {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn primality_and_next_prime() {
@@ -215,6 +247,56 @@ mod tests {
                 family.agreement()
             );
             assert!(u128::from(family.q).pow(family.digits) >= u128::from(colors));
+        }
+    }
+
+    /// Reference for [`PolynomialFamily::best_alpha`]: count every α in full and return the
+    /// smallest minimizer with its collision count.
+    fn naive_scan(family: &PolynomialFamily, color: u64, neighbors: &[u64]) -> (u64, usize) {
+        let collisions = |alpha| {
+            let own = family.evaluate(color, alpha);
+            neighbors.iter().filter(|&&y| y != color && family.evaluate(y, alpha) == own).count()
+        };
+        (0..family.q).map(|alpha| (alpha, collisions(alpha))).min_by_key(|&(a, c)| (c, a)).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Random primes q ≤ 103 and digit counts 1–4; neighbor multisets that may be empty
+        /// and may repeat the vertex's own color.  With `saturate = k > 0`, every α gets `k`
+        /// colliding neighbors (digits 0 and 1 shifted by `(−δα, +δ)`, so the two polynomials
+        /// agree exactly at α), so no α has fewer than `k` collisions.
+        #[test]
+        fn best_alpha_matches_the_naive_scan(
+            (q, digits) in (2u64..102, 1u32..5).prop_map(|(x, d)| (next_prime(x), d)),
+            (color_draw, colors_draw) in (0u64..1 << 40, 0u64..1 << 40),
+            draws in proptest::collection::vec(0u64..1 << 40, 0..40),
+            own_copies in 0usize..3,
+            saturate in 0u64..4,
+        ) {
+            let (lo, hi) = (q.pow(digits - 1), q.pow(digits));
+            let saturate = if digits >= 2 { saturate } else { 0 };
+            let colors = if saturate > 0 { hi } else { lo + 1 + colors_draw % (hi - lo) };
+            let family = PolynomialFamily::new(q, colors);
+            prop_assert_eq!(family.digits, digits);
+            let color = color_draw % colors;
+            let mut neighbors: Vec<u64> = draws.iter().map(|&y| y % colors).collect();
+            neighbors.extend(std::iter::repeat(color).take(own_copies));
+            if saturate > 0 {
+                let (c0, c1) = (color % q, color / q % q);
+                let rest = color - c0 - c1 * q;
+                for alpha in 0..q {
+                    for k in 0..saturate {
+                        let delta = 1 + k % (q - 1);
+                        let shifted = (c1 + delta) % q * q + (c0 + q * q - delta * alpha) % q;
+                        neighbors.push(rest + shifted);
+                    }
+                }
+            }
+            let (alpha, fewest) = naive_scan(&family, color, &neighbors);
+            prop_assert!(fewest as u64 >= saturate);
+            prop_assert_eq!(family.best_alpha(color, &neighbors), alpha);
         }
     }
 

@@ -12,8 +12,8 @@
 //! `O(a log n)` total.  Our within-bucket sweep walks the `O(A²)` Linial classes one round
 //! each, so a bucket costs `O(a² + log* n)` rounds and the total is `O((a² + log* n) log n)`.
 //! The `poly(a)·log n` shape of every statement that consumes this lemma (it is only ever
-//! applied with `a ≤ p`, a small parameter) is unchanged; EXPERIMENTS.md reports the measured
-//! constants.
+//! applied with `a ≤ p`, a small parameter) is unchanged; the `experiments` binary
+//! (`crates/bench/src/experiments.rs`) reports the measured constants.
 
 use crate::error::DecomposeError;
 use crate::hpartition::h_partition;

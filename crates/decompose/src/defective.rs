@@ -8,7 +8,8 @@
 //! colors; our schedule stops as soon as the color count no longer shrinks, which leaves an
 //! extra `O(log_p² Δ)` factor in the palette in some regimes (the defect bound `⌊Δ/p⌋` and the
 //! `O(log* n)` round count are preserved).  The experiment harness reports both the measured
-//! palette and the paper's `O(p²)` target so the gap is visible (see EXPERIMENTS.md, E15).
+//! palette and the paper's `O(p²)` target so the gap is visible (E15 of the `experiments`
+//! binary, defined in `crates/bench/src/experiments.rs`).
 
 use crate::error::DecomposeError;
 use crate::linial::{run_schedule, RecolorOutput, RecolorSchedule};

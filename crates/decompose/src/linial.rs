@@ -4,7 +4,8 @@
 //! recoloring iterations.  In iteration `j`, every vertex `v` with current color `χ(v)` looks
 //! at the current colors `y_1, …, y_δ` of its neighbors and picks `α ∈ F_q` minimizing the
 //! number of *differently-colored* neighbors whose polynomial agrees with `ϕ_{χ(v)}` at `α`;
-//! its new color is the pair `(α, ϕ_{χ(v)}(α)) ∈ [q²]`.
+//! its new color is the pair `(α, ϕ_{χ(v)}(α)) ∈ [q²]`.  That choice is
+//! [`PolynomialFamily::best_alpha`], the one α-selection kernel.
 //!
 //! * With a **zero** collision budget per iteration (and `q > k·Δ`), the minimum is guaranteed
 //!   to be 0, the coloring stays legal, and after `O(log* n)` iterations the number of colors
@@ -13,18 +14,20 @@
 //!   adds at most `r_j` to the defect — Kuhn's defective coloring; see
 //!   [`crate::defective`].
 //!
+//! * Counting only the **parents** under an orientation ([`RecolorAlgorithm::arb_recolor`])
+//!   gives the paper's Procedure Arb-Recolor (Algorithm 3), which Algorithm Arb-Kuhn runs.
+//!
 //! Every iteration costs exactly one communication round (colors of the previous iteration
 //! are broadcast, new colors are computed locally).
 
 use crate::algebraic::{choose_prime_field, PolynomialFamily};
 use crate::error::DecomposeError;
-use arbcolor_graph::{Coloring, Graph};
+use arbcolor_graph::{Coloring, Graph, Orientation};
 use arbcolor_runtime::{run_algorithm, Algorithm, Inbox, NodeCtx, Outbox, RoundReport, Status};
-use serde::{Deserialize, Serialize};
 
 /// One recoloring iteration: the function family to use and the number of *new* same-color
 /// collisions a vertex is allowed to accept (0 keeps the coloring legal).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecolorStep {
     /// The polynomial family used in this iteration.
     pub family: PolynomialFamily,
@@ -35,7 +38,7 @@ pub struct RecolorStep {
 
 /// A full schedule of recoloring iterations, shared by all vertices (it depends only on the
 /// global parameters `n`, `Δ` and the defect target, which every vertex knows).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecolorSchedule {
     /// The iterations, applied in order.
     pub steps: Vec<RecolorStep>,
@@ -86,31 +89,49 @@ impl RecolorSchedule {
     }
 }
 
-/// The iterative recoloring algorithm (node-program factory).
+/// The iterative recoloring algorithm (node-program factory): Linial's step and Kuhn's
+/// defective coloring count every neighbor, Procedure Arb-Recolor only the parents.
 #[derive(Debug, Clone)]
 pub struct RecolorAlgorithm<'a> {
     schedule: &'a RecolorSchedule,
     /// Initial color of each vertex, indexed by vertex.
     initial: &'a [u64],
+    /// For Arb-Recolor: the graph and the orientation whose parents are counted.
+    parents: Option<(&'a Graph, &'a Orientation)>,
 }
 
 impl<'a> RecolorAlgorithm<'a> {
     /// Creates the algorithm from a schedule and per-vertex initial colors (must be a legal
     /// coloring with values `< schedule.initial_colors`).
     pub fn new(schedule: &'a RecolorSchedule, initial: &'a [u64]) -> Self {
-        RecolorAlgorithm { schedule, initial }
+        RecolorAlgorithm { schedule, initial, parents: None }
+    }
+
+    /// Procedure Arb-Recolor (Algorithm 3 of the paper): the same iterations, with collisions
+    /// counted only against each vertex's parents under `orientation`.
+    pub fn arb_recolor(
+        schedule: &'a RecolorSchedule,
+        initial: &'a [u64],
+        graph: &'a Graph,
+        orientation: &'a Orientation,
+    ) -> Self {
+        RecolorAlgorithm { schedule, initial, parents: Some((graph, orientation)) }
     }
 }
 
 /// Node program of [`RecolorAlgorithm`].
 #[derive(Debug, Clone)]
-pub struct RecolorNode {
-    schedule: RecolorSchedule,
+pub struct RecolorNode<'a> {
+    schedule: &'a RecolorSchedule,
+    /// Ports whose colors are counted; `None` counts every neighbor.
+    parent_ports: Option<Vec<usize>>,
+    /// The counted neighbors' colors of the current round (reused across rounds).
+    counted: Vec<u64>,
     color: u64,
     iteration: usize,
 }
 
-impl arbcolor_runtime::node::NodeProgram for RecolorNode {
+impl arbcolor_runtime::node::NodeProgram for RecolorNode<'_> {
     type Msg = u64;
     type Output = u64;
 
@@ -126,28 +147,15 @@ impl arbcolor_runtime::node::NodeProgram for RecolorNode {
     }
 
     fn round(&mut self, ctx: &NodeCtx, inbox: &Inbox<'_, u64>, outbox: &mut Outbox<u64>) -> Status {
-        let step = &self.schedule.steps[self.iteration];
-        let family = &step.family;
-        let neighbor_colors: Vec<u64> = inbox.iter().map(|(_, &c)| c).collect();
-
-        // Pick α minimizing collisions with *differently*-colored neighbors.
-        let mut best_alpha = 0u64;
-        let mut best_collisions = usize::MAX;
-        for alpha in 0..family.q {
-            let own = family.evaluate(self.color, alpha);
-            let collisions = neighbor_colors
-                .iter()
-                .filter(|&&y| y != self.color && family.evaluate(y, alpha) == own)
-                .count();
-            if collisions < best_collisions {
-                best_collisions = collisions;
-                best_alpha = alpha;
-                if collisions == 0 {
-                    break;
-                }
+        self.counted.clear();
+        match &self.parent_ports {
+            None => self.counted.extend(inbox.iter().map(|(_, &c)| c)),
+            Some(ports) => {
+                self.counted.extend(ports.iter().filter_map(|&p| inbox.from_port(p).copied()))
             }
         }
-        self.color = family.pair_color(self.color, best_alpha);
+        let family = &self.schedule.steps[self.iteration].family;
+        self.color = family.pair_color(self.color, family.best_alpha(self.color, &self.counted));
         self.iteration += 1;
         if self.iteration == self.schedule.steps.len() {
             Status::Halted
@@ -163,19 +171,26 @@ impl arbcolor_runtime::node::NodeProgram for RecolorNode {
     }
 }
 
-impl Algorithm for RecolorAlgorithm<'_> {
-    type Node = RecolorNode;
+impl<'a> Algorithm for RecolorAlgorithm<'a> {
+    type Node = RecolorNode<'a>;
 
-    fn node(&self, ctx: &NodeCtx) -> RecolorNode {
+    fn node(&self, ctx: &NodeCtx) -> RecolorNode<'a> {
+        let v = ctx.vertex;
         RecolorNode {
-            schedule: self.schedule.clone(),
-            color: self.initial[ctx.vertex],
+            schedule: self.schedule,
+            parent_ports: self.parents.map(|(graph, o)| o.parent_ports(graph, v).collect()),
+            counted: Vec::new(),
+            color: self.initial[v],
             iteration: 0,
         }
     }
 
     fn name(&self) -> &'static str {
-        "iterative-recoloring"
+        if self.parents.is_some() {
+            "arb-recolor"
+        } else {
+            "iterative-recoloring"
+        }
     }
 }
 

@@ -2,8 +2,8 @@
 //! when invoked twice with the same seed, different graphs for different seeds, and
 //! identifier shuffling must never change the underlying topology.
 //!
-//! The whole experiment pipeline (and the reproducibility of EXPERIMENTS.md numbers)
-//! rests on these invariants, so they get their own tier-1 test target.
+//! The whole experiment pipeline (and the reproducibility of the `experiments` binary's
+//! numbers) rests on these invariants, so they get their own tier-1 test target.
 
 use arbcolor_graph::{generators, Graph};
 
