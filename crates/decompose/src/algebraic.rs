@@ -14,7 +14,18 @@
 //! prime `q` satisfying the constraint `q > agreement · slack` required by the recoloring
 //! lemmas (where `slack` is `Δ` for Linial, `(Δ − d′)/(d − d′ + 1)` for defective/arbdefective
 //! recoloring).  [`PolynomialFamily::best_alpha`] is the one recoloring decision all three
-//! make.
+//! make, and the hot loop of every recoloring step:
+//!
+//! * `α = 0` is decided from the lowest digits alone, since `ϕ_y(0) = y mod q`.  When no
+//!   differently-colored neighbor shares the vertex's lowest digit, the answer is 0 after one
+//!   `%` per neighbor.
+//! * Otherwise every color's digits are split once into a row of a caller-owned scratch
+//!   `Vec` (its contents unspecified between calls), and each further `α` costs one row of
+//!   `α`-powers plus, per neighbor, a multiply-add pass over its row and a single `% q`.
+//!   [`PolynomialFamily::evaluate`] remains the reference evaluation, used by
+//!   [`PolynomialFamily::pair_color`].
+//! * The unreduced sum is at most `digits·(q − 1)²`; [`PolynomialFamily::new`] asserts that it
+//!   fits in a `u64`, and [`choose_prime_field`] stays far inside that bound.
 
 /// Whether `x` is prime (deterministic trial division; the fields used here are tiny).
 pub fn is_prime(x: u64) -> bool {
@@ -80,11 +91,17 @@ impl PolynomialFamily {
     ///
     /// # Panics
     ///
-    /// Panics if `q` is not prime or `colors == 0`.
+    /// Panics if `q` is not prime, `colors == 0`, or `digits·(q − 1)²` (the largest unreduced
+    /// sum [`PolynomialFamily::best_alpha`] forms) does not fit in a `u64`.
     pub fn new(q: u64, colors: u64) -> Self {
         assert!(is_prime(q), "q = {q} must be prime");
         assert!(colors > 0, "the family must encode at least one color");
-        PolynomialFamily { q, digits: digits_needed(colors, q), colors }
+        let digits = digits_needed(colors, q);
+        assert!(
+            (q - 1).checked_mul(q - 1).and_then(|s| s.checked_mul(u64::from(digits))).is_some(),
+            "digits·(q − 1)² overflows u64 for q = {q}, digits = {digits}"
+        );
+        PolynomialFamily { q, digits, colors }
     }
 
     /// Maximum number of points on which two distinct colors' polynomials can agree
@@ -126,20 +143,67 @@ impl PolynomialFamily {
     /// `color` and whose polynomial agrees with `ϕ_color` at `α`.  The callers differ only in
     /// which neighbor colors they pass (all of them, or only the parents').
     ///
+    /// `α = 0` is decided first, from the lowest digits alone (`ϕ_y(0) = y mod q`): one `%` per
+    /// neighbor, and if no neighbor collides the answer is 0 without touching `rows`.
+    /// Otherwise the base-`q` digits of `color` and of every differently-colored neighbor are
+    /// written once into `rows`, one row of `digits` coefficients each, and every further `α`
+    /// is tested against those rows with one row of `α`-powers: a multiply-add pass and a
+    /// single `% q` per neighbor (the sum stays below `digits·(q − 1)² < 2⁶⁴`, which
+    /// [`PolynomialFamily::new`] asserts).
+    ///
     /// The scan stops at the first `α` without collisions, and stops counting an `α` as soon
     /// as it ties the best count so far (it can no longer be the smallest minimizer).
+    ///
+    /// `rows` is caller-owned scratch: it is grown to `(2 + neighbors.len())·digits` words when
+    /// `α = 0` collides and left alone otherwise, and its contents are unspecified on entry and
+    /// on return.  A caller that keeps it across calls reallocates it only when a call needs
+    /// more words than every earlier one.
     ///
     /// # Panics
     ///
     /// Panics if `color` or a differently-colored neighbor is `≥ colors`.
-    pub fn best_alpha(&self, color: u64, neighbors: &[u64]) -> u64 {
-        let mut best_alpha = 0;
-        let mut best = usize::MAX;
-        for alpha in 0..self.q {
-            let own = self.evaluate(color, alpha);
+    pub fn best_alpha(&self, color: u64, neighbors: &[u64], rows: &mut Vec<u64>) -> u64 {
+        let q = self.q;
+        assert!(color < self.colors, "color {color} out of range (< {})", self.colors);
+        let own_low = color % q;
+        let mut collisions = 0;
+        for &y in neighbors.iter().filter(|&&y| y != color) {
+            assert!(y < self.colors, "color {y} out of range (< {})", self.colors);
+            collisions += usize::from(y % q == own_low);
+        }
+        if collisions == 0 {
+            return 0;
+        }
+
+        // Layout: the α-powers row, the own row, then one row per differently-colored neighbor.
+        let d = self.digits as usize;
+        rows.clear();
+        rows.reserve((2 + neighbors.len()) * d);
+        rows.resize(d, 0);
+        let mut split = |mut value: u64| {
+            for _ in 0..d {
+                rows.push(value % q);
+                value /= q;
+            }
+        };
+        split(color);
+        neighbors.iter().filter(|&&y| y != color).for_each(|&y| split(y));
+        let (powers, rows) = rows.split_at_mut(d);
+        let (own, others) = rows.split_at(d);
+
+        let (mut best_alpha, mut best) = (0, collisions);
+        for alpha in 1..q {
+            let mut power = 1;
+            for slot in powers.iter_mut() {
+                *slot = power;
+                power = power * alpha % q;
+            }
+            let at_alpha =
+                |row: &[u64]| row.iter().zip(&*powers).map(|(c, p)| c * p).sum::<u64>() % q;
+            let target = at_alpha(own);
             let mut collisions = 0;
-            for &y in neighbors {
-                if y != color && self.evaluate(y, alpha) == own {
+            for row in others.chunks_exact(d) {
+                if at_alpha(row) == target {
                     collisions += 1;
                     if collisions == best {
                         break;
@@ -165,6 +229,11 @@ impl PolynomialFamily {
 ///
 /// The returned family always satisfies the constraint, so a suitable `α` is guaranteed to
 /// exist for every vertex.
+///
+/// For `slack < 2³¹` and `colors ≤ 2⁶²` the returned `q` is at most `2³¹ + 11`, with at most
+/// three digits once `q ≥ 2²²` and at most two once `q > 2³¹`, so `digits·(q − 1)²` stays
+/// below `3·2⁶²`, inside the `u64` bound [`PolynomialFamily::new`] asserts.  The recoloring
+/// schedules pass `slack ≤ Δ`, and their fields are far smaller (`q = 107` at `Δ ≈ 4000`).
 pub fn choose_prime_field(colors: u64, slack: u64) -> PolynomialFamily {
     let colors = colors.max(1);
     // Start from a small prime and grow until the constraint holds.  The agreement shrinks as
@@ -296,7 +365,96 @@ mod tests {
             }
             let (alpha, fewest) = naive_scan(&family, color, &neighbors);
             prop_assert!(fewest as u64 >= saturate);
-            prop_assert_eq!(family.best_alpha(color, &neighbors), alpha);
+            prop_assert_eq!(family.best_alpha(color, &neighbors, &mut Vec::new()), alpha);
+        }
+
+        /// One scratch `Vec` reused across a sequence of calls, after a first call that splits
+        /// a large family (q = 101, 4 digits, 40 neighbors).  Calls vary q ≤ 103, 1–4 digits,
+        /// the color and the neighbors; see [`reuse_call`] for the modes.
+        #[test]
+        fn best_alpha_reuses_its_scratch(
+            calls in proptest::collection::vec(
+                (
+                    (2u64..102, 1u32..5).prop_map(|(x, d)| (next_prime(x), d)),
+                    0u8..4,
+                    0u64..1 << 40,
+                    proptest::collection::vec(0u64..1 << 40, 0..24),
+                ),
+                1..8,
+            ),
+            first_draws in proptest::collection::vec(0u64..1 << 40, 40..41),
+        ) {
+            let mut rows = Vec::new();
+            let first = ((101, 4), 3, first_draws[0], first_draws);
+            for ((q, digits), mode, color_draw, draws) in std::iter::once(first).chain(calls) {
+                let (family, color, neighbors) = reuse_call(q, digits, mode, color_draw, &draws);
+                let before = rows.clone();
+                let alpha = family.best_alpha(color, &neighbors, &mut rows);
+                prop_assert_eq!(alpha, naive_scan(&family, color, &neighbors).0);
+                if mode == 1 {
+                    prop_assert_eq!(alpha, 0);
+                    prop_assert_eq!(&rows, &before, "α = 0 without collisions touched the rows");
+                }
+                if mode == 2 && digits >= 2 && !neighbors.is_empty() {
+                    prop_assert_eq!(alpha, 1);
+                }
+            }
+        }
+    }
+
+    /// A call of [`best_alpha_reuses_its_scratch`] on the full family of `digits` digits over
+    /// `F_q`.  The neighbors are the `draws` reduced into range and then, by `mode`: 0 left as
+    /// they are; 1 given a low digit other than the color's, so `α = 0` has no collision; 2
+    /// replaced by the color with digit 1 shifted by `δ ≠ 0` (`ϕ_y − ϕ_color = δα`, so they
+    /// collide at `α = 0` and nowhere else) when `digits ≥ 2`; 3 given the color's low digit,
+    /// so every one of them that differs from the color collides at `α = 0`.
+    fn reuse_call(
+        q: u64,
+        digits: u32,
+        mode: u8,
+        color_draw: u64,
+        draws: &[u64],
+    ) -> (PolynomialFamily, u64, Vec<u64>) {
+        let family = PolynomialFamily::new(q, q.pow(digits));
+        let color = color_draw % family.colors;
+        let (low, c1) = (color % q, color / q % q);
+        let neighbors = draws
+            .iter()
+            .map(|&y| y % family.colors)
+            .map(|y| match mode {
+                1 => y - y % q + (low + 1 + y % (q - 1)) % q,
+                2 if digits >= 2 => color - c1 * q + (c1 + 1 + y % (q - 1)) % q * q,
+                3 => y - y % q + low,
+                _ => y,
+            })
+            .collect();
+        (family, color, neighbors)
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn best_alpha_rejects_out_of_range_neighbor_without_alpha_zero_collision() {
+        // 12 mod 5 = 2 differs from the color's low digit 1, so α = 0 has no collision.
+        let family = PolynomialFamily::new(5, 10);
+        family.best_alpha(1, &[3, 12], &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows u64")]
+    fn family_rejects_overflowing_digit_rows() {
+        // q = 2³² − 5 is prime; two digits give 2·(q − 1)² > 2⁶⁴.
+        let _ = PolynomialFamily::new(4_294_967_291, 4_294_967_292);
+    }
+
+    #[test]
+    fn chosen_fields_stay_inside_the_overflow_bound() {
+        assert!(is_prime((1 << 31) + 11));
+        for colors in [200_000u64, 1 << 40, 1 << 62] {
+            for slack in [0u64, 3, 4147, (1 << 31) - 1] {
+                let family = choose_prime_field(colors, slack);
+                let sum = u128::from(family.digits) * u128::from(family.q - 1).pow(2);
+                assert!(family.q <= (1 << 31) + 11 && sum < 3 << 62, "{family:?}");
+            }
         }
     }
 

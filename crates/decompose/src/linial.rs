@@ -127,6 +127,11 @@ pub struct RecolorNode<'a> {
     parent_ports: Option<Vec<usize>>,
     /// The counted neighbors' colors of the current round (reused across rounds).
     counted: Vec<u64>,
+    /// Digit-row scratch of [`PolynomialFamily::best_alpha`], kept for the whole run.  It stays
+    /// unallocated until a round's `α = 0` has a collision, and is then sized for every
+    /// counted neighbor; since the digit count never grows along a schedule, that is the
+    /// run's only allocation of it.
+    rows: Vec<u64>,
     color: u64,
     iteration: usize,
 }
@@ -155,7 +160,8 @@ impl arbcolor_runtime::node::NodeProgram for RecolorNode<'_> {
             }
         }
         let family = &self.schedule.steps[self.iteration].family;
-        self.color = family.pair_color(self.color, family.best_alpha(self.color, &self.counted));
+        self.color = family
+            .pair_color(self.color, family.best_alpha(self.color, &self.counted, &mut self.rows));
         self.iteration += 1;
         if self.iteration == self.schedule.steps.len() {
             Status::Halted
@@ -180,6 +186,7 @@ impl<'a> Algorithm for RecolorAlgorithm<'a> {
             schedule: self.schedule,
             parent_ports: self.parents.map(|(graph, o)| o.parent_ports(graph, v).collect()),
             counted: Vec::new(),
+            rows: Vec::new(),
             color: self.initial[v],
             iteration: 0,
         }
@@ -303,6 +310,21 @@ mod tests {
         // Each step reduces colors from M to roughly (Δ log M)², i.e. a log* -type progression;
         // allow a generous constant factor.
         assert!(s.rounds() as u32 <= 4 * log_star(1 << 40) + 4, "rounds = {}", s.rounds());
+    }
+
+    /// `RecolorNode` sizes its digit rows once, for the digit count of the step that first
+    /// needs them, so no later step may need more digits.
+    #[test]
+    fn schedule_digits_never_grow() {
+        for initial in [10u64, 1000, 200_000, 1 << 32] {
+            for delta in [1usize, 3, 16, 300, 4147] {
+                for defect in [0u64, 1, 4, 64, 1000] {
+                    let s = RecolorSchedule::build(initial, delta, defect);
+                    let digits: Vec<u32> = s.steps.iter().map(|step| step.family.digits).collect();
+                    assert!(digits.windows(2).all(|w| w[1] <= w[0]), "{initial} {delta} {defect}");
+                }
+            }
+        }
     }
 
     #[test]
