@@ -38,8 +38,10 @@ pub const PERF_EXPERIMENTS: [&str; 9] =
 /// it gates on any change via the undirectioned fallback rather than passing decreases.)
 /// (The E25 sustained-update columns follow the same logic: a smaller conflict frontier,
 /// fewer repaired vertices, fewer full-recolor escalations, and a tighter post-compaction
-/// palette are all unambiguous improvements on a fixed seeded workload.)
-const GATED_LOWER_IS_BETTER: [&str; 13] = [
+/// palette are all unambiguous improvements on a fixed seeded workload.  So are E21's
+/// `frontier_steps` and `peak_frontier`, the sum and the maximum of its per-round
+/// `frontier`.)
+const GATED_LOWER_IS_BETTER: [&str; 15] = [
     "colors",
     "rounds",
     "messages",
@@ -53,10 +55,13 @@ const GATED_LOWER_IS_BETTER: [&str; 13] = [
     "frontier_total",
     "repaired_total",
     "full_recolors",
+    "frontier_steps",
+    "peak_frontier",
 ];
 
-/// Gated columns where *higher* is better (a drop fails the gate).
-const GATED_HIGHER_IS_BETTER: [&str; 1] = ["legal"];
+/// Gated columns where *higher* is better (a drop fails the gate): legality, and E21's
+/// `savings_factor` (active-vertex steps per frontier step).
+const GATED_HIGHER_IS_BETTER: [&str; 2] = ["legal", "savings_factor"];
 
 /// Whether a column is advisory (never gated): wall-clock and speedup measurements, which
 /// vary with CI hardware.  Any `wall_`-prefixed column qualifies (`wall_ms`, `wall_ns`,
@@ -565,6 +570,30 @@ mod tests {
         assert_eq!(cmp.improvements.len(), 1);
         assert_eq!(cmp.added_rows.len(), 1);
         assert_eq!(cmp.removed_rows.len(), 1);
+    }
+
+    #[test]
+    fn frontier_summary_columns_gate_in_their_direction() {
+        let summary = |steps: f64, peak: f64, savings: f64| {
+            doc(vec![Row::new("E21", "ba · summary")
+                .with("frontier_steps", steps)
+                .with("peak_frontier", peak)
+                .with("savings_factor", savings)])
+        };
+        let baseline = summary(4846.0, 2729.0, 1.0);
+        let better = compare_docs(&baseline, &summary(4000.0, 2000.0, 1.2));
+        assert!(better.is_pass());
+        assert_eq!(better.improvements.len(), 3);
+        for (worse, column) in [
+            (summary(4847.0, 2729.0, 1.0), "frontier_steps"),
+            (summary(4846.0, 2730.0, 1.0), "peak_frontier"),
+            (summary(4846.0, 2729.0, 0.9), "savings_factor"),
+        ] {
+            let cmp = compare_docs(&baseline, &worse);
+            assert!(!cmp.is_pass(), "{column} worsening must gate");
+            assert_eq!(cmp.regressions.len(), 1);
+            assert!(cmp.regressions[0].contains(column));
+        }
     }
 
     #[test]

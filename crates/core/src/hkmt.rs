@@ -93,15 +93,6 @@ impl<'a> RandomTrials<'a> {
     }
 }
 
-/// Phase alternation of the trial protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Strike newly adopted neighbor colors, draw, and announce a candidate.
-    Propose,
-    /// Keep the candidate unless a neighbor proposed the same color.
-    Resolve,
-}
-
 /// Per-vertex state of [`RandomTrials`].
 #[derive(Debug, Clone)]
 pub struct TrialNode<'a> {
@@ -115,26 +106,23 @@ pub struct TrialNode<'a> {
     stats: Arc<PaletteStats>,
     candidate: u64,
     color: Option<u64>,
-    phase: Phase,
-    trial: usize,
     trials: usize,
 }
 
 impl TrialNode<'_> {
-    /// Draws a fresh candidate from the surviving positions and broadcasts it.
+    /// Draws a fresh candidate from the surviving positions and broadcasts it in `round`,
+    /// to be resolved in the next one.
     ///
     /// `select_unstruck(k)` returns the `k`-th surviving position in ascending order —
     /// exactly the element `compacted[k]` of the old remove-as-you-go `Vec`, so the draw
     /// (and the whole rng stream) is bit-identical to the pre-bitset path.
-    fn propose(&mut self, ctx: &NodeCtx, outbox: &mut Outbox<TrialMsg>) -> Status {
+    fn propose(&mut self, round: usize, outbox: &mut Outbox<TrialMsg>) -> Status {
         let k = self.rng.gen_range(0..self.live) as u64;
         let pos = self.struck.select_unstruck(k).expect("live > 0 surviving positions");
         self.candidate = self.list[pos as usize];
         self.stats.record_pick_only();
         outbox.broadcast(TrialMsg::Propose(self.candidate));
-        self.phase = Phase::Resolve;
-        ctx.wake_next_round();
-        Status::Active
+        Status::WakeAt(round + 1)
     }
 }
 
@@ -151,55 +139,52 @@ impl NodeProgram for TrialNode<'_> {
             self.color = Some(self.list[0]);
             return Status::Halted;
         }
-        self.propose(ctx, outbox)
+        self.propose(0, outbox)
     }
 
     fn round(
         &mut self,
-        ctx: &NodeCtx,
+        _ctx: &NodeCtx,
         inbox: &Inbox<'_, TrialMsg>,
         outbox: &mut Outbox<TrialMsg>,
     ) -> Status {
-        match self.phase {
-            Phase::Resolve => {
-                // Uncolored vertices act in lockstep, so a resolve round sees proposals
-                // only; adoptions announced this round arrive in the next propose round.
-                let conflict = inbox
-                    .iter()
-                    .any(|(_, m)| matches!(m, TrialMsg::Propose(c) if *c == self.candidate));
-                if !conflict {
-                    self.color = Some(self.candidate);
-                    outbox.broadcast(TrialMsg::Keep(self.candidate));
-                    return Status::Halted;
-                }
-                self.trial += 1;
-                if self.trial >= self.trials {
-                    // Out of trials: leave this vertex to the deterministic fallback.
-                    return Status::Halted;
-                }
-                self.phase = Phase::Propose;
-                ctx.wake_next_round();
-                Status::Active
+        // Uncolored vertices act in lockstep: `init` and the even rounds propose, the odd
+        // rounds resolve, so the trial resolved in round `r` is trial number ⌈r / 2⌉.
+        let round = inbox.round();
+        if round % 2 == 1 {
+            // A resolve round sees proposals only; adoptions announced this round arrive
+            // in the next propose round.
+            let conflict = inbox
+                .iter()
+                .any(|(_, m)| matches!(m, TrialMsg::Propose(c) if *c == self.candidate));
+            if !conflict {
+                self.color = Some(self.candidate);
+                outbox.broadcast(TrialMsg::Keep(self.candidate));
+                return Status::Halted;
             }
-            Phase::Propose => {
-                for (_, m) in inbox.iter() {
-                    if let TrialMsg::Keep(c) = m {
-                        // Striking a position is idempotent, so a color adopted by two
-                        // neighbors (legal across resolve generations) is removed once —
-                        // same behavior as the old remove + failing re-search.
-                        if let Ok(at) = self.list.binary_search(c) {
-                            if self.struck.strike(at as u64) {
-                                self.live -= 1;
-                                self.stats.record_strikes(1);
-                            }
+            if round.div_ceil(2) >= self.trials {
+                // Out of trials: leave this vertex to the deterministic fallback.
+                return Status::Halted;
+            }
+            Status::WakeAt(round + 1)
+        } else {
+            for (_, m) in inbox.iter() {
+                if let TrialMsg::Keep(c) = m {
+                    // Striking a position is idempotent, so a color adopted by two
+                    // neighbors (legal across resolve generations) is removed once —
+                    // same behavior as the old remove + failing re-search.
+                    if let Ok(at) = self.list.binary_search(c) {
+                        if self.struck.strike(at as u64) {
+                            self.live -= 1;
+                            self.stats.record_strikes(1);
                         }
                     }
                 }
-                if self.live == 0 {
-                    return Status::Halted;
-                }
-                self.propose(ctx, outbox)
             }
+            if self.live == 0 {
+                return Status::Halted;
+            }
+            self.propose(round, outbox)
         }
     }
 
@@ -225,8 +210,6 @@ impl<'a> Algorithm for RandomTrials<'a> {
             stats: Arc::clone(&self.stats),
             candidate: 0,
             color: None,
-            phase: Phase::Propose,
-            trial: 0,
             trials: self.trials.max(1),
         }
     }

@@ -21,8 +21,7 @@ pub struct MisSweep<'a> {
 /// Node program of [`MisSweep`].
 #[derive(Debug, Clone)]
 pub struct MisSweepNode {
-    slot: u64,
-    round: u64,
+    slot: usize,
     blocked: bool,
     in_mis: bool,
 }
@@ -31,34 +30,28 @@ impl arbcolor_runtime::node::NodeProgram for MisSweepNode {
     type Msg = ();
     type Output = bool;
 
-    fn init(&mut self, ctx: &NodeCtx, outbox: &mut Outbox<()>) -> Status {
-        self.round = 0;
+    fn init(&mut self, _ctx: &NodeCtx, outbox: &mut Outbox<()>) -> Status {
         if self.slot == 0 {
             self.in_mis = true;
             outbox.broadcast(());
             Status::Halted
         } else {
-            // Counts rounds until its slot comes up, so it must be stepped every round,
-            // mail or not: self-schedule while active.
-            ctx.wake_next_round();
-            Status::Active
+            Status::WakeAt(self.slot)
         }
     }
 
-    fn round(&mut self, ctx: &NodeCtx, inbox: &Inbox<'_, ()>, outbox: &mut Outbox<()>) -> Status {
-        self.round += 1;
+    fn round(&mut self, _ctx: &NodeCtx, inbox: &Inbox<'_, ()>, outbox: &mut Outbox<()>) -> Status {
         if !inbox.is_empty() {
             self.blocked = true;
         }
-        if self.round == self.slot {
+        if inbox.round() == self.slot {
             if !self.blocked {
                 self.in_mis = true;
                 outbox.broadcast(());
             }
             Status::Halted
         } else {
-            ctx.wake_next_round();
-            Status::Active
+            Status::WakeAt(self.slot)
         }
     }
 
@@ -71,7 +64,7 @@ impl Algorithm for MisSweep<'_> {
     type Node = MisSweepNode;
 
     fn node(&self, ctx: &NodeCtx) -> MisSweepNode {
-        MisSweepNode { slot: self.slots[ctx.vertex], round: 0, blocked: false, in_mis: false }
+        MisSweepNode { slot: self.slots[ctx.vertex] as usize, blocked: false, in_mis: false }
     }
 
     fn name(&self) -> &'static str {

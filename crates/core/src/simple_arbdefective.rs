@@ -70,7 +70,7 @@ impl arbcolor_runtime::node::NodeProgram for SimpleArbdefectiveNode {
             Status::Halted
         } else {
             // Purely mail-driven: progress happens only when parent mail arrives, so no
-            // wakeup is needed — delivery marks this vertex in the frontier.
+            // alarm is needed — delivery marks this vertex in the frontier.
             Status::Active
         }
     }

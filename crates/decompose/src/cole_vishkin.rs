@@ -21,34 +21,21 @@ const CONTRACTION_ROUNDS: usize = 10;
 /// Message exchanged by the Cole–Vishkin node program: the sender's current color.
 type CvMsg = u64;
 
-/// Phase of the node program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CvPhase {
-    /// Iterated bit contraction down to ≤ 6 colors.
-    Contract(usize),
-    /// Shift-down plus recoloring of class `c` (c = 5, 4, 3 in turn).
-    ShiftDown(u64),
-    /// Recolor vertices of class `c` after the shift-down.
-    Recolor(u64),
-    /// Finished.
-    Done,
-}
-
 /// Node program of the Cole–Vishkin recoloring (driven by [`cole_vishkin_forest_coloring`]).
+///
+/// Every vertex runs the same phase in the same round: ten contraction rounds, then a
+/// shift-down round and a recolor round for each of the classes 5, 4 and 3.
 #[derive(Debug, Clone)]
 pub struct ColeVishkinNode {
     parent_port: Option<usize>,
     color: u64,
-    parent_color: Option<u64>,
-    children_color: Option<u64>,
-    phase: CvPhase,
 }
 
 impl ColeVishkinNode {
     /// One contraction step: combine own color with parent color (roots use a synthetic
     /// parent color differing at bit 0).
-    fn contract(&mut self) {
-        let parent_color = self.parent_color.unwrap_or(self.color ^ 1);
+    fn contract(&mut self, parent_color: Option<u64>) {
+        let parent_color = parent_color.unwrap_or(self.color ^ 1);
         let diff = self.color ^ parent_color;
         let bit = diff.trailing_zeros() as u64;
         let value = (self.color >> bit) & 1;
@@ -64,69 +51,44 @@ impl arbcolor_runtime::node::NodeProgram for ColeVishkinNode {
         self.color = ctx.id;
         outbox.broadcast(self.color);
         // The phase machine advances every round even when a vertex receives no mail (e.g.
-        // an isolated root), so self-schedule while active.
-        ctx.wake_next_round();
-        Status::Active
+        // an isolated root).
+        Status::WakeAt(1)
     }
 
     fn round(
         &mut self,
-        ctx: &NodeCtx,
+        _ctx: &NodeCtx,
         inbox: &Inbox<'_, CvMsg>,
         outbox: &mut Outbox<CvMsg>,
     ) -> Status {
-        // Record the parent's and (any) child's current color from the incoming messages.
-        self.parent_color = self.parent_port.and_then(|p| inbox.from_port(p).copied());
-        self.children_color =
-            inbox.iter().find(|&(port, _)| Some(port) != self.parent_port).map(|(_, &c)| c);
-
-        match self.phase {
-            CvPhase::Contract(step) => {
-                self.contract();
-                self.phase = if step + 1 < CONTRACTION_ROUNDS {
-                    CvPhase::Contract(step + 1)
-                } else {
-                    CvPhase::ShiftDown(5)
-                };
-                outbox.broadcast(self.color);
-                ctx.wake_next_round();
-                Status::Active
+        let round = inbox.round();
+        let parent_color = self.parent_port.and_then(|p| inbox.from_port(p).copied());
+        if round <= CONTRACTION_ROUNDS {
+            self.contract(parent_color);
+        } else if (round - CONTRACTION_ROUNDS) % 2 == 1 {
+            // Shift down: adopt the parent's color; roots pick a small color different from
+            // their own current color so no color above 2 is ever re-introduced at the root.
+            self.color = match parent_color {
+                Some(pc) => pc,
+                None => (0..3u64).find(|&c| c != self.color).expect("two of {0,1,2} differ"),
+            };
+        } else {
+            let class = 6 - ((round - CONTRACTION_ROUNDS) / 2) as u64;
+            if self.color == class {
+                // After a shift-down all children of a vertex share one color, so the
+                // neighborhood uses at most two colors and a free color exists in {0,1,2}.
+                let child =
+                    inbox.iter().find(|&(port, _)| Some(port) != self.parent_port).map(|(_, &c)| c);
+                self.color = (0..3u64)
+                    .find(|c| Some(*c) != parent_color && Some(*c) != child)
+                    .expect("three colors always contain a free one");
             }
-            CvPhase::ShiftDown(class) => {
-                // Shift down: adopt the parent's color; roots pick a small color different
-                // from their own current color so no color above 2 is ever re-introduced at
-                // the root.
-                self.color = match self.parent_color {
-                    Some(pc) => pc,
-                    None => (0..3u64).find(|&c| c != self.color).expect("two of {0,1,2} differ"),
-                };
-                self.phase = CvPhase::Recolor(class);
-                outbox.broadcast(self.color);
-                ctx.wake_next_round();
-                Status::Active
+            if class == 3 {
+                return Status::Halted;
             }
-            CvPhase::Recolor(class) => {
-                if self.color == class {
-                    // After a shift-down all children of a vertex share one color, so the
-                    // neighborhood uses at most two colors and a free color exists in {0,1,2}.
-                    let parent = self.parent_color;
-                    let child = self.children_color;
-                    self.color = (0..3u64)
-                        .find(|c| Some(*c) != parent && Some(*c) != child)
-                        .expect("three colors always contain a free one");
-                }
-                if class > 3 {
-                    self.phase = CvPhase::ShiftDown(class - 1);
-                    outbox.broadcast(self.color);
-                    ctx.wake_next_round();
-                    Status::Active
-                } else {
-                    self.phase = CvPhase::Done;
-                    Status::Halted
-                }
-            }
-            CvPhase::Done => Status::Halted,
         }
+        outbox.broadcast(self.color);
+        Status::WakeAt(round + 1)
     }
 
     fn output(&self, _ctx: &NodeCtx) -> u64 {
@@ -145,13 +107,7 @@ impl Algorithm for ColeVishkinPorts {
     type Node = ColeVishkinNode;
 
     fn node(&self, ctx: &NodeCtx) -> ColeVishkinNode {
-        ColeVishkinNode {
-            parent_port: self.parent_port[ctx.vertex],
-            color: ctx.id,
-            parent_color: None,
-            children_color: None,
-            phase: CvPhase::Contract(0),
-        }
+        ColeVishkinNode { parent_port: self.parent_port[ctx.vertex], color: ctx.id }
     }
 
     fn name(&self) -> &'static str {

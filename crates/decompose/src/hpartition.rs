@@ -26,10 +26,11 @@ pub struct HPartitionAlgorithm {
 #[derive(Debug, Clone)]
 pub struct HPartitionNode {
     threshold: usize,
-    max_iterations: usize,
+    /// The round in which a vertex still unpeeled gives up: round `r` peels bucket `r + 1`,
+    /// and the last bucket allowed is `max_iterations`.
+    give_up_round: usize,
     remaining_neighbors: usize,
     bucket: Option<usize>,
-    iteration: usize,
 }
 
 impl arbcolor_runtime::node::NodeProgram for HPartitionNode {
@@ -38,34 +39,30 @@ impl arbcolor_runtime::node::NodeProgram for HPartitionNode {
 
     fn init(&mut self, ctx: &NodeCtx, outbox: &mut Outbox<()>) -> Status {
         self.remaining_neighbors = ctx.degree;
-        self.iteration = 1;
         if self.remaining_neighbors <= self.threshold {
             self.bucket = Some(1);
             outbox.broadcast(());
             Status::Halted
         } else {
-            // `iteration` is the bucket number, so the count must advance every round even
-            // when no neighbor leaves: self-schedule while active.
-            ctx.wake_next_round();
-            Status::Active
+            // The remaining degree only drops when neighbors leave, so mail drives the
+            // peeling; the one alarm is the give-up deadline.
+            Status::WakeAt(self.give_up_round)
         }
     }
 
-    fn round(&mut self, ctx: &NodeCtx, inbox: &Inbox<'_, ()>, outbox: &mut Outbox<()>) -> Status {
+    fn round(&mut self, _ctx: &NodeCtx, inbox: &Inbox<'_, ()>, outbox: &mut Outbox<()>) -> Status {
         self.remaining_neighbors = self.remaining_neighbors.saturating_sub(inbox.len());
-        self.iteration += 1;
         if self.remaining_neighbors <= self.threshold {
-            self.bucket = Some(self.iteration);
+            self.bucket = Some(inbox.round() + 1);
             outbox.broadcast(());
             return Status::Halted;
         }
-        if self.iteration >= self.max_iterations {
+        if inbox.round() >= self.give_up_round {
             // Give up: the threshold is too small for this graph.  Report failure through the
             // output rather than looping forever.
             return Status::Halted;
         }
-        ctx.wake_next_round();
-        Status::Active
+        Status::WakeAt(self.give_up_round)
     }
 
     fn output(&self, _ctx: &NodeCtx) -> Option<usize> {
@@ -79,10 +76,9 @@ impl Algorithm for HPartitionAlgorithm {
     fn node(&self, _ctx: &NodeCtx) -> HPartitionNode {
         HPartitionNode {
             threshold: self.threshold,
-            max_iterations: self.max_iterations,
+            give_up_round: self.max_iterations.saturating_sub(1).max(1),
             remaining_neighbors: 0,
             bucket: None,
-            iteration: 0,
         }
     }
 

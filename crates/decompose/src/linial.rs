@@ -133,25 +133,28 @@ pub struct RecolorNode<'a> {
     /// run's only allocation of it.
     rows: Vec<u64>,
     color: u64,
-    iteration: usize,
 }
 
 impl arbcolor_runtime::node::NodeProgram for RecolorNode<'_> {
     type Msg = u64;
     type Output = u64;
 
-    fn init(&mut self, ctx: &NodeCtx, outbox: &mut Outbox<u64>) -> Status {
+    fn init(&mut self, _ctx: &NodeCtx, outbox: &mut Outbox<u64>) -> Status {
         if self.schedule.steps.is_empty() {
             return Status::Halted;
         }
         outbox.broadcast(self.color);
-        // `iteration` indexes the schedule and advances every round (isolated vertices
-        // included), so self-schedule while active rather than relying on incoming mail.
-        ctx.wake_next_round();
-        Status::Active
+        // Round `r` runs schedule step `r − 1`, isolated vertices included, so every round
+        // is an alarm rather than a wait for mail.
+        Status::WakeAt(1)
     }
 
-    fn round(&mut self, ctx: &NodeCtx, inbox: &Inbox<'_, u64>, outbox: &mut Outbox<u64>) -> Status {
+    fn round(
+        &mut self,
+        _ctx: &NodeCtx,
+        inbox: &Inbox<'_, u64>,
+        outbox: &mut Outbox<u64>,
+    ) -> Status {
         self.counted.clear();
         match &self.parent_ports {
             None => self.counted.extend(inbox.iter().map(|(_, &c)| c)),
@@ -159,16 +162,15 @@ impl arbcolor_runtime::node::NodeProgram for RecolorNode<'_> {
                 self.counted.extend(ports.iter().filter_map(|&p| inbox.from_port(p).copied()))
             }
         }
-        let family = &self.schedule.steps[self.iteration].family;
+        let round = inbox.round();
+        let family = &self.schedule.steps[round - 1].family;
         self.color = family
             .pair_color(self.color, family.best_alpha(self.color, &self.counted, &mut self.rows));
-        self.iteration += 1;
-        if self.iteration == self.schedule.steps.len() {
+        if round == self.schedule.steps.len() {
             Status::Halted
         } else {
             outbox.broadcast(self.color);
-            ctx.wake_next_round();
-            Status::Active
+            Status::WakeAt(round + 1)
         }
     }
 
@@ -188,7 +190,6 @@ impl<'a> Algorithm for RecolorAlgorithm<'a> {
             counted: Vec::new(),
             rows: Vec::new(),
             color: self.initial[v],
-            iteration: 0,
         }
     }
 

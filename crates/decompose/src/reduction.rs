@@ -100,7 +100,6 @@ pub struct GreedySweepNode<'a> {
     stats: &'a PaletteStats,
     struck: PaletteSet,
     chosen: Option<u64>,
-    round: usize,
 }
 
 impl GreedySweepNode<'_> {
@@ -125,34 +124,33 @@ impl arbcolor_runtime::node::NodeProgram for GreedySweepNode<'_> {
     type Msg = u64;
     type Output = Option<u64>;
 
-    fn init(&mut self, ctx: &NodeCtx, outbox: &mut Outbox<u64>) -> Status {
-        self.round = 0;
+    fn init(&mut self, _ctx: &NodeCtx, outbox: &mut Outbox<u64>) -> Status {
         if self.slot == 0 {
             if let Some(c) = self.pick() {
                 outbox.broadcast(c);
             }
             Status::Halted
         } else {
-            // Counts rounds up to its slot, so it must be stepped every round, mail or
-            // not: self-schedule while active.
-            ctx.wake_next_round();
-            Status::Active
+            Status::WakeAt(self.slot)
         }
     }
 
-    fn round(&mut self, ctx: &NodeCtx, inbox: &Inbox<'_, u64>, outbox: &mut Outbox<u64>) -> Status {
-        self.round += 1;
+    fn round(
+        &mut self,
+        _ctx: &NodeCtx,
+        inbox: &Inbox<'_, u64>,
+        outbox: &mut Outbox<u64>,
+    ) -> Status {
         for (_, &c) in inbox.iter() {
             self.strike(c);
         }
-        if self.round == self.slot {
+        if inbox.round() == self.slot {
             if let Some(c) = self.pick() {
                 outbox.broadcast(c);
             }
             Status::Halted
         } else {
-            ctx.wake_next_round();
-            Status::Active
+            Status::WakeAt(self.slot)
         }
     }
 
@@ -173,7 +171,6 @@ impl<'a> Algorithm for GreedySweep<'a> {
             stats: self.schedule.stats(),
             struck: PaletteSet::new(self.schedule.sizes[v]),
             chosen: None,
-            round: 0,
         };
         for &c in self.schedule.forbidden.list(v) {
             node.strike(c);

@@ -23,6 +23,9 @@
 //!
 //! All programs take per-vertex inputs at construction time, exactly like the procedures of
 //! the paper (the output of one phase is locally known to each vertex when the next starts).
+//! The slot schedules read the shared round clock ([`Inbox::round`]) and return
+//! [`Status::WakeAt`] for the next round they must act in, so a vertex that is waiting for
+//! its slot and receives no mail is never stepped.
 
 use crate::node::{Algorithm, Inbox, NodeCtx, NodeProgram, Outbox, Status};
 use arbcolor_graph::{ColorPool, PaletteSet, PaletteStats};
@@ -92,35 +95,36 @@ pub struct FloodMaxId {
 #[derive(Debug, Clone)]
 pub struct FloodMaxIdNode {
     best: u64,
-    remaining: usize,
+    rounds: usize,
 }
 
 impl NodeProgram for FloodMaxIdNode {
     type Msg = u64;
     type Output = u64;
 
-    fn init(&mut self, ctx: &NodeCtx, outbox: &mut Outbox<u64>) -> Status {
-        if self.remaining == 0 {
+    fn init(&mut self, _ctx: &NodeCtx, outbox: &mut Outbox<u64>) -> Status {
+        if self.rounds == 0 {
             return Status::Halted;
         }
         outbox.broadcast(self.best);
-        // Counts rounds, so it must be stepped even when no mail arrives (e.g. isolated
-        // vertices): self-schedule while active.
-        ctx.wake_next_round();
-        Status::Active
+        // Acts every round, mail or not (e.g. isolated vertices), until the last one.
+        Status::WakeAt(1)
     }
 
-    fn round(&mut self, ctx: &NodeCtx, inbox: &Inbox<'_, u64>, outbox: &mut Outbox<u64>) -> Status {
+    fn round(
+        &mut self,
+        _ctx: &NodeCtx,
+        inbox: &Inbox<'_, u64>,
+        outbox: &mut Outbox<u64>,
+    ) -> Status {
         for (_, &id) in inbox.iter() {
             self.best = self.best.max(id);
         }
-        self.remaining -= 1;
-        if self.remaining == 0 {
+        if inbox.round() == self.rounds {
             Status::Halted
         } else {
             outbox.broadcast(self.best);
-            ctx.wake_next_round();
-            Status::Active
+            Status::WakeAt(inbox.round() + 1)
         }
     }
 
@@ -133,7 +137,7 @@ impl Algorithm for FloodMaxId {
     type Node = FloodMaxIdNode;
 
     fn node(&self, ctx: &NodeCtx) -> FloodMaxIdNode {
-        FloodMaxIdNode { best: ctx.id, remaining: self.rounds }
+        FloodMaxIdNode { best: ctx.id, rounds: self.rounds }
     }
 
     fn name(&self) -> &'static str {
@@ -209,7 +213,8 @@ impl ListColorSchedule {
 
 /// Slot-scheduled greedy list coloring (node-program factory) on the bitset pick path.
 ///
-/// Cost: `max_slot + 1` rounds and one broadcast per vertex.
+/// Cost: `max_slot` rounds and one broadcast per vertex.  A vertex is stepped in its slot and
+/// whenever a neighbor's announcement arrives, never while it merely waits.
 #[derive(Debug, Clone)]
 pub struct ScheduledListColor<'a> {
     schedule: &'a ListColorSchedule,
@@ -231,7 +236,6 @@ pub struct ScheduledListColorNode<'a> {
     stats: &'a PaletteStats,
     struck: PaletteSet,
     chosen: Option<u64>,
-    round: usize,
 }
 
 impl ScheduledListColorNode<'_> {
@@ -250,34 +254,33 @@ impl NodeProgram for ScheduledListColorNode<'_> {
     type Msg = u64;
     type Output = Option<u64>;
 
-    fn init(&mut self, ctx: &NodeCtx, outbox: &mut Outbox<u64>) -> Status {
-        self.round = 0;
+    fn init(&mut self, _ctx: &NodeCtx, outbox: &mut Outbox<u64>) -> Status {
         if self.slot == 0 {
             if let Some(c) = self.pick() {
                 outbox.broadcast(c);
             }
             Status::Halted
         } else {
-            // `round` counts rounds up to the slot, so the vertex must be stepped every
-            // round, mail or not: self-schedule while active.
-            ctx.wake_next_round();
-            Status::Active
+            Status::WakeAt(self.slot)
         }
     }
 
-    fn round(&mut self, ctx: &NodeCtx, inbox: &Inbox<'_, u64>, outbox: &mut Outbox<u64>) -> Status {
-        self.round += 1;
+    fn round(
+        &mut self,
+        _ctx: &NodeCtx,
+        inbox: &Inbox<'_, u64>,
+        outbox: &mut Outbox<u64>,
+    ) -> Status {
         for (_, &c) in inbox.iter() {
             self.struck.strike(c);
         }
-        if self.round == self.slot {
+        if inbox.round() == self.slot {
             if let Some(c) = self.pick() {
                 outbox.broadcast(c);
             }
             Status::Halted
         } else {
-            ctx.wake_next_round();
-            Status::Active
+            Status::WakeAt(self.slot)
         }
     }
 
@@ -301,7 +304,6 @@ impl<'a> Algorithm for ScheduledListColor<'a> {
             stats: self.schedule.stats(),
             struck,
             chosen: None,
-            round: 0,
         }
     }
 
@@ -335,7 +337,6 @@ pub struct VecScanListColorNode {
     input: ListColorSlot,
     taken: Vec<u64>,
     chosen: Option<u64>,
-    round: usize,
 }
 
 impl VecScanListColorNode {
@@ -355,32 +356,33 @@ impl NodeProgram for VecScanListColorNode {
     type Msg = u64;
     type Output = Option<u64>;
 
-    fn init(&mut self, ctx: &NodeCtx, outbox: &mut Outbox<u64>) -> Status {
-        self.round = 0;
+    fn init(&mut self, _ctx: &NodeCtx, outbox: &mut Outbox<u64>) -> Status {
         if self.input.slot == 0 {
             if let Some(c) = self.pick() {
                 outbox.broadcast(c);
             }
             Status::Halted
         } else {
-            ctx.wake_next_round();
-            Status::Active
+            Status::WakeAt(self.input.slot)
         }
     }
 
-    fn round(&mut self, ctx: &NodeCtx, inbox: &Inbox<'_, u64>, outbox: &mut Outbox<u64>) -> Status {
-        self.round += 1;
+    fn round(
+        &mut self,
+        _ctx: &NodeCtx,
+        inbox: &Inbox<'_, u64>,
+        outbox: &mut Outbox<u64>,
+    ) -> Status {
         for (_, &c) in inbox.iter() {
             self.taken.push(c);
         }
-        if self.round == self.input.slot {
+        if inbox.round() == self.input.slot {
             if let Some(c) = self.pick() {
                 outbox.broadcast(c);
             }
             Status::Halted
         } else {
-            ctx.wake_next_round();
-            Status::Active
+            Status::WakeAt(self.input.slot)
         }
     }
 
@@ -397,7 +399,6 @@ impl Algorithm for VecScanListColor<'_> {
             input: self.slots[ctx.vertex].clone(),
             taken: Vec::new(),
             chosen: None,
-            round: 0,
         }
     }
 
@@ -436,9 +437,11 @@ pub enum SplitChoice {
 /// Slot-scheduled color-space bipartition (node-program factory).
 ///
 /// Runs for exactly `num_slots` rounds; every vertex broadcasts its committed half once, in
-/// its slot, and listens for the whole execution so it can count how many neighbors ended up
-/// on its half.  Nodes borrow their [`SplitSlot`] from the shared slice — a split slot is
-/// all-scalar, so node construction is allocation-free.
+/// its slot, and counts the neighbors' announcements as they arrive, so after round
+/// `num_slots` it knows how many neighbors ended up on its half.  A vertex is stepped only
+/// when announcements arrive, in its own slot, and in round `num_slots` to finalize.  Nodes
+/// borrow their [`SplitSlot`] from the shared slice — a split slot is all-scalar, so node
+/// construction is allocation-free.
 #[derive(Debug, Clone)]
 pub struct HalvingSplit<'a> {
     slots: &'a [SplitSlot],
@@ -467,7 +470,6 @@ pub struct HalvingSplitNode<'a> {
     committed_high: usize,
     side_high: Option<bool>,
     deferred: bool,
-    round: usize,
 }
 
 impl HalvingSplitNode<'_> {
@@ -500,31 +502,33 @@ impl HalvingSplitNode<'_> {
         };
         self.deferred = share < rivals + 1;
     }
+
+    /// The next round this vertex must act in after `round` without mail: its slot, then
+    /// round `num_slots` (the slot-(K−1) announcements are delivered in round K, so the
+    /// deferral check waits for them).
+    fn alarm(&self, round: usize) -> Status {
+        Status::WakeAt(if round < self.input.slot { self.input.slot } else { self.num_slots })
+    }
 }
 
 impl NodeProgram for HalvingSplitNode<'_> {
     type Msg = bool;
     type Output = SplitChoice;
 
-    fn init(&mut self, ctx: &NodeCtx, outbox: &mut Outbox<bool>) -> Status {
-        self.round = 0;
+    fn init(&mut self, _ctx: &NodeCtx, outbox: &mut Outbox<bool>) -> Status {
         if self.input.slot == 0 {
             let high = self.decide();
             outbox.broadcast(high);
         }
-        // Every vertex counts all num_slots rounds (its own slot fires on the count), so it
-        // must be stepped every round, mail or not: self-schedule while active.
-        ctx.wake_next_round();
-        Status::Active
+        self.alarm(0)
     }
 
     fn round(
         &mut self,
-        ctx: &NodeCtx,
+        _ctx: &NodeCtx,
         inbox: &Inbox<'_, bool>,
         outbox: &mut Outbox<bool>,
     ) -> Status {
-        self.round += 1;
         for (_, &high) in inbox.iter() {
             if high {
                 self.committed_high += 1;
@@ -532,18 +536,16 @@ impl NodeProgram for HalvingSplitNode<'_> {
                 self.committed_low += 1;
             }
         }
-        if self.round == self.input.slot {
+        let round = inbox.round();
+        if round == self.input.slot {
             let high = self.decide();
             outbox.broadcast(high);
         }
-        // The slot-(K−1) announcements are delivered in round K, so everyone stays active for
-        // exactly num_slots rounds before the deferral check.
-        if self.round >= self.num_slots {
+        if round >= self.num_slots {
             self.finalize();
             Status::Halted
         } else {
-            ctx.wake_next_round();
-            Status::Active
+            self.alarm(round)
         }
     }
 
@@ -569,7 +571,6 @@ impl<'a> Algorithm for HalvingSplit<'a> {
             committed_high: 0,
             side_high: None,
             deferred: false,
-            round: 0,
         }
     }
 
@@ -581,7 +582,7 @@ impl<'a> Algorithm for HalvingSplit<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Executor;
+    use crate::{Executor, ReferenceExecutor};
     use arbcolor_graph::generators;
 
     #[test]
@@ -678,6 +679,47 @@ mod tests {
         // Vertex 2 sees one commitment per half; margins tie, counts tie, tie_high says Low.
         assert_eq!(result.outputs[2], SplitChoice::Low);
         assert_eq!(result.report.rounds, 3);
+    }
+
+    #[test]
+    fn scheduled_list_color_steps_a_waiting_vertex_only_on_mail_and_in_its_slot() {
+        // Path 0 – 1 – 2 with slots (0, 4, 1): vertex 1 is stepped by vertex 0's
+        // announcement (round 1) and vertex 2's (round 2), then waits silently until its
+        // slot in round 4; vertex 2 acts in its slot, round 1.
+        let g = generators::path(3).unwrap();
+        let slots = vec![
+            ListColorSlot { slot: 0, palette: vec![1, 2], forbidden: vec![] },
+            ListColorSlot { slot: 4, palette: vec![1, 2, 3], forbidden: vec![] },
+            ListColorSlot { slot: 1, palette: vec![2, 1], forbidden: vec![] },
+        ];
+        let schedule = ListColorSchedule::from_slots(&slots);
+        let (result, trace) =
+            Executor::new(&g).run_traced(&ScheduledListColor::new(&schedule)).unwrap();
+        assert_eq!(result.outputs, vec![Some(1), Some(3), Some(2)]);
+        assert_eq!(result.report.rounds, 4);
+        assert_eq!(trace.frontier_profile(), vec![2, 1, 0, 1]);
+        let oracle = ReferenceExecutor::new(&g).run(&ScheduledListColor::new(&schedule)).unwrap();
+        assert_eq!(oracle.outputs, result.outputs);
+        assert_eq!(oracle.report, result.report);
+    }
+
+    #[test]
+    fn halving_split_steps_a_vertex_on_mail_in_its_slot_and_to_finalize() {
+        // A 2-path with slots (0, 1) and four slots: round 1 steps vertex 1 (its slot, plus
+        // vertex 0's announcement), round 2 vertex 0 (vertex 1's announcement), round 3
+        // nobody, and round 4 both, to finalize.
+        let g = generators::path(2).unwrap();
+        let slots = vec![
+            SplitSlot { slot: 0, low_count: 2, high_count: 1, tie_high: false },
+            SplitSlot { slot: 1, low_count: 2, high_count: 1, tie_high: false },
+        ];
+        let (result, trace) = Executor::new(&g).run_traced(&HalvingSplit::new(&slots, 4)).unwrap();
+        assert_eq!(result.outputs, vec![SplitChoice::Low, SplitChoice::Low]);
+        assert_eq!(result.report.rounds, 4);
+        assert_eq!(trace.frontier_profile(), vec![1, 1, 0, 2]);
+        let oracle = ReferenceExecutor::new(&g).run(&HalvingSplit::new(&slots, 4)).unwrap();
+        assert_eq!(oracle.outputs, result.outputs);
+        assert_eq!(oracle.report, result.report);
     }
 
     #[test]

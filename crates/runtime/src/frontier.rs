@@ -1,12 +1,11 @@
 //! Frontier scheduling primitives of the round loop.
 //!
 //! The [`Executor`](crate::Executor) drives node programs off a **frontier**: the set of
-//! vertices that must act in the upcoming round because they received a message or
-//! explicitly scheduled themselves with
-//! [`NodeCtx::wake_next_round`](crate::NodeCtx::wake_next_round).  A round then costs
-//! O(|frontier| + messages) instead of O(n), which is where the late rounds of the
-//! headline algorithms — tiny active sets, most vertices finalized and silent — stop paying
-//! for the vertices that no longer participate.
+//! vertices that must act in the upcoming round because they received a message or an
+//! alarm they set with [`Status::WakeAt`] comes due.  A round then costs
+//! O(|frontier| + messages) instead of O(n), which is where the late rounds of the headline
+//! algorithms — tiny active sets, most vertices finalized and silent — and the waits of slot
+//! schedules stop paying for the vertices that have nothing to do.
 //!
 //! Two small types live here:
 //!
@@ -15,9 +14,12 @@
 //!   into ascending vertex order so iteration is deterministic), and opening the next round
 //!   is O(1): bumping the epoch invalidates every stamp at once, so there is no per-round
 //!   O(n) clear.
-//! * [`ActiveSet`] — the "who has not halted yet" flags with a maintained count.
+//! * `Statuses` — the status every vertex last returned: who has halted, with a maintained
+//!   count, and the pending alarms, keyed by round.
 
+use crate::node::Status;
 use arbcolor_graph::Vertex;
+use std::collections::BTreeMap;
 
 /// An epoch-stamped dense vertex set with deterministic, vertex-ordered enumeration.
 ///
@@ -76,37 +78,83 @@ impl Frontier {
     }
 }
 
-/// Halt bookkeeping of the round loop: one flag per vertex plus a maintained count.
+/// The last [`Status`] every vertex returned: the halt flags (with a maintained count) and
+/// the pending alarms of the round loop.
+///
+/// An alarm for the next round goes straight into the frontier; later ones wait in a
+/// round → vertices map that grows with the alarms set, never with the round numbers they
+/// name.  A vertex's newest status replaces its alarm, and the stale entry is skipped when
+/// its round opens.
 #[derive(Debug, Clone)]
-pub struct ActiveSet {
-    live: Vec<bool>,
-    count: usize,
+pub(crate) struct Statuses {
+    /// Per vertex: `HALTED`, the round of its pending alarm, or 0 (mail only).
+    last: Vec<usize>,
+    active: usize,
+    alarms: BTreeMap<usize, Vec<Vertex>>,
 }
 
-impl ActiveSet {
-    /// All of `0..n` active.
-    pub fn new(n: usize) -> Self {
-        ActiveSet { live: vec![true; n], count: n }
+impl Statuses {
+    const HALTED: usize = usize::MAX;
+
+    /// All of `0..n` active, waiting for mail.
+    pub(crate) fn new(n: usize) -> Self {
+        Statuses { last: vec![0; n], active: n, alarms: BTreeMap::new() }
     }
 
     /// Whether `v` has not halted.
     #[inline]
-    pub fn is_active(&self, v: Vertex) -> bool {
-        self.live[v]
-    }
-
-    /// Marks `v` halted; idempotent.
-    #[inline]
-    pub fn halt(&mut self, v: Vertex) {
-        if self.live[v] {
-            self.live[v] = false;
-            self.count -= 1;
-        }
+    pub(crate) fn is_active(&self, v: Vertex) -> bool {
+        self.last[v] != Self::HALTED
     }
 
     /// Number of vertices still active.
-    pub fn count(&self) -> usize {
-        self.count
+    pub(crate) fn count(&self) -> usize {
+        self.active
+    }
+
+    /// Records the `status` that active vertex `v` returned in `round` (0 for `init`),
+    /// marking an alarm due next round into `frontier`; returns whether `v` halted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an alarm names a round not after `round`.
+    pub(crate) fn record(
+        &mut self,
+        v: Vertex,
+        status: Status,
+        round: usize,
+        frontier: &mut Frontier,
+    ) -> bool {
+        status.check_alarm(v, round);
+        self.last[v] = match status {
+            Status::Active => 0,
+            Status::WakeAt(at) if at == round + 1 => {
+                frontier.mark(v);
+                0
+            }
+            Status::WakeAt(at) => {
+                if self.last[v] != at {
+                    self.alarms.entry(at).or_default().push(v);
+                }
+                at
+            }
+            Status::Halted => {
+                self.active -= 1;
+                Self::HALTED
+            }
+        };
+        status == Status::Halted
+    }
+
+    /// Marks into `frontier` every vertex whose pending alarm is for `round`, and forgets
+    /// that round's entries.
+    pub(crate) fn ring(&mut self, round: usize, frontier: &mut Frontier) {
+        for v in self.alarms.remove(&round).unwrap_or_default() {
+            if self.last[v] == round {
+                self.last[v] = 0;
+                frontier.mark(v);
+            }
+        }
     }
 }
 
@@ -148,16 +196,35 @@ mod tests {
     }
 
     #[test]
-    fn active_set_counts_and_is_idempotent() {
-        let mut a = ActiveSet::new(3);
-        assert_eq!(a.count(), 3);
-        assert!(a.is_active(2));
-        a.halt(2);
-        a.halt(2);
-        assert_eq!(a.count(), 2);
-        assert!(!a.is_active(2));
-        a.halt(0);
-        a.halt(1);
-        assert_eq!(a.count(), 0);
+    fn statuses_ring_alarms_once_and_forget_replaced_ones() {
+        let mut st = Statuses::new(5);
+        let mut f = Frontier::new(5);
+        let mut schedule = Vec::new();
+        let pending = |st: &Statuses| st.alarms.values().map(Vec::len).sum::<usize>();
+        // `init` (round 0): alarms for rounds 1, 3 and 5, one halt.
+        assert!(!st.record(0, Status::WakeAt(1), 0, &mut f), "due next round: marked now");
+        assert!(!st.record(1, Status::WakeAt(3), 0, &mut f));
+        assert!(!st.record(2, Status::WakeAt(3), 0, &mut f));
+        assert!(!st.record(3, Status::WakeAt(5), 0, &mut f));
+        assert!(st.record(4, Status::Halted, 0, &mut f));
+        assert_eq!((st.count(), pending(&st)), (4, 3));
+        assert!(!st.is_active(4) && st.is_active(3));
+        f.take(&mut schedule);
+        assert_eq!(schedule, vec![0]);
+        // Round 1: vertex 1 repeats its alarm (no new entry), vertex 2 moves its alarm to
+        // round 4, vertex 3 halts and so drops its alarm.
+        st.ring(1, &mut f);
+        assert!(!st.record(1, Status::WakeAt(3), 1, &mut f));
+        assert!(!st.record(2, Status::WakeAt(4), 1, &mut f));
+        assert!(st.record(3, Status::Halted, 1, &mut f));
+        assert_eq!((st.count(), pending(&st)), (3, 4));
+        f.take(&mut schedule);
+        assert!(schedule.is_empty());
+        for (round, due) in [(2, vec![]), (3, vec![1]), (4, vec![2]), (5, vec![])] {
+            st.ring(round, &mut f);
+            f.take(&mut schedule);
+            assert_eq!(schedule, due, "round {round}");
+        }
+        assert_eq!(pending(&st), 0, "rung rounds are forgotten");
     }
 }

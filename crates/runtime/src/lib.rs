@@ -21,9 +21,9 @@
 //!   [`network`]): O(1) mirror-table routing into flat one-slot-per-port mailboxes.
 //! * [`mod@reference`] — the pre-fabric `Vec<Vec<…>>` executor with linear-scan routing, kept
 //!   as the bit-identity oracle and the baseline the `routing` benches race against.
-//! * [`frontier`] — the epoch-stamped frontier bitmap and shared halt bookkeeping behind
-//!   O(|active|) rounds: delivery marks the receiver, programs self-schedule with
-//!   [`NodeCtx::wake_next_round`], quiescent vertices cost nothing.
+//! * [`frontier`] — the epoch-stamped frontier bitmap and the per-vertex halt and alarm
+//!   book behind O(|active|) rounds: delivery marks the receiver, programs that must act
+//!   without mail return [`Status::WakeAt`], quiescent vertices cost nothing.
 //! * [`shard`] — the round loop's home: the [`Executor`], a hand-rolled [`WorkPool`], and
 //!   the thread-scoped [`RunConfig`] (executor kind and cost mode) of [`run_algorithm`].
 //! * [`metrics`] — the [`RoundReport`] cost record and its two composition rules
@@ -72,7 +72,7 @@ pub mod shard;
 pub mod trace;
 
 pub use cost::{CostMode, MessageCost};
-pub use frontier::{ActiveSet, Frontier};
+pub use frontier::Frontier;
 pub use metrics::{parallel_max, ActivitySummary, RoundReport};
 pub use network::{ExecutionResult, RuntimeError, TracedRun};
 pub use node::{Algorithm, Inbox, NeighborIds, NodeCtx, NodeProgram, Outbox, Status};

@@ -24,8 +24,9 @@
 //!
 //! On top of the fabric, the round loop ([`Executor`](crate::Executor)) only steps the
 //! **frontier** (see [`frontier`](crate::frontier)): delivering a message marks the
-//! receiver's frontier bit, and [`NodeCtx::wake_next_round`] marks the caller, so a round
-//! walks the sorted frontier instead of all of `0..n` — O(|frontier| + messages) per round.
+//! receiver's frontier bit, and an alarm ([`Status::WakeAt`](crate::Status::WakeAt)) marks
+//! its vertex when its round opens, so a round walks the sorted frontier instead of all of
+//! `0..n` — O(|frontier| + messages) per round.
 //! Halted vertices can still be marked by late mail; they are skipped at iteration time
 //! (their mailbox window is consumed and dropped).  Every vertex with mail is on the
 //! frontier, so a mailbox cursor seeded once per frontier chunk walks the chunk's windows
@@ -148,6 +149,8 @@ pub(crate) struct ArcMailboxes<M> {
     /// Overflow messages as `(arc, message)`, arrival order; stably sorted by arc by
     /// [`ArcMailboxes::seal`].
     spill: Vec<(usize, M)>,
+    /// The round these messages are read in, set by [`ArcMailboxes::seal`].
+    round: usize,
 }
 
 impl<M> ArcMailboxes<M> {
@@ -157,6 +160,7 @@ impl<M> ArcMailboxes<M> {
             slots: (0..arcs).map(|_| None).collect(),
             filled: Vec::new(),
             spill: Vec::new(),
+            round: 0,
         }
     }
 
@@ -172,10 +176,11 @@ impl<M> ArcMailboxes<M> {
         }
     }
 
-    /// Prepares the buffer for reading: sorts the fill list (port order = sender order, see
-    /// the module docs) and stably groups the spill by arc, preserving send order within an
-    /// arc.
-    pub(crate) fn seal(&mut self) {
+    /// Prepares the buffer for reading in `round`: sorts the fill list (port order = sender
+    /// order, see the module docs) and stably groups the spill by arc, preserving send order
+    /// within an arc.
+    pub(crate) fn seal(&mut self, round: usize) {
+        self.round = round;
         self.filled.sort_unstable();
         if !self.spill.is_empty() {
             self.spill.sort_by_key(|&(arc, _)| arc);
@@ -194,6 +199,7 @@ impl<M> ArcMailboxes<M> {
     /// The inbox of the vertex owning `arcs`, given its `window` from a [`MailboxCursor`].
     pub(crate) fn read(&self, window: MailboxWindow, arcs: std::ops::Range<usize>) -> Inbox<'_, M> {
         Inbox::from_slots(
+            self.round,
             &self.slots[arcs.clone()],
             &self.filled[window.filled],
             &self.spill[window.spill],

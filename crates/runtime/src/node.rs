@@ -2,7 +2,6 @@
 
 use arbcolor_graph::Vertex;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// The neighbor identifiers of one vertex, as a view into a graph-wide CSR-shaped table.
@@ -70,7 +69,7 @@ impl Eq for NeighborIds {}
 /// identifier space).  We additionally expose the identifiers of the neighbors (the `KT1`
 /// assumption); algorithms that want to work under `KT0` can simply ignore
 /// [`NodeCtx::neighbor_ids`] and learn them with one round of communication.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct NodeCtx {
     /// Simulator-internal vertex index (stable across phases of a multi-phase algorithm, but
     /// *not* to be used as an identifier by node programs — use [`NodeCtx::id`]).
@@ -86,10 +85,6 @@ pub struct NodeCtx {
     /// Identifiers of the neighbors, indexed by port (position in the adjacency list).
     /// Backed by one table shared across all contexts of an execution.
     pub neighbor_ids: NeighborIds,
-    /// Set by [`NodeCtx::wake_next_round`], drained by the executors after every `init`/
-    /// `round` call.  Atomic (not `Cell`) so contexts can be shared across the worker
-    /// threads of the work-stealing executor.
-    wake: AtomicBool,
 }
 
 impl NodeCtx {
@@ -103,55 +98,42 @@ impl NodeCtx {
         degree: usize,
         neighbor_ids: NeighborIds,
     ) -> Self {
-        NodeCtx { vertex, id, n, id_space, degree, neighbor_ids, wake: AtomicBool::new(false) }
+        NodeCtx { vertex, id, n, id_space, degree, neighbor_ids }
     }
 
     /// The port of the neighbor with identifier `id`, if any.
     pub fn port_of_neighbor_id(&self, id: u64) -> Option<usize> {
         self.neighbor_ids.iter().position(|&x| x == id)
     }
-
-    /// Schedules this vertex to act in the next round even if no message arrives.
-    ///
-    /// The executors only invoke [`NodeProgram::round`] for vertices with pending mail or a
-    /// wakeup (see the trait docs for the activation contract).  Programs that progress on
-    /// an internal counter or phase machine — anything that must act on an empty inbox —
-    /// call this from every `init`/`round` invocation after which they still want to run.
-    /// The flag is consumed by the executor after each invocation, so a wakeup covers
-    /// exactly one round.  Calling it from a `round` that returns [`Status::Halted`] has no
-    /// effect.
-    pub fn wake_next_round(&self) {
-        self.wake.store(true, Ordering::Relaxed);
-    }
-
-    /// Consumes the wakeup flag set during the preceding `init`/`round` call.
-    pub(crate) fn take_wake(&self) -> bool {
-        self.wake.swap(false, Ordering::Relaxed)
-    }
 }
 
-impl Clone for NodeCtx {
-    fn clone(&self) -> Self {
-        NodeCtx {
-            vertex: self.vertex,
-            id: self.id,
-            n: self.n,
-            id_space: self.id_space,
-            degree: self.degree,
-            neighbor_ids: self.neighbor_ids.clone(),
-            wake: AtomicBool::new(self.wake.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-/// Whether a node keeps participating after the current round.
+/// What a node asks of the executor after an `init`/`round` invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Status {
-    /// The node wants to receive the next round's messages.
+    /// Step the node again only when mail arrives.
     Active,
+    /// Step the node in round `r`, or earlier if mail arrives.  `r` must be later than the
+    /// round that returned it (`init` returns from round 0); the executors panic otherwise.
+    /// Every invocation's status replaces the previous one, so an alarm is cancelled by a
+    /// later invocation that returns [`Status::Active`], another `WakeAt`, or
+    /// [`Status::Halted`].
+    WakeAt(usize),
     /// The node's output is final; it sends the messages produced in this round and then
     /// stops participating.
     Halted,
+}
+
+impl Status {
+    /// Panics unless a [`Status::WakeAt`] returned by `vertex` in `round` names a later round.
+    pub(crate) fn check_alarm(self, vertex: Vertex, round: usize) {
+        if let Status::WakeAt(at) = self {
+            assert!(
+                at > round,
+                "vertex {vertex} returned WakeAt({at}) in round {round}: an alarm must name a \
+                 later round"
+            );
+        }
+    }
 }
 
 /// Messages delivered to a node at the start of a round.
@@ -165,6 +147,7 @@ pub enum Status {
 /// order.
 #[derive(Debug)]
 pub struct Inbox<'a, M> {
+    round: usize,
     repr: InboxRepr<'a, M>,
 }
 
@@ -190,24 +173,33 @@ enum InboxRepr<'a, M> {
 }
 
 impl<'a, M> Inbox<'a, M> {
-    /// Wraps a slice of `(port, message)` pairs.
+    /// Wraps a slice of `(port, message)` pairs delivered in `round`.
     ///
     /// This representation is deliberately kept alive alongside the flat-slot one: the
     /// [`ReferenceExecutor`](crate::ReferenceExecutor) oracle must share no fabric code with
     /// the executors it checks, so it builds its inboxes from plain per-vertex pair vectors
     /// through this constructor (as do hand-rolled node-program tests).
-    pub fn new(messages: &'a [(usize, M)]) -> Self {
-        Inbox { repr: InboxRepr::Pairs(messages) }
+    pub fn new(round: usize, messages: &'a [(usize, M)]) -> Self {
+        Inbox { round, repr: InboxRepr::Pairs(messages) }
     }
 
-    /// Wraps one vertex's window of the flat arc-indexed fabric (see the type docs).
+    /// Wraps one vertex's window of the flat arc-indexed fabric (see the type docs),
+    /// delivered in `round`.
     pub(crate) fn from_slots(
+        round: usize,
         slots: &'a [Option<M>],
         filled: &'a [usize],
         spill: &'a [(usize, M)],
         base: usize,
     ) -> Self {
-        Inbox { repr: InboxRepr::Slots { slots, filled, spill, base } }
+        Inbox { round, repr: InboxRepr::Slots { slots, filled, spill, base } }
+    }
+
+    /// The current round, counted from 1 (round 0 is `init`, which has no inbox).  Every
+    /// processor shares this clock, so slot schedules and phase machines read it instead
+    /// of counting rounds themselves.
+    pub fn round(&self) -> usize {
+        self.round
     }
 
     /// Iterates over `(port, &message)` pairs (ports ascending; same-port messages in send
@@ -350,32 +342,35 @@ impl<M: Clone> Outbox<M> {
 /// The per-vertex state machine of a distributed algorithm.
 ///
 /// The executor drives it as follows: `init` runs before the first communication round (for
-/// **every** vertex) and may queue messages; then, in every round, the messages queued in the
-/// previous step are delivered and `round` is invoked.  When a node returns
-/// [`Status::Halted`], the messages it queued in that invocation are still delivered, but it
-/// takes no further part in the execution.  `output` is read once the whole network has
-/// halted.
+/// **every** vertex, as round 0) and may queue messages; then rounds 1, 2, … deliver the
+/// messages queued in the previous round and invoke `round` on the vertices that must act
+/// (see below).  When a node returns [`Status::Halted`], the messages it queued in that
+/// invocation are still delivered, but it takes no further part in the execution.  `output`
+/// is read once the whole network has halted.
 ///
 /// # Activation contract
 ///
-/// A round only invokes `round` on the **frontier**: vertices that either received at least
-/// one message in that round or called [`NodeCtx::wake_next_round`] during their previous
-/// `init`/`round` invocation.  Quiescent vertices are free — a round costs
-/// O(|frontier| + messages), not O(n).  This puts one obligation on node programs:
+/// Every processor shares one round clock, read as [`Inbox::round`].  A round only invokes
+/// `round` on the **frontier**: the vertices that received at least one message in that
+/// round, plus those whose previous `init`/`round` invocation returned
+/// [`Status::WakeAt`] for this round.  Quiescent vertices are free — a round costs
+/// O(|frontier| + messages), not O(n).  The status each invocation returns is the vertex's
+/// whole request:
 ///
-/// * A program that must act without incoming mail (an internal round counter, a slot
-///   schedule, a phase machine) calls `ctx.wake_next_round()` in every invocation after
-///   which it still wants to run.  The flag covers exactly one round, so "wake while
-///   [`Status::Active`]" is the usual idiom.
-/// * A purely message-driven program (acts only when mail arrives, empty-inbox rounds would
-///   be no-ops) needs no change — it is simply not invoked until mail shows up, which is
-///   where the O(|frontier|) rounds come from.
+/// * [`Status::Active`] — step me only when mail arrives.  Purely message-driven programs
+///   (empty-inbox rounds would be no-ops) return it and are not invoked until mail shows up.
+/// * [`Status::WakeAt(r)`](Status::WakeAt) — step me in round `r`, or earlier if mail
+///   arrives.  A slot schedule returns its slot, a give-up deadline its round, and a phase
+///   machine that acts every round `WakeAt(round + 1)`.  An earlier invocation (on mail)
+///   returns a new status, which replaces the alarm.
+/// * [`Status::Halted`] — done; any pending alarm is dropped.
 ///
-/// An active vertex that is skipped in a round observes nothing: skipping a no-op invocation
-/// is indistinguishable from running it.  The [`ReferenceExecutor`](crate::ReferenceExecutor)
-/// oracle still invokes every active vertex every round and ignores wakeups, so the
-/// bit-identity suites double as a check that converted programs treat a skipped no-op round
-/// and an executed one identically.
+/// An active vertex that is skipped in a round observes nothing, so a program must treat an
+/// invocation before its alarm with an empty inbox as a no-op that returns the same alarm.
+/// The [`ReferenceExecutor`](crate::ReferenceExecutor) oracle still invokes every active
+/// vertex every round (it only checks that alarms name a later round), so the bit-identity
+/// suites double as a check that programs treat a skipped no-op round and an executed one
+/// identically.
 pub trait NodeProgram {
     /// Message type exchanged by this algorithm.  The [`MessageCost`](crate::cost::MessageCost)
     /// bound is what lets the executors account CONGEST bandwidth for every algorithm.
@@ -454,7 +449,7 @@ mod tests {
     #[test]
     fn inbox_lookup() {
         let raw = vec![(0usize, 5u32), (2, 7)];
-        let inbox = Inbox::new(&raw);
+        let inbox = Inbox::new(1, &raw);
         assert_eq!(inbox.len(), 2);
         assert!(!inbox.is_empty());
         assert_eq!(inbox.from_port(2), Some(&7));
@@ -470,7 +465,7 @@ mod tests {
         let slots = vec![Some(5u32), None, Some(7), Some(9)];
         let filled = vec![10usize, 12, 13];
         let spill = vec![(13usize, 11u32), (13, 13)];
-        let inbox = Inbox::from_slots(&slots, &filled, &spill, 10);
+        let inbox = Inbox::from_slots(1, &slots, &filled, &spill, 10);
         assert_eq!(inbox.len(), 5);
         assert!(!inbox.is_empty());
         assert_eq!(inbox.from_port(0), Some(&5));
@@ -480,7 +475,7 @@ mod tests {
         let collected: Vec<_> = inbox.iter().collect();
         assert_eq!(collected, vec![(0, &5), (2, &7), (3, &9), (3, &11), (3, &13)]);
 
-        let empty: Inbox<'_, u32> = Inbox::from_slots(&slots[1..2], &[], &[], 11);
+        let empty: Inbox<'_, u32> = Inbox::from_slots(1, &slots[1..2], &[], &[], 11);
         assert!(empty.is_empty());
         assert_eq!(empty.iter().count(), 0);
     }
@@ -502,14 +497,19 @@ mod tests {
     }
 
     #[test]
-    fn wakeup_flag_is_consumed_once_and_survives_clone() {
-        let ctx = NodeCtx::new(0, 1, 1, 1, 0, NeighborIds::from_vec(vec![]));
-        assert!(!ctx.take_wake());
-        ctx.wake_next_round();
-        ctx.wake_next_round(); // idempotent
-        let copy = ctx.clone();
-        assert!(ctx.take_wake());
-        assert!(!ctx.take_wake(), "the flag covers exactly one drain");
-        assert!(copy.take_wake(), "a clone carries the pending wakeup");
+    fn inboxes_carry_the_round() {
+        let raw = vec![(0usize, 1u32)];
+        assert_eq!(Inbox::new(4, &raw).round(), 4);
+        let empty: Inbox<'_, u32> = Inbox::from_slots(7, &[None], &[], &[], 0);
+        assert_eq!(empty.round(), 7);
+    }
+
+    #[test]
+    fn alarms_must_name_a_later_round() {
+        Status::WakeAt(3).check_alarm(0, 2);
+        Status::Active.check_alarm(0, 9);
+        Status::Halted.check_alarm(0, 9);
+        let late = std::panic::catch_unwind(|| Status::WakeAt(2).check_alarm(5, 2));
+        assert!(late.is_err(), "WakeAt(current round) must panic");
     }
 }

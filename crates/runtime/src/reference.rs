@@ -144,6 +144,7 @@ impl<'g> ReferenceExecutor<'g> {
         for v in 0..n {
             let mut outbox = Outbox::new(contexts[v].degree);
             let status = nodes[v].init(&contexts[v], &mut outbox);
+            status.check_alarm(v, 0);
             if status == Status::Halted {
                 active[v] = false;
             }
@@ -172,17 +173,16 @@ impl<'g> ReferenceExecutor<'g> {
             let messages_before = report.messages;
             let mut halted_this_round: Vec<usize> = Vec::new();
             let mut halts_this_round = 0usize;
-            let mut stepped = 0usize;
 
             any_outgoing = false;
             for v in 0..n {
                 if !active[v] {
                     continue;
                 }
-                stepped += 1;
-                let inbox = Inbox::new(&inboxes[v]);
+                let inbox = Inbox::new(report.rounds, &inboxes[v]);
                 let mut outbox = Outbox::new(contexts[v].degree);
                 let status = nodes[v].round(&contexts[v], &inbox, &mut outbox);
+                status.check_alarm(v, report.rounds);
                 if status == Status::Halted {
                     active[v] = false;
                     halts_this_round += 1;
@@ -200,7 +200,7 @@ impl<'g> ReferenceExecutor<'g> {
                     round: report.rounds,
                     active_nodes: active_at_start,
                     // No frontier here: every active vertex is stepped.
-                    frontier: stepped,
+                    frontier: active_at_start,
                     messages: carry_messages,
                     total_bits: carry_bits.total,
                     max_edge_bits: carry_bits.max_edge,

@@ -35,9 +35,10 @@
 //!    *before* any worker runs — split into fixed-size chunks.  The atomic claim cursor
 //!    only decides **which worker** steps which chunk, never the chunk contents.
 //! 2. Workers buffer everything they produce (outgoing messages with their receiving arcs
-//!    in vertex-then-port order, halts and wakeups) into per-chunk results; nothing is applied
-//!    concurrently.  The coordinator then commits the chunks **in chunk order**, so the
-//!    pending mailboxes receive messages in ascending sender order, spill arrival included.
+//!    in vertex-then-port order, and each stepped vertex's [`Status`]) into per-chunk
+//!    results; nothing is applied concurrently.  The coordinator then commits the chunks
+//!    **in chunk order**, so the pending mailboxes receive messages in ascending sender
+//!    order, spill arrival included.
 //! 3. The per-round barrier (the fork/join of [`PoolScope::map`]) makes the exchange
 //!    synchronous: no message produced in round `r` is observable before round `r + 1`.
 //!
@@ -66,7 +67,7 @@
 //! ```
 
 use crate::cost::{BandwidthMeter, CostMode, MessageCost};
-use crate::frontier::{ActiveSet, Frontier};
+use crate::frontier::{Frontier, Statuses};
 use crate::metrics::RoundReport;
 use crate::network::{
     id_space_of, neighbor_id_table, node_ctx, ArcMailboxes, ExecutionResult, RuntimeError,
@@ -378,39 +379,29 @@ where
 /// `(receiver arc, receiver, message)` triples in vertex-then-port order (the arc index *is*
 /// the routing information — it pins both the receiving vertex and its port; the receiver
 /// is read on the sender's side, where the adjacency is walked in order, to spare the commit
-/// a random lookup per message), plus the vertices that halted or scheduled a wakeup.
+/// a random lookup per message), plus the status every stepped vertex returned.
 ///
 /// A run keeps one per chunk index for all its rounds; the commit drains it and keeps the
 /// capacity, so steady-state rounds allocate nothing.
 struct ChunkOut<M> {
     outgoing: Vec<(ArcIdx, Vertex, M)>,
-    /// Vertices that halted (`true`) or scheduled a wakeup (`false`), in vertex order.
-    transitions: Vec<(Vertex, bool)>,
-    /// Vertices actually stepped in this chunk (the chunk's share of the round frontier).
-    stepped: usize,
+    /// The status each stepped vertex returned, in vertex order (the chunk's share of the
+    /// round frontier).
+    statuses: Vec<(Vertex, Status)>,
     /// The outbox every vertex of the chunk sends into.
     outbox: Outbox<M>,
 }
 
 impl<M: Clone> ChunkOut<M> {
     fn new() -> Self {
-        ChunkOut {
-            outgoing: Vec::new(),
-            transitions: Vec::new(),
-            stepped: 0,
-            outbox: Outbox::new(0),
-        }
+        ChunkOut { outgoing: Vec::new(), statuses: Vec::new(), outbox: Outbox::new(0) }
     }
 
-    /// Files the step of vertex `v`: its halt or wakeup, and the messages it left in the
-    /// outbox — one mirror-arc and one target read per message, both in `v`'s arc order,
-    /// appended in port order so `outgoing` stays in global sender order.
-    fn record(&mut self, graph: &Graph, v: Vertex, status: Status, woke: bool) {
-        if status == Status::Halted {
-            self.transitions.push((v, true));
-        } else if woke {
-            self.transitions.push((v, false));
-        }
+    /// Files the step of vertex `v`: its status, and the messages it left in the outbox —
+    /// one mirror-arc and one target read per message, both in `v`'s arc order, appended in
+    /// port order so `outgoing` stays in global sender order.
+    fn record(&mut self, graph: &Graph, v: Vertex, status: Status) {
+        self.statuses.push((v, status));
         let first_arc = graph.arc_range(v).start;
         let mirror = graph.mirror_arcs();
         for (port, message) in self.outbox.drain() {
@@ -616,7 +607,7 @@ impl<'g> Executor<'g> {
         let round_lock = RwLock::new(RoundState {
             inboxes: ArcMailboxes::new(graph.num_arcs()),
             schedule: Vec::new(),
-            active: ActiveSet::new(n),
+            statuses: Statuses::new(n),
         });
         let claim = AtomicUsize::new(0);
         let chunk_outs: Vec<Mutex<ChunkOut<<A::Node as NodeProgram>::Msg>>> =
@@ -654,20 +645,21 @@ impl<'g> Executor<'g> {
                     out.outbox.reset(contexts[v].degree);
                     let status =
                         nodes[v].lock().expect("node lock").init(&contexts[v], &mut out.outbox);
-                    out.record(graph, v, status, contexts[v].take_wake());
+                    out.record(graph, v, status);
                 }
             });
             let (init_messages, mut total_active) = {
                 let mut state = round_lock.write().expect("round lock");
                 let stats = commit_chunks(
                     &chunk_outs[..init_chunks],
+                    0,
                     &mut pending,
                     &mut frontier,
-                    &mut state.active,
+                    &mut state.statuses,
                     &mut meter,
                     None,
                 );
-                (stats.messages, state.active.count())
+                (stats.messages, state.statuses.count())
             };
             report.messages += init_messages;
             // Delivery-side trace attribution: round `r` records the messages and bits it
@@ -692,13 +684,15 @@ impl<'g> Executor<'g> {
                 let messages_before = report.messages;
                 let mut halted_this_round: Vec<Vertex> = Vec::new();
 
-                // Flip the mailbox double buffer and publish the round's sorted frontier.
+                // Flip the mailbox double buffer, ring the round's alarms, and publish the
+                // round's sorted frontier.
                 let round_chunks = {
                     let mut state = round_lock.write().expect("round lock");
                     let state = &mut *state;
                     std::mem::swap(&mut pending, &mut state.inboxes);
                     pending.clear();
-                    state.inboxes.seal();
+                    state.inboxes.seal(report.rounds);
+                    state.statuses.ring(report.rounds, &mut frontier);
                     frontier.take(&mut state.schedule);
                     state.schedule.len().div_ceil(chunk)
                 };
@@ -706,7 +700,7 @@ impl<'g> Executor<'g> {
 
                 scope.map(vec![(); workers], move |_, ()| {
                     let state = round_lock.read().expect("round lock");
-                    let RoundState { inboxes, schedule, active } = &*state;
+                    let RoundState { inboxes, schedule, statuses } = &*state;
                     loop {
                         let c = claim.fetch_add(1, Ordering::Relaxed);
                         if c >= round_chunks {
@@ -720,12 +714,11 @@ impl<'g> Executor<'g> {
                         for &v in vertices {
                             let arcs = graph.arc_range(v);
                             let window = cursor.advance(inboxes, arcs.end);
-                            if !active.is_active(v) {
+                            if !statuses.is_active(v) {
                                 // Mail to a halted vertex is dropped unread (it was counted
                                 // at send time).
                                 continue;
                             }
-                            out.stepped += 1;
                             let inbox = inboxes.read(window, arcs);
                             out.outbox.reset(contexts[v].degree);
                             let status = nodes[v].lock().expect("node lock").round(
@@ -733,7 +726,7 @@ impl<'g> Executor<'g> {
                                 &inbox,
                                 &mut out.outbox,
                             );
-                            out.record(graph, v, status, contexts[v].take_wake());
+                            out.record(graph, v, status);
                         }
                     }
                 });
@@ -744,13 +737,14 @@ impl<'g> Executor<'g> {
                     let mut state = round_lock.write().expect("round lock");
                     let stats = commit_chunks(
                         &chunk_outs[..round_chunks],
+                        report.rounds,
                         &mut pending,
                         &mut frontier,
-                        &mut state.active,
+                        &mut state.statuses,
                         &mut meter,
                         halted_sink,
                     );
-                    total_active = state.active.count();
+                    total_active = state.statuses.count();
                     stats
                 };
                 report.messages += stats.messages;
@@ -800,7 +794,7 @@ impl<'g> Executor<'g> {
 struct RoundState<M> {
     inboxes: ArcMailboxes<M>,
     schedule: Vec<Vertex>,
-    active: ActiveSet,
+    statuses: Statuses,
 }
 
 /// What [`commit_chunks`] applied, summed over the committed chunks.
@@ -814,17 +808,22 @@ struct CommitStats {
     halts: usize,
 }
 
-/// Commits the chunks produced by one fork/join step **in chunk order**, draining each:
-/// pushes the outgoing messages into the pending mailboxes (ascending sender order),
-/// charges each message's measured width to its arc in `meter`, marks every receiver and
-/// self-scheduled wakeup in the frontier, and applies the halts.  When `halted_sink` is
-/// given, the halted vertices are also collected into it (in chunk order = ascending vertex
-/// order).
+/// Commits the chunks produced by one fork/join step of `round` (0 for `init`) **in chunk
+/// order**, draining each: pushes the outgoing messages into the pending mailboxes
+/// (ascending sender order), charges each message's measured width to its arc in `meter`,
+/// marks every receiver in the frontier, and records every returned status in `statuses`.
+/// When `halted_sink` is given, the halted vertices are also collected into it (in chunk
+/// order = ascending vertex order).
+///
+/// # Panics
+///
+/// Panics if a vertex returned [`Status::WakeAt`] for a round not after `round`.
 fn commit_chunks<M: MessageCost>(
     chunk_outs: &[Mutex<ChunkOut<M>>],
+    round: usize,
     pending: &mut ArcMailboxes<M>,
     frontier: &mut Frontier,
-    active: &mut ActiveSet,
+    statuses: &mut Statuses,
     meter: &mut BandwidthMeter,
     mut halted_sink: Option<&mut Vec<Vertex>>,
 ) -> CommitStats {
@@ -832,21 +831,18 @@ fn commit_chunks<M: MessageCost>(
     for slot in chunk_outs {
         let out = &mut *slot.lock().expect("chunk lock");
         stats.messages += out.outgoing.len();
-        stats.stepped += std::mem::take(&mut out.stepped);
+        stats.stepped += out.statuses.len();
         for (arc, receiver, message) in out.outgoing.drain(..) {
             meter.add(arc, message.encoded_bits());
             pending.push(arc, message);
             frontier.mark(receiver);
         }
-        for (v, halted) in out.transitions.drain(..) {
-            if halted {
+        for (v, status) in out.statuses.drain(..) {
+            if statuses.record(v, status, round, frontier) {
                 stats.halts += 1;
-                active.halt(v);
                 if let Some(sink) = halted_sink.as_deref_mut() {
                     sink.push(v);
                 }
-            } else {
-                frontier.mark(v);
             }
         }
     }
@@ -857,7 +853,130 @@ fn commit_chunks<M: MessageCost>(
 mod tests {
     use super::*;
     use crate::algorithms::{FloodMaxId, ProposeMaxId};
+    use crate::node::Inbox;
     use arbcolor_graph::generators;
+
+    /// Replays one script of `(status, broadcast?)` answers per vertex — entry 0 answers
+    /// `init`, entry `i` the `i`-th `round` — and outputs the rounds each vertex was
+    /// stepped in.  A vertex stepped more often than scripted panics on the index.
+    struct Scripted(Vec<Vec<(Status, bool)>>);
+
+    struct ScriptedNode {
+        script: Vec<(Status, bool)>,
+        stepped: Vec<usize>,
+    }
+
+    impl ScriptedNode {
+        fn answer(&mut self, outbox: &mut Outbox<()>) -> Status {
+            let (status, send) = self.script[self.stepped.len()];
+            if send {
+                outbox.broadcast(());
+            }
+            status
+        }
+    }
+
+    impl NodeProgram for ScriptedNode {
+        type Msg = ();
+        type Output = Vec<usize>;
+
+        fn init(&mut self, _ctx: &NodeCtx, outbox: &mut Outbox<()>) -> Status {
+            self.answer(outbox)
+        }
+
+        fn round(
+            &mut self,
+            _ctx: &NodeCtx,
+            inbox: &Inbox<'_, ()>,
+            outbox: &mut Outbox<()>,
+        ) -> Status {
+            self.stepped.push(inbox.round());
+            self.answer(outbox)
+        }
+
+        fn output(&self, _ctx: &NodeCtx) -> Vec<usize> {
+            self.stepped.clone()
+        }
+    }
+
+    impl Algorithm for Scripted {
+        type Node = ScriptedNode;
+
+        fn node(&self, ctx: &NodeCtx) -> ScriptedNode {
+            ScriptedNode { script: self.0[ctx.vertex].clone(), stepped: Vec::new() }
+        }
+    }
+
+    #[test]
+    fn an_alarm_is_replaced_by_the_next_status_and_rings_only_in_its_round() {
+        // Vertex 1 first asks for round 3, is stepped early by mail in round 1 and moves
+        // its alarm to round 4, so round 3 steps nobody; in round 4 it waits for mail
+        // (`Active`), which vertex 0's round-5 broadcast delivers in round 6.
+        let g = generators::path(2).unwrap();
+        let script = Scripted(vec![
+            vec![(Status::WakeAt(2), true), (Status::WakeAt(5), false), (Status::Halted, true)],
+            vec![
+                (Status::WakeAt(3), false),
+                (Status::WakeAt(4), false),
+                (Status::Active, false),
+                (Status::Halted, false),
+            ],
+        ]);
+        for (threads, chunk_size) in [(1, 1024), (2, 1)] {
+            let (result, trace) = Executor::new(&g)
+                .with_threads(threads)
+                .with_chunk_size(chunk_size)
+                .run_traced(&script)
+                .unwrap();
+            assert_eq!(result.outputs, vec![vec![2, 5], vec![1, 4, 6]]);
+            assert_eq!(result.report.rounds, 6);
+            assert_eq!(trace.frontier_profile(), vec![1, 1, 0, 1, 1, 1]);
+        }
+    }
+
+    #[test]
+    fn a_vertex_that_halts_drops_its_pending_alarm() {
+        // Vertex 1 halts on mail in round 1 with an alarm pending for round 2; stepping it
+        // again would run off its script.
+        let g = generators::path(2).unwrap();
+        let script = Scripted(vec![
+            vec![(Status::WakeAt(3), true), (Status::WakeAt(3), false), (Status::Halted, false)],
+            vec![(Status::WakeAt(2), false), (Status::Halted, true)],
+        ]);
+        let (result, trace) = Executor::new(&g).run_traced(&script).unwrap();
+        assert_eq!(result.outputs, vec![vec![2, 3], vec![1]]);
+        assert_eq!(trace.frontier_profile(), vec![1, 1, 1]);
+    }
+
+    /// Vertex 0 asks for round 1 again while in round 1.
+    fn alarm_for_the_current_round() -> Scripted {
+        Scripted(vec![
+            vec![(Status::WakeAt(1), false), (Status::WakeAt(1), false)],
+            vec![(Status::Halted, false)],
+        ])
+    }
+
+    #[test]
+    #[should_panic(expected = "an alarm must name a later round")]
+    fn the_executor_rejects_an_alarm_for_the_current_round() {
+        let g = generators::path(2).unwrap();
+        let _ = Executor::new(&g).run(&alarm_for_the_current_round());
+    }
+
+    #[test]
+    #[should_panic(expected = "an alarm must name a later round")]
+    fn the_reference_executor_rejects_an_alarm_for_the_current_round() {
+        let g = generators::path(2).unwrap();
+        let _ = ReferenceExecutor::new(&g).run(&alarm_for_the_current_round());
+    }
+
+    #[test]
+    #[should_panic(expected = "an alarm must name a later round")]
+    fn init_cannot_set_an_alarm_for_round_zero() {
+        let g = generators::path(2).unwrap();
+        let script = Scripted(vec![vec![(Status::WakeAt(0), false)]; 2]);
+        let _ = Executor::new(&g).run(&script);
+    }
 
     #[test]
     fn pool_map_returns_results_in_item_order() {

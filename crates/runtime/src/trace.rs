@@ -36,7 +36,7 @@ pub struct RoundTrace {
     /// Number of nodes that were still active at the start of the round.
     pub active_nodes: usize,
     /// Number of vertices actually stepped this round — the frontier: vertices with pending
-    /// mail or a self-scheduled wakeup that had not halted.  This, not `active_nodes`, is
+    /// mail or an alarm due this round that had not halted.  This, not `active_nodes`, is
     /// what a round's work is proportional to under frontier-driven execution.
     pub frontier: usize,
     /// Number of messages delivered in this round (sent in round `round − 1`; round 1

@@ -18,7 +18,9 @@
 //!
 //! The encoding is hand-rolled on purpose: the workspace's vendored `serde_json` stand-in
 //! is write-only, and the daemon must not grow external dependencies.  Round-trip
-//! (`encode` → `decode`) is pinned by unit tests for every variant.
+//! (`encode` → `decode`) is pinned by unit tests for every variant; `tests/wire_decoder.rs`
+//! property-tests that no input panics the decoders, that they reject every strict prefix,
+//! and that they accept only canonical payloads (0/1 flags, zero padding).
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -326,6 +328,29 @@ impl<'a> Reader<'a> {
         Ok(self.bytes(1, what)?[0])
     }
 
+    /// A boolean byte: only the encoder's 0 and 1 are accepted.
+    fn flag(&mut self, what: &str) -> Result<bool, ServiceError> {
+        match self.u8(what)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(ServiceError::Malformed { reason: format!("{what} flag {other}") }),
+        }
+    }
+
+    /// An optional group of `N` `u64`s: a flag, then the values, which must be zero padding
+    /// when the flag is 0.
+    fn optional<const N: usize>(&mut self, what: &str) -> Result<Option<[u64; N]>, ServiceError> {
+        let present = self.flag(what)?;
+        let mut values = [0; N];
+        for x in &mut values {
+            *x = self.u64(what)?;
+        }
+        if !present && values != [0; N] {
+            return Err(ServiceError::Malformed { reason: format!("nonzero absent {what}") });
+        }
+        Ok(present.then_some(values))
+    }
+
     fn u32(&mut self, what: &str) -> Result<u32, ServiceError> {
         Ok(u32::from_le_bytes(self.bytes(4, what)?.try_into().expect("4 bytes")))
     }
@@ -444,7 +469,7 @@ impl Request {
     /// # Errors
     ///
     /// Returns [`ServiceError::Malformed`] on version/tag mismatches, truncation,
-    /// implausible counts, or trailing bytes.
+    /// implausible counts, non-canonical flags or padding, or trailing bytes.
     pub fn decode(payload: &[u8]) -> Result<Self, ServiceError> {
         let mut r = Reader::new(payload);
         let version = r.u8("version")?;
@@ -481,11 +506,7 @@ impl Request {
                 }
                 Request::QueryColors(vertices)
             }
-            3 => {
-                let has_epoch = r.u8("epoch flag")? != 0;
-                let epoch = r.u64("epoch")?;
-                Request::Snapshot(has_epoch.then_some(epoch))
-            }
+            3 => Request::Snapshot(r.optional("epoch")?.map(|[epoch]| epoch)),
             4 => Request::Stats,
             5 => Request::Compact,
             6 => Request::Verify,
@@ -588,7 +609,7 @@ impl Response {
     /// # Errors
     ///
     /// Returns [`ServiceError::Malformed`] on version/tag mismatches, truncation,
-    /// implausible counts, or trailing bytes.
+    /// implausible counts, non-canonical flags or padding, or trailing bytes.
     pub fn decode(payload: &[u8]) -> Result<Self, ServiceError> {
         let mut r = Reader::new(payload);
         let version = r.u8("version")?;
@@ -608,10 +629,9 @@ impl Response {
                 let frontier = r.u64("frontier")?;
                 let repaired = r.u64("repaired")?;
                 let strategy = strategy_from(r.u8("strategy")?)?;
-                let has_compaction = r.u8("compaction flag")? != 0;
-                let before = r.u64("colors_before")?;
-                let after = r.u64("colors_after")?;
-                let recolored = r.u64("recolored")?;
+                let compacted = r
+                    .optional("compaction")?
+                    .map(|[before, after, recolored]| (before, after, recolored));
                 Response::Applied {
                     epoch,
                     submitted_edges,
@@ -620,7 +640,7 @@ impl Response {
                     frontier,
                     repaired,
                     strategy,
-                    compacted: has_compaction.then_some((before, after, recolored)),
+                    compacted,
                 }
             }
             2 => Response::Colors(r.colors("colors")?),
@@ -651,7 +671,7 @@ impl Response {
                 colors_after: r.u64("colors_after")?,
                 recolored: r.u64("recolored")?,
             },
-            6 => Response::Verified { legal: r.u8("legal")? != 0, conflicts: r.u64("conflicts")? },
+            6 => Response::Verified { legal: r.flag("legal")?, conflicts: r.u64("conflicts")? },
             7 => Response::ShuttingDown,
             other => {
                 return Err(ServiceError::Malformed {

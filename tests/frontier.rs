@@ -1,10 +1,10 @@
 //! Property suite for the epoch-stamped frontier bitmap.
 //!
 //! The executors trust [`Frontier`] for two things: deduplicated marking (delivery marks a
-//! receiver once per message, wakeups mark again) and deterministic vertex-ordered
+//! receiver once per message, due alarms mark again) and deterministic vertex-ordered
 //! enumeration with no leakage between epochs.  This suite drives multi-round marking
 //! patterns derived from the shared generator suite — delivery-style marks along arcs plus
-//! wakeup-style self-marks — and checks every round's schedule against a naively recomputed
+//! alarm-style self-marks — and checks every round's schedule against a naively recomputed
 //! active set.
 
 use arbcolor_runtime::Frontier;
@@ -28,7 +28,7 @@ proptest! {
             let mut schedule = Vec::new();
             for round in 0..rounds as u64 {
                 // Mimic one executor round: a seed-dependent subset of vertices "acts" —
-                // each marks itself (wakeup) and all of its neighbors (delivery), with
+                // each marks itself (alarm) and all of its neighbors (delivery), with
                 // duplicate marks whenever two senders share a receiver.  The naive model
                 // is a freshly built ordered set.
                 let mut naive = BTreeSet::new();

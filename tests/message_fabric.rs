@@ -7,7 +7,9 @@
 //! routing or mailbox code with the fabric, so agreement here pins the whole delivery
 //! rewrite: mirror-table routing, slot/spill mailboxes, and inbox iteration order.
 
-use arbcolor_baselines::registry::headline_algorithms;
+use arbcolor::mis::mis_from_coloring;
+use arbcolor_baselines::registry::{headline_algorithms, KwBaseline};
+use arbcolor_baselines::ColoringBaseline;
 use arbcolor_graph::generators;
 use arbcolor_runtime::algorithms::{FloodMaxId, ProposeMaxId};
 use arbcolor_runtime::{Executor, ExecutorKind, ReferenceExecutor, RunConfig};
@@ -57,19 +59,30 @@ proptest! {
 
 #[test]
 fn headline_pipelines_are_identical_under_the_reference_kind() {
-    // End-to-end: both headline coloring pipelines, dispatched through the installed run
+    // End-to-end: both headline coloring pipelines and the Kuhn–Wattenhofer baseline (whose
+    // greedy class sweep waits on slot alarms), dispatched through the installed run
     // configuration, must produce the same palette, per-vertex colors, and LOCAL cost
     // whether every `run_algorithm` call lands on the old Vec-of-Vecs simulator or the flat
-    // message fabric (one thread and three).
+    // message fabric (one thread and three) — and so must the MIS class sweep over each
+    // pipeline's coloring.
     let g = generators::union_of_random_forests(400, 3, 33).unwrap().with_shuffled_ids(7);
-    for algorithm in headline_algorithms() {
+    let kw: Box<dyn ColoringBaseline> = Box::new(KwBaseline);
+    for algorithm in headline_algorithms().into_iter().chain([kw]) {
         let config =
             RunConfig { executor: ExecutorKind::Reference, ..RunConfig::default() }.install();
         let reference = algorithm.run(&g).unwrap();
+        let reference_mis = mis_from_coloring(&g, &reference.coloring).unwrap();
         drop(config);
         for kind in [ExecutorKind::sharded(1), ExecutorKind::sharded(3)] {
             let _config = RunConfig { executor: kind, ..RunConfig::default() }.install();
             let flat = algorithm.run(&g).unwrap();
+            let mis = mis_from_coloring(&g, &flat.coloring).unwrap();
+            assert_eq!(mis.in_mis, reference_mis.in_mis, "MIS over {} under {kind:?}", flat.name);
+            assert_eq!(
+                mis.report, reference_mis.report,
+                "MIS cost over {} under {kind:?}",
+                flat.name
+            );
             assert_eq!(flat.colors, reference.colors, "{} palette under {kind:?}", flat.name);
             assert_eq!(flat.report, reference.report, "{} cost under {kind:?}", flat.name);
             assert_eq!(
