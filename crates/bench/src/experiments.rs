@@ -790,37 +790,63 @@ pub fn e20_dynamic_recoloring(_sz: SizeClass) -> Vec<Row> {
 /// E21 — frontier collapse: per-round cost of the frontier-driven executor on a
 /// slot-scheduled sweep whose active set shrinks round over round.
 ///
-/// A Barabási–Albert preferential-attachment graph is colored by the sequential greedy
-/// baseline; the colors become the slots of a [`ScheduledListColor`] sweep, so one color
-/// class fires (and halts) per round and the class sizes fall off steeply — the exact shape
-/// frontier-driven execution exists for.  [`Executor::run_traced`] records one row per
-/// round: the active count at round start, the frontier actually stepped, the messages, and
-/// the wall-clock.  The deterministic columns are gated by the perf pipeline; `wall_ms` is
-/// advisory and should track the collapsing frontier rather than `n` (an everyone-runs
-/// round loop pays O(n) per round regardless of how many vertices still act).
+/// A Barabási–Albert preferential-attachment graph is colored twice, and each coloring
+/// becomes the slots of a [`ScheduledListColor`] sweep: one color class fires (and halts)
+/// per round.  [`Executor::run_traced`] records one row per round: the active count at
+/// round start, the frontier actually stepped, the messages, and the wall-clock.  The
+/// deterministic columns are gated by the perf pipeline; `wall_ms` is advisory and should
+/// track the collapsing frontier rather than `n` (an everyone-runs round loop pays O(n) per
+/// round regardless of how many vertices still act).
 ///
-/// The sweep is replayed on four threads and asserted **bit-identical** before any row is
-/// emitted.  At `Scale(1)` the graph has 10⁶ vertices; the smoke tier
-/// shrinks it to 4 000.
+/// * `ba n=… m=3` — slots from the sequential greedy baseline.  Class sizes fall off
+///   steeply, so the frontier collapses round over round; but a first-fit color `c` has a
+///   neighbor in every class below `c`, so every waiting vertex hears an announcement
+///   every round and the frontier equals the active count.
+/// * `ba n=… m=3 gk-slots` — slots from Ghaffari–Kuhn's coloring of the same graph (its
+///   colors ranked among those it used, so every round fires a class), which is legal but
+///   not first-fit: a waiting vertex with no neighbor in the class that just fired gets no
+///   mail, and its alarm keeps it off the frontier until its slot.
+///
+/// Each sweep is replayed on four threads and asserted **bit-identical** before any row is
+/// emitted.  At `Scale(1)` the graph has 10⁶ vertices; the smoke tier shrinks it to 4 000.
 ///
 /// [`ScheduledListColor`]: arbcolor_runtime::algorithms::ScheduledListColor
 /// [`Executor::run_traced`]: arbcolor_runtime::Executor::run_traced
 pub fn e21_frontier_collapse(sz: SizeClass) -> Vec<Row> {
+    use arbcolor::ghaffari_kuhn::ghaffari_kuhn_coloring;
     use arbcolor_baselines::greedy::sequential_greedy;
-    use arbcolor_graph::Coloring;
-    use arbcolor_runtime::algorithms::{ListColorSchedule, ListColorSlot, ScheduledListColor};
-    use arbcolor_runtime::{ActivitySummary, Executor};
 
     let n = match sz {
         SizeClass::Smoke => 4_000,
         SizeClass::Scale(factor) => 1_000_000 * factor.max(1),
     };
     let g = generators::barabasi_albert(n, 3, 211).unwrap().with_shuffled_ids(9);
-    let schedule_coloring = sequential_greedy(&g, None);
+    let greedy = sequential_greedy(&g, None);
+    let mut rows = e21_sweep(&g, &format!("ba n={n} m=3"), |v| greedy.color(v) as usize);
+    // GK's colors, ranked among the colors it used, so that every round fires a class.
+    let gk = ghaffari_kuhn_coloring(&g).expect("GK colors the graph").coloring;
+    let mut used = gk.colors().to_vec();
+    used.sort_unstable();
+    used.dedup();
+    let rank = |v| used.binary_search(&gk.color(v)).expect("a used color");
+    rows.extend(e21_sweep(&g, &format!("ba n={n} m=3 gk-slots"), rank));
+    rows
+}
+
+/// One E21 sweep: vertex `v` acts in slot `slot(v)` of a traced [`ScheduledListColor`] run
+/// on `g`; the rows are named after `label`.
+///
+/// [`ScheduledListColor`]: arbcolor_runtime::algorithms::ScheduledListColor
+fn e21_sweep(g: &Graph, label: &str, slot: impl Fn(usize) -> usize) -> Vec<Row> {
+    use arbcolor_graph::Coloring;
+    use arbcolor_runtime::algorithms::{ListColorSchedule, ListColorSlot, ScheduledListColor};
+    use arbcolor_runtime::{ActivitySummary, Executor};
+
+    let n = g.n();
     let slots: Vec<ListColorSlot> = g
         .vertices()
         .map(|v| ListColorSlot {
-            slot: schedule_coloring.color(v) as usize,
+            slot: slot(v),
             // One more color than the degree, so the sweep always succeeds.
             palette: (0..=g.degree(v) as u64).collect(),
             forbidden: Vec::new(),
@@ -830,22 +856,22 @@ pub fn e21_frontier_collapse(sz: SizeClass) -> Vec<Row> {
     let algorithm = ScheduledListColor::new(&schedule);
 
     let start = Instant::now();
-    let (result, trace) = Executor::new(&g).run_traced(&algorithm).expect("sweep terminates");
+    let (result, trace) = Executor::new(g).run_traced(&algorithm).expect("sweep terminates");
     let wall_ms_total = start.elapsed().as_secs_f64() * 1e3;
 
     // Determinism: four threads must reproduce the sweep bit for bit.
-    let stolen = Executor::new(&g).with_threads(4).run(&algorithm).expect("sweep terminates");
+    let stolen = Executor::new(g).with_threads(4).run(&algorithm).expect("sweep terminates");
     assert_eq!(stolen.outputs, result.outputs, "outputs diverged between executors");
     assert_eq!(stolen.report, result.report, "cost diverged between executors");
 
     let colors: Vec<u64> = result.outputs.iter().map(|c| c.expect("list exceeds degree")).collect();
-    let final_coloring = Coloring::new(&g, colors).expect("one color per vertex");
-    assert!(final_coloring.is_legal(&g), "sweep must produce a legal coloring");
+    let final_coloring = Coloring::new(g, colors).expect("one color per vertex");
+    assert!(final_coloring.is_legal(g), "sweep must produce a legal coloring");
 
     let mut rows = Vec::new();
     for r in trace.rounds() {
         rows.push(
-            Row::new("E21", format!("ba n={n} m=3 · round {}", r.round))
+            Row::new("E21", format!("{label} · round {}", r.round))
                 .with("round", r.round as f64)
                 .with("active", r.active_nodes as f64)
                 .with("frontier", r.frontier as f64)
@@ -855,7 +881,7 @@ pub fn e21_frontier_collapse(sz: SizeClass) -> Vec<Row> {
     }
     let summary = ActivitySummary::from_trace(&trace);
     rows.push(
-        Row::new("E21", format!("ba n={n} m=3 · summary"))
+        Row::new("E21", format!("{label} · summary"))
             .with("n", n as f64)
             .with("rounds", result.report.rounds as f64)
             .with("messages", result.report.messages as f64)
@@ -1577,10 +1603,27 @@ mod tests {
     #[test]
     fn e21_frontier_collapses_and_rounds_get_cheaper_in_steps() {
         let rows = e21_frontier_collapse(SizeClass::Smoke);
-        let (per_round, summary) = rows.split_at(rows.len() - 1);
-        assert!(!per_round.is_empty(), "the sweep must take at least one round");
-        // The sweep halts one color class per round, so the frontier must shrink strictly
-        // round over round, and every stepped vertex is an active one.
+        let (greedy, gk): (Vec<&Row>, Vec<&Row>) =
+            rows.iter().partition(|row| !row.workload.contains("gk-slots"));
+        assert!(!gk.is_empty(), "the GK-slot sweep must emit rows");
+        for sweep in [&greedy, &gk] {
+            let (per_round, summary) = sweep.split_at(sweep.len() - 1);
+            assert!(!per_round.is_empty(), "the sweep must take at least one round");
+            // Every stepped vertex is an active one.
+            for row in per_round {
+                assert!(row.values["frontier"] <= row.values["active"]);
+            }
+            let summary = &summary[0];
+            assert!(summary.workload.ends_with("summary"), "{}", summary.workload);
+            assert_eq!(summary.values["legal"], 1.0);
+            assert!(
+                summary.values["frontier_steps"] < summary.values["everyone_runs_steps"],
+                "frontier-driven rounds must beat the everyone-runs loop in total steps"
+            );
+        }
+        // The greedy sweep halts one color class per round, so the frontier must shrink
+        // strictly round over round.
+        let per_round = &greedy[..greedy.len() - 1];
         for pair in per_round.windows(2) {
             assert!(
                 pair[1].values["frontier"] < pair[0].values["frontier"],
@@ -1589,14 +1632,11 @@ mod tests {
                 pair[1].workload
             );
         }
-        for row in per_round {
-            assert!(row.values["frontier"] <= row.values["active"]);
-        }
-        let summary = &summary[0];
-        assert_eq!(summary.values["legal"], 1.0);
+        // GK's classes are not first-fit, so some waiting vertex goes a round without mail
+        // and stays off the frontier until its alarm rings.
         assert!(
-            summary.values["frontier_steps"] < summary.values["everyone_runs_steps"],
-            "frontier-driven rounds must beat the everyone-runs loop in total steps"
+            gk[..gk.len() - 1].iter().any(|row| row.values["frontier"] < row.values["active"]),
+            "no GK-slot round skipped a waiting vertex"
         );
     }
 

@@ -9,9 +9,8 @@
 //!
 //! * **strike** is one word OR (idempotent, so duplicate announcements are free),
 //! * **first-unstruck** is a trailing-zeros scan of `!word`, 64 colors per step,
-//! * **clear** is an epoch bump, mirroring the `Frontier` stamp design of the runtime:
-//!   a word is "live" only while its stamp equals the current epoch, so reusing a set
-//!   across rounds or vertices costs O(1) and zero allocation.
+//! * **clear** is an epoch bump: a word is "live" only while its stamp equals the current
+//!   epoch, so reusing a set across rounds or vertices costs O(1) and zero allocation.
 //!
 //! [`ColorPool`] is the companion storage layout: all per-vertex color lists of an
 //! instance in one flat array plus an offsets array (the same CSR shape as the graph's

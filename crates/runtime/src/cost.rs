@@ -14,18 +14,19 @@
 //!   [`RuntimeError::CongestBudgetExceeded`]
 //!   (naming the round, the edge, and the measured width) as soon as any single edge
 //!   carries more than `bits_per_edge` bits in one round.
-//! * `BandwidthMeter` (crate-internal) — the per-arc accumulator both executors feed from
-//!   their delivery paths, symmetrically, so `total_bits` and `max_edge_bits` in
-//!   [`RoundReport`] are bit-identical across the work-stealing executor (at any thread
-//!   count) and the reference executor.
+//! * `EdgeLoad` (crate-internal) — one round's total bits and most loaded edge.  The
+//!   work-stealing executor meters on the sender side, per stolen chunk, and merges the
+//!   chunks in order; the reference executor keeps its own per-arc meter.  Both produce the
+//!   same `total_bits` and `max_edge_bits` in [`RoundReport`], and the same edge in a
+//!   budget error, at any thread count and chunk size.
 //!
 //! Executors start out in [`CostMode::Local`]; a [`RunConfig`](crate::RunConfig) carries the
 //! mode the drivers' runs use, so installing one with [`CostMode::Congest`] switches every
 //! run of a driver on the installing thread into Congest accounting.
 
 use crate::metrics::RoundReport;
-use crate::network::{arc_owner, RuntimeError};
-use arbcolor_graph::Graph;
+use crate::network::RuntimeError;
+use arbcolor_graph::Vertex;
 
 /// The measured width of a message on the wire, in bits.
 ///
@@ -97,98 +98,77 @@ impl CostMode {
     }
 }
 
-/// What one round put on the wire, as reported by [`BandwidthMeter::finish_round`].
+/// What one round put on the wire: the total bits, and the most loaded directed edge with
+/// its load.
+///
+/// The flat executor meters on the **sender** side.  In a round every message on a directed
+/// edge comes from that edge's one sender, in its one step, so the edge's load is a per-port
+/// sum inside one step: each stolen chunk folds its senders' messages into one `EdgeLoad`
+/// with [`EdgeLoad::charge`], and the commit [`merge`](EdgeLoad::merge)s the chunks in chunk
+/// order.  Both keep the first edge, in send order, that reached the running maximum (a
+/// strictly larger load replaces it), so the figures — and the edge a
+/// [`RuntimeError::CongestBudgetExceeded`] names — equal those of one sequential per-arc
+/// meter fed message by message, at any thread count and chunk size.  The
+/// [`ReferenceExecutor`](crate::ReferenceExecutor) keeps such a per-arc meter of its own.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct RoundBits {
+pub(crate) struct EdgeLoad {
     /// Bits summed over all messages of the round.
     pub(crate) total: u64,
     /// Bits over the most loaded single edge (per direction) of the round.
-    pub(crate) max_edge: u64,
+    pub(crate) max: u64,
+    /// That edge as `(sender, receiver)`.
+    pub(crate) edge: (Vertex, Vertex),
 }
 
-/// Per-arc bit accumulator for one execution.
-///
-/// All three executors call [`BandwidthMeter::add`] once per delivered message (keyed by the
-/// receiver-side arc, the same index the flat mailboxes use) and
-/// [`BandwidthMeter::finish_round`] once per round, in the same places, so the accounting is
-/// bit-identical across them.  Clearing is O(messages of the round), not O(arcs).
-pub(crate) struct BandwidthMeter {
-    /// Bits accumulated on each arc in the current round.
-    arc_bits: Vec<u64>,
-    /// Arcs touched this round (so clearing is proportional to traffic).
-    touched: Vec<usize>,
-    /// Running total of the current round.
-    round_total: u64,
-    /// Running per-arc maximum of the current round, with its arg.
-    round_max: u64,
-    round_max_arc: usize,
-}
-
-impl BandwidthMeter {
-    /// A meter over `num_arcs` arcs with nothing recorded.
-    pub(crate) fn new(num_arcs: usize) -> Self {
-        BandwidthMeter {
-            arc_bits: vec![0; num_arcs],
-            touched: Vec::new(),
-            round_total: 0,
-            round_max: 0,
-            round_max_arc: 0,
-        }
-    }
-
-    /// Records `bits` arriving on `arc` (a receiver-side arc index) in the current round.
+impl EdgeLoad {
+    /// Records a message of `bits` that brought `edge`'s load in this round to `load`.
     #[inline]
-    pub(crate) fn add(&mut self, arc: usize, bits: u64) {
-        let cell = &mut self.arc_bits[arc];
-        if *cell == 0 {
-            self.touched.push(arc);
-        }
-        *cell += bits;
-        self.round_total += bits;
-        if *cell > self.round_max {
-            self.round_max = *cell;
-            self.round_max_arc = arc;
+    pub(crate) fn charge(&mut self, bits: u64, load: u64, edge: (Vertex, Vertex)) {
+        self.total += bits;
+        if load > self.max {
+            self.max = load;
+            self.edge = edge;
         }
     }
 
-    /// Closes the round labelled `round`: folds the round's bandwidth into `report`
-    /// (`total_bits` adds, `max_edge_bits` maxes), enforces `mode`'s budget, resets the
-    /// per-round state, and returns the round's figures for tracing.
+    /// Folds in the load of messages sent after all of `self`'s.
+    pub(crate) fn merge(&mut self, later: EdgeLoad) {
+        self.total += later.total;
+        if later.max > self.max {
+            self.max = later.max;
+            self.edge = later.edge;
+        }
+    }
+
+    /// Closes the round labelled `round`: folds its bandwidth into `report` (`total_bits`
+    /// adds, `max_edge_bits` maxes), enforces `mode`'s budget, and returns the round's
+    /// figures for tracing.
     ///
     /// # Errors
     ///
-    /// Under [`CostMode::Congest`], returns
-    /// [`RuntimeError::CongestBudgetExceeded`] naming the round, the most loaded edge
-    /// (sender → receiver), its measured bit load, and the budget.
-    pub(crate) fn finish_round(
-        &mut self,
-        graph: &Graph,
+    /// Under [`CostMode::Congest`], returns [`RuntimeError::CongestBudgetExceeded`] naming
+    /// the round, the most loaded edge (sender → receiver), its measured bit load, and the
+    /// budget.
+    pub(crate) fn finish(
+        self,
         round: usize,
         mode: CostMode,
         report: &mut RoundReport,
-    ) -> Result<RoundBits, RuntimeError> {
-        let bits = RoundBits { total: self.round_total, max_edge: self.round_max };
-        report.total_bits += bits.total;
-        report.max_edge_bits = report.max_edge_bits.max(bits.max_edge);
-        for &arc in &self.touched {
-            self.arc_bits[arc] = 0;
-        }
-        self.touched.clear();
-        self.round_total = 0;
-        self.round_max = 0;
-        if let CostMode::Congest { bits_per_edge } = mode {
-            if bits.max_edge > bits_per_edge {
-                let arc = self.round_max_arc;
-                return Err(RuntimeError::CongestBudgetExceeded {
+    ) -> Result<EdgeLoad, RuntimeError> {
+        report.total_bits += self.total;
+        report.max_edge_bits = report.max_edge_bits.max(self.max);
+        match mode {
+            CostMode::Congest { bits_per_edge } if self.max > bits_per_edge => {
+                Err(RuntimeError::CongestBudgetExceeded {
                     round,
-                    sender: graph.arc_target(arc),
-                    receiver: arc_owner(graph, arc),
-                    bits: bits.max_edge,
+                    sender: self.edge.0,
+                    receiver: self.edge.1,
+                    bits: self.max,
                     budget: bits_per_edge,
-                });
+                })
             }
+            _ => Ok(self),
         }
-        Ok(bits)
     }
 }
 
@@ -220,39 +200,54 @@ mod tests {
 
     #[test]
     fn meter_tracks_per_edge_maximum_and_resets_between_rounds() {
-        let g = arbcolor_graph::generators::path(3).unwrap();
-        let mut meter = BandwidthMeter::new(g.num_arcs());
         let mut report = RoundReport::zero();
-        meter.add(0, 3);
-        meter.add(1, 2);
-        meter.add(1, 4);
-        let bits = meter.finish_round(&g, 1, CostMode::Local, &mut report).unwrap();
-        assert_eq!(bits, RoundBits { total: 9, max_edge: 6 });
+        // Edge (0, 1) carries 3 bits; edge (1, 2) carries 2 then 4 bits, reaching 6.
+        let mut round = EdgeLoad::default();
+        round.charge(3, 3, (0, 1));
+        round.charge(2, 2, (1, 2));
+        round.charge(4, 6, (1, 2));
+        let bits = round.finish(1, CostMode::Local, &mut report).unwrap();
+        assert_eq!((bits.total, bits.max, bits.edge), (9, 6, (1, 2)));
         assert_eq!(report.total_bits, 9);
         assert_eq!(report.max_edge_bits, 6);
         // The next round starts from zero, and a lower round max keeps the report max.
-        meter.add(2, 5);
-        let bits = meter.finish_round(&g, 2, CostMode::Local, &mut report).unwrap();
-        assert_eq!(bits, RoundBits { total: 5, max_edge: 5 });
+        let mut round = EdgeLoad::default();
+        round.charge(5, 5, (2, 1));
+        let bits = round.finish(2, CostMode::Local, &mut report).unwrap();
+        assert_eq!((bits.total, bits.max), (5, 5));
         assert_eq!(report.total_bits, 14);
         assert_eq!(report.max_edge_bits, 6);
+        // Ties keep the edge that reached the maximum first, within a chunk and across a
+        // merge of chunks taken in order.
+        let mut first = EdgeLoad::default();
+        first.charge(4, 4, (0, 1));
+        first.charge(4, 4, (1, 0));
+        let mut later = EdgeLoad::default();
+        later.charge(4, 4, (2, 1));
+        first.merge(later);
+        assert_eq!((first.total, first.max, first.edge), (12, 4, (0, 1)));
+        let mut larger = EdgeLoad::default();
+        larger.charge(5, 5, (1, 2));
+        first.merge(larger);
+        assert_eq!((first.total, first.max, first.edge), (17, 5, (1, 2)));
     }
 
     #[test]
     fn meter_enforces_the_congest_budget_with_a_typed_error() {
-        let g = arbcolor_graph::generators::path(2).unwrap();
-        let mut meter = BandwidthMeter::new(g.num_arcs());
         let mut report = RoundReport::zero();
-        meter.add(0, 9);
-        let err = meter
-            .finish_round(&g, 3, CostMode::Congest { bits_per_edge: 8 }, &mut report)
-            .unwrap_err();
-        match err {
-            RuntimeError::CongestBudgetExceeded { round, bits, budget, .. } => {
-                assert_eq!((round, bits, budget), (3, 9, 8));
+        let mut round = EdgeLoad::default();
+        round.charge(9, 9, (1, 0));
+        let err = round.finish(3, CostMode::Congest { bits_per_edge: 8 }, &mut report).unwrap_err();
+        assert_eq!(
+            err,
+            RuntimeError::CongestBudgetExceeded {
+                round: 3,
+                sender: 1,
+                receiver: 0,
+                bits: 9,
+                budget: 8
             }
-            other => panic!("unexpected error {other:?}"),
-        }
+        );
         // The report still records what the round put on the wire.
         assert_eq!(report.total_bits, 9);
         assert_eq!(report.max_edge_bits, 9);

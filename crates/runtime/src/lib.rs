@@ -18,12 +18,13 @@
 //!   shared cursor and commit in chunk order, so results are bit-identical at any thread
 //!   count and chunk size (see [`shard`]); at the default of one thread the chunks run on
 //!   the caller with no pool.  Delivery runs on the arc-indexed message fabric (see
-//!   [`network`]): O(1) mirror-table routing into flat one-slot-per-port mailboxes.
+//!   [`network`]): O(1) mirror-table routing into flat one-slot-per-port mailboxes whose
+//!   occupancy is a bitset, with bandwidth metered on the sender side.
 //! * [`mod@reference`] — the pre-fabric `Vec<Vec<…>>` executor with linear-scan routing, kept
 //!   as the bit-identity oracle and the baseline the `routing` benches race against.
-//! * [`frontier`] — the epoch-stamped frontier bitmap and the per-vertex halt and alarm
-//!   book behind O(|active|) rounds: delivery marks the receiver, programs that must act
-//!   without mail return [`Status::WakeAt`], quiescent vertices cost nothing.
+//! * [`frontier`] — the frontier bitset and the per-vertex halt and alarm book behind
+//!   O(|active|) rounds: delivery marks the receiver, programs that must act without mail
+//!   return [`Status::WakeAt`], quiescent vertices cost nothing.
 //! * [`shard`] — the round loop's home: the [`Executor`], a hand-rolled [`WorkPool`], and
 //!   the thread-scoped [`RunConfig`] (executor kind and cost mode) of [`run_algorithm`].
 //! * [`metrics`] — the [`RoundReport`] cost record and its two composition rules

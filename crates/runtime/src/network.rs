@@ -3,8 +3,8 @@
 //! # The message fabric
 //!
 //! The LOCAL model charges one round for all messages at once, so the simulator's delivery
-//! path is the hot loop of every experiment.  Three structural facts make it allocation- and
-//! scan-free:
+//! path is the hot loop of every experiment.  Four structural facts make it allocation-,
+//! scan- and sort-free:
 //!
 //! 1. **O(1) routing.**  A message leaving `sender` on `port` arrives at the mirror arc
 //!    `graph.mirror_arcs()[arc_range(sender).start + port]` — a single array read
@@ -12,10 +12,17 @@
 //!    receiver's adjacency list.
 //! 2. **Flat mailboxes.**  Pending messages live in one arc-indexed slot buffer
 //!    (`ArcMailboxes`): slot `a` holds the first message delivered to arc `a` this round,
-//!    a shared spill vector absorbs the rare second message per port, and a fill list
-//!    remembers which slots to clear — so a round performs no per-vertex `Vec` pushes and,
-//!    on the one-message-per-port fast path, no heap allocation at all.
-//! 3. **Order preservation.**  Adjacency lists are sorted, so reading a vertex's slots in
+//!    and a shared spill vector absorbs the rare second message per port — so a round
+//!    performs no per-vertex `Vec` pushes and, on the one-message-per-port fast path, no
+//!    heap allocation at all.
+//! 3. **Bitset occupancy.**  One bit per arc says which slots are occupied, and a list of
+//!    the words that became nonzero lets clearing visit only those words — O(messages),
+//!    not O(arcs).  A vertex reads its mail by walking the set bits of its own arc range,
+//!    so its inbox is in port order without sorting anything: a round costs
+//!    O(|frontier| + messages) plus O(degree / 64) per stepped vertex.  Only the spill is
+//!    sorted (stably, by arc, and only when it is non-empty); a cursor seeded once per
+//!    frontier chunk hands each vertex its spill window.
+//! 4. **Order preservation.**  Adjacency lists are sorted, so reading a vertex's slots in
 //!    port order equals the sender-index order the old `Vec<Vec<(port, msg)>>` mailboxes
 //!    produced; outputs, rounds, and message counts are bit-identical to the
 //!    [`reference`](crate::reference) executor (enforced by `tests/message_fabric.rs`).
@@ -25,12 +32,9 @@
 //! On top of the fabric, the round loop ([`Executor`](crate::Executor)) only steps the
 //! **frontier** (see [`frontier`](crate::frontier)): delivering a message marks the
 //! receiver's frontier bit, and an alarm ([`Status::WakeAt`](crate::Status::WakeAt)) marks
-//! its vertex when its round opens, so a round walks the sorted frontier instead of all of
-//! `0..n` — O(|frontier| + messages) per round.
-//! Halted vertices can still be marked by late mail; they are skipped at iteration time
-//! (their mailbox window is consumed and dropped).  Every vertex with mail is on the
-//! frontier, so a mailbox cursor seeded once per frontier chunk walks the chunk's windows
-//! in ascending vertex order.
+//! its vertex when its round opens, so a round walks the frontier in ascending vertex
+//! order instead of all of `0..n`.  Halted vertices can still be marked by late mail; they
+//! are skipped at iteration time (their mail is dropped unread).
 //!
 //! This module holds the fabric and the types every executor shares; the loop itself lives
 //! in [`shard`](crate::shard).
@@ -129,23 +133,19 @@ pub(crate) fn node_ctx(graph: &Graph, v: usize, id_space: u64, id_table: &Arc<[u
     )
 }
 
-/// The vertex owning arc `a` (the *receiver* of a message pushed to slot `a`): arcs come in
-/// mirror pairs, so the owner of `a` is the target of its mirror.
-#[inline]
-pub(crate) fn arc_owner(graph: &Graph, arc: usize) -> Vertex {
-    graph.arc_target(graph.mirror_arcs()[arc])
-}
-
 /// The flat arc-indexed mailbox buffer of one executor side (pending or inbox).
 ///
 /// `slots[a]` holds the first message delivered to arc `a` in the current round;
-/// additional messages to the same arc overflow into `spill` in arrival order.  `filled`
-/// lists the occupied arcs so clearing is O(messages), not O(arcs).
+/// additional messages to the same arc overflow into `spill` in arrival order.  Bit `a` of
+/// `occupied` is set exactly when `slots[a]` is, and `words` lists the words of `occupied`
+/// that became nonzero, so clearing is O(messages), not O(arcs).
 pub(crate) struct ArcMailboxes<M> {
     /// First (usually only) message per arc this round.
     slots: Vec<Option<M>>,
-    /// Occupied arc indices in fill order; sorted ascending by [`ArcMailboxes::seal`].
-    filled: Vec<usize>,
+    /// One bit per arc: whether its slot is occupied.
+    occupied: Vec<u64>,
+    /// Indices of the nonzero words of `occupied`, in the order they became nonzero.
+    words: Vec<usize>,
     /// Overflow messages as `(arc, message)`, arrival order; stably sorted by arc by
     /// [`ArcMailboxes::seal`].
     spill: Vec<(usize, M)>,
@@ -158,7 +158,8 @@ impl<M> ArcMailboxes<M> {
     pub(crate) fn new(arcs: usize) -> Self {
         ArcMailboxes {
             slots: (0..arcs).map(|_| None).collect(),
-            filled: Vec::new(),
+            occupied: vec![0; arcs.div_ceil(64)],
+            words: Vec::new(),
             spill: Vec::new(),
             round: 0,
         }
@@ -170,18 +171,21 @@ impl<M> ArcMailboxes<M> {
         let slot = &mut self.slots[arc];
         if slot.is_none() {
             *slot = Some(message);
-            self.filled.push(arc);
+            let word = &mut self.occupied[arc / 64];
+            if *word == 0 {
+                self.words.push(arc / 64);
+            }
+            *word |= 1 << (arc % 64);
         } else {
             self.spill.push((arc, message));
         }
     }
 
-    /// Prepares the buffer for reading in `round`: sorts the fill list (port order = sender
-    /// order, see the module docs) and stably groups the spill by arc, preserving send order
-    /// within an arc.
+    /// Prepares the buffer for reading in `round`: stably groups the spill by arc,
+    /// preserving send order within an arc.  The slots need no preparation: a vertex reads
+    /// its occupied ports in ascending order off the bitset.
     pub(crate) fn seal(&mut self, round: usize) {
         self.round = round;
-        self.filled.sort_unstable();
         if !self.spill.is_empty() {
             self.spill.sort_by_key(|&(arc, _)| arc);
         }
@@ -189,63 +193,60 @@ impl<M> ArcMailboxes<M> {
 
     /// Empties the buffer in O(messages), retaining all capacity.
     pub(crate) fn clear(&mut self) {
-        for &arc in &self.filled {
-            self.slots[arc] = None;
+        for w in self.words.drain(..) {
+            let mut word = std::mem::take(&mut self.occupied[w]);
+            while word != 0 {
+                self.slots[w * 64 + word.trailing_zeros() as usize] = None;
+                word &= word - 1;
+            }
         }
-        self.filled.clear();
         self.spill.clear();
     }
 
-    /// The inbox of the vertex owning `arcs`, given its `window` from a [`MailboxCursor`].
-    pub(crate) fn read(&self, window: MailboxWindow, arcs: std::ops::Range<usize>) -> Inbox<'_, M> {
+    /// The inbox of the vertex owning `arcs`, given its spill `window` from a
+    /// [`MailboxCursor`].
+    pub(crate) fn read(
+        &self,
+        window: std::ops::Range<usize>,
+        arcs: std::ops::Range<usize>,
+    ) -> Inbox<'_, M> {
         Inbox::from_slots(
             self.round,
             &self.slots[arcs.clone()],
-            &self.filled[window.filled],
-            &self.spill[window.spill],
+            &self.occupied,
+            &self.spill[window],
             arcs.start,
         )
     }
 
-    /// A [`MailboxCursor`] positioned at the first fill and spill entries with arc `>= arc`
-    /// in a **sealed** buffer, by binary search — O(log messages), so each frontier chunk
-    /// seeds its own cursor wherever it starts.
+    /// A [`MailboxCursor`] positioned at the first spill entry with arc `>= arc` in a
+    /// **sealed** buffer, by binary search — O(log spill), so each frontier chunk seeds its
+    /// own cursor wherever it starts.
     pub(crate) fn cursor_at(&self, arc: usize) -> MailboxCursor {
-        MailboxCursor {
-            filled_pos: self.filled.partition_point(|&a| a < arc),
-            spill_pos: self.spill.partition_point(|&(a, _)| a < arc),
-        }
+        MailboxCursor { spill_pos: self.spill.partition_point(|&(a, _)| a < arc) }
     }
 }
 
-/// Sub-ranges of a sealed [`ArcMailboxes`]'s fill and spill lists belonging to one vertex.
-#[derive(Debug, Clone)]
-pub(crate) struct MailboxWindow {
-    filled: std::ops::Range<usize>,
-    spill: std::ops::Range<usize>,
-}
-
-/// Walks a sealed [`ArcMailboxes`] in ascending vertex order from the position
-/// [`ArcMailboxes::cursor_at`] seeded, handing each vertex its [`MailboxWindow`] in
-/// O(messages for that vertex) amortized.
+/// Walks the spill of a sealed [`ArcMailboxes`] in ascending vertex order from the position
+/// [`ArcMailboxes::cursor_at`] seeded, handing each vertex its spill window in O(spilled
+/// messages for that vertex) amortized.
 pub(crate) struct MailboxCursor {
-    filled_pos: usize,
     spill_pos: usize,
 }
 
 impl MailboxCursor {
-    /// Consumes all fill/spill entries with arc `< arc_end` (the current vertex's arcs;
-    /// callers must advance vertices in ascending order).
-    pub(crate) fn advance<M>(&mut self, mail: &ArcMailboxes<M>, arc_end: usize) -> MailboxWindow {
-        let filled_start = self.filled_pos;
-        while self.filled_pos < mail.filled.len() && mail.filled[self.filled_pos] < arc_end {
-            self.filled_pos += 1;
-        }
-        let spill_start = self.spill_pos;
+    /// Consumes all spill entries with arc `< arc_end` (the current vertex's arcs; callers
+    /// must advance vertices in ascending order) and returns their range.
+    pub(crate) fn advance<M>(
+        &mut self,
+        mail: &ArcMailboxes<M>,
+        arc_end: usize,
+    ) -> std::ops::Range<usize> {
+        let start = self.spill_pos;
         while self.spill_pos < mail.spill.len() && mail.spill[self.spill_pos].0 < arc_end {
             self.spill_pos += 1;
         }
-        MailboxWindow { filled: filled_start..self.filled_pos, spill: spill_start..self.spill_pos }
+        start..self.spill_pos
     }
 }
 

@@ -141,7 +141,8 @@ impl Status {
 /// Logically a sequence of `(port, message)` pairs, where `port` is the receiving vertex's
 /// port towards the sender.  Two physical representations exist: a plain pair slice
 /// ([`Inbox::new`], used by the reference executor and tests) and the flat arc-indexed slot
-/// view of the zero-allocation message fabric (`Inbox::from_slots`).  Iteration order is
+/// view of the zero-allocation message fabric (`Inbox::from_slots`), which walks the set
+/// bits of the round's occupancy bitset over the vertex's arcs.  Iteration order is
 /// identical in both: ports ascending — which equals sender-index ascending, because
 /// adjacency lists are sorted — with multiple messages from the same port kept in send
 /// order.
@@ -161,9 +162,9 @@ enum InboxRepr<'a, M> {
         /// This vertex's slot window, indexed by port; `Some` holds the first (usually
         /// only) message delivered to that port this round.
         slots: &'a [Option<M>],
-        /// Occupied arcs of this vertex, ascending (a sub-slice of the round's sorted
-        /// fill list).
-        filled: &'a [usize],
+        /// The round's slot-occupancy bitset over all arcs (bit `a` set ⇔ arc `a`'s slot
+        /// holds a message); this vertex reads bits `base..base + slots.len()`.
+        occupied: &'a [u64],
         /// Overflow `(arc, message)` pairs for ports that received more than one message,
         /// sorted by arc with send order preserved within an arc.
         spill: &'a [(usize, M)],
@@ -188,11 +189,11 @@ impl<'a, M> Inbox<'a, M> {
     pub(crate) fn from_slots(
         round: usize,
         slots: &'a [Option<M>],
-        filled: &'a [usize],
+        occupied: &'a [u64],
         spill: &'a [(usize, M)],
         base: usize,
     ) -> Self {
-        Inbox { round, repr: InboxRepr::Slots { slots, filled, spill, base } }
+        Inbox { round, repr: InboxRepr::Slots { slots, occupied, spill, base } }
     }
 
     /// The current round, counted from 1 (round 0 is `init`, which has no inbox).  Every
@@ -207,8 +208,20 @@ impl<'a, M> Inbox<'a, M> {
     pub fn iter(&self) -> impl Iterator<Item = (usize, &'a M)> + '_ {
         match self.repr {
             InboxRepr::Pairs(messages) => InboxIter::Pairs(messages.iter()),
-            InboxRepr::Slots { slots, filled, spill, base } => {
-                InboxIter::Slots { slots, filled, fpos: 0, spill, spos: 0, base, current: None }
+            InboxRepr::Slots { slots, occupied, spill, base } => {
+                let end = base + slots.len();
+                let word = if base < end { port_bits(occupied, base / 64, base, end) } else { 0 };
+                InboxIter::Slots {
+                    slots,
+                    occupied,
+                    end,
+                    w: base / 64,
+                    word,
+                    spill,
+                    spos: 0,
+                    base,
+                    current: None,
+                }
             }
         }
     }
@@ -224,10 +237,19 @@ impl<'a, M> Inbox<'a, M> {
     }
 
     /// Number of messages received this round.
+    ///
+    /// On the flat-slot representation this is a popcount over the vertex's occupancy
+    /// bits, O(degree / 64).
     pub fn len(&self) -> usize {
         match self.repr {
             InboxRepr::Pairs(messages) => messages.len(),
-            InboxRepr::Slots { filled, spill, .. } => filled.len() + spill.len(),
+            InboxRepr::Slots { slots, occupied, spill, base } => {
+                let end = base + slots.len();
+                let slotted: u32 = (base / 64..end.div_ceil(64))
+                    .map(|w| port_bits(occupied, w, base, end).count_ones())
+                    .sum();
+                slotted as usize + spill.len()
+            }
         }
     }
 
@@ -237,13 +259,31 @@ impl<'a, M> Inbox<'a, M> {
     }
 }
 
+/// Word `w` of the occupancy bitset `occupied`, masked to the arcs `base..end`.
+#[inline]
+fn port_bits(occupied: &[u64], w: usize, base: usize, end: usize) -> u64 {
+    let first = w * 64;
+    let mut word = occupied[w];
+    if base > first {
+        word &= u64::MAX << (base - first);
+    }
+    if end < first + 64 {
+        word &= (1u64 << (end - first)) - 1;
+    }
+    word
+}
+
 /// Iterator behind [`Inbox::iter`], merging slots and spill in port order.
 enum InboxIter<'a, M> {
     Pairs(std::slice::Iter<'a, (usize, M)>),
     Slots {
         slots: &'a [Option<M>],
-        filled: &'a [usize],
-        fpos: usize,
+        occupied: &'a [u64],
+        /// One past the vertex's last arc.
+        end: usize,
+        /// The occupancy word being walked, and its bits not yet yielded.
+        w: usize,
+        word: u64,
         spill: &'a [(usize, M)],
         spos: usize,
         base: usize,
@@ -259,7 +299,7 @@ impl<'a, M> Iterator for InboxIter<'a, M> {
     fn next(&mut self) -> Option<(usize, &'a M)> {
         match self {
             InboxIter::Pairs(iter) => iter.next().map(|(p, m)| (*p, m)),
-            InboxIter::Slots { slots, filled, fpos, spill, spos, base, current } => {
+            InboxIter::Slots { slots, occupied, end, w, word, spill, spos, base, current } => {
                 if let Some(arc) = *current {
                     if let Some((a, m)) = spill.get(*spos) {
                         if *a == arc {
@@ -269,11 +309,18 @@ impl<'a, M> Iterator for InboxIter<'a, M> {
                     }
                     *current = None;
                 }
-                let arc = *filled.get(*fpos)?;
-                *fpos += 1;
+                while *word == 0 {
+                    *w += 1;
+                    if *w * 64 >= *end {
+                        return None;
+                    }
+                    *word = port_bits(occupied, *w, *base, *end);
+                }
+                let arc = *w * 64 + word.trailing_zeros() as usize;
+                *word &= *word - 1;
                 *current = Some(arc);
                 let message =
-                    slots[arc - *base].as_ref().expect("filled arcs have an occupied slot");
+                    slots[arc - *base].as_ref().expect("occupied arcs have an occupied slot");
                 Some((arc - *base, message))
             }
         }
@@ -328,6 +375,11 @@ impl<M: Clone> Outbox<M> {
         self.messages.is_empty()
     }
 
+    /// The queued `(port, message)` pairs, in send order.
+    pub(crate) fn queued(&self) -> &[(usize, M)] {
+        &self.messages
+    }
+
     /// Removes and returns the queued `(port, message)` pairs, keeping the buffer capacity.
     pub fn drain(&mut self) -> impl Iterator<Item = (usize, M)> + '_ {
         self.messages.drain(..)
@@ -354,7 +406,8 @@ impl<M: Clone> Outbox<M> {
 /// `round` on the **frontier**: the vertices that received at least one message in that
 /// round, plus those whose previous `init`/`round` invocation returned
 /// [`Status::WakeAt`] for this round.  Quiescent vertices are free — a round costs
-/// O(|frontier| + messages), not O(n).  The status each invocation returns is the vertex's
+/// O(|frontier| + messages), plus O(degree / 64) to read each stepped vertex's inbox off
+/// the occupancy bitset, not O(n).  The status each invocation returns is the vertex's
 /// whole request:
 ///
 /// * [`Status::Active`] — step me only when mail arrives.  Purely message-driven programs
@@ -458,14 +511,24 @@ mod tests {
         assert_eq!(collected, vec![(0, &5), (2, &7)]);
     }
 
+    /// The occupancy bitset of `arcs` occupied arcs out of `total`.
+    fn occupancy(total: usize, arcs: &[usize]) -> Vec<u64> {
+        let mut words = vec![0u64; total.div_ceil(64)];
+        for &a in arcs {
+            words[a / 64] |= 1 << (a % 64);
+        }
+        words
+    }
+
     #[test]
     fn slot_inbox_matches_pair_inbox() {
         // A degree-4 vertex whose arcs are 10..14; ports 0 and 2 received one message each,
-        // port 3 received three (one slotted + two spilled).
+        // port 3 received three (one slotted + two spilled).  Arcs 9 and 14 belong to other
+        // vertices and are occupied too.
         let slots = vec![Some(5u32), None, Some(7), Some(9)];
-        let filled = vec![10usize, 12, 13];
+        let occupied = occupancy(20, &[9, 10, 12, 13, 14]);
         let spill = vec![(13usize, 11u32), (13, 13)];
-        let inbox = Inbox::from_slots(1, &slots, &filled, &spill, 10);
+        let inbox = Inbox::from_slots(1, &slots, &occupied, &spill, 10);
         assert_eq!(inbox.len(), 5);
         assert!(!inbox.is_empty());
         assert_eq!(inbox.from_port(0), Some(&5));
@@ -475,9 +538,34 @@ mod tests {
         let collected: Vec<_> = inbox.iter().collect();
         assert_eq!(collected, vec![(0, &5), (2, &7), (3, &9), (3, &11), (3, &13)]);
 
-        let empty: Inbox<'_, u32> = Inbox::from_slots(1, &slots[1..2], &[], &[], 11);
+        let empty: Inbox<'_, u32> = Inbox::from_slots(1, &slots[1..2], &occupied, &[], 11);
         assert!(empty.is_empty());
         assert_eq!(empty.iter().count(), 0);
+
+        // A degree-150 vertex whose arcs 50..200 start mid-word and span four words, with
+        // mail on both ends of every word boundary, spill on the boundary arcs 63, 64 and
+        // 199, and occupied neighbors' arcs 49 and 200 just outside its range.
+        let (base, end) = (50usize, 200usize);
+        let hit = [50usize, 51, 63, 64, 100, 127, 128, 191, 192, 199];
+        let mut arcs = hit.to_vec();
+        arcs.extend([49, 200]);
+        let occupied = occupancy(256, &arcs);
+        let slots: Vec<Option<u32>> =
+            (base..end).map(|a| hit.contains(&a).then_some(a as u32 * 10)).collect();
+        let spill: Vec<(usize, u32)> =
+            vec![(63, 631), (64, 641), (64, 642), (199, 1991), (199, 1992), (199, 1993)];
+        let inbox = Inbox::from_slots(2, &slots, &occupied, &spill, base);
+        let mut pairs = Vec::new();
+        for &a in &hit {
+            pairs.push((a - base, a as u32 * 10));
+            pairs.extend(spill.iter().filter(|&&(s, _)| s == a).map(|&(_, m)| (a - base, m)));
+        }
+        let expected = Inbox::new(2, &pairs);
+        assert_eq!(inbox.iter().collect::<Vec<_>>(), expected.iter().collect::<Vec<_>>());
+        assert_eq!(inbox.len(), inbox.iter().count());
+        assert_eq!(inbox.len(), expected.len());
+        assert_eq!(inbox.from_port(199 - base), Some(&1990));
+        assert_eq!(inbox.from_port(65 - base), None);
     }
 
     #[test]
@@ -500,7 +588,7 @@ mod tests {
     fn inboxes_carry_the_round() {
         let raw = vec![(0usize, 1u32)];
         assert_eq!(Inbox::new(4, &raw).round(), 4);
-        let empty: Inbox<'_, u32> = Inbox::from_slots(7, &[None], &[], &[], 0);
+        let empty: Inbox<'_, u32> = Inbox::from_slots(7, &[None], &[0], &[], 0);
         assert_eq!(empty.round(), 7);
     }
 

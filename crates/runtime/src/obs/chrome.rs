@@ -6,7 +6,9 @@
 //! * every span becomes a complete (`"ph": "X"`) slice — one slice per span, in span-index
 //!   order, all on `pid` 1 / `tid` 1 so slices nest by interval containment.  The span's
 //!   deterministic costs (rounds/messages/total_bits/max_edge_bits) ride in `args`,
-//!   together with the span kind and the collector index of the parent slice;
+//!   together with the span kind, the collector index of the parent slice, and the
+//!   advisory executor wall buckets (`deliver_ns`/`step_ns`/`commit_ns`, zero on phase
+//!   slices);
 //! * every traced round attached to a span becomes an instant (`"ph": "i"`) event placed
 //!   at the round's cumulative wall-clock offset within its span.
 //!
@@ -77,7 +79,8 @@ pub fn chrome_trace_json(collector: &SpanCollector) -> String {
                 "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":1,",
                 "\"ts\":{},\"dur\":{},\"args\":{{\"parent\":{},\"rounds\":{},",
                 "\"messages\":{},\"total_bits\":{},\"max_edge_bits\":{},",
-                "\"peak_frontier\":{},\"frontier_steps\":{}}}}}"
+                "\"peak_frontier\":{},\"frontier_steps\":{},",
+                "\"deliver_ns\":{},\"step_ns\":{},\"commit_ns\":{}}}}}"
             ),
             escape_json(&span.name),
             category,
@@ -90,6 +93,9 @@ pub fn chrome_trace_json(collector: &SpanCollector) -> String {
             span.report.max_edge_bits,
             span.peak_frontier,
             span.frontier_steps,
+            span.buckets.deliver_ns,
+            span.buckets.step_ns,
+            span.buckets.commit_ns,
         ));
     }
     // Instants after all slices, so a slice's array index equals its collector index.
@@ -147,6 +153,7 @@ mod tests {
                     ..RoundTrace::default()
                 });
                 exec.attach_trace(&trace);
+                exec.add_buckets(obs::WallBuckets { deliver_ns: 7, step_ns: 8, commit_ns: 9 });
             }
             obs::record_leaf("leaf", RoundReport::new(1, 2));
         }
@@ -160,6 +167,8 @@ mod tests {
         assert!(json.contains("\"parent\":0"));
         // Deterministic costs ride in args.
         assert!(json.contains("\"rounds\":4,\"messages\":10"));
+        // So do the executor's wall buckets.
+        assert!(json.contains("\"deliver_ns\":7,\"step_ns\":8,\"commit_ns\":9"));
     }
 
     #[test]

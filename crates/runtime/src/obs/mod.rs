@@ -30,10 +30,11 @@
 //!   spans as nested slices, traced rounds as instant events), and [`summary_table`]
 //!   renders the same tree as text together with the metrics registry.
 //!
-//! Wall-clock fields (`start_ns`, `wall_ns`) are advisory: they vary with hardware and are
-//! never gated or diffed.  The `report` field of every span is deterministic — for a fixed
-//! graph, algorithm, and seed it is bit-identical across the work-stealing executor (at
-//! any thread count and chunk size) and the reference executor.
+//! Wall-clock fields (`start_ns`, `wall_ns`, and the executor's [`WallBuckets`]) are
+//! advisory: they vary with hardware and are never gated or diffed.  The `report` field of
+//! every span is deterministic — for a fixed graph, algorithm, and seed it is bit-identical
+//! across the work-stealing executor (at any thread count and chunk size) and the
+//! reference executor.
 
 pub mod chrome;
 pub mod registry;
@@ -71,6 +72,21 @@ pub struct RoundInstant {
     pub wall_ns: u64,
 }
 
+/// Advisory wall-clock split of one executor run (an [`SpanKind::Exec`] span), timed only
+/// while a collector records the run.  The three buckets are disjoint parts of the span's
+/// `wall_ns`; what is left over is setup (contexts, node programs, buffers) and outputs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WallBuckets {
+    /// Opening rounds: flipping and clearing the mailboxes, sealing the inbox, ringing the
+    /// round's alarms and taking the frontier.
+    pub deliver_ns: u64,
+    /// The fork/join batches that step the node programs (`init` and every round).
+    pub step_ns: u64,
+    /// Committing the chunks in order (mailboxes, frontier marks, statuses) and closing
+    /// each round's bandwidth.
+    pub commit_ns: u64,
+}
+
 /// One recorded span: a named slice of work with its deterministic cost delta.
 #[derive(Debug, Clone)]
 pub struct SpanRecord {
@@ -87,6 +103,8 @@ pub struct SpanRecord {
     pub start_ns: u64,
     /// Advisory: wall-clock nanoseconds the span was open (0 for recorded leaves).
     pub wall_ns: u64,
+    /// Advisory: the executor's split of `wall_ns` (all zero for phase spans).
+    pub buckets: WallBuckets,
     /// Largest per-round frontier observed by traces attached to this span.
     pub peak_frontier: usize,
     /// Total vertex steps across traces attached to this span.
@@ -233,6 +251,7 @@ fn open_span(name: String, kind: SpanKind) -> PhaseGuard {
         report: RoundReport::zero(),
         start_ns,
         wall_ns: 0,
+        buckets: WallBuckets::default(),
         peak_frontier: 0,
         frontier_steps: 0,
         rounds: Vec::new(),
@@ -259,6 +278,7 @@ pub fn record_leaf(name: impl Into<String>, report: RoundReport) {
         report,
         start_ns,
         wall_ns: 0,
+        buckets: WallBuckets::default(),
         peak_frontier: 0,
         frontier_steps: 0,
         rounds: Vec::new(),
@@ -370,6 +390,23 @@ pub struct PhaseGuard {
 }
 
 impl PhaseGuard {
+    /// Whether this span is being recorded (a collector was installed when it opened), so
+    /// advisory timers are worth running.
+    pub(crate) fn is_recording(&self) -> bool {
+        self.target.is_some()
+    }
+
+    /// Adds an executor run's wall-clock buckets to this span.
+    pub(crate) fn add_buckets(&self, buckets: WallBuckets) {
+        if let Some((collector, index)) = &self.target {
+            let mut state = collector.lock();
+            let span = &mut state.spans[*index].buckets;
+            span.deliver_ns += buckets.deliver_ns;
+            span.step_ns += buckets.step_ns;
+            span.commit_ns += buckets.commit_ns;
+        }
+    }
+
     /// Attributes a deterministic cost delta to this span (accumulating via
     /// [`RoundReport::then`] when called repeatedly).
     pub fn charge(&self, report: RoundReport) {
@@ -424,15 +461,15 @@ pub fn summary_table(collector: &SpanCollector) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<40} {:>8} {:>12} {:>14} {:>10}",
-        "span", "rounds", "messages", "total_bits", "wall_ms"
+        "{:<40} {:>8} {:>12} {:>14} {:>10} {:>10} {:>10} {:>10}",
+        "span", "rounds", "messages", "total_bits", "wall_ms", "deliver_ms", "step_ms", "commit_ms"
     );
     let mut depths: Vec<usize> = Vec::with_capacity(spans.len());
     for span in &spans {
         let depth = span.parent.map(|p| depths[p] + 1).unwrap_or(0);
         depths.push(depth);
         let label = format!("{}{}", "  ".repeat(depth), span.name);
-        let _ = writeln!(
+        let _ = write!(
             out,
             "{:<40} {:>8} {:>12} {:>14} {:>10.3}",
             label,
@@ -441,6 +478,18 @@ pub fn summary_table(collector: &SpanCollector) -> String {
             span.report.total_bits,
             span.wall_ns as f64 / 1e6,
         );
+        // Only executor runs split their wall time into buckets.
+        if span.kind == SpanKind::Exec {
+            let b = span.buckets;
+            let _ = write!(
+                out,
+                " {:>10.3} {:>10.3} {:>10.3}",
+                b.deliver_ns as f64 / 1e6,
+                b.step_ns as f64 / 1e6,
+                b.commit_ns as f64 / 1e6,
+            );
+        }
+        out.push('\n');
     }
     let metrics = collector.metrics();
     if !metrics.is_empty() {
@@ -585,9 +634,20 @@ mod tests {
             outer.charge(RoundReport::new(1, 2));
             record_leaf("child", RoundReport::new(3, 4));
         }
+        {
+            let exec = exec_span("run");
+            exec.add_buckets(WallBuckets {
+                deliver_ns: 1_000_000,
+                step_ns: 2_500_000,
+                commit_ns: 0,
+            });
+        }
         record_run(&RoundReport::new(1, 2));
         let table = summary_table(&collector);
         assert!(table.contains("outer"));
+        assert!(table.contains("deliver_ms") && table.contains("commit_ms"));
+        let run = table.lines().find(|l| l.starts_with("run")).unwrap();
+        assert!(run.ends_with("1.000      2.500      0.000"), "exec rows show buckets:\n{table}");
         assert!(table.contains("  child"), "children indent under parents:\n{table}");
         assert!(table.contains("executor.runs"));
     }

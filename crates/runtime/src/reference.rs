@@ -13,9 +13,13 @@
 //!   delivery; [`ExecutorKind::Reference`](crate::ExecutorKind) dispatches whole pipelines
 //!   onto it.
 //!
+//! Its bandwidth accounting is its own too: a per-arc `BandwidthMeter` charged message by
+//! message on the receiver side, where the flat executor sums each sender's ports in the
+//! step that sent them.
+//!
 //! It is not optimized, and should not be used outside tests and benches.
 
-use crate::cost::{BandwidthMeter, CostMode, MessageCost};
+use crate::cost::{CostMode, EdgeLoad, MessageCost};
 use crate::metrics::RoundReport;
 use crate::network::{
     id_space_of, neighbor_id_table, node_ctx, ExecutionResult, RuntimeError, TracedRun,
@@ -23,7 +27,7 @@ use crate::network::{
 use crate::node::{Algorithm, Inbox, NodeProgram, Outbox, Status};
 use crate::obs;
 use crate::trace::{RoundTrace, TraceConfig, TraceRecorder};
-use arbcolor_graph::Graph;
+use arbcolor_graph::{Graph, Vertex};
 
 /// Runs [`Algorithm`]s with per-vertex `Vec` mailboxes and linear-scan routing (see the
 /// module docs).  API mirrors [`Executor`](crate::Executor).
@@ -154,8 +158,7 @@ impl<'g> ReferenceExecutor<'g> {
         // Delivery-side trace attribution, as in the flat executors: round `r` records what
         // it delivers (the sends of round `r − 1`; round 1 carries `init`).
         let mut carry_messages = report.messages;
-        let mut carry_bits =
-            meter.finish_round(graph, report.rounds + 1, self.cost_mode, &mut report)?;
+        let mut carry_bits = meter.finish_round(report.rounds + 1, self.cost_mode, &mut report)?;
 
         // Main loop: one iteration = one synchronous round.
         while active.iter().any(|&a| a) || any_outgoing {
@@ -193,8 +196,7 @@ impl<'g> ReferenceExecutor<'g> {
                 any_outgoing |= !outbox.is_empty();
                 deliver_by_scan(graph, v, outbox, &mut pending, &mut report, &mut meter);
             }
-            let round_bits =
-                meter.finish_round(graph, report.rounds + 1, self.cost_mode, &mut report)?;
+            let round_bits = meter.finish_round(report.rounds + 1, self.cost_mode, &mut report)?;
             if let Some(recorder) = trace.as_deref_mut() {
                 recorder.record(RoundTrace {
                     round: report.rounds,
@@ -203,7 +205,7 @@ impl<'g> ReferenceExecutor<'g> {
                     frontier: active_at_start,
                     messages: carry_messages,
                     total_bits: carry_bits.total,
-                    max_edge_bits: carry_bits.max_edge,
+                    max_edge_bits: carry_bits.max,
                     halts: halts_this_round,
                     halted: halted_this_round,
                     wall_ns: round_started
@@ -226,6 +228,55 @@ impl<'g> ReferenceExecutor<'g> {
         }
         obs::record_run(&report);
         Ok(ExecutionResult { outputs, report })
+    }
+}
+
+/// The oracle's per-arc bandwidth meter: every delivered message adds its width to its
+/// receiver-side arc, and the arc's running load feeds the round's [`EdgeLoad`].  Clearing
+/// is O(messages of the round), not O(arcs).
+struct BandwidthMeter {
+    /// Bits accumulated on each arc in the current round.
+    arc_bits: Vec<u64>,
+    /// Arcs touched this round (so clearing is proportional to traffic).
+    touched: Vec<usize>,
+    /// The current round's total and most loaded edge.
+    round: EdgeLoad,
+}
+
+impl BandwidthMeter {
+    /// A meter over `num_arcs` arcs with nothing recorded.
+    fn new(num_arcs: usize) -> Self {
+        BandwidthMeter {
+            arc_bits: vec![0; num_arcs],
+            touched: Vec::new(),
+            round: EdgeLoad::default(),
+        }
+    }
+
+    /// Records `bits` arriving on `arc` (a receiver-side arc index) over `edge`
+    /// (`(sender, receiver)`) in the current round.
+    fn add(&mut self, arc: usize, bits: u64, edge: (Vertex, Vertex)) {
+        let cell = &mut self.arc_bits[arc];
+        if *cell == 0 {
+            self.touched.push(arc);
+        }
+        *cell += bits;
+        self.round.charge(bits, *cell, edge);
+    }
+
+    /// Closes the round labelled `round` (see [`EdgeLoad::finish`]) and resets the per-round
+    /// state.
+    fn finish_round(
+        &mut self,
+        round: usize,
+        mode: CostMode,
+        report: &mut RoundReport,
+    ) -> Result<EdgeLoad, RuntimeError> {
+        for &arc in &self.touched {
+            self.arc_bits[arc] = 0;
+        }
+        self.touched.clear();
+        std::mem::take(&mut self.round).finish(round, mode, report)
     }
 }
 
@@ -261,7 +312,11 @@ fn deliver_by_scan<M: Clone + MessageCost>(
             .iter()
             .position(|&w| w == sender)
             .expect("graph adjacency is symmetric");
-        meter.add(graph.arc_range(receiver).start + receiver_port, message.encoded_bits());
+        meter.add(
+            graph.arc_range(receiver).start + receiver_port,
+            message.encoded_bits(),
+            (sender, receiver),
+        );
         pending[receiver].push((receiver_port, message));
         report.messages += 1;
     }

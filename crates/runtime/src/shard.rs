@@ -35,10 +35,14 @@
 //!    *before* any worker runs — split into fixed-size chunks.  The atomic claim cursor
 //!    only decides **which worker** steps which chunk, never the chunk contents.
 //! 2. Workers buffer everything they produce (outgoing messages with their receiving arcs
-//!    in vertex-then-port order, and each stepped vertex's [`Status`]) into per-chunk
-//!    results; nothing is applied concurrently.  The coordinator then commits the chunks
-//!    **in chunk order**, so the pending mailboxes receive messages in ascending sender
-//!    order, spill arrival included.
+//!    in vertex-then-port order, each stepped vertex's [`Status`], and the chunk's
+//!    bandwidth) into per-chunk results (`ChunkOut`); nothing is applied concurrently.
+//!    The coordinator then commits the chunks **in chunk order**, so the pending mailboxes
+//!    receive messages in ascending sender order, spill arrival included.  Bandwidth is
+//!    metered in the workers: a directed edge's load in a round is a sum over its one
+//!    sender's step, and the chunk loads merge in chunk order keeping the first edge that
+//!    reached the maximum, exactly as one meter fed message by message in send order
+//!    would.
 //! 3. The per-round barrier (the fork/join of [`PoolScope::map`]) makes the exchange
 //!    synchronous: no message produced in round `r` is observable before round `r + 1`.
 //!
@@ -66,7 +70,7 @@
 //! # }
 //! ```
 
-use crate::cost::{BandwidthMeter, CostMode, MessageCost};
+use crate::cost::{CostMode, EdgeLoad, MessageCost};
 use crate::frontier::{Frontier, Statuses};
 use crate::metrics::RoundReport;
 use crate::network::{
@@ -74,7 +78,7 @@ use crate::network::{
     TracedRun,
 };
 use crate::node::{Algorithm, NodeCtx, NodeProgram, Outbox, Status};
-use crate::obs;
+use crate::obs::{self, WallBuckets};
 use crate::reference::ReferenceExecutor;
 use crate::trace::{RoundTrace, TraceConfig, TraceRecorder};
 use arbcolor_graph::{ArcIdx, Graph, Vertex};
@@ -82,6 +86,7 @@ use std::cell::Cell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::time::Instant;
 
 // ---------------------------------------------------------------------------
 // Work pool
@@ -379,7 +384,13 @@ where
 /// `(receiver arc, receiver, message)` triples in vertex-then-port order (the arc index *is*
 /// the routing information — it pins both the receiving vertex and its port; the receiver
 /// is read on the sender's side, where the adjacency is walked in order, to spare the commit
-/// a random lookup per message), plus the status every stepped vertex returned.
+/// a random lookup per message), the status every stepped vertex returned, and the chunk's
+/// bandwidth.
+///
+/// Bandwidth is metered here, on the sender side: in a round every message on a directed
+/// edge comes from that edge's one sender, in its one step, so an edge's load is a per-port
+/// sum over one [`ChunkOut::record`] call.  The per-port scratch is zeroed after each
+/// sender, so no per-arc array exists anywhere.
 ///
 /// A run keeps one per chunk index for all its rounds; the commit drains it and keeps the
 /// capacity, so steady-state rounds allocate nothing.
@@ -390,25 +401,58 @@ struct ChunkOut<M> {
     statuses: Vec<(Vertex, Status)>,
     /// The outbox every vertex of the chunk sends into.
     outbox: Outbox<M>,
+    /// Bits each port of the vertex being recorded has carried so far (all zero between
+    /// senders).
+    port_bits: Vec<u64>,
+    /// The chunk's bandwidth, in send order.
+    load: EdgeLoad,
 }
 
-impl<M: Clone> ChunkOut<M> {
+impl<M: Clone + MessageCost> ChunkOut<M> {
     fn new() -> Self {
-        ChunkOut { outgoing: Vec::new(), statuses: Vec::new(), outbox: Outbox::new(0) }
+        ChunkOut {
+            outgoing: Vec::new(),
+            statuses: Vec::new(),
+            outbox: Outbox::new(0),
+            port_bits: Vec::new(),
+            load: EdgeLoad::default(),
+        }
     }
 
-    /// Files the step of vertex `v`: its status, and the messages it left in the outbox —
-    /// one mirror-arc and one target read per message, both in `v`'s arc order, appended in
-    /// port order so `outgoing` stays in global sender order.
+    /// Files the step of vertex `v`: its status, the bandwidth of the messages it left in
+    /// the outbox, and the messages themselves — one mirror-arc and one target read per
+    /// message, both in `v`'s arc order, appended in port order so `outgoing` stays in
+    /// global sender order.
     fn record(&mut self, graph: &Graph, v: Vertex, status: Status) {
         self.statuses.push((v, status));
-        let first_arc = graph.arc_range(v).start;
+        let arcs = graph.arc_range(v);
+        if self.port_bits.len() < arcs.len() {
+            self.port_bits.resize(arcs.len(), 0);
+        }
+        for (port, message) in self.outbox.queued() {
+            let bits = message.encoded_bits();
+            let load = &mut self.port_bits[*port];
+            *load += bits;
+            self.load.charge(bits, *load, (v, graph.arc_target(arcs.start + port)));
+        }
         let mirror = graph.mirror_arcs();
         for (port, message) in self.outbox.drain() {
-            let arc = first_arc + port;
+            self.port_bits[port] = 0;
+            let arc = arcs.start + port;
             self.outgoing.push((mirror[arc], graph.arc_target(arc), message));
         }
     }
+}
+
+/// Runs `f`, adding its wall-clock nanoseconds to `bucket` when `timed`.
+fn lap<R>(timed: bool, bucket: &mut u64, f: impl FnOnce() -> R) -> R {
+    if !timed {
+        return f();
+    }
+    let start = Instant::now();
+    let result = f();
+    *bucket += start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+    result
 }
 
 /// Runs [`Algorithm`]s on a [`Graph`] until every node halts, by splitting each round's
@@ -621,10 +665,12 @@ impl<'g> Executor<'g> {
         let contexts = &contexts;
         let nodes = &nodes;
 
+        // Advisory wall buckets, timed only while a collector records this run.
+        let timed = span.is_recording();
+        let mut wall = WallBuckets::default();
         let report = pool.scope(|scope| {
             let mut report = RoundReport::zero();
             let mut frontier = Frontier::new(n);
-            let mut meter = BandwidthMeter::new(graph.num_arcs());
             let mut pending: ArcMailboxes<<A::Node as NodeProgram>::Msg> =
                 ArcMailboxes::new(graph.num_arcs());
 
@@ -635,39 +681,40 @@ impl<'g> Executor<'g> {
             // Relaxed suffices: handing the batch to the workers orders this reset before
             // their claims.
             claim.store(0, Ordering::Relaxed);
-            scope.map(vec![(); workers], move |_, ()| loop {
-                let c = claim.fetch_add(1, Ordering::Relaxed);
-                if c >= init_chunks {
-                    break;
-                }
-                let out = &mut *chunk_outs[c].lock().expect("chunk lock");
-                for v in c * chunk..((c + 1) * chunk).min(n) {
-                    out.outbox.reset(contexts[v].degree);
-                    let status =
-                        nodes[v].lock().expect("node lock").init(&contexts[v], &mut out.outbox);
-                    out.record(graph, v, status);
-                }
+            lap(timed, &mut wall.step_ns, || {
+                scope.map(vec![(); workers], move |_, ()| loop {
+                    let c = claim.fetch_add(1, Ordering::Relaxed);
+                    if c >= init_chunks {
+                        break;
+                    }
+                    let out = &mut *chunk_outs[c].lock().expect("chunk lock");
+                    for v in c * chunk..((c + 1) * chunk).min(n) {
+                        out.outbox.reset(contexts[v].degree);
+                        let status =
+                            nodes[v].lock().expect("node lock").init(&contexts[v], &mut out.outbox);
+                        out.record(graph, v, status);
+                    }
+                })
             });
-            let (init_messages, mut total_active) = {
-                let mut state = round_lock.write().expect("round lock");
-                let stats = commit_chunks(
-                    &chunk_outs[..init_chunks],
-                    0,
-                    &mut pending,
-                    &mut frontier,
-                    &mut state.statuses,
-                    &mut meter,
-                    None,
-                );
-                (stats.messages, state.statuses.count())
-            };
-            report.messages += init_messages;
             // Delivery-side trace attribution: round `r` records the messages and bits it
             // *delivers* (sent in round `r − 1`; round 1 carries the `init` sends), so the
             // per-round columns sum bit-exactly to the headline report.
+            let (init_messages, mut total_active, mut carry_bits) =
+                lap(timed, &mut wall.commit_ns, || {
+                    let mut state = round_lock.write().expect("round lock");
+                    let stats = commit_chunks(
+                        &chunk_outs[..init_chunks],
+                        0,
+                        &mut pending,
+                        &mut frontier,
+                        &mut state.statuses,
+                        None,
+                    );
+                    let bits = stats.load.finish(1, self.cost_mode, &mut report)?;
+                    Ok::<_, RuntimeError>((stats.messages, state.statuses.count(), bits))
+                })?;
+            report.messages += init_messages;
             let mut carry_messages = init_messages;
-            let mut carry_bits =
-                meter.finish_round(graph, report.rounds + 1, self.cost_mode, &mut report)?;
             let mut any_outgoing = init_messages > 0;
 
             // Main loop: one iteration = one synchronous round.
@@ -679,14 +726,13 @@ impl<'g> Executor<'g> {
                     });
                 }
                 report.rounds += 1;
-                let round_started = trace.as_ref().map(|_| std::time::Instant::now());
+                let round_started = trace.as_ref().map(|_| Instant::now());
                 let active_at_start = total_active;
-                let messages_before = report.messages;
                 let mut halted_this_round: Vec<Vertex> = Vec::new();
 
                 // Flip the mailbox double buffer, ring the round's alarms, and publish the
                 // round's sorted frontier.
-                let round_chunks = {
+                let round_chunks = lap(timed, &mut wall.deliver_ns, || {
                     let mut state = round_lock.write().expect("round lock");
                     let state = &mut *state;
                     std::mem::swap(&mut pending, &mut state.inboxes);
@@ -695,45 +741,49 @@ impl<'g> Executor<'g> {
                     state.statuses.ring(report.rounds, &mut frontier);
                     frontier.take(&mut state.schedule);
                     state.schedule.len().div_ceil(chunk)
-                };
+                });
                 claim.store(0, Ordering::Relaxed);
 
-                scope.map(vec![(); workers], move |_, ()| {
-                    let state = round_lock.read().expect("round lock");
-                    let RoundState { inboxes, schedule, statuses } = &*state;
-                    loop {
-                        let c = claim.fetch_add(1, Ordering::Relaxed);
-                        if c >= round_chunks {
-                            break;
-                        }
-                        let out = &mut *chunk_outs[c].lock().expect("chunk lock");
-                        let vertices = &schedule[c * chunk..((c + 1) * chunk).min(schedule.len())];
-                        // Only scheduled vertices have mail and a chunk's vertices ascend,
-                        // so one search seeds a cursor that walks the whole chunk.
-                        let mut cursor = inboxes.cursor_at(graph.arc_range(vertices[0]).start);
-                        for &v in vertices {
-                            let arcs = graph.arc_range(v);
-                            let window = cursor.advance(inboxes, arcs.end);
-                            if !statuses.is_active(v) {
-                                // Mail to a halted vertex is dropped unread (it was counted
-                                // at send time).
-                                continue;
+                lap(timed, &mut wall.step_ns, || {
+                    scope.map(vec![(); workers], move |_, ()| {
+                        let state = round_lock.read().expect("round lock");
+                        let RoundState { inboxes, schedule, statuses } = &*state;
+                        loop {
+                            let c = claim.fetch_add(1, Ordering::Relaxed);
+                            if c >= round_chunks {
+                                break;
                             }
-                            let inbox = inboxes.read(window, arcs);
-                            out.outbox.reset(contexts[v].degree);
-                            let status = nodes[v].lock().expect("node lock").round(
-                                &contexts[v],
-                                &inbox,
-                                &mut out.outbox,
-                            );
-                            out.record(graph, v, status);
+                            let out = &mut *chunk_outs[c].lock().expect("chunk lock");
+                            let vertices =
+                                &schedule[c * chunk..((c + 1) * chunk).min(schedule.len())];
+                            // Only scheduled vertices have mail and a chunk's vertices
+                            // ascend, so one search seeds a spill cursor that walks the
+                            // whole chunk.
+                            let mut cursor = inboxes.cursor_at(graph.arc_range(vertices[0]).start);
+                            for &v in vertices {
+                                let arcs = graph.arc_range(v);
+                                let spill = cursor.advance(inboxes, arcs.end);
+                                if !statuses.is_active(v) {
+                                    // Mail to a halted vertex is dropped unread (it was
+                                    // counted at send time).
+                                    continue;
+                                }
+                                let inbox = inboxes.read(spill, arcs);
+                                out.outbox.reset(contexts[v].degree);
+                                let status = nodes[v].lock().expect("node lock").round(
+                                    &contexts[v],
+                                    &inbox,
+                                    &mut out.outbox,
+                                );
+                                out.record(graph, v, status);
+                            }
                         }
-                    }
+                    })
                 });
 
                 let halted_sink = (trace.is_some() && trace_config.capture_halted)
                     .then_some(&mut halted_this_round);
-                let stats = {
+                let (stats, round_bits) = lap(timed, &mut wall.commit_ns, || {
                     let mut state = round_lock.write().expect("round lock");
                     let stats = commit_chunks(
                         &chunk_outs[..round_chunks],
@@ -741,15 +791,13 @@ impl<'g> Executor<'g> {
                         &mut pending,
                         &mut frontier,
                         &mut state.statuses,
-                        &mut meter,
                         halted_sink,
                     );
                     total_active = state.statuses.count();
-                    stats
-                };
+                    let bits = stats.load.finish(report.rounds + 1, self.cost_mode, &mut report)?;
+                    Ok::<_, RuntimeError>((stats, bits))
+                })?;
                 report.messages += stats.messages;
-                let round_bits =
-                    meter.finish_round(graph, report.rounds + 1, self.cost_mode, &mut report)?;
                 if let Some(recorder) = trace.as_deref_mut() {
                     recorder.record(RoundTrace {
                         round: report.rounds,
@@ -757,7 +805,7 @@ impl<'g> Executor<'g> {
                         frontier: stats.stepped,
                         messages: carry_messages,
                         total_bits: carry_bits.total,
-                        max_edge_bits: carry_bits.max_edge,
+                        max_edge_bits: carry_bits.max,
                         halts: stats.halts,
                         halted: halted_this_round,
                         wall_ns: round_started
@@ -765,7 +813,7 @@ impl<'g> Executor<'g> {
                             .unwrap_or(0),
                     });
                 }
-                carry_messages = report.messages - messages_before;
+                carry_messages = stats.messages;
                 carry_bits = round_bits;
                 any_outgoing = stats.messages > 0;
                 if total_active == 0 {
@@ -781,6 +829,7 @@ impl<'g> Executor<'g> {
             .map(|(node, ctx)| node.lock().expect("node lock").output(ctx))
             .collect();
         span.charge(report);
+        span.add_buckets(wall);
         if let Some(recorder) = trace {
             span.attach_trace(recorder);
         }
@@ -806,25 +855,25 @@ struct CommitStats {
     stepped: usize,
     /// Vertices that halted.
     halts: usize,
+    /// The chunks' bandwidth, merged in chunk order.
+    load: EdgeLoad,
 }
 
 /// Commits the chunks produced by one fork/join step of `round` (0 for `init`) **in chunk
-/// order**, draining each: pushes the outgoing messages into the pending mailboxes
-/// (ascending sender order), charges each message's measured width to its arc in `meter`,
-/// marks every receiver in the frontier, and records every returned status in `statuses`.
-/// When `halted_sink` is given, the halted vertices are also collected into it (in chunk
-/// order = ascending vertex order).
+/// order**, draining each: merges its bandwidth, pushes the outgoing messages into the
+/// pending mailboxes (ascending sender order), marks every receiver in the frontier, and
+/// records every returned status in `statuses`.  When `halted_sink` is given, the halted
+/// vertices are also collected into it (in chunk order = ascending vertex order).
 ///
 /// # Panics
 ///
 /// Panics if a vertex returned [`Status::WakeAt`] for a round not after `round`.
-fn commit_chunks<M: MessageCost>(
+fn commit_chunks<M>(
     chunk_outs: &[Mutex<ChunkOut<M>>],
     round: usize,
     pending: &mut ArcMailboxes<M>,
     frontier: &mut Frontier,
     statuses: &mut Statuses,
-    meter: &mut BandwidthMeter,
     mut halted_sink: Option<&mut Vec<Vertex>>,
 ) -> CommitStats {
     let mut stats = CommitStats::default();
@@ -832,8 +881,8 @@ fn commit_chunks<M: MessageCost>(
         let out = &mut *slot.lock().expect("chunk lock");
         stats.messages += out.outgoing.len();
         stats.stepped += out.statuses.len();
+        stats.load.merge(std::mem::take(&mut out.load));
         for (arc, receiver, message) in out.outgoing.drain(..) {
-            meter.add(arc, message.encoded_bits());
             pending.push(arc, message);
             frontier.mark(receiver);
         }
@@ -976,6 +1025,21 @@ mod tests {
         let g = generators::path(2).unwrap();
         let script = Scripted(vec![vec![(Status::WakeAt(0), false)]; 2]);
         let _ = Executor::new(&g).run(&script);
+    }
+
+    #[test]
+    fn a_recorded_run_splits_its_wall_time_into_deliver_step_and_commit() {
+        let g = generators::cycle(64).unwrap().with_shuffled_ids(5);
+        let collector = obs::SpanCollector::new();
+        let guard = obs::install(&collector);
+        let (result, _trace) = Executor::new(&g).run_traced(&FloodMaxId { rounds: 8 }).unwrap();
+        drop(guard);
+        assert_eq!(result.report.rounds, 8);
+        let spans = collector.snapshot();
+        let run = spans.iter().find(|s| s.kind == obs::SpanKind::Exec).expect("an exec span");
+        let b = run.buckets;
+        assert!(b.deliver_ns > 0 && b.step_ns > 0 && b.commit_ns > 0, "{b:?}");
+        assert!(b.deliver_ns + b.step_ns + b.commit_ns <= run.wall_ns, "{b:?} vs {}", run.wall_ns);
     }
 
     #[test]

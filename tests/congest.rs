@@ -18,10 +18,11 @@
 //! its own and cannot disturb the tests running beside it on other threads.
 
 use arbcolor::hkmt::hkmt_coloring;
-use arbcolor_graph::generators;
+use arbcolor_graph::{generators, Graph};
 use arbcolor_runtime::algorithms::ProposeMaxId;
 use arbcolor_runtime::{
-    CostMode, Executor, ExecutorKind, ReferenceExecutor, RunConfig, RuntimeError,
+    Algorithm, CostMode, Executor, ExecutorKind, Inbox, MessageCost, NodeCtx, NodeProgram, Outbox,
+    ReferenceExecutor, RunConfig, RuntimeError, Status,
 };
 
 /// Runs the full HKMT pipeline under `kind` and returns its outcome signature.
@@ -75,6 +76,63 @@ fn different_seeds_stay_legal_and_within_delta_plus_one() {
     assert!(colorings.len() > 1, "all seeds produced the same coloring");
 }
 
+/// Sends its identifier down every port in `init`, twice down port 0, then halts on mail:
+/// the port-0 edges carry two messages in one round.
+struct DoubleSend;
+
+struct DoubleSendNode;
+
+impl NodeProgram for DoubleSendNode {
+    type Msg = u64;
+    type Output = ();
+
+    fn init(&mut self, ctx: &NodeCtx, outbox: &mut Outbox<u64>) -> Status {
+        outbox.send(0, ctx.id);
+        outbox.broadcast(ctx.id);
+        Status::Active
+    }
+
+    fn round(&mut self, _ctx: &NodeCtx, _inbox: &Inbox<'_, u64>, _out: &mut Outbox<u64>) -> Status {
+        Status::Halted
+    }
+
+    fn output(&self, _ctx: &NodeCtx) {}
+}
+
+impl Algorithm for DoubleSend {
+    type Node = DoubleSendNode;
+
+    fn node(&self, _ctx: &NodeCtx) -> DoubleSendNode {
+        DoubleSendNode
+    }
+}
+
+/// Runs `algorithm` on `g` under a `budget`-bit CONGEST mode on the reference executor and
+/// on the work-stealing executor at threads {1, 4} × chunk sizes {1, 7, default}, asserts
+/// that every run fails with the very same error value, and returns it.
+fn same_congest_error<A>(g: &Graph, algorithm: &A, budget: u64) -> RuntimeError
+where
+    A: Algorithm + Sync,
+    A::Node: Send,
+    <A::Node as NodeProgram>::Msg: Send + Sync,
+    <A::Node as NodeProgram>::Output: Send + std::fmt::Debug,
+{
+    let mode = CostMode::Congest { bits_per_edge: budget };
+    let oracle = ReferenceExecutor::new(g).with_cost_mode(mode).run(algorithm).unwrap_err();
+    for threads in [1usize, 4] {
+        for chunk_size in [1usize, 7, Executor::DEFAULT_CHUNK_SIZE] {
+            let err = Executor::new(g)
+                .with_threads(threads)
+                .with_chunk_size(chunk_size)
+                .with_cost_mode(mode)
+                .run(algorithm)
+                .unwrap_err();
+            assert_eq!(err, oracle, "threads {threads}, chunk size {chunk_size}");
+        }
+    }
+    oracle
+}
+
 #[test]
 fn congest_mode_rejects_an_over_wide_message_with_the_typed_error() {
     // ProposeMaxId broadcasts identifiers; with shuffled ids on a star some identifier needs
@@ -102,6 +160,34 @@ fn congest_mode_rejects_an_over_wide_message_with_the_typed_error() {
             .unwrap_err(),
     );
     check(ReferenceExecutor::new(&g).with_cost_mode(tight).run(&ProposeMaxId).unwrap_err());
+
+    // The whole error value — round, edge, width and budget — is the same everywhere.  The
+    // flat executor meters each sender's ports in its step and merges the chunks in order,
+    // which must keep the reference meter's tie-break: the first edge in send order that
+    // reached the round's maximum.
+    check(same_congest_error(&g, &ProposeMaxId, 3));
+    // A star with identifiers 1..=20: the hub's 1-bit identifier is cheap, and the edges
+    // from leaves 15..19 (identifiers 16..20) tie at the maximum of 5 bits.
+    let tie_star = generators::star(20).unwrap();
+    assert_eq!(
+        same_congest_error(&tie_star, &ProposeMaxId, 3),
+        RuntimeError::CongestBudgetExceeded {
+            round: 1,
+            sender: 15,
+            receiver: 0,
+            bits: 5,
+            budget: 3
+        }
+    );
+    // Two messages on one port in one round add up on that edge.
+    let cycle = generators::cycle(30).unwrap().with_shuffled_ids(2);
+    match same_congest_error(&cycle, &DoubleSend, 8) {
+        RuntimeError::CongestBudgetExceeded { round: 1, sender, receiver, bits, budget: 8 } => {
+            assert_eq!(bits, 2 * cycle.id(sender).encoded_bits());
+            assert_eq!(cycle.neighbors(sender)[0], receiver, "the doubled port is port 0");
+        }
+        other => panic!("expected CongestBudgetExceeded, got {other:?}"),
+    }
 
     // A budget wide enough for every identifier passes on the same graph, and the run
     // reports the same bits Local mode would have measured.
