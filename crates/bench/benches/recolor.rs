@@ -2,14 +2,18 @@
 //! α-selection of every Linial, Kuhn-defective and Arb-Recolor step.
 //!
 //! * `best_alpha/hub` — q = 107, 3 digits and 4147 neighbors drawn from `[0, 107³)`: the
-//!   family and degree of the color-hubs hub vertices, where `α = 0` collides and the scan
-//!   runs over the digit rows.
+//!   family and degree of the color-hubs hub vertices, where `α = 0` collides and the
+//!   remaining `α` are chosen by counting the roots of each neighbor's difference polynomial.
+//! * `best_alpha/hub_scan` — the same field and degree with 4 digits (neighbors drawn from
+//!   `[0, 107⁴)`), a family without the root path: `α = 0` collides and the other `α` are
+//!   scanned over the digit rows.
 //! * `best_alpha/sparse` — q = 29, 3 digits and 8 neighbors whose lowest digit differs from
 //!   the color's, so `α = 0` has no collision and is decided from the lowest digits alone.
 //! * `best_alpha/sparse_collide` — the same with one neighbor sharing the color's lowest
-//!   digit, so the small rows are split and scanned.
+//!   digit, so the roots of the eight differences are counted over `F_29`.
 //!
-//! Each sample times a batch of instances (8 hub, 4096 sparse) with one reused scratch.
+//! Each sample times a batch of instances (8 per hub row, 4096 per sparse row) with one
+//! reused scratch.
 
 use arbcolor_decompose::algebraic::PolynomialFamily;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -60,9 +64,11 @@ fn bench_best_alpha(c: &mut Criterion) {
     let mut group = c.benchmark_group("best_alpha");
     group.sample_size(20);
     let hub = PolynomialFamily::new(107, 107 * 107 * 107);
+    let hub_scan = PolynomialFamily::new(107, 107 * 107 * 107 * 107);
     let sparse = PolynomialFamily::new(29, 29 * 29 * 29);
     let rows = [
         ("hub", &hub, instances(&hub, 8, 4147, None, 1)),
+        ("hub_scan", &hub_scan, instances(&hub_scan, 8, 4147, None, 4)),
         ("sparse", &sparse, instances(&sparse, 4096, 8, Some(0), 2)),
         ("sparse_collide", &sparse, instances(&sparse, 4096, 8, Some(1), 3)),
     ];

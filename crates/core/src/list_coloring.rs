@@ -11,7 +11,7 @@
 //!
 //! [`ColorLists`] is the shared instance type: it owns the per-vertex lists — stored as one
 //! CSR-shaped [`ColorPool`] (an offsets array plus a flat colors array, the same layout as
-//! the graph's neighbor-id table), with the sorted/deduplicated invariant guaranteed at
+//! the graph's adjacency), with the sorted/deduplicated invariant guaranteed at
 //! construction — checks the greedy-slack condition, and independently verifies that a
 //! produced coloring is both legal and list-respecting.
 

@@ -18,14 +18,24 @@
 //!
 //! * `α = 0` is decided from the lowest digits alone, since `ϕ_y(0) = y mod q`.  When no
 //!   differently-colored neighbor shares the vertex's lowest digit, the answer is 0 after one
-//!   `%` per neighbor.
-//! * Otherwise every color's digits are split once into a row of a caller-owned scratch
-//!   `Vec` (its contents unspecified between calls), and each further `α` costs one row of
-//!   `α`-powers plus, per neighbor, a multiply-add pass over its row and a single `% q`.
-//!   [`PolynomialFamily::evaluate`] remains the reference evaluation, used by
-//!   [`PolynomialFamily::pair_color`].
-//! * The unreduced sum is at most `digits·(q − 1)²`; [`PolynomialFamily::new`] asserts that it
-//!   fits in a `u64`, and [`choose_prime_field`] stays far inside that bound.
+//!   `%` per neighbor, and the caller's scratch is not touched.
+//! * Otherwise, for 2 or 3 digits over an odd `q` up to [`ROOT_PATH_MAX_Q`], the agreements are
+//!   counted rather than searched for: `ϕ_y` agrees with `ϕ_χ` exactly at the roots of the
+//!   difference `a₀ + a₁α + a₂α²`, which the quadratic formula gives in closed form from the
+//!   field's inverse and square-root tables.  Each neighbor adds its roots to a histogram of
+//!   `q` counters in the caller's scratch, and the answer is the smallest `α` with the fewest
+//!   hits: `O(q + deg)` per vertex.
+//! * Every other family (4 or more digits, `q = 2`, or `q` above the table bound) splits
+//!   every color's digits once into a row of the caller's scratch, and each further `α`
+//!   costs one row of `α`-powers plus, per neighbor, a multiply-add pass over its row and a
+//!   single `% q`: `O(q·deg)` per vertex in the worst case.  The unreduced sum is at most
+//!   `digits·(q − 1)²`; [`PolynomialFamily::new`] asserts that it fits in a `u64`, and
+//!   [`choose_prime_field`] stays far inside that bound.
+//!
+//! Both paths return the same `α`.  [`PolynomialFamily::evaluate`] remains the reference
+//! evaluation, used by [`PolynomialFamily::pair_color`] and the tests.
+
+use std::sync::OnceLock;
 
 /// Whether `x` is prime (deterministic trial division; the fields used here are tiny).
 pub fn is_prime(x: u64) -> bool {
@@ -75,8 +85,22 @@ pub fn digits_needed(m: u64, q: u64) -> u32 {
     digits
 }
 
+/// The largest field [`PolynomialFamily::best_alpha`] counts roots over; a larger field keeps
+/// the scan.  At this bound the field's tables take 96 KiB per family and the histogram 32 KiB
+/// of the caller's scratch, so a caller-built field near `2³¹` never allocates gigabytes.
+/// Fields this large are Linial-like (`q` above the degree), where the scan stops within a
+/// few `α`; root counting pays off where `q` is far below the degree, as in the defective
+/// steps at the hubs of a star-forest union (`q = 107` at degree 4147).
+pub const ROOT_PATH_MAX_Q: u64 = 1 << 12;
+
 /// A polynomial function family `{ϕ_χ : F_q → F_q}` for colors `χ ∈ [0, colors)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A family with 2 or 3 digits over an odd `q` up to [`ROOT_PATH_MAX_Q`] carries the inverse and
+/// square-root tables of `F_q` that [`PolynomialFamily::best_alpha`] counts roots with.  They
+/// are built on that path's first use, not by [`PolynomialFamily::new`], because
+/// [`choose_prime_field`] builds candidate families it never uses; equality, cloning and
+/// `Debug` see only `(q, digits, colors)` (a clone keeps tables already built).
+#[derive(Clone)]
 pub struct PolynomialFamily {
     /// The prime field size (both `|A|` and `|B|`).
     pub q: u64,
@@ -84,6 +108,128 @@ pub struct PolynomialFamily {
     pub digits: u32,
     /// Number of colors the family can encode (`q^digits ≥ colors`).
     pub colors: u64,
+    /// Inverse and square-root tables of `F_q`, built lazily for the root path.
+    tables: OnceLock<FieldTables>,
+}
+
+impl PartialEq for PolynomialFamily {
+    fn eq(&self, other: &Self) -> bool {
+        (self.q, self.digits, self.colors) == (other.q, other.digits, other.colors)
+    }
+}
+
+impl Eq for PolynomialFamily {}
+
+impl std::fmt::Debug for PolynomialFamily {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PolynomialFamily")
+            .field("q", &self.q)
+            .field("digits", &self.digits)
+            .field("colors", &self.colors)
+            .finish()
+    }
+}
+
+/// Arithmetic of an odd prime field `F_q`, `q ≤ ROOT_PATH_MAX_Q`: division by `q` without a
+/// hardware divide, and the inverse and square-root tables.
+#[derive(Clone)]
+struct FieldTables {
+    q: u64,
+    /// `⌊2⁶⁴ / q⌋`.  `⌊x·barrett / 2⁶⁴⌋` is `⌊x / q⌋` or one less, and for `x < 2⁶⁴ / q`
+    /// (every operand here is below `20·q³`) one less only when `q` divides `x`.
+    barrett: u64,
+    /// `inverse[x] = x⁻¹` for `x ≠ 0` (`inverse[0]` is unused).
+    inverse: Box<[u32]>,
+    /// `half_inverse[x] = (2x)⁻¹` for `x ∈ [1, 2q)`, `x ≠ q`: indexed by a shifted coefficient,
+    /// so the quadratic case needs no reduction before its lookup.
+    half_inverse: Box<[u32]>,
+    /// The square roots of each `disc ∈ F_q`, indexed by `disc`.
+    sqrt: Box<[SquareRoot]>,
+}
+
+/// One square root `root` of a field element, with masks that send the roots `±root` to the
+/// trash counter of the histogram when they do not exist: both for a non-residue, the
+/// second for zero (a double root counts once).  The masks are data rather than a branch
+/// because whether an element is a residue is a coin flip.
+#[derive(Clone, Copy)]
+struct SquareRoot {
+    root: u32,
+    skip_first: u32,
+    skip_second: u32,
+}
+
+impl FieldTables {
+    fn new(q: u64) -> Self {
+        let n = q as usize;
+        let mut inverse = vec![0u32; n];
+        inverse[1] = 1;
+        // q = (q / x)·x + q mod x, so x⁻¹ = −(q / x)·(q mod x)⁻¹.
+        for x in 2..n {
+            let back = u64::from(inverse[n % x]);
+            inverse[x] = ((q - (q / x as u64) * back % q) % q) as u32;
+        }
+        let mut sqrt = vec![SquareRoot { root: 0, skip_first: !0, skip_second: !0 }; n];
+        sqrt[0].skip_first = 0;
+        for x in 1..=q / 2 {
+            sqrt[(x * x % q) as usize] =
+                SquareRoot { root: x as u32, skip_first: 0, skip_second: 0 };
+        }
+        let half_inverse = (0..2 * n).map(|x| inverse[2 * x % n]).collect();
+        FieldTables {
+            q,
+            barrett: u64::MAX / q,
+            inverse: inverse.into(),
+            half_inverse,
+            sqrt: sqrt.into(),
+        }
+    }
+
+    /// `(x / q, x mod q)`, by Barrett reduction: cheaper than a hardware divide, and its
+    /// correction branch is rarely taken.
+    fn div_rem(&self, x: u64) -> (u64, u64) {
+        let quotient = ((u128::from(x) * u128::from(self.barrett)) >> 64) as u64;
+        let rem = x - quotient * self.q;
+        if rem >= self.q {
+            (quotient + 1, rem - self.q)
+        } else {
+            (quotient, rem)
+        }
+    }
+
+    fn rem(&self, x: u64) -> u64 {
+        self.div_rem(x).1
+    }
+
+    /// The base-`q` digits of `value < q³`.
+    fn digits(&self, value: u64) -> [u64; 3] {
+        let (high, d0) = self.div_rem(value);
+        let (d2, d1) = self.div_rem(high);
+        [d0, d1, d2]
+    }
+
+    /// The roots of the difference `ϕ_y − ϕ_own` of two distinct colors with digits `own` and
+    /// `y`, as two slots in `0..=q`: a double root appears once, and `q` stands for "no root".
+    fn roots(&self, own: [u64; 3], y: [u64; 3]) -> [u64; 2] {
+        let q = self.q;
+        // The coefficients a₀ + a₁α + a₂α² of the difference, each shifted by q into [1, 2q).
+        let [a0, a1, a2] = [0, 1, 2].map(|i| y[i] + q - own[i]);
+        if y[2] == own[2] {
+            // Linear (a₂ = 0): the root −a₀·a₁⁻¹, none when a₁ = 0 too (then a₀ ≠ 0).
+            if y[1] == own[1] {
+                return [q, q];
+            }
+            let inverse = u64::from(self.inverse[self.rem(a1) as usize]);
+            return [self.rem((2 * q - a0) * inverse), q];
+        }
+        // (−a₁ ± √disc)·(2a₂)⁻¹ with disc = a₁² − 4a₀a₂, shifted by 16q² to stay positive.
+        let SquareRoot { root, skip_first, skip_second } =
+            self.sqrt[self.rem(a1 * a1 + 16 * q * q - 4 * a0 * a2) as usize];
+        let (root, half) = (u64::from(root), u64::from(self.half_inverse[a2 as usize]));
+        let first = self.rem((2 * q - a1 + root) * half);
+        let second = self.rem((3 * q - a1 - root) * half);
+        [(first, skip_first), (second, skip_second)]
+            .map(|(r, skip)| r + ((q - r) & u64::from(skip)))
+    }
 }
 
 impl PolynomialFamily {
@@ -101,7 +247,13 @@ impl PolynomialFamily {
             (q - 1).checked_mul(q - 1).and_then(|s| s.checked_mul(u64::from(digits))).is_some(),
             "digits·(q − 1)² overflows u64 for q = {q}, digits = {digits}"
         );
-        PolynomialFamily { q, digits, colors }
+        PolynomialFamily { q, digits, colors, tables: OnceLock::new() }
+    }
+
+    /// Whether [`PolynomialFamily::best_alpha`] counts roots (2 or 3 digits over an odd
+    /// `q` up to [`ROOT_PATH_MAX_Q`]) rather than scanning `α`.
+    pub fn counts_roots(&self) -> bool {
+        matches!(self.digits, 2 | 3) && self.q != 2 && self.q <= ROOT_PATH_MAX_Q
     }
 
     /// Maximum number of points on which two distinct colors' polynomials can agree
@@ -144,25 +296,37 @@ impl PolynomialFamily {
     /// which neighbor colors they pass (all of them, or only the parents').
     ///
     /// `α = 0` is decided first, from the lowest digits alone (`ϕ_y(0) = y mod q`): one `%` per
-    /// neighbor, and if no neighbor collides the answer is 0 without touching `rows`.
-    /// Otherwise the base-`q` digits of `color` and of every differently-colored neighbor are
-    /// written once into `rows`, one row of `digits` coefficients each, and every further `α`
-    /// is tested against those rows with one row of `α`-powers: a multiply-add pass and a
-    /// single `% q` per neighbor (the sum stays below `digits·(q − 1)² < 2⁶⁴`, which
-    /// [`PolynomialFamily::new`] asserts).
+    /// neighbor, and if no neighbor collides the answer is 0 without touching `scratch`.
+    /// Otherwise one of two paths, chosen by the family alone, finds the same `α`:
     ///
-    /// The scan stops at the first `α` without collisions, and stops counting an `α` as soon
-    /// as it ties the best count so far (it can no longer be the smallest minimizer).
+    /// * **Root counting** (2 or 3 digits over an odd `q` up to [`ROOT_PATH_MAX_Q`], see
+    ///   [`PolynomialFamily::counts_roots`]).  A neighbor `y` agrees with `color` exactly at
+    ///   the roots of the difference `ϕ_y − ϕ_color = a₀ + a₁α + a₂α²`, a nonzero polynomial:
+    ///   none when `a₂ = a₁ = 0`, `−a₀·a₁⁻¹` when only `a₂ = 0`, and `(−a₁ ± √disc)·(2a₂)⁻¹`
+    ///   otherwise (a double root once, none for a non-residue `disc`).  Each
+    ///   differently-colored neighbor's difference is formed once and its roots are counted
+    ///   into a histogram; the smallest `α` with the fewest hits is the answer.  That is
+    ///   `O(q + deg)` work against the scan's `O(q·deg)`.  The field's inverse and square-root
+    ///   tables are built on the family's first root count.
+    /// * **Scan** (every other family).  The base-`q` digits of `color` and of every
+    ///   differently-colored neighbor are written once into `scratch`, one row of `digits`
+    ///   coefficients each, and every further `α` is tested against those rows with one row
+    ///   of `α`-powers: a multiply-add pass and a single `% q` per neighbor (the sum stays
+    ///   below `digits·(q − 1)² < 2⁶⁴`, which [`PolynomialFamily::new`] asserts).  The scan
+    ///   stops at the first `α` without collisions, and stops counting an `α` as soon as it
+    ///   ties the best count so far (it can no longer be the smallest minimizer).
     ///
-    /// `rows` is caller-owned scratch: it is grown to `(2 + neighbors.len())·digits` words when
-    /// `α = 0` collides and left alone otherwise, and its contents are unspecified on entry and
-    /// on return.  A caller that keeps it across calls reallocates it only when a call needs
-    /// more words than every earlier one.
+    /// `scratch` is caller-owned.  It is left alone when `α = 0` has no collision.  Otherwise
+    /// it is cleared and then holds `q + 1` hit counters (root counting: one per `α` and one
+    /// for neighbors without a root) or `(2 + m)·digits` digit-row words (scan, `m`
+    /// differently-colored neighbors).  Its contents are unspecified on entry and on return.
+    /// A caller that keeps it across calls reallocates it only when a call needs more words
+    /// than every earlier one.
     ///
     /// # Panics
     ///
     /// Panics if `color` or a differently-colored neighbor is `≥ colors`.
-    pub fn best_alpha(&self, color: u64, neighbors: &[u64], rows: &mut Vec<u64>) -> u64 {
+    pub fn best_alpha(&self, color: u64, neighbors: &[u64], scratch: &mut Vec<u64>) -> u64 {
         let q = self.q;
         assert!(color < self.colors, "color {color} out of range (< {})", self.colors);
         let own_low = color % q;
@@ -172,9 +336,43 @@ impl PolynomialFamily {
             collisions += usize::from(y % q == own_low);
         }
         if collisions == 0 {
-            return 0;
+            0
+        } else if self.counts_roots() {
+            self.fewest_roots(color, neighbors, scratch)
+        } else {
+            self.scan(color, neighbors, collisions, scratch)
         }
+    }
 
+    /// The root-counting path of [`PolynomialFamily::best_alpha`].
+    fn fewest_roots(&self, color: u64, neighbors: &[u64], hits: &mut Vec<u64>) -> u64 {
+        let q = self.q;
+        let tables = self.tables.get_or_init(|| FieldTables::new(q));
+        let own = tables.digits(color);
+        // One counter per α, then one for "no root".
+        hits.clear();
+        hits.resize(q as usize + 1, 0);
+        for &y in neighbors.iter().filter(|&&y| y != color) {
+            for root in tables.roots(own, tables.digits(y)) {
+                hits[root as usize] += 1;
+            }
+        }
+        let (mut best_alpha, mut best) = (0, hits[0]);
+        for (alpha, &count) in hits[..q as usize].iter().enumerate() {
+            if count < best {
+                (best_alpha, best) = (alpha, count);
+                if best == 0 {
+                    break;
+                }
+            }
+        }
+        best_alpha as u64
+    }
+
+    /// The scanning path of [`PolynomialFamily::best_alpha`], given the `collisions` at
+    /// `α = 0`.
+    fn scan(&self, color: u64, neighbors: &[u64], collisions: usize, rows: &mut Vec<u64>) -> u64 {
+        let q = self.q;
         // Layout: the α-powers row, the own row, then one row per differently-colored neighbor.
         let d = self.digits as usize;
         rows.clear();
@@ -329,16 +527,24 @@ mod tests {
         (0..family.q).map(|alpha| (alpha, collisions(alpha))).min_by_key(|&(a, c)| (c, a)).unwrap()
     }
 
+    /// Half the draws: a prime `q ≤ 103` with 1–4 digits (both paths, `q = 2` included).  The
+    /// other half: a prime `103 ≤ q ≤ 229` with 2–3 digits, the root path over fields as large
+    /// as the color-hubs family (`q = 107`) and beyond.
+    fn fields() -> impl Strategy<Value = (u64, u32)> {
+        prop_oneof![(2u64..102, 1u32..5), (102u64..230, 2u32..4)]
+            .prop_map(|(x, d)| (next_prime(x), d))
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// Random primes q ≤ 103 and digit counts 1–4; neighbor multisets that may be empty
-        /// and may repeat the vertex's own color.  With `saturate = k > 0`, every α gets `k`
+        /// Random fields from [`fields`]; neighbor multisets that may be empty and may repeat
+        /// the vertex's own color.  With `saturate = k > 0`, every α gets `k`
         /// colliding neighbors (digits 0 and 1 shifted by `(−δα, +δ)`, so the two polynomials
         /// agree exactly at α), so no α has fewer than `k` collisions.
         #[test]
         fn best_alpha_matches_the_naive_scan(
-            (q, digits) in (2u64..102, 1u32..5).prop_map(|(x, d)| (next_prime(x), d)),
+            (q, digits) in fields(),
             (color_draw, colors_draw) in (0u64..1 << 40, 0u64..1 << 40),
             draws in proptest::collection::vec(0u64..1 << 40, 0..40),
             own_copies in 0usize..3,
@@ -369,13 +575,13 @@ mod tests {
         }
 
         /// One scratch `Vec` reused across a sequence of calls, after a first call that splits
-        /// a large family (q = 101, 4 digits, 40 neighbors).  Calls vary q ≤ 103, 1–4 digits,
-        /// the color and the neighbors; see [`reuse_call`] for the modes.
+        /// a large family (q = 101, 4 digits, 40 neighbors).  Calls vary the field (see
+        /// [`fields`]), the color and the neighbors; see [`reuse_call`] for the modes.
         #[test]
         fn best_alpha_reuses_its_scratch(
             calls in proptest::collection::vec(
                 (
-                    (2u64..102, 1u32..5).prop_map(|(x, d)| (next_prime(x), d)),
+                    fields(),
                     0u8..4,
                     0u64..1 << 40,
                     proptest::collection::vec(0u64..1 << 40, 0..24),
@@ -429,6 +635,192 @@ mod tests {
             })
             .collect();
         (family, color, neighbors)
+    }
+
+    /// The neighbor color of the 3-digit `family` whose polynomial exceeds `color`'s by
+    /// `a₀ + a₁α + a₂α²`.
+    fn shifted(family: &PolynomialFamily, color: u64, a: [u64; 3]) -> u64 {
+        let q = family.q;
+        (0..3).rev().fold(0, |y, i| y * q + (color / q.pow(i) % q + a[i as usize]) % q)
+    }
+
+    /// `best_alpha` on `neighbors` around `color`, checked against [`naive_scan`] and `expected`.
+    fn assert_best_alpha(family: &PolynomialFamily, color: u64, neighbors: &[u64], expected: u64) {
+        assert_eq!(naive_scan(family, color, neighbors).0, expected, "the case is mis-built");
+        assert_eq!(family.best_alpha(color, neighbors, &mut Vec::new()), expected);
+    }
+
+    /// Two neighbors whose linear differences `δ·(α − root)`, `δ ∈ {1, 2}`, vanish at each of
+    /// `roots` (only their lowest two digits differ from `color`'s).
+    fn linear_hits(family: &PolynomialFamily, color: u64, roots: &[u64]) -> Vec<u64> {
+        let q = family.q;
+        roots
+            .iter()
+            .flat_map(|&root| {
+                [1, 2].map(|delta| shifted(family, color, [q - delta * root % q, delta, 0]))
+            })
+            .filter(|&y| y != color)
+            .collect()
+    }
+
+    #[test]
+    fn root_path_counts_linear_differences() {
+        let family = PolynomialFamily::new(107, 107 * 107 * 107);
+        assert!(family.counts_roots());
+        let q = family.q;
+        let color = 5 + 7 * q + 9 * q * q;
+        // a₂ = 0: roots at 0, 1 and 2; a₂ = a₁ = 0: no root at all.
+        let neighbors: Vec<u64> = [[0, 1, 0], [3, q - 3, 0], [q - 4, 2, 0], [1, 0, 0], [5, 0, 0]]
+            .iter()
+            .map(|&a| shifted(&family, color, a))
+            .collect();
+        assert_best_alpha(&family, color, &neighbors, 3);
+        // The 2-digit family over the same field is linear throughout.
+        let family = PolynomialFamily::new(107, 107 * 107);
+        let color = 40 + 2 * q;
+        // α − r vanishes at r = 0, 1, 2; the constant 1 nowhere.
+        let neighbors = [40 + 3 * q, 39 + 3 * q, 38 + 3 * q, 41 + 2 * q];
+        assert_best_alpha(&family, color, &neighbors, 3);
+    }
+
+    /// `(α − 3)²` has a double root, counted once: every other α has two hits, α = 3 one.
+    #[test]
+    fn root_path_counts_a_double_root_once() {
+        let family = PolynomialFamily::new(107, 107 * 107 * 107);
+        let (q, color) = (family.q, 1 + 50 * 107 + 106 * 107 * 107);
+        let others: Vec<u64> = (0..q).filter(|&alpha| alpha != 3).collect();
+        let mut neighbors = linear_hits(&family, color, &others);
+        neighbors.push(shifted(&family, color, [9, q - 6, 1]));
+        assert_best_alpha(&family, color, &neighbors, 3);
+    }
+
+    /// Over `F_107` (`q ≡ 3 mod 4`, `q ≡ 2 mod 3`), `α² + 1` and `α² + α + 1` have the
+    /// non-residue discriminants −4 and −3, so no roots; every α ≥ 1 has two linear hits and
+    /// α = 0 one, so any spurious root (0 and 53 are the ones a zero square root would give)
+    /// moves the answer.
+    #[test]
+    fn root_path_skips_non_residue_discriminants() {
+        let family = PolynomialFamily::new(107, 107 * 107 * 107);
+        let (q, color) = (family.q, 17 + 3 * 107 + 88 * 107 * 107);
+        let all: Vec<u64> = (1..q).collect();
+        let mut neighbors = linear_hits(&family, color, &all);
+        neighbors.push(shifted(&family, color, [0, 1, 0]));
+        neighbors.push(shifted(&family, color, [1, 0, 1]));
+        neighbors.push(shifted(&family, color, [1, 1, 1]));
+        assert_best_alpha(&family, color, &neighbors, 0);
+    }
+
+    /// Every color against every pair of neighbor colors, over `F_2` (always the scan) and
+    /// `F_3` (the root path for 2 and 3 digits).
+    #[test]
+    fn smallest_fields_match_the_naive_scan_exhaustively() {
+        let mut scratch = Vec::new();
+        for (q, digits) in [(2u64, 2u32), (2, 3), (3, 2), (3, 3)] {
+            let family = PolynomialFamily::new(q, q.pow(digits));
+            assert_eq!(family.counts_roots(), q == 3);
+            for color in 0..family.colors {
+                for y in 0..family.colors {
+                    for z in 0..family.colors {
+                        let neighbors = [y, z];
+                        let alpha = family.best_alpha(color, &neighbors, &mut scratch);
+                        assert_eq!(
+                            alpha,
+                            naive_scan(&family, color, &neighbors).0,
+                            "{neighbors:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The `best_alpha/hub` bench instances: q = 107, 3 digits, 4147 uniform neighbors.
+    #[test]
+    fn hub_bench_instances_match_the_naive_scan() {
+        let family = PolynomialFamily::new(107, 107 * 107 * 107);
+        // SplitMix64 from seed 1, as in `benches/recolor.rs`.
+        let mut state = 1u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut scratch = Vec::new();
+        for _ in 0..8 {
+            let color = next() % family.colors;
+            let neighbors: Vec<u64> = (0..4147).map(|_| next() % family.colors).collect();
+            let alpha = family.best_alpha(color, &neighbors, &mut scratch);
+            assert_eq!(alpha, naive_scan(&family, color, &neighbors).0);
+        }
+    }
+
+    #[test]
+    fn field_tables_invert_and_take_square_roots() {
+        for q in (3..=ROOT_PATH_MAX_Q).filter(|&q| is_prime(q)) {
+            let tables = FieldTables::new(q);
+            for x in 1..q {
+                assert_eq!(x * u64::from(tables.inverse[x as usize]) % q, 1, "q = {q}, x = {x}");
+            }
+            for x in (1..2 * q).filter(|&x| x != q) {
+                assert_eq!(2 * x * u64::from(tables.half_inverse[x as usize]) % q, 1);
+            }
+            let mut squares = vec![false; q as usize];
+            (0..q).for_each(|r| squares[(r * r % q) as usize] = true);
+            let mut residues = 0;
+            for (x, entry) in tables.sqrt.iter().enumerate() {
+                let exists = squares[x];
+                assert_eq!(entry.skip_first == 0, exists, "q = {q}, x = {x}");
+                assert_eq!(entry.skip_second == 0, exists && x != 0, "q = {q}, x = {x}");
+                if exists {
+                    assert_eq!(u64::from(entry.root).pow(2) % q, x as u64);
+                    residues += 1;
+                }
+            }
+            assert_eq!(residues, 1 + (q - 1) / 2, "q = {q}: 0 and (q − 1)/2 non-zero squares");
+        }
+    }
+
+    #[test]
+    fn barrett_division_is_exact() {
+        for q in [3u64, 107, 4093] {
+            let tables = FieldTables::new(q);
+            let top = 20 * q.pow(3);
+            let large = (1..=64).map(|i| top - i * (top / 65));
+            for x in (0..5000).chain(large).chain((1..5000).map(|k| k * q)) {
+                assert_eq!(tables.div_rem(x), (x / q, x % q), "q = {q}, x = {x}");
+            }
+        }
+    }
+
+    #[test]
+    fn root_path_covers_odd_fields_up_to_the_table_bound() {
+        let largest = (3..=ROOT_PATH_MAX_Q).rev().find(|&q| is_prime(q)).unwrap();
+        let root = |q: u64, digits: u32| PolynomialFamily::new(q, q.pow(digits)).counts_roots();
+        assert!(root(3, 2) && root(107, 3) && root(largest, 2) && root(largest, 3));
+        assert!(!root(2, 2) && !root(2, 3) && !root(107, 1) && !root(107, 4));
+        assert!(!root(next_prime(ROOT_PATH_MAX_Q), 2));
+        // At the bound: a linear difference and a double root, against the reference.
+        let family = PolynomialFamily::new(largest, largest.pow(3));
+        let q = largest;
+        let color = 11 + 13 * q + 17 * q * q;
+        let neighbors: Vec<u64> = [[0, 1, 0], [q - 1, 1, 0], [4, q - 4, 1], [q - 2, 1, 0]]
+            .iter()
+            .map(|&a| shifted(&family, color, a))
+            .collect();
+        assert_best_alpha(&family, color, &neighbors, 3);
+    }
+
+    /// The lazily built tables are invisible to equality and `Debug`.
+    #[test]
+    fn family_identity_ignores_the_tables() {
+        let used = PolynomialFamily::new(107, 1000);
+        used.best_alpha(0, &[107], &mut Vec::new());
+        let fresh = PolynomialFamily::new(107, 1000);
+        assert_eq!(used, fresh);
+        assert_eq!(format!("{used:?}"), "PolynomialFamily { q: 107, digits: 2, colors: 1000 }");
+        assert_eq!(used.clone(), fresh);
     }
 
     #[test]

@@ -127,10 +127,14 @@ pub struct RecolorNode<'a> {
     parent_ports: Option<Vec<usize>>,
     /// The counted neighbors' colors of the current round (reused across rounds).
     counted: Vec<u64>,
-    /// Digit-row scratch of [`PolynomialFamily::best_alpha`], kept for the whole run.  It stays
-    /// unallocated until a round's `α = 0` has a collision, and is then sized for every
-    /// counted neighbor; since the digit count never grows along a schedule, that is the
-    /// run's only allocation of it.
+    /// Scratch of [`PolynomialFamily::best_alpha`], kept for the whole run.  It stays
+    /// unallocated until a round's `α = 0` has a collision.  That round and every later
+    /// colliding one fill it with `q + 1` hit counters (root-counting families: 2 or 3 digits
+    /// over an odd `q` up to [`ROOT_PATH_MAX_Q`]) or with `(2 + m)·digits` digit-row words for the
+    /// `m` counted neighbors (every other family), so it is reallocated only when a step
+    /// needs more words than the earlier ones.
+    ///
+    /// [`ROOT_PATH_MAX_Q`]: crate::algebraic::ROOT_PATH_MAX_Q
     rows: Vec<u64>,
     color: u64,
 }
@@ -313,8 +317,8 @@ mod tests {
         assert!(s.rounds() as u32 <= 4 * log_star(1 << 40) + 4, "rounds = {}", s.rounds());
     }
 
-    /// `RecolorNode` sizes its digit rows once, for the digit count of the step that first
-    /// needs them, so no later step may need more digits.
+    /// Schedules never grow the digit count from one step to the next, so the digit rows
+    /// a scanning step needs never outgrow an earlier scanning step's.
     #[test]
     fn schedule_digits_never_grow() {
         for initial in [10u64, 1000, 200_000, 1 << 32] {

@@ -14,7 +14,7 @@
 //!
 //! [`ColorPool`] is the companion storage layout: all per-vertex color lists of an
 //! instance in one flat array plus an offsets array (the same CSR shape as the graph's
-//! neighbor-id table), so building a sub-instance is slice copies instead of per-vertex
+//! adjacency), so building a sub-instance is slice copies instead of per-vertex
 //! `Vec` clones, and node programs borrow `&[u64]` slices instead of owning lists.
 //!
 //! Picks stay bit-identical to the `Vec`-scan path by construction: the first unstruck
@@ -269,7 +269,7 @@ impl PaletteSet {
 }
 
 /// A CSR-shaped arena of per-vertex color lists: one flat `colors` array plus an
-/// `offsets` array, the same layout as the graph's neighbor-id table.
+/// `offsets` array, the same layout as the graph's adjacency.
 ///
 /// The pool itself imposes no ordering invariant — `ScheduledListColor` palettes are in
 /// preference order, `ColorLists` adds the sorted/deduplicated guarantee at construction.

@@ -9,9 +9,8 @@
 //! This crate provides:
 //!
 //! * [`NodeProgram`] / [`Algorithm`] — the interface a distributed algorithm implements.  A
-//!   node program only ever sees its own [`NodeCtx`] (identifier, degree, neighbor
-//!   identifiers, `n`) and the messages delivered to it, which keeps implementations honest
-//!   about locality.
+//!   node program only ever sees its own [`NodeCtx`] (vertex index, identifier, degree) and
+//!   the messages delivered to it, which keeps implementations honest about locality.
 //! * [`Executor`] — the round loop: runs an algorithm on a graph until every node halts,
 //!   returning the per-vertex outputs and a [`RoundReport`] with round and message counts.
 //!   Each round steps only the frontier, in fixed-size chunks that workers steal off a
@@ -76,7 +75,7 @@ pub use cost::{CostMode, MessageCost};
 pub use frontier::Frontier;
 pub use metrics::{parallel_max, ActivitySummary, RoundReport};
 pub use network::{ExecutionResult, RuntimeError, TracedRun};
-pub use node::{Algorithm, Inbox, NeighborIds, NodeCtx, NodeProgram, Outbox, Status};
+pub use node::{Algorithm, Inbox, NodeCtx, NodeProgram, Outbox, Status};
 pub use obs::{PhaseGuard, RecordingGuard, SpanCollector, SpanKind, SpanRecord};
 pub use reference::ReferenceExecutor;
 pub use shard::{

@@ -40,12 +40,11 @@
 //! in [`shard`](crate::shard).
 
 use crate::metrics::RoundReport;
-use crate::node::{Inbox, NeighborIds, NodeCtx};
+use crate::node::{Inbox, NodeCtx};
 use crate::trace::TraceRecorder;
 use arbcolor_graph::{Graph, Vertex};
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
 
 /// Errors raised by the executor.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,29 +107,10 @@ pub struct ExecutionResult<O> {
 /// [`Executor::run_traced`](crate::Executor::run_traced) returns on success.
 pub type TracedRun<O> = (ExecutionResult<O>, TraceRecorder);
 
-/// Upper bound on the identifier space of `graph` as exposed through [`NodeCtx::id_space`].
-pub(crate) fn id_space_of(graph: &Graph) -> u64 {
-    graph.ids().iter().copied().max().unwrap_or(0).max(graph.n() as u64)
-}
-
-/// Builds the CSR-shaped neighbor-identifier table shared by every [`NodeCtx`] of an
-/// execution: `table[a] = id(arc_target(a))`.  One allocation per run, borrowed by all
-/// contexts, under both executors.
-pub(crate) fn neighbor_id_table(graph: &Graph) -> Arc<[u64]> {
-    (0..graph.num_arcs()).map(|a| graph.id(graph.arc_target(a))).collect()
-}
-
 /// Builds the [`NodeCtx`] of vertex `v` (shared by the executor and the reference oracle so
-/// node programs observe byte-identical contexts under either).
-pub(crate) fn node_ctx(graph: &Graph, v: usize, id_space: u64, id_table: &Arc<[u64]>) -> NodeCtx {
-    NodeCtx::new(
-        v,
-        graph.id(v),
-        graph.n(),
-        id_space,
-        graph.degree(v),
-        NeighborIds::from_table(Arc::clone(id_table), graph.arc_range(v)),
-    )
+/// node programs observe identical contexts under either).
+pub(crate) fn node_ctx(graph: &Graph, v: usize) -> NodeCtx {
+    NodeCtx { vertex: v, id: graph.id(v), degree: graph.degree(v) }
 }
 
 /// The flat arc-indexed mailbox buffer of one executor side (pending or inbox).

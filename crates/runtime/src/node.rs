@@ -1,110 +1,23 @@
 //! The node-program interface of the LOCAL-model simulator.
 
 use arbcolor_graph::Vertex;
-use std::ops::Deref;
-use std::sync::Arc;
-
-/// The neighbor identifiers of one vertex, as a view into a graph-wide CSR-shaped table.
-///
-/// The executors build **one** `Arc<[u64]>` holding the identifier of every arc target
-/// (`table[a] = id(arc_target(a))`) per execution; every [`NodeCtx`] then borrows its own
-/// window of it, so constructing `n` contexts costs one allocation instead of `n` owned
-/// `Vec<u64>`s.  Dereferences to `[u64]`, so indexing and iteration work as before.
-#[derive(Clone)]
-pub struct NeighborIds {
-    /// Identifiers of every arc target of the whole graph, shared by all contexts.
-    table: Arc<[u64]>,
-    /// Start of this vertex's window (its first arc index).
-    start: usize,
-    /// Window length (the vertex degree).
-    len: usize,
-}
-
-impl NeighborIds {
-    /// A view over `table[range]`; `range` must be the arc range of the vertex.
-    pub fn from_table(table: Arc<[u64]>, range: std::ops::Range<usize>) -> Self {
-        assert!(range.end <= table.len(), "arc range out of bounds");
-        NeighborIds { start: range.start, len: range.len(), table }
-    }
-
-    /// Builds a standalone view from an owned list (tests and hand-rolled contexts).
-    pub fn from_vec(ids: Vec<u64>) -> Self {
-        let len = ids.len();
-        NeighborIds { table: ids.into(), start: 0, len }
-    }
-}
-
-impl From<Vec<u64>> for NeighborIds {
-    fn from(ids: Vec<u64>) -> Self {
-        NeighborIds::from_vec(ids)
-    }
-}
-
-impl Deref for NeighborIds {
-    type Target = [u64];
-
-    fn deref(&self) -> &[u64] {
-        &self.table[self.start..self.start + self.len]
-    }
-}
-
-impl std::fmt::Debug for NeighborIds {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
-
-impl PartialEq for NeighborIds {
-    fn eq(&self, other: &Self) -> bool {
-        **self == **other
-    }
-}
-
-impl Eq for NeighborIds {}
 
 /// Everything a vertex is allowed to know at the start of an algorithm.
 ///
-/// In the LOCAL model a vertex initially knows its own unique identifier, its degree, and the
-/// global parameters of the problem (`n`, and for Linial-style algorithms the size of the
-/// identifier space).  We additionally expose the identifiers of the neighbors (the `KT1`
-/// assumption); algorithms that want to work under `KT0` can simply ignore
-/// [`NodeCtx::neighbor_ids`] and learn them with one round of communication.
-#[derive(Debug, Clone)]
+/// In the LOCAL model a vertex initially knows its own unique identifier and its degree; the
+/// global parameters of a problem (`n`, `Δ`, the size of the identifier space) are part of
+/// the algorithm, which every vertex knows.  The simulator starts vertices under `KT0`: a
+/// vertex does not know its neighbors' identifiers, and a program that needs them learns
+/// them with one round of communication.
+#[derive(Debug, Clone, Copy)]
 pub struct NodeCtx {
     /// Simulator-internal vertex index (stable across phases of a multi-phase algorithm, but
     /// *not* to be used as an identifier by node programs — use [`NodeCtx::id`]).
     pub vertex: Vertex,
-    /// The unique LOCAL-model identifier of this vertex (in `1..=id_space`).
+    /// The unique LOCAL-model identifier of this vertex.
     pub id: u64,
-    /// Number of vertices of the network.
-    pub n: usize,
-    /// Upper bound on the identifier space (identifiers are in `1..=id_space`).
-    pub id_space: u64,
     /// Degree of this vertex.
     pub degree: usize,
-    /// Identifiers of the neighbors, indexed by port (position in the adjacency list).
-    /// Backed by one table shared across all contexts of an execution.
-    pub neighbor_ids: NeighborIds,
-}
-
-impl NodeCtx {
-    /// Assembles a context from its public fields (the executors and hand-rolled test
-    /// contexts go through this).
-    pub fn new(
-        vertex: Vertex,
-        id: u64,
-        n: usize,
-        id_space: u64,
-        degree: usize,
-        neighbor_ids: NeighborIds,
-    ) -> Self {
-        NodeCtx { vertex, id, n, id_space, degree, neighbor_ids }
-    }
-
-    /// The port of the neighbor with identifier `id`, if any.
-    pub fn port_of_neighbor_id(&self, id: u64) -> Option<usize> {
-        self.neighbor_ids.iter().position(|&x| x == id)
-    }
 }
 
 /// What a node asks of the executor after an `init`/`round` invocation.
@@ -566,22 +479,6 @@ mod tests {
         assert_eq!(inbox.len(), expected.len());
         assert_eq!(inbox.from_port(199 - base), Some(&1990));
         assert_eq!(inbox.from_port(65 - base), None);
-    }
-
-    #[test]
-    fn neighbor_ids_window_views_the_shared_table() {
-        let table: Arc<[u64]> = vec![9, 4, 7, 2].into();
-        let view = NeighborIds::from_table(Arc::clone(&table), 1..3);
-        assert_eq!(&*view, &[4, 7]);
-        assert_eq!(view, NeighborIds::from_vec(vec![4, 7]));
-        assert_eq!(format!("{view:?}"), "[4, 7]");
-    }
-
-    #[test]
-    fn ctx_port_lookup() {
-        let ctx = NodeCtx::new(0, 3, 4, 4, 2, NeighborIds::from_vec(vec![9, 4]));
-        assert_eq!(ctx.port_of_neighbor_id(4), Some(1));
-        assert_eq!(ctx.port_of_neighbor_id(8), None);
     }
 
     #[test]

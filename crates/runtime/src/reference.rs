@@ -21,9 +21,7 @@
 
 use crate::cost::{CostMode, EdgeLoad, MessageCost};
 use crate::metrics::RoundReport;
-use crate::network::{
-    id_space_of, neighbor_id_table, node_ctx, ExecutionResult, RuntimeError, TracedRun,
-};
+use crate::network::{node_ctx, ExecutionResult, RuntimeError, TracedRun};
 use crate::node::{Algorithm, Inbox, NodeProgram, Outbox, Status};
 use crate::obs;
 use crate::trace::{RoundTrace, TraceConfig, TraceRecorder};
@@ -126,10 +124,7 @@ impl<'g> ReferenceExecutor<'g> {
         };
         let graph = self.graph;
         let n = graph.n();
-        let id_space = id_space_of(graph);
-        let id_table = neighbor_id_table(graph);
-        let contexts: Vec<_> =
-            graph.vertices().map(|v| node_ctx(graph, v, id_space, &id_table)).collect();
+        let contexts: Vec<_> = graph.vertices().map(|v| node_ctx(graph, v)).collect();
         let mut nodes: Vec<A::Node> = contexts.iter().map(|ctx| algorithm.node(ctx)).collect();
         let mut active = vec![true; n];
         let mut report = RoundReport::zero();

@@ -73,10 +73,7 @@
 use crate::cost::{CostMode, EdgeLoad, MessageCost};
 use crate::frontier::{Frontier, Statuses};
 use crate::metrics::RoundReport;
-use crate::network::{
-    id_space_of, neighbor_id_table, node_ctx, ArcMailboxes, ExecutionResult, RuntimeError,
-    TracedRun,
-};
+use crate::network::{node_ctx, ArcMailboxes, ExecutionResult, RuntimeError, TracedRun};
 use crate::node::{Algorithm, NodeCtx, NodeProgram, Outbox, Status};
 use crate::obs::{self, WallBuckets};
 use crate::reference::ReferenceExecutor;
@@ -617,8 +614,6 @@ impl<'g> Executor<'g> {
         let graph = self.graph;
         let n = graph.n();
         let chunk = self.chunk_size.max(1);
-        let id_space = id_space_of(graph);
-        let id_table = neighbor_id_table(graph);
         // More workers than chunks would only idle; one worker means no pool at all.
         let pool = WorkPool::new(self.threads.min(n.div_ceil(chunk)));
         let workers = pool.threads();
@@ -632,8 +627,7 @@ impl<'g> Executor<'g> {
         let (mut contexts, mut nodes): (Vec<NodeCtx>, Vec<Mutex<A::Node>>) = Default::default();
         for (ctxs, ns) in pool.map(vec![(); workers], |w, ()| {
             let range = (w * range_len).min(n)..((w + 1) * range_len).min(n);
-            let ctxs: Vec<NodeCtx> =
-                range.map(|v| node_ctx(graph, v, id_space, &id_table)).collect();
+            let ctxs: Vec<NodeCtx> = range.map(|v| node_ctx(graph, v)).collect();
             let ns: Vec<Mutex<A::Node>> =
                 ctxs.iter().map(|ctx| Mutex::new(algorithm.node(ctx))).collect();
             (ctxs, ns)

@@ -20,7 +20,7 @@ use arbcolor::hkmt::hkmt_coloring;
 use arbcolor::report::ColoringRun;
 use arbcolor_baselines::greedy::sequential_greedy;
 use arbcolor_decompose::defective::defective_coloring;
-use arbcolor_decompose::linial::linial_coloring;
+use arbcolor_decompose::linial::{linial_coloring, RecolorSchedule};
 use arbcolor_graph::degeneracy::degeneracy;
 use arbcolor_graph::{generators, Graph};
 use arbcolor_runtime::algorithms::{
@@ -78,6 +78,8 @@ const PINNED: &[(&str, &str, u64, usize, usize, usize, u64)] = &[
     ("grid", "arb-kuhn-0", 0x176dc73d3a41f431, 39, 3, 42480, 216722),
     ("grid", "arb-kuhn-1", 0x775b1f4dde7f0a75, 51, 2, 28320, 167951),
     ("grid", "arb-kuhn-3", 0x9c9e7255ba4c2d90, 29, 3, 42480, 211329),
+    // Captured before `best_alpha` counted roots: see `hub_defective_coloring_is_pinned`.
+    ("hubs", "defective-4", 0xaa18ae09188d5d35, 76, 1, 23972, 263459),
 ];
 
 fn check_pin(family: &str, algo: &str, run: &ColoringRun) {
@@ -151,6 +153,22 @@ fn recoloring_outputs_are_pinned() {
             check_pin(family, &algo, &run);
         }
     }
+}
+
+/// Kuhn-defective with `p = 4` on a 4-hub star-forest union: the one step uses the 3-digit
+/// family over `F_17`, and every hub (degree ≈ 3000, 4000 colors) collides at `α = 0`, so
+/// the hubs choose their `α` on the root-counting path of `best_alpha`.
+#[test]
+fn hub_defective_coloring_is_pinned() {
+    let g = generators::star_forest_union(4000, 3, 4, 31).unwrap().with_shuffled_ids(13);
+    let (delta, id_space) = (g.max_degree(), g.ids().iter().copied().max().unwrap());
+    let schedule = RecolorSchedule::build(id_space, delta, (delta / 4) as u64);
+    let family = &schedule.steps[0].family;
+    assert_eq!((family.q, family.digits, schedule.steps.len()), (17, 3, 1));
+    assert!(family.counts_roots());
+    let out = defective_coloring(&g, 4).unwrap().output;
+    let run = ColoringRun::new(out.coloring, out.palette_bound, out.report);
+    check_pin("hubs", "defective-4", &run);
 }
 
 #[test]
