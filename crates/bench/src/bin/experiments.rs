@@ -41,8 +41,8 @@
 //! per-phase cost breakdown, the E24 palette-engine race, and the E25 sustained-update
 //! service benchmark) as one machine-readable JSON document (schema
 //! `arbcolor-perf-v1`).  The CI `bench-smoke` job writes it to `perf-current.json` and the
-//! `perf_gate` binary diffs its deterministic columns against the newest committed
-//! `BENCH_PR<N>.json` baseline, failing the build on regressions (wall-clock columns stay
+//! `perf_gate` binary diffs its deterministic columns against the committed
+//! `BENCH_PR10.json` baseline, failing the build on regressions (wall-clock columns stay
 //! advisory).
 //!
 //! `--trace-out FILE` (or `--trace-out=FILE`) installs an observability collector

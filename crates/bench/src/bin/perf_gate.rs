@@ -1,10 +1,10 @@
 //! The CI perf-regression gate: diffs two `--perf-out` documents.
 //!
 //! Usage:
-//!   cargo run --release -p arbcolor_bench --bin perf_gate -- BENCH_PR4.json BENCH_PR5.json
+//!   cargo run --release -p arbcolor_bench --bin perf_gate -- BENCH_PR10.json perf-current.json
 //!
-//! The first argument is the committed baseline of the previous PR, the second the fresh
-//! document the current build produced.  Deterministic columns (colors, rounds, messages,
+//! The first argument is the committed baseline, the second the fresh document the current
+//! build produced.  Deterministic columns (colors, rounds, messages,
 //! frontier/repair counts, legality) **gate**: any worsening exits non-zero with a report.
 //! Wall-clock and speedup columns are advisory — logged with their drift ratio, never
 //! gated, because CI hardware varies run to run.  Rows that exist on only one side are

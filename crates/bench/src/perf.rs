@@ -3,7 +3,7 @@
 //! `experiments --perf-out FILE` serializes a [`PerfDoc`] (schema `arbcolor-perf-v1`)
 //! holding the rows of the perf-tracked experiments ([`PERF_EXPERIMENTS`]).  CI writes the
 //! fresh document to the uncommitted `perf-current.json` and the `perf_gate` binary compares
-//! it against the newest baseline committed at the repo root as `BENCH_PR<N>.json`:
+//! it against the one baseline committed at the repo root, `BENCH_PR10.json`:
 //!
 //! * **deterministic columns** (colors, rounds, messages, …) are *gated* — any worsening
 //!   fails the build, because the whole stack is seeded and bit-reproducible, so a drift

@@ -240,6 +240,8 @@ pub fn ghaffari_kuhn_list_coloring(
 /// Greedily list colors a (sub)graph over a legal schedule: Linial plus Kuhn–Wattenhofer
 /// produce a `(Δ+1)`-coloring whose classes become the announcement slots of one
 /// [`ScheduledListColor`] sweep.  `forbidden` carries externally excluded colors per vertex.
+/// An edgeless graph needs no schedule and no executor run: every vertex picks from its
+/// list at once ([`ListColorSchedule::pick_isolated`]), at zero cost.
 ///
 /// The list and forbidden pools are moved into the run's [`ListColorSchedule`] arena
 /// wholesale — no per-vertex list is ever copied.
@@ -249,19 +251,22 @@ fn scheduled_sweep(
     forbidden: Option<ColorPool>,
 ) -> Result<(Vec<u64>, RoundReport), CoreError> {
     let forbidden = forbidden.unwrap_or_else(|| ColorPool::empty_lists(graph.n()));
-    let (slots, schedule_report) = if graph.m() == 0 {
-        (vec![0usize; graph.n()], RoundReport::zero())
+    let (picks, report) = if graph.m() == 0 {
+        let schedule = ListColorSchedule::new(vec![0; graph.n()], lists, forbidden);
+        let picks = schedule.pick_isolated();
+        obs::record_palette(schedule.stats());
+        (picks, RoundReport::zero())
     } else {
         let linial = linial_coloring(graph)?;
         let reduced = kw_reduce(graph, &linial.coloring)?;
         let slots = (0..graph.n()).map(|v| reduced.coloring.color(v) as usize).collect();
-        (slots, linial.report.then(reduced.report))
+        let schedule = ListColorSchedule::new(slots, lists, forbidden);
+        let result = run_algorithm(graph, &ScheduledListColor::new(&schedule))?;
+        obs::record_palette(schedule.stats());
+        (result.outputs, linial.report.then(reduced.report).then(result.report))
     };
-    let schedule = ListColorSchedule::new(slots, lists, forbidden);
-    let result = run_algorithm(graph, &ScheduledListColor::new(&schedule))?;
-    obs::record_palette(schedule.stats());
     let mut out = Vec::with_capacity(graph.n());
-    for (v, chosen) in result.outputs.into_iter().enumerate() {
+    for (v, chosen) in picks.into_iter().enumerate() {
         match chosen {
             Some(c) => out.push(c),
             None => {
@@ -271,7 +276,7 @@ fn scheduled_sweep(
             }
         }
     }
-    Ok((out, schedule_report.then(result.report)))
+    Ok((out, report))
 }
 
 #[cfg(test)]

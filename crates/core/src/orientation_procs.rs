@@ -118,7 +118,7 @@ where
 }
 
 /// One bucket's coloring, before it is merged into the per-vertex keys.
-type BucketResult = Result<(InducedSubgraph, Vec<u64>, RoundReport, usize), CoreError>;
+type BucketResult<'g> = Result<(InducedSubgraph<'g>, Vec<u64>, RoundReport, usize), CoreError>;
 
 /// [`color_buckets`] with an explicit bucket processing order and thread budget.
 ///
@@ -138,12 +138,12 @@ where
 {
     let buckets = partition.buckets();
     let selected: Vec<usize> = order.iter().copied().filter(|&b| !buckets[b].is_empty()).collect();
-    let color_one = |bucket: usize| -> BucketResult {
+    let color_one = |bucket: usize| -> BucketResult<'_> {
         let sub = InducedSubgraph::new(graph, &buckets[bucket]);
         let (colors, report, palette) = color_bucket(&sub.graph)?;
         Ok((sub, colors, report, palette))
     };
-    let colored: Vec<BucketResult> = if threads > 1 && selected.len() > 1 {
+    let colored: Vec<BucketResult<'_>> = if threads > 1 && selected.len() > 1 {
         WorkPool::new(threads).map(selected, |_, bucket| color_one(bucket))
     } else {
         selected.into_iter().map(color_one).collect()

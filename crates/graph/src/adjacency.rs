@@ -11,7 +11,7 @@
 
 use crate::error::GraphError;
 use crate::graph::{Graph, Vertex};
-use crate::subgraph::{InducedSubgraph, VertexMap};
+use crate::subgraph::{induce_part, InducedSubgraph};
 
 /// An undirected simple graph as per-vertex sorted neighbor lists, mutable in place.
 ///
@@ -179,30 +179,20 @@ impl Adjacency {
     /// The subgraph induced by `vertices`, which must be strictly ascending.
     ///
     /// Equal to [`InducedSubgraph::new`] on the frozen graph (same child order, edges and
-    /// identifiers), but it costs O(Σ deg · log |vertices|) over the given vertices instead
-    /// of a parent-sized lookup table: membership is a binary search over `vertices`.
+    /// identifiers) and written by the same sort-free construction, without freezing: it
+    /// reads the neighbor lists of the given vertices only and finds each neighbor's child
+    /// index in a bitset over the window `[first, last]` of `vertices` (O(Σ deg + span / 64))
+    /// or, when fewer than one window vertex in 64 is a member, by binary search over
+    /// `vertices` (O(Σ deg · log |vertices|)).  Nothing parent-sized is allocated, and the
+    /// result always owns its graph.
     ///
     /// # Panics
     ///
     /// Panics if `vertices` is not strictly ascending or names a vertex `>= n`.
-    pub fn induced(&self, vertices: &[Vertex]) -> InducedSubgraph {
+    pub fn induced(&self, vertices: &[Vertex]) -> InducedSubgraph<'static> {
         assert!(vertices.windows(2).all(|w| w[0] < w[1]), "vertices must be strictly ascending");
-        assert!(vertices.iter().all(|&v| v < self.n()), "vertex out of range");
-        // Child order follows parent order, so walking each child's higher neighbors in
-        // ascending order emits the canonical sorted child edge list directly.
-        let mut edges = Vec::new();
-        for (child_u, &u) in vertices.iter().enumerate() {
-            let later = &vertices[child_u + 1..];
-            let list = &self.lists[u];
-            for &v in &list[list.partition_point(|&w| w < u)..] {
-                if let Ok(offset) = later.binary_search(&v) {
-                    edges.push((child_u, child_u + 1 + offset));
-                }
-            }
-        }
-        let ids = vertices.iter().map(|&v| self.ids[v]).collect();
-        let graph = Graph::from_sorted_edges(vertices.len(), edges).with_ids_internal(ids);
-        InducedSubgraph { graph, map: VertexMap::from_ordered(vertices.to_vec()) }
+        assert!(vertices.last().map_or(true, |&v| v < self.n()), "vertex out of range");
+        induce_part(vertices, |v| self.neighbors(v), &self.ids)
     }
 
     /// Moves one vertex from degree `old` to degree `new` (adjacent values) in the degree

@@ -124,8 +124,25 @@ impl Coloring {
     }
 
     /// Materializes the subgraph induced by each color class, keyed by color value.
-    pub fn class_subgraphs(&self, graph: &Graph) -> HashMap<Color, InducedSubgraph> {
-        self.classes().into_iter().map(|(c, vs)| (c, InducedSubgraph::new(graph, &vs))).collect()
+    ///
+    /// One [`InducedSubgraph::partition`] over the classes: every class is written through
+    /// one shared parent-to-child table in O(n + m) overall, and a single class spanning the
+    /// whole graph borrows it.
+    pub fn class_subgraphs<'g>(&self, graph: &'g Graph) -> HashMap<Color, InducedSubgraph<'g>> {
+        let mut palette: Vec<Color> = Vec::new();
+        let mut part_of_color: HashMap<Color, usize> = HashMap::new();
+        let part: Vec<usize> = self
+            .colors
+            .iter()
+            .map(|&c| {
+                *part_of_color.entry(c).or_insert_with(|| {
+                    palette.push(c);
+                    palette.len() - 1
+                })
+            })
+            .collect();
+        let subgraphs = InducedSubgraph::partition(graph, &part, palette.len());
+        palette.into_iter().zip(subgraphs).collect()
     }
 
     /// The maximum degeneracy over all color-class subgraphs.
@@ -213,7 +230,7 @@ impl Coloring {
     pub fn combine_with_palettes(
         graph: &Graph,
         partition: &Coloring,
-        class_colorings: &HashMap<Color, (InducedSubgraph, Coloring)>,
+        class_colorings: &HashMap<Color, (InducedSubgraph<'_>, Coloring)>,
         palette_size: u64,
     ) -> Coloring {
         let mut colors = vec![0 as Color; graph.n()];

@@ -276,11 +276,12 @@ impl Graph {
         self.neighbors(v).binary_search(&u).ok()
     }
 
-    /// Replaces the identifier vector (crate-internal; used by induced subgraphs to inherit
-    /// the identifiers of their parent graph).
-    pub(crate) fn set_ids(&mut self, ids: Vec<u64>) {
-        debug_assert_eq!(ids.len(), self.n);
+    /// Replaces the identifier vector (crate-internal; induced subgraphs and frozen
+    /// adjacencies carry the identifiers of the graph they came from).
+    pub(crate) fn with_ids_internal(mut self, ids: Vec<u64>) -> Graph {
+        assert_eq!(ids.len(), self.n, "one identifier per vertex");
         self.ids = ids;
+        self
     }
 
     /// Assembles the CSR arrays from a canonical edge list that is already sorted,

@@ -209,6 +209,31 @@ impl ListColorSchedule {
     pub fn stats(&self) -> &PaletteStats {
         &self.stats
     }
+
+    /// The picks of a [`ScheduledListColor`] run on an edgeless graph, without the run.
+    ///
+    /// No vertex has a neighbor to announce a color, so each takes the first color of its
+    /// list outside its forbidden set, whatever its slot, and the stats record one pick per
+    /// vertex exactly as the nodes would.  With every slot 0 the run it stands for takes no
+    /// rounds and sends no messages.
+    pub fn pick_isolated(&self) -> Vec<Option<u64>> {
+        (0..self.n())
+            .map(|v| {
+                let struck = self.struck_set(v);
+                self.stats.record_pick(struck.struck_count());
+                struck.first_unstruck_of(self.palettes.list(v))
+            })
+            .collect()
+    }
+
+    /// Vertex `v`'s strike set before any announcement: its forbidden colors.
+    fn struck_set(&self, v: usize) -> PaletteSet {
+        let mut struck = PaletteSet::new(self.bounds[v]);
+        for &c in self.forbidden.list(v) {
+            struck.strike(c);
+        }
+        struck
+    }
 }
 
 /// Slot-scheduled greedy list coloring (node-program factory) on the bitset pick path.
@@ -294,15 +319,11 @@ impl<'a> Algorithm for ScheduledListColor<'a> {
 
     fn node(&self, ctx: &NodeCtx) -> ScheduledListColorNode<'a> {
         let v = ctx.vertex;
-        let mut struck = PaletteSet::new(self.schedule.bounds[v]);
-        for &c in self.schedule.forbidden.list(v) {
-            struck.strike(c);
-        }
         ScheduledListColorNode {
             palette: self.schedule.palettes.list(v),
             slot: self.schedule.slots[v],
             stats: self.schedule.stats(),
-            struck,
+            struck: self.schedule.struck_set(v),
             chosen: None,
         }
     }
@@ -646,6 +667,49 @@ mod tests {
         let vecscan = Executor::new(&g).run(&VecScanListColor::new(&slots)).unwrap();
         assert_eq!(bitset.outputs, vecscan.outputs);
         assert_eq!(bitset.report, vecscan.report);
+    }
+
+    #[test]
+    fn isolated_picks_match_a_run_on_an_edgeless_graph() {
+        // Pseudo-random lists and forbidden sets over a small color space, so some vertices
+        // lose their first choices to the forbidden set and some lose every color.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut draw = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for n in [0usize, 1, 7, 40] {
+            let slots: Vec<ListColorSlot> = (0..n)
+                .map(|_| {
+                    let palette_len = draw(6) as usize;
+                    let forbidden_len = 1 + draw(5) as usize;
+                    ListColorSlot {
+                        slot: 0,
+                        palette: (0..palette_len).map(|_| draw(12)).collect(),
+                        forbidden: (0..forbidden_len).map(|_| draw(14)).collect(),
+                    }
+                })
+                .collect();
+            let g = arbcolor_graph::Graph::empty(n);
+            let direct = ListColorSchedule::from_slots(&slots);
+            let picks = direct.pick_isolated();
+            let schedule = ListColorSchedule::from_slots(&slots);
+            let run = ReferenceExecutor::new(&g).run(&ScheduledListColor::new(&schedule)).unwrap();
+            assert_eq!(picks, run.outputs, "n = {n}");
+            assert_eq!(run.report, crate::RoundReport::zero(), "n = {n}");
+            assert_eq!(direct.stats().snapshot(), schedule.stats().snapshot(), "n = {n}");
+            assert_eq!(direct.stats().snapshot().picks_served, n as u64);
+            if n == 40 {
+                // The draws cover both outcomes: exhausted lists and forbidden first choices.
+                assert!(picks.contains(&None));
+                assert!(slots
+                    .iter()
+                    .zip(&picks)
+                    .any(|(s, p)| p.is_some() && s.palette.first() != p.as_ref()));
+            }
+        }
     }
 
     #[test]
