@@ -48,8 +48,8 @@
 //! `--trace-out FILE` (or `--trace-out=FILE`) installs an observability collector
 //! (`arbcolor_runtime::obs`) for the whole run and writes a Chrome trace-event JSON file on
 //! exit: every executor run and every instrumented driver phase becomes a nested slice
-//! (load the file at `ui.perfetto.dev` or `chrome://tracing`), and traced rounds become
-//! instant events.  A per-phase summary table and the metrics registry (run counters plus
+//! (load the file at `ui.perfetto.dev` or `chrome://tracing`), and every executor round
+//! becomes an instant event.  A per-phase summary table and the metrics registry (run counters plus
 //! power-of-two round/message histograms) are printed to stderr.  The CI `trace-smoke` job
 //! validates the file's schema and slice nesting with `jq` on every pull request.
 

@@ -792,11 +792,11 @@ pub fn e20_dynamic_recoloring(_sz: SizeClass) -> Vec<Row> {
 ///
 /// A Barabási–Albert preferential-attachment graph is colored twice, and each coloring
 /// becomes the slots of a [`ScheduledListColor`] sweep: one color class fires (and halts)
-/// per round.  [`Executor::run_traced`] records one row per round: the active count at
-/// round start, the frontier actually stepped, the messages, and the wall-clock.  The
-/// deterministic columns are gated by the perf pipeline; `wall_ms` is advisory and should
-/// track the collapsing frontier rather than `n` (an everyone-runs round loop pays O(n) per
-/// round regardless of how many vertices still act).
+/// per round.  The sweep's exec span records one row per round ([`RoundInstant`]): the
+/// active count at round start, the frontier actually stepped, the messages delivered, and
+/// the wall-clock.  The deterministic columns are gated by the perf pipeline; `wall_ms` is
+/// advisory and should track the collapsing frontier rather than `n` (an everyone-runs
+/// round loop pays O(n) per round regardless of how many vertices still act).
 ///
 /// * `ba n=… m=3` — slots from the sequential greedy baseline.  Class sizes fall off
 ///   steeply, so the frontier collapses round over round; but a first-fit color `c` has a
@@ -807,11 +807,12 @@ pub fn e20_dynamic_recoloring(_sz: SizeClass) -> Vec<Row> {
 ///   not first-fit: a waiting vertex with no neighbor in the class that just fired gets no
 ///   mail, and its alarm keeps it off the frontier until its slot.
 ///
-/// Each sweep is replayed on four threads and asserted **bit-identical** before any row is
-/// emitted.  At `Scale(1)` the graph has 10⁶ vertices; the smoke tier shrinks it to 4 000.
+/// Each sweep is replayed on four threads and asserted **bit-identical**, per-round columns
+/// included, before any row is emitted.  At `Scale(1)` the graph has 10⁶ vertices; the smoke
+/// tier shrinks it to 4 000.
 ///
 /// [`ScheduledListColor`]: arbcolor_runtime::algorithms::ScheduledListColor
-/// [`Executor::run_traced`]: arbcolor_runtime::Executor::run_traced
+/// [`RoundInstant`]: arbcolor_runtime::obs::RoundInstant
 pub fn e21_frontier_collapse(sz: SizeClass) -> Vec<Row> {
     use arbcolor::ghaffari_kuhn::ghaffari_kuhn_coloring;
     use arbcolor_baselines::greedy::sequential_greedy;
@@ -833,14 +834,15 @@ pub fn e21_frontier_collapse(sz: SizeClass) -> Vec<Row> {
     rows
 }
 
-/// One E21 sweep: vertex `v` acts in slot `slot(v)` of a traced [`ScheduledListColor`] run
-/// on `g`; the rows are named after `label`.
+/// One E21 sweep: vertex `v` acts in slot `slot(v)` of a [`ScheduledListColor`] run on `g`,
+/// recorded under the installed collector (a scratch one when none is); the rows are named
+/// after `label`.
 ///
 /// [`ScheduledListColor`]: arbcolor_runtime::algorithms::ScheduledListColor
 fn e21_sweep(g: &Graph, label: &str, slot: impl Fn(usize) -> usize) -> Vec<Row> {
     use arbcolor_graph::Coloring;
     use arbcolor_runtime::algorithms::{ListColorSchedule, ListColorSlot, ScheduledListColor};
-    use arbcolor_runtime::{ActivitySummary, Executor};
+    use arbcolor_runtime::{obs, Executor};
 
     let n = g.n();
     let slots: Vec<ListColorSlot> = g
@@ -855,41 +857,65 @@ fn e21_sweep(g: &Graph, label: &str, slot: impl Fn(usize) -> usize) -> Vec<Row> 
     let schedule = ListColorSchedule::from_slots(&slots);
     let algorithm = ScheduledListColor::new(&schedule);
 
+    // Reuse the collector installed by `--trace-out` when present; the rows are read from
+    // the exec spans either way.
+    let scratch = if obs::current().is_none() { Some(obs::SpanCollector::new()) } else { None };
+    let _guard = scratch.as_ref().map(obs::install);
+    let collector = obs::current().expect("an observability collector is installed");
+
+    let at = collector.len();
     let start = Instant::now();
-    let (result, trace) = Executor::new(g).run_traced(&algorithm).expect("sweep terminates");
+    let result = Executor::new(g).run(&algorithm).expect("sweep terminates");
     let wall_ms_total = start.elapsed().as_secs_f64() * 1e3;
 
-    // Determinism: four threads must reproduce the sweep bit for bit.
+    // Determinism: four threads must reproduce the sweep bit for bit, round by round.
+    let stolen_at = collector.len();
     let stolen = Executor::new(g).with_threads(4).run(&algorithm).expect("sweep terminates");
     assert_eq!(stolen.outputs, result.outputs, "outputs diverged between executors");
     assert_eq!(stolen.report, result.report, "cost diverged between executors");
+    let spans = collector.snapshot();
+    let rounds = &spans[at].rounds;
+    // Every column but the advisory wall time.
+    let deterministic = |rounds: &[obs::RoundInstant]| -> Vec<obs::RoundInstant> {
+        rounds.iter().map(|r| obs::RoundInstant { wall_ns: 0, ..*r }).collect()
+    };
+    assert_eq!(
+        deterministic(&spans[stolen_at].rounds),
+        deterministic(rounds),
+        "per-round columns diverged between executors"
+    );
 
     let colors: Vec<u64> = result.outputs.iter().map(|c| c.expect("list exceeds degree")).collect();
     let final_coloring = Coloring::new(g, colors).expect("one color per vertex");
     assert!(final_coloring.is_legal(g), "sweep must produce a legal coloring");
 
     let mut rows = Vec::new();
-    for r in trace.rounds() {
+    for r in rounds {
         rows.push(
             Row::new("E21", format!("{label} · round {}", r.round))
                 .with("round", r.round as f64)
-                .with("active", r.active_nodes as f64)
+                .with("active", r.active as f64)
                 .with("frontier", r.frontier as f64)
                 .with("messages", r.messages as f64)
                 .with("wall_ms", r.wall_ns as f64 / 1e6),
         );
     }
-    let summary = ActivitySummary::from_trace(&trace);
+    // Frontier work against stepping every active vertex each round (1.0 when every active
+    // vertex was on the frontier every round).
+    let frontier_steps: usize = rounds.iter().map(|r| r.frontier).sum();
+    let active_steps: usize = rounds.iter().map(|r| r.active).sum();
+    let savings_factor =
+        if frontier_steps == 0 { 1.0 } else { active_steps as f64 / frontier_steps as f64 };
     rows.push(
         Row::new("E21", format!("{label} · summary"))
             .with("n", n as f64)
             .with("rounds", result.report.rounds as f64)
             .with("messages", result.report.messages as f64)
             .with("colors", final_coloring.distinct_colors() as f64)
-            .with("peak_frontier", summary.peak_frontier as f64)
-            .with("frontier_steps", summary.frontier_steps as f64)
+            .with("peak_frontier", rounds.iter().map(|r| r.frontier).max().unwrap_or(0) as f64)
+            .with("frontier_steps", frontier_steps as f64)
             .with("everyone_runs_steps", (n * result.report.rounds) as f64)
-            .with("savings_factor", summary.savings_factor())
+            .with("savings_factor", savings_factor)
             .with("legal", 1.0)
             .with("wall_ms", wall_ms_total),
     );

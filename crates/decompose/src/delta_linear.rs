@@ -90,8 +90,7 @@ fn color_recursive(graph: &Graph, depth: usize) -> Result<(Coloring, RoundReport
     }
 
     // Merge with disjoint palettes and reduce back to Δ + 1.
-    let combined =
-        Coloring::combine_with_palettes(graph, &partition, &class_colorings, child_palette);
+    let combined = Coloring::combine_with_palettes(graph, &class_colorings, child_palette);
     debug_assert!(combined.is_legal(graph));
     let reduced = kw_reduce(graph, &combined)?;
     let report = defective.output.report.then(parallel_max(&branch_reports)).then(reduced.report);

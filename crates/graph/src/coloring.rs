@@ -215,8 +215,8 @@ impl Coloring {
         (Coloring { colors }, distinct.len())
     }
 
-    /// Combines a partition coloring and per-class colorings into a single coloring with
-    /// disjoint palettes: vertex `v` in class `i` with inner color `ψ_i(v)` receives
+    /// Combines the colorings of a partition's classes into a single coloring with disjoint
+    /// palettes: vertex `v` in class `i` with inner color `ψ_i(v)` receives
     /// `i · palette_size + ψ_i(v)`, mirroring the `ϕ(v) = (i − 1)·γ + ψ_i(v)` construction in
     /// Section 4 of the paper.
     ///
@@ -229,7 +229,6 @@ impl Coloring {
     /// ≥ `palette_size`.
     pub fn combine_with_palettes(
         graph: &Graph,
-        partition: &Coloring,
         class_colorings: &HashMap<Color, (InducedSubgraph<'_>, Coloring)>,
         palette_size: u64,
     ) -> Coloring {
@@ -248,7 +247,6 @@ impl Coloring {
                 colors[sub.map.to_parent(child)] = slot as u64 * palette_size + inner_color;
             }
         }
-        let _ = partition;
         Coloring { colors }
     }
 }
@@ -363,7 +361,7 @@ mod tests {
             let inner = Coloring::new(&sub.graph, (0..sub.graph.n() as u64).collect()).unwrap();
             class_colorings.insert(color, (sub, inner));
         }
-        let combined = Coloring::combine_with_palettes(&g, &partition, &class_colorings, 10);
+        let combined = Coloring::combine_with_palettes(&g, &class_colorings, 10);
         assert!(combined.is_legal(&g));
         // Vertices of class 0 land in palette [0, 10), class 1 in [10, 20).
         assert!(combined.color(0) < 10);

@@ -294,32 +294,35 @@ impl Graph {
             edges.windows(2).all(|w| w[0] < w[1]) && edges.iter().all(|&(u, v)| u < v && v < n),
             "from_sorted_edges requires a sorted, de-duplicated, canonical edge list"
         );
-        let mut degrees = vec![0usize; n];
-        for &(u, v) in &edges {
-            degrees[u] += 1;
-            degrees[v] += 1;
-        }
+        // Degrees are counted straight into `offsets[v + 1]` and prefix-summed in place; then
+        // `offsets[v]` serves as `v`'s placement cursor, and one shift restores it.
         let mut offsets = vec![0usize; n + 1];
+        for &(u, v) in &edges {
+            offsets[u + 1] += 1;
+            offsets[v + 1] += 1;
+        }
         for v in 0..n {
-            offsets[v + 1] = offsets[v] + degrees[v];
+            offsets[v + 1] += offsets[v];
         }
         let mut adjacency = vec![0 as Vertex; offsets[n]];
         let mut arc_edge = vec![0 as EdgeIdx; offsets[n]];
         let mut mirror_arc = vec![0 as ArcIdx; offsets[n]];
-        let mut cursor = offsets.clone();
         for (e, &(u, v)) in edges.iter().enumerate() {
             // Both arc positions of edge e are known right here, so the mirror table costs
             // nothing extra to build.
-            let (au, av) = (cursor[u], cursor[v]);
+            let (au, av) = (offsets[u], offsets[v]);
             adjacency[au] = v;
             arc_edge[au] = e;
             mirror_arc[au] = av;
-            cursor[u] += 1;
+            offsets[u] += 1;
             adjacency[av] = u;
             arc_edge[av] = e;
             mirror_arc[av] = au;
-            cursor[v] += 1;
+            offsets[v] += 1;
         }
+        // Every cursor stopped where the next vertex starts.
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
         debug_assert!(
             (0..n).all(|v| adjacency[offsets[v]..offsets[v + 1]].windows(2).all(|w| w[0] < w[1])),
             "adjacency lists must be strictly ascending"

@@ -603,7 +603,7 @@ impl<'a> Algorithm for HalvingSplit<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Executor, ReferenceExecutor};
+    use crate::{obs, Executor, ReferenceExecutor};
     use arbcolor_graph::generators;
 
     #[test]
@@ -757,11 +757,11 @@ mod tests {
             ListColorSlot { slot: 1, palette: vec![2, 1], forbidden: vec![] },
         ];
         let schedule = ListColorSchedule::from_slots(&slots);
-        let (result, trace) =
-            Executor::new(&g).run_traced(&ScheduledListColor::new(&schedule)).unwrap();
+        let (result, rounds) =
+            obs::recorded(|| Executor::new(&g).run(&ScheduledListColor::new(&schedule)).unwrap());
         assert_eq!(result.outputs, vec![Some(1), Some(3), Some(2)]);
         assert_eq!(result.report.rounds, 4);
-        assert_eq!(trace.frontier_profile(), vec![2, 1, 0, 1]);
+        assert_eq!(rounds.iter().map(|r| r.frontier).collect::<Vec<_>>(), vec![2, 1, 0, 1]);
         let oracle = ReferenceExecutor::new(&g).run(&ScheduledListColor::new(&schedule)).unwrap();
         assert_eq!(oracle.outputs, result.outputs);
         assert_eq!(oracle.report, result.report);
@@ -777,10 +777,11 @@ mod tests {
             SplitSlot { slot: 0, low_count: 2, high_count: 1, tie_high: false },
             SplitSlot { slot: 1, low_count: 2, high_count: 1, tie_high: false },
         ];
-        let (result, trace) = Executor::new(&g).run_traced(&HalvingSplit::new(&slots, 4)).unwrap();
+        let (result, rounds) =
+            obs::recorded(|| Executor::new(&g).run(&HalvingSplit::new(&slots, 4)).unwrap());
         assert_eq!(result.outputs, vec![SplitChoice::Low, SplitChoice::Low]);
         assert_eq!(result.report.rounds, 4);
-        assert_eq!(trace.frontier_profile(), vec![1, 1, 0, 2]);
+        assert_eq!(rounds.iter().map(|r| r.frontier).collect::<Vec<_>>(), vec![1, 1, 0, 2]);
         let oracle = ReferenceExecutor::new(&g).run(&HalvingSplit::new(&slots, 4)).unwrap();
         assert_eq!(oracle.outputs, result.outputs);
         assert_eq!(oracle.report, result.report);

@@ -20,7 +20,8 @@
 //!   [`network`]): O(1) mirror-table routing into flat one-slot-per-port mailboxes whose
 //!   occupancy is a bitset, with bandwidth metered on the sender side.
 //! * [`mod@reference`] — the pre-fabric `Vec<Vec<…>>` executor with linear-scan routing, kept
-//!   as the bit-identity oracle and the baseline the `routing` benches race against.
+//!   as the bit-identity oracle (outputs, reports, and per-round records) and the baseline
+//!   the `routing` benches race against.
 //! * [`frontier`] — the frontier bitset and the per-vertex halt and alarm book behind
 //!   O(|active|) rounds: delivery marks the receiver, programs that must act without mail
 //!   return [`Status::WakeAt`], quiescent vertices cost nothing.
@@ -38,8 +39,9 @@
 //! * [`obs`] — phase-attributed observability: an RAII span API
 //!   ([`obs::phase`]/[`obs::PhaseGuard`]) over a thread-safe hierarchical
 //!   [`SpanCollector`], where every span carries a deterministic [`RoundReport`] delta plus
-//!   advisory wall time and frontier stats; a metrics registry fed by the executors; and
-//!   exporters to Chrome trace-event JSON (Perfetto-viewable) and a text summary table.
+//!   advisory wall time, and every executor run's span one [`obs::RoundInstant`] per round
+//!   (the only per-round record); a metrics registry fed by the executors; and exporters to
+//!   Chrome trace-event JSON (Perfetto-viewable) and a text summary table.
 //!
 //! # Example
 //!
@@ -69,12 +71,11 @@ pub mod node;
 pub mod obs;
 pub mod reference;
 pub mod shard;
-pub mod trace;
 
 pub use cost::{CostMode, MessageCost};
 pub use frontier::Frontier;
-pub use metrics::{parallel_max, ActivitySummary, RoundReport};
-pub use network::{ExecutionResult, RuntimeError, TracedRun};
+pub use metrics::{parallel_max, RoundReport};
+pub use network::{ExecutionResult, RuntimeError};
 pub use node::{Algorithm, Inbox, NodeCtx, NodeProgram, Outbox, Status};
 pub use obs::{PhaseGuard, RecordingGuard, SpanCollector, SpanKind, SpanRecord};
 pub use reference::ReferenceExecutor;
@@ -82,4 +83,3 @@ pub use shard::{
     default_executor, run_algorithm, set_default_executor, ConfigGuard, Executor, ExecutorKind,
     PoolScope, RunConfig, WorkPool,
 };
-pub use trace::{RoundTrace, TraceConfig, TraceRecorder};

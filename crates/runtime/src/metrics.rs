@@ -79,46 +79,6 @@ pub fn parallel_max(branches: &[RoundReport]) -> RoundReport {
     branches.iter().fold(RoundReport::zero(), |acc, &r| acc.alongside(r))
 }
 
-/// Aggregate view of a per-round activity trace (see
-/// [`TraceRecorder`](crate::trace::TraceRecorder)): how much round-loop work the
-/// frontier-driven executor actually did, against what an everyone-runs executor would have
-/// paid for the same execution.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ActivitySummary {
-    /// Number of traced rounds.
-    pub rounds: usize,
-    /// Largest per-round frontier (vertices stepped in the busiest round).
-    pub peak_frontier: usize,
-    /// Total vertex steps across all rounds — what the frontier-driven round loops cost.
-    pub frontier_steps: usize,
-    /// Total active-vertex count across all rounds — what iterating every non-halted vertex
-    /// each round (the pre-frontier executors) would have cost.
-    pub active_steps: usize,
-}
-
-impl ActivitySummary {
-    /// Summarizes a recorded trace.
-    pub fn from_trace(trace: &crate::trace::TraceRecorder) -> Self {
-        ActivitySummary {
-            rounds: trace.len(),
-            peak_frontier: trace.peak_frontier(),
-            frontier_steps: trace.total_steps(),
-            active_steps: trace.rounds().iter().map(|r| r.active_nodes).sum(),
-        }
-    }
-
-    /// `active_steps / frontier_steps`: how many times cheaper the frontier-driven round
-    /// loops were than stepping every active vertex each round (1.0 when every active vertex
-    /// was on the frontier every round; ∞-free: returns 1.0 for an empty trace).
-    pub fn savings_factor(&self) -> f64 {
-        if self.frontier_steps == 0 {
-            1.0
-        } else {
-            self.active_steps as f64 / self.frontier_steps as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,20 +98,5 @@ mod tests {
         let branches = [RoundReport::new(3, 30), RoundReport::new(7, 10), RoundReport::new(5, 5)];
         assert_eq!(parallel_max(&branches), RoundReport::new(7, 45));
         assert_eq!(parallel_max(&[]), RoundReport::zero());
-    }
-
-    #[test]
-    fn activity_summary_compares_frontier_against_everyone_runs() {
-        use crate::trace::{RoundTrace, TraceRecorder};
-        let mut t = TraceRecorder::new();
-        t.record(RoundTrace { round: 1, active_nodes: 8, frontier: 8, ..RoundTrace::default() });
-        t.record(RoundTrace { round: 2, active_nodes: 8, frontier: 2, ..RoundTrace::default() });
-        let summary = ActivitySummary::from_trace(&t);
-        assert_eq!(summary.rounds, 2);
-        assert_eq!(summary.peak_frontier, 8);
-        assert_eq!(summary.frontier_steps, 10);
-        assert_eq!(summary.active_steps, 16);
-        assert!((summary.savings_factor() - 1.6).abs() < 1e-12);
-        assert_eq!(ActivitySummary::default().savings_factor(), 1.0);
     }
 }

@@ -41,7 +41,6 @@
 
 use crate::metrics::RoundReport;
 use crate::node::{Inbox, NodeCtx};
-use crate::trace::TraceRecorder;
 use arbcolor_graph::{Graph, Vertex};
 use std::error::Error;
 use std::fmt;
@@ -102,10 +101,6 @@ pub struct ExecutionResult<O> {
     /// Round and message accounting for this execution.
     pub report: RoundReport,
 }
-
-/// An execution result paired with the per-round activity trace that produced it — what
-/// [`Executor::run_traced`](crate::Executor::run_traced) returns on success.
-pub type TracedRun<O> = (ExecutionResult<O>, TraceRecorder);
 
 /// Builds the [`NodeCtx`] of vertex `v` (shared by the executor and the reference oracle so
 /// node programs observe identical contexts under either).

@@ -8,9 +8,10 @@
 //!   deterministic costs (rounds/messages/total_bits/max_edge_bits) ride in `args`,
 //!   together with the span kind, the collector index of the parent slice, and the
 //!   advisory executor wall buckets (`deliver_ns`/`step_ns`/`commit_ns`, zero on phase
-//!   slices);
-//! * every traced round attached to a span becomes an instant (`"ph": "i"`) event placed
-//!   at the round's cumulative wall-clock offset within its span.
+//!   slices) and the frontier statistics of its rounds (`peak_frontier`, the largest
+//!   per-round frontier, and `frontier_steps`, their sum; zero on phase slices);
+//! * every round of an executor span becomes an instant (`"ph": "i"`) event placed at the
+//!   round's cumulative wall-clock offset within its span.
 //!
 //! Timestamps are microseconds from the collector's epoch.  Wall time is advisory, so
 //! child intervals are clamped into their parent's interval before emission — the RAII
@@ -91,8 +92,8 @@ pub fn chrome_trace_json(collector: &SpanCollector) -> String {
             span.report.messages,
             span.report.total_bits,
             span.report.max_edge_bits,
-            span.peak_frontier,
-            span.frontier_steps,
+            span.rounds.iter().map(|r| r.frontier).max().unwrap_or(0),
+            span.rounds.iter().map(|r| r.frontier).sum::<usize>(),
             span.buckets.deliver_ns,
             span.buckets.step_ns,
             span.buckets.commit_ns,
@@ -126,7 +127,6 @@ mod tests {
     use super::*;
     use crate::metrics::RoundReport;
     use crate::obs::{self, SpanCollector};
-    use crate::trace::{RoundTrace, TraceRecorder};
 
     #[test]
     fn escaping_covers_quotes_backslashes_and_controls() {
@@ -145,15 +145,14 @@ mod tests {
             {
                 let exec = obs::exec_span("flood");
                 exec.charge(RoundReport::new(4, 10));
-                let mut trace = TraceRecorder::new();
-                trace.record(RoundTrace {
-                    round: 1,
-                    frontier: 3,
-                    messages: 10,
-                    ..RoundTrace::default()
-                });
-                exec.attach_trace(&trace);
-                exec.add_buckets(obs::WallBuckets { deliver_ns: 7, step_ns: 8, commit_ns: 9 });
+                let rounds = vec![
+                    obs::RoundInstant { round: 1, frontier: 3, messages: 10, ..Default::default() },
+                    obs::RoundInstant { round: 2, frontier: 2, ..Default::default() },
+                ];
+                exec.record_rounds(
+                    obs::WallBuckets { deliver_ns: 7, step_ns: 8, commit_ns: 9 },
+                    rounds,
+                );
             }
             obs::record_leaf("leaf", RoundReport::new(1, 2));
         }
@@ -161,7 +160,9 @@ mod tests {
         assert!(json.starts_with("{\"displayTimeUnit\""));
         assert!(json.contains("\"name\":\"outer\""));
         assert!(json.contains("\"cat\":\"exec\""));
-        assert!(json.contains("\"name\":\"round 1\""));
+        assert!(json.contains("\"name\":\"round 1\"") && json.contains("\"name\":\"round 2\""));
+        // Frontier statistics are derived from the rounds.
+        assert!(json.contains("\"peak_frontier\":3,\"frontier_steps\":5"));
         assert!(json.contains("\"ph\":\"i\""));
         // The child slices reference the outer span (collector index 0).
         assert!(json.contains("\"parent\":0"));

@@ -1,7 +1,6 @@
 //! Phase-attributed observability: spans, a metrics registry, and trace exporters.
 //!
-//! The executors report *aggregate* costs ([`RoundReport`]) and, when asked, a flat
-//! per-round stream ([`TraceRecorder`]) — but the paper's
+//! The executors report *aggregate* costs ([`RoundReport`]) — but the paper's
 //! algorithms are *analyzed* phase by phase (H-partition → arbdefective coloring →
 //! legal-coloring cleanup for Barenboim–Elkin; a recursion of color-space-halving levels
 //! for Ghaffari–Kuhn), and none of the measured rounds, messages, or bits could so far be
@@ -26,8 +25,11 @@
 //!   from, so the rollup of a run's phases sums (via [`RoundReport::then`]) to the headline
 //!   report — the invariant experiment E23 and the `obs_spans` suite assert across all
 //!   three executors.
+//! * Per-round records — every executor run under a collector opens a [`SpanKind::Exec`]
+//!   span and hands it one [`RoundInstant`] per round ([`SpanRecord::rounds`]), the only
+//!   per-round record of a run.  Without a collector nothing is recorded or allocated.
 //! * [`chrome`] — exports a collector as Chrome trace-event JSON (loadable in Perfetto:
-//!   spans as nested slices, traced rounds as instant events), and [`summary_table`]
+//!   spans as nested slices, executor rounds as instant events), and [`summary_table`]
 //!   renders the same tree as text together with the metrics registry.
 //!
 //! Wall-clock fields (`start_ns`, `wall_ns`, and the executor's [`WallBuckets`]) are
@@ -43,7 +45,6 @@ pub use chrome::chrome_trace_json;
 pub use registry::{Histogram, MetricsRegistry};
 
 use crate::metrics::RoundReport;
-use crate::trace::TraceRecorder;
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
@@ -57,17 +58,34 @@ pub enum SpanKind {
     Exec,
 }
 
-/// One traced round attached to an executor span as a Chrome instant event.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One round of an executor run, recorded into its [`SpanKind::Exec`] span.
+///
+/// Every column but `wall_ns` is deterministic: bit-identical across the work-stealing
+/// executor at any thread count and chunk size, and across the reference executor except
+/// `frontier` (it steps every active vertex, so its `frontier` equals `active`).
+///
+/// `messages`, `total_bits` and `max_edge_bits` are delivery-side: round `r` records the
+/// messages it *delivers*, sent in round `r − 1` (round 1 delivers the `init` sends).  The
+/// loop ends in the round in which the last vertex halts, so that round's sends are counted
+/// in the run's [`RoundReport`] but delivered in no round: the `messages` column sums to the
+/// report's `messages` minus the last round's sends (likewise `total_bits`), and equals it
+/// exactly only when the last round sends nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoundInstant {
     /// The round number (1-based) within the run.
     pub round: usize,
-    /// Vertices actually stepped in the round.
+    /// Vertices that had not halted at the start of the round.
+    pub active: usize,
+    /// Vertices actually stepped in the round (the frontier).
     pub frontier: usize,
-    /// Messages sent in the round.
+    /// Messages delivered in the round.
     pub messages: usize,
-    /// Bits across the round's sends.
+    /// Bits across the round's deliveries.
     pub total_bits: u64,
+    /// The largest bit load one edge (per direction) carried among the round's deliveries.
+    pub max_edge_bits: u64,
+    /// Vertices that halted in the round.
+    pub halts: usize,
     /// Advisory wall-clock nanoseconds of the round.
     pub wall_ns: u64,
 }
@@ -105,11 +123,7 @@ pub struct SpanRecord {
     pub wall_ns: u64,
     /// Advisory: the executor's split of `wall_ns` (all zero for phase spans).
     pub buckets: WallBuckets,
-    /// Largest per-round frontier observed by traces attached to this span.
-    pub peak_frontier: usize,
-    /// Total vertex steps across traces attached to this span.
-    pub frontier_steps: usize,
-    /// Per-round instants from attached traces (empty unless a traced run fed the span).
+    /// One instant per round of an executor run (empty for phase spans).
     pub rounds: Vec<RoundInstant>,
     /// Whether the span is still open (exporters treat open spans as ending "now").
     pub(crate) open: bool,
@@ -252,8 +266,6 @@ fn open_span(name: String, kind: SpanKind) -> PhaseGuard {
         start_ns,
         wall_ns: 0,
         buckets: WallBuckets::default(),
-        peak_frontier: 0,
-        frontier_steps: 0,
         rounds: Vec::new(),
         open: true,
     });
@@ -279,8 +291,6 @@ pub fn record_leaf(name: impl Into<String>, report: RoundReport) {
         start_ns,
         wall_ns: 0,
         buckets: WallBuckets::default(),
-        peak_frontier: 0,
-        frontier_steps: 0,
         rounds: Vec::new(),
         open: false,
     });
@@ -396,14 +406,13 @@ impl PhaseGuard {
         self.target.is_some()
     }
 
-    /// Adds an executor run's wall-clock buckets to this span.
-    pub(crate) fn add_buckets(&self, buckets: WallBuckets) {
+    /// Hands this span its executor run's wall-clock buckets and per-round instants.
+    pub(crate) fn record_rounds(&self, buckets: WallBuckets, rounds: Vec<RoundInstant>) {
         if let Some((collector, index)) = &self.target {
             let mut state = collector.lock();
-            let span = &mut state.spans[*index].buckets;
-            span.deliver_ns += buckets.deliver_ns;
-            span.step_ns += buckets.step_ns;
-            span.commit_ns += buckets.commit_ns;
+            let span = &mut state.spans[*index];
+            span.buckets = buckets;
+            span.rounds = rounds;
         }
     }
 
@@ -414,26 +423,6 @@ impl PhaseGuard {
             let mut state = collector.lock();
             let span = &mut state.spans[*index];
             span.report = span.report.then(report);
-        }
-    }
-
-    /// Attaches a recorded per-round trace: frontier statistics fold into the span and
-    /// every round becomes a [`RoundInstant`] (a Chrome instant event on export).
-    pub fn attach_trace(&self, trace: &TraceRecorder) {
-        if let Some((collector, index)) = &self.target {
-            let mut state = collector.lock();
-            let span = &mut state.spans[*index];
-            for round in trace.rounds() {
-                span.peak_frontier = span.peak_frontier.max(round.frontier);
-                span.frontier_steps += round.frontier;
-                span.rounds.push(RoundInstant {
-                    round: round.round,
-                    frontier: round.frontier,
-                    messages: round.messages,
-                    total_bits: round.total_bits,
-                    wall_ns: round.wall_ns,
-                });
-            }
         }
     }
 }
@@ -497,6 +486,19 @@ pub fn summary_table(collector: &SpanCollector) -> String {
         out.push_str(&metrics.render());
     }
     out
+}
+
+/// Runs `f` under a scratch collector and returns its result with the rounds of the first
+/// executor run it made.
+#[cfg(test)]
+pub(crate) fn recorded<R>(f: impl FnOnce() -> R) -> (R, Vec<RoundInstant>) {
+    let collector = SpanCollector::new();
+    let guard = install(&collector);
+    let result = f();
+    drop(guard);
+    let spans = collector.snapshot();
+    let exec = spans.into_iter().find(|s| s.kind == SpanKind::Exec).expect("an executor run");
+    (result, exec.rounds)
 }
 
 #[cfg(test)]
@@ -600,32 +602,6 @@ mod tests {
     }
 
     #[test]
-    fn attach_trace_folds_frontier_stats_and_round_instants() {
-        use crate::trace::{RoundTrace, TraceRecorder};
-        let collector = SpanCollector::new();
-        let _guard = install(&collector);
-        let mut trace = TraceRecorder::new();
-        trace.record(RoundTrace {
-            round: 1,
-            frontier: 5,
-            messages: 9,
-            total_bits: 20,
-            ..RoundTrace::default()
-        });
-        trace.record(RoundTrace { round: 2, frontier: 2, ..RoundTrace::default() });
-        {
-            let span = exec_span("traced");
-            span.attach_trace(&trace);
-        }
-        let spans = collector.snapshot();
-        assert_eq!(spans[0].peak_frontier, 5);
-        assert_eq!(spans[0].frontier_steps, 7);
-        assert_eq!(spans[0].rounds.len(), 2);
-        assert_eq!(spans[0].rounds[0].messages, 9);
-        assert_eq!(spans[0].rounds[0].total_bits, 20);
-    }
-
-    #[test]
     fn summary_table_lists_spans_with_indentation() {
         let collector = SpanCollector::new();
         let _guard = install(&collector);
@@ -636,11 +612,8 @@ mod tests {
         }
         {
             let exec = exec_span("run");
-            exec.add_buckets(WallBuckets {
-                deliver_ns: 1_000_000,
-                step_ns: 2_500_000,
-                commit_ns: 0,
-            });
+            let buckets = WallBuckets { deliver_ns: 1_000_000, step_ns: 2_500_000, commit_ns: 0 };
+            exec.record_rounds(buckets, Vec::new());
         }
         record_run(&RoundReport::new(1, 2));
         let table = summary_table(&collector);

@@ -8,7 +8,9 @@
 //!
 //! * **Oracle.**  `tests/message_fabric.rs` pins the flat-mailbox executors to this one:
 //!   outputs, rounds, and message counts must stay bit-identical on the generator suite and
-//!   the headline pipelines.
+//!   the headline pipelines.  Under a collector it records the same per-round
+//!   [`RoundInstant`]s into its exec span, and `tests/obs_spans.rs` compares them round by
+//!   round (all but `frontier`, which this executor does not have).
 //! * **Baseline.**  Experiment E18 and the `routing` Criterion group race old-vs-new
 //!   delivery; [`ExecutorKind::Reference`](crate::ExecutorKind) dispatches whole pipelines
 //!   onto it.
@@ -21,10 +23,9 @@
 
 use crate::cost::{CostMode, EdgeLoad, MessageCost};
 use crate::metrics::RoundReport;
-use crate::network::{node_ctx, ExecutionResult, RuntimeError, TracedRun};
+use crate::network::{node_ctx, ExecutionResult, RuntimeError};
 use crate::node::{Algorithm, Inbox, NodeProgram, Outbox, Status};
-use crate::obs;
-use crate::trace::{RoundTrace, TraceConfig, TraceRecorder};
+use crate::obs::{self, RoundInstant, WallBuckets};
 use arbcolor_graph::{Graph, Vertex};
 
 /// Runs [`Algorithm`]s with per-vertex `Vec` mailboxes and linear-scan routing (see the
@@ -69,6 +70,12 @@ impl<'g> ReferenceExecutor<'g> {
 
     /// Runs `algorithm` until every node halts.
     ///
+    /// While a collector is installed, the run's exec span records one [`RoundInstant`] per
+    /// round, like [`Executor::run`](crate::Executor::run)'s.  Every deterministic column is
+    /// bit-identical to the flat executor's **except** `frontier`: this executor has no
+    /// frontier — it steps every active vertex each round — so its `frontier` equals
+    /// `active`.
+    ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::RoundLimitExceeded`] if the algorithm does not terminate
@@ -77,51 +84,8 @@ impl<'g> ReferenceExecutor<'g> {
         &self,
         algorithm: &A,
     ) -> Result<ExecutionResult<<A::Node as NodeProgram>::Output>, RuntimeError> {
-        self.run_inner(algorithm, None)
-    }
-
-    /// Runs `algorithm` like [`run`](Self::run), additionally recording one
-    /// [`RoundTrace`] per round.  All deterministic trace columns are bit-identical to the
-    /// flat executors' **except** `frontier`: this executor has no frontier — it steps every
-    /// active vertex each round — so its `frontier` equals `active_nodes`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::RoundLimitExceeded`] if the algorithm does not terminate
-    /// within the configured round limit.
-    pub fn run_traced<A: Algorithm>(
-        &self,
-        algorithm: &A,
-    ) -> Result<TracedRun<<A::Node as NodeProgram>::Output>, RuntimeError> {
-        self.run_traced_with(algorithm, TraceConfig::default())
-    }
-
-    /// Like [`run_traced`](Self::run_traced) with an explicit [`TraceConfig`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::RoundLimitExceeded`] if the algorithm does not terminate
-    /// within the configured round limit.
-    pub fn run_traced_with<A: Algorithm>(
-        &self,
-        algorithm: &A,
-        config: TraceConfig,
-    ) -> Result<TracedRun<<A::Node as NodeProgram>::Output>, RuntimeError> {
-        let mut recorder = TraceRecorder::new();
-        let result = self.run_inner(algorithm, Some((&mut recorder, config)))?;
-        Ok((result, recorder))
-    }
-
-    fn run_inner<A: Algorithm>(
-        &self,
-        algorithm: &A,
-        trace: Option<(&mut TraceRecorder, TraceConfig)>,
-    ) -> Result<ExecutionResult<<A::Node as NodeProgram>::Output>, RuntimeError> {
         let span = obs::exec_span(algorithm.name());
-        let (mut trace, trace_config) = match trace {
-            Some((recorder, config)) => (Some(recorder), config),
-            None => (None, TraceConfig::default()),
-        };
+        let mut rounds: Vec<RoundInstant> = Vec::new();
         let graph = self.graph;
         let n = graph.n();
         let contexts: Vec<_> = graph.vertices().map(|v| node_ctx(graph, v)).collect();
@@ -150,8 +114,8 @@ impl<'g> ReferenceExecutor<'g> {
             any_outgoing |= !outbox.is_empty();
             deliver_by_scan(graph, v, outbox, &mut pending, &mut report, &mut meter);
         }
-        // Delivery-side trace attribution, as in the flat executors: round `r` records what
-        // it delivers (the sends of round `r − 1`; round 1 carries `init`).
+        // Delivery-side attribution, as in the flat executors: round `r` records what it
+        // delivers (the sends of round `r − 1`; round 1 carries `init`).
         let mut carry_messages = report.messages;
         let mut carry_bits = meter.finish_round(report.rounds + 1, self.cost_mode, &mut report)?;
 
@@ -166,10 +130,9 @@ impl<'g> ReferenceExecutor<'g> {
             report.rounds += 1;
             swap_mailboxes(&mut pending, &mut inboxes);
 
-            let round_started = trace.as_ref().map(|_| std::time::Instant::now());
+            let round_started = span.is_recording().then(std::time::Instant::now);
             let active_at_start = active.iter().filter(|&&a| a).count();
             let messages_before = report.messages;
-            let mut halted_this_round: Vec<usize> = Vec::new();
             let mut halts_this_round = 0usize;
 
             any_outgoing = false;
@@ -184,28 +147,22 @@ impl<'g> ReferenceExecutor<'g> {
                 if status == Status::Halted {
                     active[v] = false;
                     halts_this_round += 1;
-                    if trace_config.capture_halted && trace.is_some() {
-                        halted_this_round.push(v);
-                    }
                 }
                 any_outgoing |= !outbox.is_empty();
                 deliver_by_scan(graph, v, outbox, &mut pending, &mut report, &mut meter);
             }
             let round_bits = meter.finish_round(report.rounds + 1, self.cost_mode, &mut report)?;
-            if let Some(recorder) = trace.as_deref_mut() {
-                recorder.record(RoundTrace {
+            if let Some(started) = round_started {
+                rounds.push(RoundInstant {
                     round: report.rounds,
-                    active_nodes: active_at_start,
+                    active: active_at_start,
                     // No frontier here: every active vertex is stepped.
                     frontier: active_at_start,
                     messages: carry_messages,
                     total_bits: carry_bits.total,
                     max_edge_bits: carry_bits.max,
                     halts: halts_this_round,
-                    halted: halted_this_round,
-                    wall_ns: round_started
-                        .map(|t| t.elapsed().as_nanos().min(u64::MAX as u128) as u64)
-                        .unwrap_or(0),
+                    wall_ns: started.elapsed().as_nanos().min(u64::MAX as u128) as u64,
                 });
             }
             carry_messages = report.messages - messages_before;
@@ -218,9 +175,7 @@ impl<'g> ReferenceExecutor<'g> {
         let outputs =
             nodes.iter().zip(contexts.iter()).map(|(node, ctx)| node.output(ctx)).collect();
         span.charge(report);
-        if let Some(recorder) = trace {
-            span.attach_trace(recorder);
-        }
+        span.record_rounds(WallBuckets::default(), rounds);
         obs::record_run(&report);
         Ok(ExecutionResult { outputs, report })
     }

@@ -16,6 +16,8 @@
 //!   O(|frontier| + messages) regardless of `n` and a skewed frontier spreads across the
 //!   workers.  A run uses `min(threads, ⌈n / chunk_size⌉)` workers; when that is one —
 //!   always at the default of one thread — the chunks are stepped in order on the caller.
+//!   Under an installed [`obs`] collector, a run's exec span also records its wall buckets
+//!   and one [`RoundInstant`] per round; without one, nothing is timed or allocated.
 //! * [`RunConfig`] — an [`ExecutorKind`] plus a [`CostMode`].  [`run_algorithm`], the entry
 //!   point of the drivers across the workspace, runs under the current thread's value;
 //!   [`RunConfig::install`] scopes one to a thread and the [`WorkPool`]s it spawns, so one
@@ -28,8 +30,9 @@
 //! # Determinism guarantee
 //!
 //! For every graph, algorithm, chunk size, and thread count, [`Executor::run`] produces
-//! **bit-identical** outputs, round counts, and message and bit counts — the ones the
-//! [`ReferenceExecutor`] oracle produces.  The argument:
+//! **bit-identical** outputs, round counts, message and bit counts, and per-round
+//! [`RoundInstant`] columns (wall time aside) — the ones the [`ReferenceExecutor`] oracle
+//! produces, whose rounds differ only in `frontier`.  The argument:
 //!
 //! 1. The round's work list is the sorted frontier — a deterministic vertex sequence fixed
 //!    *before* any worker runs — split into fixed-size chunks.  The atomic claim cursor
@@ -73,11 +76,10 @@
 use crate::cost::{CostMode, EdgeLoad, MessageCost};
 use crate::frontier::{Frontier, Statuses};
 use crate::metrics::RoundReport;
-use crate::network::{node_ctx, ArcMailboxes, ExecutionResult, RuntimeError, TracedRun};
+use crate::network::{node_ctx, ArcMailboxes, ExecutionResult, RuntimeError};
 use crate::node::{Algorithm, NodeCtx, NodeProgram, Outbox, Status};
-use crate::obs::{self, WallBuckets};
+use crate::obs::{self, RoundInstant, WallBuckets};
 use crate::reference::ReferenceExecutor;
-use crate::trace::{RoundTrace, TraceConfig, TraceRecorder};
 use arbcolor_graph::{ArcIdx, Graph, Vertex};
 use std::cell::Cell;
 use std::marker::PhantomData;
@@ -531,6 +533,10 @@ impl<'g> Executor<'g> {
 
     /// Runs `algorithm` until every node halts.
     ///
+    /// While a collector is installed ([`obs::install`]), the run's exec span also records
+    /// its wall buckets and one [`RoundInstant`] per round; the deterministic columns of
+    /// those instants are bit-identical at any thread count and chunk size.
+    ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::RoundLimitExceeded`] if the algorithm does not terminate
@@ -545,72 +551,7 @@ impl<'g> Executor<'g> {
         <A::Node as NodeProgram>::Msg: Send + Sync,
         <A::Node as NodeProgram>::Output: Send,
     {
-        self.run_inner(algorithm, None)
-    }
-
-    /// Runs `algorithm` like [`run`](Self::run), additionally recording one
-    /// [`RoundTrace`] per round (frontier size, messages, halts, wall-clock) — the
-    /// instrumentation behind the per-round activity plots of experiment E21.  The
-    /// deterministic trace columns are bit-identical at any thread count and chunk size;
-    /// only `wall_ns` differs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::RoundLimitExceeded`] if the algorithm does not terminate
-    /// within the configured round limit.
-    pub fn run_traced<A>(
-        &self,
-        algorithm: &A,
-    ) -> Result<TracedRun<<A::Node as NodeProgram>::Output>, RuntimeError>
-    where
-        A: Algorithm + Sync,
-        A::Node: Send,
-        <A::Node as NodeProgram>::Msg: Send + Sync,
-        <A::Node as NodeProgram>::Output: Send,
-    {
-        self.run_traced_with(algorithm, TraceConfig::default())
-    }
-
-    /// Like [`run_traced`](Self::run_traced) with an explicit [`TraceConfig`] (e.g. to
-    /// capture per-round halted-vertex identities, which are off by default).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::RoundLimitExceeded`] if the algorithm does not terminate
-    /// within the configured round limit.
-    pub fn run_traced_with<A>(
-        &self,
-        algorithm: &A,
-        config: TraceConfig,
-    ) -> Result<TracedRun<<A::Node as NodeProgram>::Output>, RuntimeError>
-    where
-        A: Algorithm + Sync,
-        A::Node: Send,
-        <A::Node as NodeProgram>::Msg: Send + Sync,
-        <A::Node as NodeProgram>::Output: Send,
-    {
-        let mut recorder = TraceRecorder::new();
-        let result = self.run_inner(algorithm, Some((&mut recorder, config)))?;
-        Ok((result, recorder))
-    }
-
-    fn run_inner<A>(
-        &self,
-        algorithm: &A,
-        trace: Option<(&mut TraceRecorder, TraceConfig)>,
-    ) -> Result<ExecutionResult<<A::Node as NodeProgram>::Output>, RuntimeError>
-    where
-        A: Algorithm + Sync,
-        A::Node: Send,
-        <A::Node as NodeProgram>::Msg: Send + Sync,
-        <A::Node as NodeProgram>::Output: Send,
-    {
         let span = obs::exec_span(algorithm.name());
-        let (mut trace, trace_config) = match trace {
-            Some((recorder, config)) => (Some(recorder), config),
-            None => (None, TraceConfig::default()),
-        };
-
         let graph = self.graph;
         let n = graph.n();
         let chunk = self.chunk_size.max(1);
@@ -659,9 +600,11 @@ impl<'g> Executor<'g> {
         let contexts = &contexts;
         let nodes = &nodes;
 
-        // Advisory wall buckets, timed only while a collector records this run.
+        // Advisory wall buckets and per-round instants, kept only while a collector records
+        // this run.
         let timed = span.is_recording();
         let mut wall = WallBuckets::default();
+        let mut rounds: Vec<RoundInstant> = Vec::new();
         let report = pool.scope(|scope| {
             let mut report = RoundReport::zero();
             let mut frontier = Frontier::new(n);
@@ -690,9 +633,8 @@ impl<'g> Executor<'g> {
                     }
                 })
             });
-            // Delivery-side trace attribution: round `r` records the messages and bits it
-            // *delivers* (sent in round `r − 1`; round 1 carries the `init` sends), so the
-            // per-round columns sum bit-exactly to the headline report.
+            // Round `r` records the messages and bits it *delivers* (sent in round `r − 1`;
+            // round 1 carries the `init` sends), see [`RoundInstant`].
             let (init_messages, mut total_active, mut carry_bits) =
                 lap(timed, &mut wall.commit_ns, || {
                     let mut state = round_lock.write().expect("round lock");
@@ -702,7 +644,6 @@ impl<'g> Executor<'g> {
                         &mut pending,
                         &mut frontier,
                         &mut state.statuses,
-                        None,
                     );
                     let bits = stats.load.finish(1, self.cost_mode, &mut report)?;
                     Ok::<_, RuntimeError>((stats.messages, state.statuses.count(), bits))
@@ -720,9 +661,8 @@ impl<'g> Executor<'g> {
                     });
                 }
                 report.rounds += 1;
-                let round_started = trace.as_ref().map(|_| Instant::now());
                 let active_at_start = total_active;
-                let mut halted_this_round: Vec<Vertex> = Vec::new();
+                let wall_before = wall.deliver_ns + wall.step_ns + wall.commit_ns;
 
                 // Flip the mailbox double buffer, ring the round's alarms, and publish the
                 // round's sorted frontier.
@@ -775,8 +715,6 @@ impl<'g> Executor<'g> {
                     })
                 });
 
-                let halted_sink = (trace.is_some() && trace_config.capture_halted)
-                    .then_some(&mut halted_this_round);
                 let (stats, round_bits) = lap(timed, &mut wall.commit_ns, || {
                     let mut state = round_lock.write().expect("round lock");
                     let stats = commit_chunks(
@@ -785,26 +723,23 @@ impl<'g> Executor<'g> {
                         &mut pending,
                         &mut frontier,
                         &mut state.statuses,
-                        halted_sink,
                     );
                     total_active = state.statuses.count();
                     let bits = stats.load.finish(report.rounds + 1, self.cost_mode, &mut report)?;
                     Ok::<_, RuntimeError>((stats, bits))
                 })?;
                 report.messages += stats.messages;
-                if let Some(recorder) = trace.as_deref_mut() {
-                    recorder.record(RoundTrace {
+                if timed {
+                    rounds.push(RoundInstant {
                         round: report.rounds,
-                        active_nodes: active_at_start,
+                        active: active_at_start,
                         frontier: stats.stepped,
                         messages: carry_messages,
                         total_bits: carry_bits.total,
                         max_edge_bits: carry_bits.max,
                         halts: stats.halts,
-                        halted: halted_this_round,
-                        wall_ns: round_started
-                            .map(|t| t.elapsed().as_nanos().min(u64::MAX as u128) as u64)
-                            .unwrap_or(0),
+                        // The round's three bucket laps.
+                        wall_ns: wall.deliver_ns + wall.step_ns + wall.commit_ns - wall_before,
                     });
                 }
                 carry_messages = stats.messages;
@@ -823,10 +758,7 @@ impl<'g> Executor<'g> {
             .map(|(node, ctx)| node.lock().expect("node lock").output(ctx))
             .collect();
         span.charge(report);
-        span.add_buckets(wall);
-        if let Some(recorder) = trace {
-            span.attach_trace(recorder);
-        }
+        span.record_rounds(wall, rounds);
         obs::record_run(&report);
         Ok(ExecutionResult { outputs, report })
     }
@@ -856,8 +788,7 @@ struct CommitStats {
 /// Commits the chunks produced by one fork/join step of `round` (0 for `init`) **in chunk
 /// order**, draining each: merges its bandwidth, pushes the outgoing messages into the
 /// pending mailboxes (ascending sender order), marks every receiver in the frontier, and
-/// records every returned status in `statuses`.  When `halted_sink` is given, the halted
-/// vertices are also collected into it (in chunk order = ascending vertex order).
+/// records every returned status in `statuses`.
 ///
 /// # Panics
 ///
@@ -868,7 +799,6 @@ fn commit_chunks<M>(
     pending: &mut ArcMailboxes<M>,
     frontier: &mut Frontier,
     statuses: &mut Statuses,
-    mut halted_sink: Option<&mut Vec<Vertex>>,
 ) -> CommitStats {
     let mut stats = CommitStats::default();
     for slot in chunk_outs {
@@ -881,12 +811,7 @@ fn commit_chunks<M>(
             frontier.mark(receiver);
         }
         for (v, status) in out.statuses.drain(..) {
-            if statuses.record(v, status, round, frontier) {
-                stats.halts += 1;
-                if let Some(sink) = halted_sink.as_deref_mut() {
-                    sink.push(v);
-                }
-            }
+            stats.halts += usize::from(statuses.record(v, status, round, frontier));
         }
     }
     stats
@@ -966,14 +891,11 @@ mod tests {
             ],
         ]);
         for (threads, chunk_size) in [(1, 1024), (2, 1)] {
-            let (result, trace) = Executor::new(&g)
-                .with_threads(threads)
-                .with_chunk_size(chunk_size)
-                .run_traced(&script)
-                .unwrap();
+            let executor = Executor::new(&g).with_threads(threads).with_chunk_size(chunk_size);
+            let (result, rounds) = obs::recorded(|| executor.run(&script).unwrap());
             assert_eq!(result.outputs, vec![vec![2, 5], vec![1, 4, 6]]);
             assert_eq!(result.report.rounds, 6);
-            assert_eq!(trace.frontier_profile(), vec![1, 1, 0, 1, 1, 1]);
+            assert_eq!(frontiers(&rounds), vec![1, 1, 0, 1, 1, 1]);
         }
     }
 
@@ -986,9 +908,13 @@ mod tests {
             vec![(Status::WakeAt(3), true), (Status::WakeAt(3), false), (Status::Halted, false)],
             vec![(Status::WakeAt(2), false), (Status::Halted, true)],
         ]);
-        let (result, trace) = Executor::new(&g).run_traced(&script).unwrap();
+        let (result, rounds) = obs::recorded(|| Executor::new(&g).run(&script).unwrap());
         assert_eq!(result.outputs, vec![vec![2, 3], vec![1]]);
-        assert_eq!(trace.frontier_profile(), vec![1, 1, 1]);
+        assert_eq!(frontiers(&rounds), vec![1, 1, 1]);
+    }
+
+    fn frontiers(rounds: &[RoundInstant]) -> Vec<usize> {
+        rounds.iter().map(|r| r.frontier).collect()
     }
 
     /// Vertex 0 asks for round 1 again while in round 1.
@@ -1026,7 +952,7 @@ mod tests {
         let g = generators::cycle(64).unwrap().with_shuffled_ids(5);
         let collector = obs::SpanCollector::new();
         let guard = obs::install(&collector);
-        let (result, _trace) = Executor::new(&g).run_traced(&FloodMaxId { rounds: 8 }).unwrap();
+        let result = Executor::new(&g).run(&FloodMaxId { rounds: 8 }).unwrap();
         drop(guard);
         assert_eq!(result.report.rounds, 8);
         let spans = collector.snapshot();
@@ -1034,6 +960,10 @@ mod tests {
         let b = run.buckets;
         assert!(b.deliver_ns > 0 && b.step_ns > 0 && b.commit_ns > 0, "{b:?}");
         assert!(b.deliver_ns + b.step_ns + b.commit_ns <= run.wall_ns, "{b:?} vs {}", run.wall_ns);
+        // Each round's wall time is its three laps, so the rounds never sum past the buckets.
+        assert_eq!(run.rounds.len(), 8);
+        let rounds_ns: u64 = run.rounds.iter().map(|r| r.wall_ns).sum();
+        assert!(rounds_ns <= b.deliver_ns + b.step_ns + b.commit_ns, "{rounds_ns} vs {b:?}");
     }
 
     #[test]

@@ -1,37 +1,60 @@
-//! Observability suite: phase spans, traced rounds, and their determinism contract.
+//! Observability suite: phase spans, per-round instants, and their determinism contract.
 //!
 //! Two invariants are pinned here, both across the executors (the work-stealing executor at
 //! its one-thread default and at several thread counts with a non-default chunk size, and
 //! the pre-fabric reference):
 //!
-//! * **Trace/report consistency** — the per-round `messages` and `total_bits` columns of a
-//!   [`TraceRecorder`] sum to the headline [`RoundReport`](arbcolor_runtime::RoundReport)
-//!   of the same run, and every deterministic per-round column is bit-identical across
+//! * **Per-round records** — every executor run under a collector hands its exec span one
+//!   [`RoundInstant`] per round, and every deterministic column is bit-identical across
 //!   executors (`frontier` excluded for the reference executor, which steps every active
-//!   vertex and documents `frontier == stepped`).
+//!   vertex and reports `frontier == active`).  The delivery-side `messages` column sums to
+//!   the headline [`RoundReport`] minus the sends of the last round, which no round
+//!   delivers: exactly the report when the last round sends nothing (`FloodMaxId`), and short
+//!   by the last slot's broadcasts on a slot-scheduled sweep.
 //! * **Phase attribution** — the spans the instrumented drivers record for a headliner run
 //!   roll up (`obs::phase_rollup`) to the exact headline report, and the per-phase reports
 //!   are themselves bit-identical across executors.
 
 use arbcolor::legal_coloring::{legal_coloring, LegalColoringParams};
+use arbcolor_baselines::greedy::sequential_greedy;
 use arbcolor_baselines::registry::congest_headliners;
 use arbcolor_graph::generators;
-use arbcolor_runtime::algorithms::FloodMaxId;
+use arbcolor_runtime::algorithms::{
+    FloodMaxId, ListColorSchedule, ListColorSlot, ScheduledListColor,
+};
+use arbcolor_runtime::obs::RoundInstant;
 use arbcolor_runtime::{
-    obs, Executor, ExecutorKind, ReferenceExecutor, RoundReport, RunConfig, TraceConfig,
-    TraceRecorder,
+    obs, ExecutionResult, Executor, ExecutorKind, ReferenceExecutor, RoundReport, RunConfig,
 };
 
 mod common;
 use common::generator_suite;
 
-/// The deterministic columns of one round, in executor-comparable form (no `frontier`: the
-/// reference executor's documented divergence; no `wall_ns`: advisory).
-fn deterministic_rounds(recorder: &TraceRecorder) -> Vec<(usize, usize, usize, u64, u64, usize)> {
-    recorder
-        .rounds()
+/// Runs `run` under a scratch collector; returns its result and the rounds of its one
+/// executor run.
+fn recorded<O>(
+    run: impl FnOnce() -> ExecutionResult<O>,
+) -> (ExecutionResult<O>, Vec<RoundInstant>) {
+    let collector = obs::SpanCollector::new();
+    let guard = obs::install(&collector);
+    let result = run();
+    drop(guard);
+    let spans = collector.snapshot();
+    assert_eq!(spans.len(), 1, "one executor run");
+    assert_eq!(spans[0].kind, obs::SpanKind::Exec);
+    (result, spans[0].rounds.clone())
+}
+
+/// The deterministic columns of each round, in executor-comparable form: no `wall_ns`
+/// (advisory), and `frontier` only when `with_frontier` (the reference executor has none).
+fn deterministic(rounds: &[RoundInstant], with_frontier: bool) -> Vec<RoundInstant> {
+    rounds
         .iter()
-        .map(|r| (r.round, r.active_nodes, r.messages, r.total_bits, r.max_edge_bits, r.halts))
+        .map(|r| RoundInstant {
+            frontier: if with_frontier { r.frontier } else { 0 },
+            wall_ns: 0,
+            ..*r
+        })
         .collect()
 }
 
@@ -39,91 +62,75 @@ fn deterministic_rounds(recorder: &TraceRecorder) -> Vec<(usize, usize, usize, u
 fn per_round_columns_sum_to_the_report_on_every_executor() {
     for (family, g) in generator_suite(48, 91) {
         let flood = FloodMaxId { rounds: 4 };
-        let (seq, seq_trace) = Executor::new(&g).run_traced(&flood).unwrap();
-        let (reference, ref_trace) = ReferenceExecutor::new(&g).run_traced(&flood).unwrap();
-        let mut traces =
-            vec![("one-thread", &seq, seq_trace), ("reference", &reference, ref_trace)];
-
-        let sharded_runs: Vec<_> = [1usize, 2, 4]
-            .iter()
-            .map(|&threads| {
-                Executor::new(&g)
-                    .with_threads(threads)
-                    .with_chunk_size(7)
-                    .run_traced(&flood)
-                    .unwrap()
-            })
-            .collect();
-        for (result, recorder) in &sharded_runs {
-            traces.push(("sharded", result, recorder.clone()));
+        let mut runs = vec![
+            ("one-thread", recorded(|| Executor::new(&g).run(&flood).unwrap())),
+            ("reference", recorded(|| ReferenceExecutor::new(&g).run(&flood).unwrap())),
+        ];
+        for threads in [1usize, 2, 4] {
+            let executor = Executor::new(&g).with_threads(threads).with_chunk_size(7);
+            runs.push(("sharded", recorded(|| executor.run(&flood).unwrap())));
         }
 
-        for (label, result, recorder) in &traces {
-            assert_eq!(
-                recorder.len(),
-                result.report.rounds,
-                "{label} on {family}: one RoundTrace per round"
-            );
-            let messages: usize = recorder.rounds().iter().map(|r| r.messages).sum();
+        for (label, (result, rounds)) in &runs {
+            assert_eq!(rounds.len(), result.report.rounds, "{label} on {family}: one per round");
+            // FloodMaxId's last round sends nothing, so the delivery-side columns sum to
+            // the report exactly.
+            let messages: usize = rounds.iter().map(|r| r.messages).sum();
             assert_eq!(messages, result.report.messages, "{label} messages on {family}");
-            let bits: u64 = recorder.rounds().iter().map(|r| r.total_bits).sum();
+            let bits: u64 = rounds.iter().map(|r| r.total_bits).sum();
             assert_eq!(bits, result.report.total_bits, "{label} total_bits on {family}");
-            let max_edge: u64 =
-                recorder.rounds().iter().map(|r| r.max_edge_bits).max().unwrap_or(0);
+            let max_edge: u64 = rounds.iter().map(|r| r.max_edge_bits).max().unwrap_or(0);
             assert_eq!(max_edge, result.report.max_edge_bits, "{label} max_edge on {family}");
-            // Default config: halts are counted, identities are not captured.
-            assert!(recorder.rounds().iter().all(|r| r.halted.is_empty()), "{label} {family}");
+            let halts: usize = rounds.iter().map(|r| r.halts).sum();
+            assert_eq!(halts, g.n(), "{label} on {family}: every vertex halts in a round");
         }
 
-        // Bit-identity of the deterministic columns across all five runs.
-        let baseline = deterministic_rounds(&traces[0].2);
-        for (label, _, recorder) in &traces[1..] {
+        // Bit-identity of the deterministic columns across all five runs; the flat
+        // executors also agree on the frontier column.
+        let (_, (baseline, rounds)) = &runs[0];
+        for (label, (result, other)) in &runs[1..] {
+            let with_frontier = *label != "reference";
             assert_eq!(
-                deterministic_rounds(recorder),
-                baseline,
+                deterministic(other, with_frontier),
+                deterministic(rounds, with_frontier),
                 "{label} per-round columns diverge on {family}"
             );
-        }
-        // The flat executors also agree on the frontier column (the reference does not
-        // track one and reports stepped == active instead).
-        let frontiers: Vec<usize> = traces[0].2.frontier_profile();
-        for (result, recorder) in &sharded_runs {
-            assert_eq!(recorder.frontier_profile(), frontiers, "frontier on {family}");
-            assert_eq!(result.report, traces[0].1.report, "sharded report on {family}");
+            assert_eq!(result.report, baseline.report, "{label} report on {family}");
         }
     }
 }
 
 #[test]
-fn halted_capture_is_opt_in_and_consistent() {
-    let g = generators::cycle(24).unwrap();
-    let flood = FloodMaxId { rounds: 3 };
-    let (_, default_trace) = Executor::new(&g).run_traced(&flood).unwrap();
-    assert!(default_trace.rounds().iter().all(|r| r.halted.is_empty()));
-    assert!(default_trace.completion_round().is_some(), "halt counters back the fallback");
-
-    let (_, full_trace) =
-        Executor::new(&g).run_traced_with(&flood, TraceConfig::with_halted()).unwrap();
-    for (lean, full) in default_trace.rounds().iter().zip(full_trace.rounds()) {
-        assert_eq!(lean.halts, full.halts);
-        assert_eq!(full.halted.len(), full.halts, "identities match the counter");
+fn per_round_messages_miss_exactly_the_last_rounds_sends() {
+    let g = generators::barabasi_albert(300, 3, 5).unwrap().with_shuffled_ids(2);
+    let greedy = sequential_greedy(&g, None);
+    let slots: Vec<ListColorSlot> = g
+        .vertices()
+        .map(|v| ListColorSlot {
+            slot: greedy.color(v) as usize,
+            palette: (0..=g.degree(v) as u64).collect(),
+            forbidden: Vec::new(),
+        })
+        .collect();
+    let schedule = ListColorSchedule::from_slots(&slots);
+    let last_slot = slots.iter().map(|s| s.slot).max().unwrap();
+    // Every vertex of the last slot broadcasts in the last round, and no round delivers it.
+    let last_sends: usize =
+        g.vertices().filter(|&v| slots[v].slot == last_slot).map(|v| g.degree(v)).sum();
+    assert!(last_sends > 0);
+    let sweep = ScheduledListColor::new(&schedule);
+    for (label, (result, rounds)) in [
+        ("one-thread", recorded(|| Executor::new(&g).run(&sweep).unwrap())),
+        (
+            "two-threads",
+            recorded(|| Executor::new(&g).with_threads(2).with_chunk_size(7).run(&sweep).unwrap()),
+        ),
+        ("reference", recorded(|| ReferenceExecutor::new(&g).run(&sweep).unwrap())),
+    ] {
+        assert_eq!(result.report.rounds, last_slot, "{label}");
+        let delivered: usize = rounds.iter().map(|r| r.messages).sum();
+        assert_eq!(result.report.messages - delivered, last_sends, "{label}");
     }
-    assert_eq!(default_trace.completion_round(), full_trace.completion_round());
-
-    // Two workers capture the same identities, in the same (chunk-ascending, i.e.
-    // vertex-ascending) order as one thread.
-    let (_, sharded_full) = Executor::new(&g)
-        .with_threads(2)
-        .with_chunk_size(5)
-        .run_traced_with(&flood, TraceConfig::with_halted())
-        .unwrap();
-    let halted = |t: &TraceRecorder| -> Vec<Vec<usize>> {
-        t.rounds().iter().map(|r| r.halted.clone()).collect()
-    };
-    assert_eq!(halted(&sharded_full), halted(&full_trace));
-    let (_, reference_full) =
-        ReferenceExecutor::new(&g).run_traced_with(&flood, TraceConfig::with_halted()).unwrap();
-    assert_eq!(halted(&reference_full), halted(&full_trace));
 }
 
 #[test]
@@ -131,13 +138,15 @@ fn executors_record_exec_spans_with_round_instants() {
     let g = generators::random_tree(60, 5).unwrap();
     let collector = obs::SpanCollector::new();
     let _guard = obs::install(&collector);
-    let (result, _) = Executor::new(&g).run_traced(&FloodMaxId { rounds: 3 }).unwrap();
+    let result = Executor::new(&g).run(&FloodMaxId { rounds: 3 }).unwrap();
     let spans = collector.snapshot();
     assert_eq!(spans.len(), 1);
     let span = &spans[0];
     assert_eq!(span.kind, obs::SpanKind::Exec);
     assert_eq!(span.report, result.report);
-    assert_eq!(span.rounds.len(), result.report.rounds, "one instant per traced round");
+    assert_eq!(span.rounds.len(), result.report.rounds, "one instant per round");
+    assert_eq!(span.rounds.iter().map(|r| r.round).collect::<Vec<_>>(), [1, 2, 3]);
+    assert_eq!(span.rounds[0].active, g.n());
     let metrics = collector.metrics();
     let counters: Vec<(String, u64)> =
         metrics.counters().map(|(k, v)| (k.to_string(), v)).collect();
@@ -156,6 +165,8 @@ fn headliner_phase_rollups_sum_to_the_report_and_match_across_executors() {
 
     // name → (phase name, deterministic phase report fields) per executor kind.
     let mut per_kind: Vec<Vec<HeadlinerRollup>> = Vec::new();
+    // Every exec span's name and rounds, in recording order, per executor kind.
+    let mut exec_rounds: Vec<Vec<(String, Vec<RoundInstant>)>> = Vec::new();
     // Non-default chunk sizes, to prove chunking cannot leak into costs.
     for kind in [
         ExecutorKind::Sharded { threads: 1, chunk_size: 7 },
@@ -189,12 +200,31 @@ fn headliner_phase_rollups_sum_to_the_report_and_match_across_executors() {
             rollups.push((outcome.name.clone(), phases));
         }
         per_kind.push(rollups);
+        let spans = collector.snapshot();
+        let execs = spans.into_iter().filter(|s| s.kind == obs::SpanKind::Exec);
+        exec_rounds.push(execs.map(|s| (s.name, s.rounds)).collect());
     }
 
     // The full phase attribution — names, order, and every deterministic field — is
     // bit-identical across all five executor configurations.
     for other in &per_kind[1..] {
         assert_eq!(other, &per_kind[0], "phase rollups diverge across executors");
+    }
+    // So is every executor run, round by round: the frontier column among the four
+    // work-stealing configurations, every other deterministic column across all five.
+    let columns = |runs: &[(String, Vec<RoundInstant>)], with_frontier: bool| {
+        runs.iter()
+            .map(|(name, rounds)| (name.clone(), deterministic(rounds, with_frontier)))
+            .collect::<Vec<_>>()
+    };
+    assert!(exec_rounds[0].iter().any(|(_, rounds)| !rounds.is_empty()));
+    for (i, runs) in exec_rounds.iter().enumerate().skip(1) {
+        let with_frontier = i < 4;
+        assert_eq!(
+            columns(runs, with_frontier),
+            columns(&exec_rounds[0], with_frontier),
+            "per-round columns diverge between configurations 0 and {i}"
+        );
     }
     // And the vocabulary matches the instrumented drivers.
     let be = &per_kind[0][0];
