@@ -7,6 +7,12 @@
 //!   every arc of a dense graph;
 //! * a message-dense flood on the full executors — delivery plus mailbox management, no
 //!   algorithm logic;
+//! * the two message shapes of the headliners on a hub graph (`star_forest_union`,
+//!   n = 2·10⁵, 50 hubs of degree in the thousands): `flood/hubs` broadcasts from every
+//!   vertex every round, like Linial's and Arb-Recolor's color exchanges, and `slots/hubs`
+//!   has each vertex broadcast once in a hashed slot out of 26, like GK's halving splits,
+//!   so hubs are stepped with a few of their thousands of ports carrying mail.  Each row
+//!   prints its messages per run, so ns per message is its median over that count;
 //! * the Ghaffari–Kuhn pipeline under an installed run configuration — what experiment E18
 //!   measures at much larger `n`.
 //!
@@ -16,7 +22,8 @@
 use arbcolor_baselines::registry::headline_algorithms;
 use arbcolor_graph::generators;
 use arbcolor_runtime::{
-    algorithms::FloodMaxId, Executor, ExecutorKind, ReferenceExecutor, RunConfig,
+    algorithms::FloodMaxId, Algorithm, Executor, ExecutorKind, Inbox, NodeCtx, NodeProgram, Outbox,
+    ReferenceExecutor, RunConfig, Status,
 };
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -68,6 +75,74 @@ fn bench_flood_delivery(c: &mut Criterion) {
     group.finish();
 }
 
+/// Every vertex broadcasts its identifier once, in round `1 + hash(id) % SLOTS`, sums what
+/// it hears, and halts in round `SLOTS + 1`: sparse mail over many rounds.
+struct SlotBroadcast;
+
+/// The rounds [`SlotBroadcast`] spreads its broadcasts over.
+const SLOTS: u64 = 26;
+
+struct SlotNode {
+    slot: usize,
+    heard: u64,
+}
+
+impl NodeProgram for SlotNode {
+    type Msg = u64;
+    type Output = u64;
+
+    fn init(&mut self, _ctx: &NodeCtx, _outbox: &mut Outbox<u64>) -> Status {
+        Status::WakeAt(self.slot)
+    }
+
+    fn round(&mut self, ctx: &NodeCtx, inbox: &Inbox<'_, u64>, outbox: &mut Outbox<u64>) -> Status {
+        for (_, &id) in inbox.iter() {
+            self.heard = self.heard.wrapping_add(id);
+        }
+        let round = inbox.round();
+        if round == self.slot {
+            outbox.broadcast(ctx.id);
+        }
+        match round {
+            r if r > SLOTS as usize => Status::Halted,
+            r if r < self.slot => Status::WakeAt(self.slot),
+            _ => Status::WakeAt(SLOTS as usize + 1),
+        }
+    }
+
+    fn output(&self, _ctx: &NodeCtx) -> u64 {
+        self.heard
+    }
+}
+
+impl Algorithm for SlotBroadcast {
+    type Node = SlotNode;
+
+    fn node(&self, ctx: &NodeCtx) -> SlotNode {
+        let slot = 1 + (ctx.id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % SLOTS;
+        SlotNode { slot: slot as usize, heard: 0 }
+    }
+}
+
+fn bench_hub_shapes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("routing");
+    group.sample_size(10);
+    let n = 200_000usize;
+    let g = generators::star_forest_union(n, 3, 50, 1).unwrap();
+    let flood = FloodMaxId { rounds: 10 };
+    let messages = Executor::new(&g).run(&flood).unwrap().report.messages;
+    println!("flood/hubs/flat: {messages} messages per run");
+    group.bench_with_input(BenchmarkId::new("flood/hubs/flat", n), &g, |b, g| {
+        b.iter(|| Executor::new(g).run(&flood).unwrap())
+    });
+    let messages = Executor::new(&g).run(&SlotBroadcast).unwrap().report.messages;
+    println!("slots/hubs/flat: {messages} messages per run");
+    group.bench_with_input(BenchmarkId::new("slots/hubs/flat", n), &g, |b, g| {
+        b.iter(|| Executor::new(g).run(&SlotBroadcast).unwrap())
+    });
+    group.finish();
+}
+
 fn bench_headliner_fabric(c: &mut Criterion) {
     let mut group = c.benchmark_group("routing");
     group.sample_size(10);
@@ -88,5 +163,11 @@ fn bench_headliner_fabric(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_routing_primitive, bench_flood_delivery, bench_headliner_fabric);
+criterion_group!(
+    benches,
+    bench_routing_primitive,
+    bench_flood_delivery,
+    bench_hub_shapes,
+    bench_headliner_fabric
+);
 criterion_main!(benches);

@@ -104,8 +104,9 @@ impl CostMode {
 /// The flat executor meters on the **sender** side.  In a round every message on a directed
 /// edge comes from that edge's one sender, in its one step, so the edge's load is a per-port
 /// sum inside one step: each stolen chunk folds its senders' messages into one `EdgeLoad`
-/// with [`EdgeLoad::charge`], and the commit [`merge`](EdgeLoad::merge)s the chunks in chunk
-/// order.  Both keep the first edge, in send order, that reached the running maximum (a
+/// — a sender that only broadcast in O(1) per broadcast with
+/// [`EdgeLoad::charge_broadcast`], any other sender per port with [`EdgeLoad::charge`] —
+/// and the commit [`merge`](EdgeLoad::merge)s the chunks in chunk order.  Both keep the first edge, in send order, that reached the running maximum (a
 /// strictly larger load replaces it), so the figures — and the edge a
 /// [`RuntimeError::CongestBudgetExceeded`] names — equal those of one sequential per-arc
 /// meter fed message by message, at any thread count and chunk size.  The
@@ -125,6 +126,25 @@ impl EdgeLoad {
     #[inline]
     pub(crate) fn charge(&mut self, bits: u64, load: u64, edge: (Vertex, Vertex)) {
         self.total += bits;
+        if load > self.max {
+            self.max = load;
+            self.edge = edge;
+        }
+    }
+
+    /// Records one broadcast of `bits` per port over `ports` ports, which brought every one
+    /// of the sender's edges to `load`.  Fed message by message in send order, port 0 would
+    /// reach `load` first and the other ports would only tie it, so this equals `ports`
+    /// calls to [`charge`](EdgeLoad::charge) with `edge` on port 0.
+    #[inline]
+    pub(crate) fn charge_broadcast(
+        &mut self,
+        bits: u64,
+        ports: usize,
+        load: u64,
+        edge: (Vertex, Vertex),
+    ) {
+        self.total += bits * ports as u64;
         if load > self.max {
             self.max = load;
             self.edge = edge;
@@ -230,6 +250,17 @@ mod tests {
         larger.charge(5, 5, (1, 2));
         first.merge(larger);
         assert_eq!((first.total, first.max, first.edge), (17, 5, (1, 2)));
+        // Two broadcasts from vertex 3 over its ports towards 4, 5 and 6 equal the six
+        // per-port charges in send order: port 0 reaches each new load first.
+        let (mut per_port, mut broadcast) = (EdgeLoad::default(), EdgeLoad::default());
+        for (bits, load) in [(2, 2), (3, 5)] {
+            for receiver in [4, 5, 6] {
+                per_port.charge(bits, load, (3, receiver));
+            }
+            broadcast.charge_broadcast(bits, 3, load, (3, 4));
+        }
+        assert_eq!(broadcast, per_port);
+        assert_eq!((broadcast.total, broadcast.max, broadcast.edge), (15, 5, (3, 4)));
     }
 
     #[test]

@@ -13,13 +13,18 @@
 //!   Marking is O(1) with mark-once dedup.  Enumeration sorts only the nonzero-word list
 //!   (at most min(|frontier|, ⌈n / 64⌉) entries) and expands each word's bits in ascending
 //!   order while zeroing it, so iteration is deterministic and opening the next round needs
-//!   no O(n) clear.  At n = 2·10⁵ the bitset is 25 KB.
+//!   no O(n) clear.  At n = 2·10⁵ the bitset is 25 KB.  Each worker of the executor marks
+//!   the receivers of its senders into a frontier of its own, with plain stores, and the
+//!   coordinator [`absorb`](Frontier::absorb)s them in O(words marked): an OR commutes, so
+//!   the union does not depend on which worker stepped which sender.
 //! * `Statuses` — the status every vertex last returned: who has halted, with a maintained
-//!   count, and the pending alarms, keyed by round.
+//!   count, and the pending alarms, keyed by round.  The worker that steps a vertex records
+//!   its status; the coordinator folds in each step's halt count and new alarms.
 
 use crate::node::Status;
 use arbcolor_graph::Vertex;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A dense vertex bitset with deterministic, vertex-ordered enumeration.
 ///
@@ -54,6 +59,21 @@ impl Frontier {
             *word |= bit;
             self.len += 1;
         }
+    }
+
+    /// Moves every mark of `other` (a frontier over the same vertices) into this one,
+    /// leaving `other` empty; O(words `other` marked).
+    pub fn absorb(&mut self, other: &mut Frontier) {
+        for w in other.words.drain(..) {
+            let added = std::mem::take(&mut other.bits[w]);
+            let word = &mut self.bits[w];
+            if *word == 0 {
+                self.words.push(w);
+            }
+            self.len += (added & !*word).count_ones() as usize;
+            *word |= added;
+        }
+        other.len = 0;
     }
 
     /// Whether `v` is marked for the upcoming round.
@@ -98,10 +118,15 @@ impl Frontier {
 /// round → vertices map that grows with the alarms set, never with the round numbers they
 /// name.  A vertex's newest status replaces its alarm, and the stale entry is skipped when
 /// its round opens.
-#[derive(Debug, Clone)]
+///
+/// A step's workers record the statuses of the vertices they stepped through a shared
+/// reference — each vertex is stepped by one worker per round, and its flag is a relaxed
+/// atomic, a plain load or store — and the coordinator [`merge`](Statuses::merge)s the
+/// step's halt count and alarms.
+#[derive(Debug)]
 pub(crate) struct Statuses {
     /// Per vertex: `HALTED`, the round of its pending alarm, or 0 (mail only).
-    last: Vec<usize>,
+    last: Vec<AtomicUsize>,
     active: usize,
     alarms: BTreeMap<usize, Vec<Vertex>>,
 }
@@ -111,60 +136,76 @@ impl Statuses {
 
     /// All of `0..n` active, waiting for mail.
     pub(crate) fn new(n: usize) -> Self {
-        Statuses { last: vec![0; n], active: n, alarms: BTreeMap::new() }
+        Statuses {
+            last: (0..n).map(|_| AtomicUsize::new(0)).collect(),
+            active: n,
+            alarms: BTreeMap::new(),
+        }
     }
 
     /// Whether `v` has not halted.
     #[inline]
     pub(crate) fn is_active(&self, v: Vertex) -> bool {
-        self.last[v] != Self::HALTED
+        self.last[v].load(Ordering::Relaxed) != Self::HALTED
     }
 
-    /// Number of vertices still active.
+    /// Number of vertices still active, as of the last [`merge`](Statuses::merge).
     pub(crate) fn count(&self) -> usize {
         self.active
     }
 
-    /// Records the `status` that active vertex `v` returned in `round` (0 for `init`),
-    /// marking an alarm due next round into `frontier`; returns whether `v` halted.
+    /// Records the `status` that active vertex `v` returned in `round` (0 for `init`), from
+    /// the worker that stepped it: an alarm due next round is marked into `marks`, a later
+    /// new one is appended to `alarms` as `(round, v)`.  Returns whether `v` halted; the
+    /// halt and the alarms count once [`merge`](Statuses::merge)d.
     ///
     /// # Panics
     ///
     /// Panics if an alarm names a round not after `round`.
     pub(crate) fn record(
-        &mut self,
+        &self,
         v: Vertex,
         status: Status,
         round: usize,
-        frontier: &mut Frontier,
+        marks: &mut Frontier,
+        alarms: &mut Vec<(usize, Vertex)>,
     ) -> bool {
         status.check_alarm(v, round);
-        self.last[v] = match status {
+        let last = &self.last[v];
+        let next = match status {
             Status::Active => 0,
             Status::WakeAt(at) if at == round + 1 => {
-                frontier.mark(v);
+                marks.mark(v);
                 0
             }
             Status::WakeAt(at) => {
-                if self.last[v] != at {
-                    self.alarms.entry(at).or_default().push(v);
+                if last.load(Ordering::Relaxed) != at {
+                    alarms.push((at, v));
                 }
                 at
             }
-            Status::Halted => {
-                self.active -= 1;
-                Self::HALTED
-            }
+            Status::Halted => Self::HALTED,
         };
+        last.store(next, Ordering::Relaxed);
         status == Status::Halted
+    }
+
+    /// Folds in what a step's [`record`](Statuses::record) calls returned: `halts` vertices
+    /// halted, and `alarms` (left empty) were set.
+    pub(crate) fn merge(&mut self, halts: usize, alarms: &mut Vec<(usize, Vertex)>) {
+        self.active -= halts;
+        for (at, v) in alarms.drain(..) {
+            self.alarms.entry(at).or_default().push(v);
+        }
     }
 
     /// Marks into `frontier` every vertex whose pending alarm is for `round`, and forgets
     /// that round's entries.
     pub(crate) fn ring(&mut self, round: usize, frontier: &mut Frontier) {
         for v in self.alarms.remove(&round).unwrap_or_default() {
-            if self.last[v] == round {
-                self.last[v] = 0;
+            let last = self.last[v].get_mut();
+            if *last == round {
+                *last = 0;
                 frontier.mark(v);
             }
         }
@@ -209,17 +250,64 @@ mod tests {
     }
 
     #[test]
+    fn absorbing_merges_marks_in_any_order_and_empties_the_source() {
+        let mut schedule = Vec::new();
+        let mut merged = Vec::new();
+        for order in [[0usize, 1], [1, 0]] {
+            let mut workers = [Frontier::new(200), Frontier::new(200)];
+            for v in [3, 70, 199, 70] {
+                workers[0].mark(v);
+            }
+            for v in [70, 4, 130] {
+                workers[1].mark(v);
+            }
+            let mut f = Frontier::new(200);
+            f.mark(3);
+            for i in order {
+                f.absorb(&mut workers[i]);
+                assert!(workers[i].is_empty());
+                workers[i].take(&mut schedule);
+                assert!(schedule.is_empty(), "the source keeps no bits");
+            }
+            assert_eq!(f.len(), 5);
+            f.take(&mut schedule);
+            merged.push(schedule.clone());
+        }
+        assert_eq!(merged, vec![vec![3, 4, 70, 130, 199]; 2]);
+    }
+
+    #[test]
     fn statuses_ring_alarms_once_and_forget_replaced_ones() {
         let mut st = Statuses::new(5);
         let mut f = Frontier::new(5);
         let mut schedule = Vec::new();
         let pending = |st: &Statuses| st.alarms.values().map(Vec::len).sum::<usize>();
-        // `init` (round 0): alarms for rounds 1, 3 and 5, one halt.
-        assert!(!st.record(0, Status::WakeAt(1), 0, &mut f), "due next round: marked now");
-        assert!(!st.record(1, Status::WakeAt(3), 0, &mut f));
-        assert!(!st.record(2, Status::WakeAt(3), 0, &mut f));
-        assert!(!st.record(3, Status::WakeAt(5), 0, &mut f));
-        assert!(st.record(4, Status::Halted, 0, &mut f));
+        // Records one step's statuses as a worker does, then merges them.
+        let step = |st: &mut Statuses, f: &mut Frontier, round, statuses: &[(Vertex, Status)]| {
+            let (mut marks, mut alarms) = (Frontier::new(5), Vec::new());
+            let halted: Vec<bool> = statuses
+                .iter()
+                .map(|&(v, status)| st.record(v, status, round, &mut marks, &mut alarms))
+                .collect();
+            st.merge(halted.iter().filter(|&&h| h).count(), &mut alarms);
+            f.absorb(&mut marks);
+            halted
+        };
+        // `init` (round 0): alarms for rounds 1, 3 and 5, one halt; the alarm due next round
+        // is marked now.
+        let halted = step(
+            &mut st,
+            &mut f,
+            0,
+            &[
+                (0, Status::WakeAt(1)),
+                (1, Status::WakeAt(3)),
+                (2, Status::WakeAt(3)),
+                (3, Status::WakeAt(5)),
+                (4, Status::Halted),
+            ],
+        );
+        assert_eq!(halted, vec![false, false, false, false, true]);
         assert_eq!((st.count(), pending(&st)), (4, 3));
         assert!(!st.is_active(4) && st.is_active(3));
         f.take(&mut schedule);
@@ -227,9 +315,13 @@ mod tests {
         // Round 1: vertex 1 repeats its alarm (no new entry), vertex 2 moves its alarm to
         // round 4, vertex 3 halts and so drops its alarm.
         st.ring(1, &mut f);
-        assert!(!st.record(1, Status::WakeAt(3), 1, &mut f));
-        assert!(!st.record(2, Status::WakeAt(4), 1, &mut f));
-        assert!(st.record(3, Status::Halted, 1, &mut f));
+        let halted = step(
+            &mut st,
+            &mut f,
+            1,
+            &[(1, Status::WakeAt(3)), (2, Status::WakeAt(4)), (3, Status::Halted)],
+        );
+        assert_eq!(halted, vec![false, false, true]);
         assert_eq!((st.count(), pending(&st)), (3, 4));
         f.take(&mut schedule);
         assert!(schedule.is_empty());

@@ -1,49 +1,62 @@
-//! The arc-indexed message fabric and the types shared by every executor.
+//! The pull message fabric and the types shared by every executor.
 //!
 //! # The message fabric
 //!
 //! The LOCAL model charges one round for all messages at once, so the simulator's delivery
-//! path is the hot loop of every experiment.  Four structural facts make it allocation-,
-//! scan- and sort-free:
+//! path is the hot loop of every experiment.  In every procedure the workspace runs, a
+//! vertex sends the same color or flag to all of its neighbors, so the fabric is built
+//! around the broadcast.  A message stays with its sender, and each receiver pulls it in its
+//! own step, the way a Pregel vertex reads what its neighbors sent:
 //!
-//! 1. **O(1) routing.**  A message leaving `sender` on `port` arrives at the mirror arc
-//!    `graph.mirror_arcs()[arc_range(sender).start + port]` — a single array read
-//!    precomputed by the CSR build, replacing the per-message `port_of` scan of the
-//!    receiver's adjacency list.
-//! 2. **Flat mailboxes.**  Pending messages live in one arc-indexed slot buffer
-//!    (`ArcMailboxes`): slot `a` holds the first message delivered to arc `a` this round,
-//!    and a shared spill vector absorbs the rare second message per port — so a round
-//!    performs no per-vertex `Vec` pushes and, on the one-message-per-port fast path, no
-//!    heap allocation at all.
-//! 3. **Bitset occupancy.**  One bit per arc says which slots are occupied, and a list of
-//!    the words that became nonzero lets clearing visit only those words — O(messages),
-//!    not O(arcs).  A vertex reads its mail by walking the set bits of its own arc range,
-//!    so its inbox is in port order without sorting anything: a round costs
-//!    O(|frontier| + messages) plus O(degree / 64) per stepped vertex.  Only the spill is
-//!    sorted (stably, by arc, and only when it is non-empty); a cursor seeded once per
-//!    frontier chunk hands each vertex its spill window.
-//! 4. **Order preservation.**  Adjacency lists are sorted, so reading a vertex's slots in
-//!    port order equals the sender-index order the old `Vec<Vec<(port, msg)>>` mailboxes
-//!    produced; outputs, rounds, and message counts are bit-identical to the
+//! 1. **A broadcast is one record.**  A step that queues exactly one
+//!    [`broadcast`](crate::Outbox::broadcast) and nothing else leaves one record for its
+//!    sender: the message in the sender's slot, and the sender's bit in a vertex bitset of
+//!    the round the message is read in.  The bit is the record's stamp, so a slot is never
+//!    cleared, only overwritten by the sender's next broadcast.  The sender's bandwidth is
+//!    metered in O(1); its message count is its degree.
+//! 2. **Receivers pull.**  A receiver reads its mail while it is stepped, in parallel with
+//!    the other receivers: for each port, one bit of the sender bitset (n / 8 bytes, 25 KB
+//!    at n = 2·10⁵, so it stays in cache), and the sender's slot when the bit is set.  A hub
+//!    that gets mail on a few of its thousands of ports pays one cached bit test per port,
+//!    and the senders pay nothing per message beyond marking the receiver into the next
+//!    frontier.
+//! 3. **Per-port slow path.**  Any other step — one that calls [`send`](crate::Outbox::send)
+//!    or broadcasts more than once — is expanded per port, in send order, into a spill of
+//!    `(receiving arc, message)` pairs through the mirror table (`graph.mirror_arcs()`), and
+//!    metered per port.  The spill is sorted stably by arc when it is not empty, so each
+//!    port keeps its messages in send order, and a cursor seeded once per frontier chunk
+//!    hands each vertex its window.  A sender leaves either a record or spilled messages in
+//!    a step, never both, so an inbox merges the two by port without comparing messages.
+//! 4. **Order preservation.**  Adjacency lists are sorted, so reading a vertex's ports in
+//!    ascending order equals the sender-index order the old `Vec<Vec<(port, msg)>>`
+//!    mailboxes produced; outputs, rounds, and message counts are bit-identical to the
 //!    [`reference`](crate::reference) executor (enforced by `tests/message_fabric.rs`).
+//!
+//! The records and the spill are written only by the coordinator, between steps: its commit
+//! moves each chunk's broadcasts into their senders' slots, sets their bits (clearing the
+//! previous round's), and appends the spill, in O(chunks + broadcasts + spilled messages).
+//! A round of broadcasts costs the coordinator nothing per message.  The round being read
+//! needs no second buffer, because every receiver has read it before the commit overwrites
+//! it.
 //!
 //! # Frontier-driven rounds
 //!
 //! On top of the fabric, the round loop ([`Executor`](crate::Executor)) only steps the
-//! **frontier** (see [`frontier`](crate::frontier)): delivering a message marks the
-//! receiver's frontier bit, and an alarm ([`Status::WakeAt`](crate::Status::WakeAt)) marks
-//! its vertex when its round opens, so a round walks the frontier in ascending vertex
-//! order instead of all of `0..n`.  Halted vertices can still be marked by late mail; they
-//! are skipped at iteration time (their mail is dropped unread).
+//! **frontier** (see [`frontier`](crate::frontier)): sending to a vertex marks its frontier
+//! bit, and an alarm ([`Status::WakeAt`](crate::Status::WakeAt)) marks its vertex when its
+//! round opens, so a round walks the frontier in ascending vertex order instead of all of
+//! `0..n`.  Halted vertices can still be marked by late mail; they are skipped at iteration
+//! time (their mail is dropped unread).
 //!
 //! This module holds the fabric and the types every executor shares; the loop itself lives
 //! in [`shard`](crate::shard).
 
 use crate::metrics::RoundReport;
 use crate::node::{Inbox, NodeCtx};
-use arbcolor_graph::{Graph, Vertex};
+use arbcolor_graph::{ArcIdx, Graph, Vertex};
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 /// Errors raised by the executor.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,103 +121,114 @@ pub(crate) fn node_ctx(graph: &Graph, v: usize) -> NodeCtx {
     NodeCtx { vertex: v, id: graph.id(v), degree: graph.degree(v) }
 }
 
-/// The flat arc-indexed mailbox buffer of one executor side (pending or inbox).
+/// The broadcast records of one round: each vertex's latest broadcast in its slot, and the
+/// bitset of the vertices whose slot holds mail for the round.
+#[derive(Debug)]
+pub(crate) struct Records<M> {
+    /// Per vertex, the message of its latest broadcast (`None` before its first).
+    pub(crate) slots: Vec<Option<M>>,
+    /// Bit `v` set ⇔ `slots[v]` is read in the round.
+    pub(crate) sent: Vec<u64>,
+}
+
+impl<M> Records<M> {
+    /// The broadcast of `sender` in the round, if it left one.
+    #[inline]
+    pub(crate) fn get(&self, sender: Vertex) -> Option<&M> {
+        if self.sent[sender / 64] & (1 << (sender % 64)) != 0 {
+            self.slots[sender].as_ref()
+        } else {
+            None
+        }
+    }
+}
+
+/// The pull fabric of one run (see the [module docs](self)).
 ///
-/// `slots[a]` holds the first message delivered to arc `a` in the current round;
-/// additional messages to the same arc overflow into `spill` in arrival order.  Bit `a` of
-/// `occupied` is set exactly when `slots[a]` is, and `words` lists the words of `occupied`
-/// that became nonzero, so clearing is O(messages), not O(arcs).
-pub(crate) struct ArcMailboxes<M> {
-    /// First (usually only) message per arc this round.
-    slots: Vec<Option<M>>,
-    /// One bit per arc: whether its slot is occupied.
-    occupied: Vec<u64>,
-    /// Indices of the nonzero words of `occupied`, in the order they became nonzero.
-    words: Vec<usize>,
-    /// Overflow messages as `(arc, message)`, arrival order; stably sorted by arc by
-    /// [`ArcMailboxes::seal`].
-    spill: Vec<(usize, M)>,
-    /// The round these messages are read in, set by [`ArcMailboxes::seal`].
+/// The workers of a step only read it; the coordinator writes it between steps.
+pub(crate) struct Fabric<M> {
+    records: Records<M>,
+    /// The nonzero words of `records.sent`, cleared when the next round's bits are set.
+    sent_words: Vec<usize>,
+    /// The slow-path mail of the round being read, as `(receiving arc, message)`, stably
+    /// sorted by arc.
+    spill: Vec<(ArcIdx, M)>,
+    /// The round being read.
     round: usize,
 }
 
-impl<M> ArcMailboxes<M> {
-    /// An empty buffer with one slot per arc of a graph with `arcs` arcs.
-    pub(crate) fn new(arcs: usize) -> Self {
-        ArcMailboxes {
-            slots: (0..arcs).map(|_| None).collect(),
-            occupied: vec![0; arcs.div_ceil(64)],
-            words: Vec::new(),
+impl<M> Fabric<M> {
+    /// An empty fabric over `n` vertices, open for `init` (round 0).
+    pub(crate) fn new(n: usize) -> Self {
+        Fabric {
+            records: Records {
+                slots: (0..n).map(|_| None).collect(),
+                sent: vec![0; n.div_ceil(64)],
+            },
+            sent_words: Vec::new(),
             spill: Vec::new(),
             round: 0,
         }
     }
 
-    /// Delivers `message` to `arc`.
-    #[inline]
-    pub(crate) fn push(&mut self, arc: usize, message: M) {
-        let slot = &mut self.slots[arc];
-        if slot.is_none() {
-            *slot = Some(message);
-            let word = &mut self.occupied[arc / 64];
-            if *word == 0 {
-                self.words.push(arc / 64);
-            }
-            *word |= 1 << (arc % 64);
-        } else {
-            self.spill.push((arc, message));
+    /// Retires the open round's records, before the commit that follows its step stores the
+    /// next round's; O(words of the sender bitset that were set).
+    pub(crate) fn retire(&mut self) {
+        for w in self.sent_words.drain(..) {
+            self.records.sent[w] = 0;
         }
     }
 
-    /// Prepares the buffer for reading in `round`: stably groups the spill by arc,
-    /// preserving send order within an arc.  The slots need no preparation: a vertex reads
-    /// its occupied ports in ascending order off the bitset.
-    pub(crate) fn seal(&mut self, round: usize) {
+    /// Stores `v`'s broadcast of the open round, read in the next one.
+    pub(crate) fn store(&mut self, v: Vertex, message: M) {
+        self.records.slots[v] = Some(message);
+        let word = &mut self.records.sent[v / 64];
+        if *word == 0 {
+            self.sent_words.push(v / 64);
+        }
+        *word |= 1 << (v % 64);
+    }
+
+    /// Opens `round` for reading, with `spill` — the slow-path mail sent in the previous
+    /// round — as its spill, sorted stably by arc if it is not empty; `spill` is left empty
+    /// with the old buffer's capacity.
+    pub(crate) fn open(&mut self, round: usize, spill: &mut Vec<(ArcIdx, M)>) {
         self.round = round;
+        std::mem::swap(&mut self.spill, spill);
+        spill.clear();
         if !self.spill.is_empty() {
             self.spill.sort_by_key(|&(arc, _)| arc);
         }
     }
 
-    /// Empties the buffer in O(messages), retaining all capacity.
-    pub(crate) fn clear(&mut self) {
-        for w in self.words.drain(..) {
-            let mut word = std::mem::take(&mut self.occupied[w]);
-            while word != 0 {
-                self.slots[w * 64 + word.trailing_zeros() as usize] = None;
-                word &= word - 1;
-            }
-        }
-        self.spill.clear();
-    }
-
-    /// The inbox of the vertex owning `arcs`, given its spill `window` from a
+    /// The inbox of `v` in the open round, given its spill `window` from a
     /// [`MailboxCursor`].
-    pub(crate) fn read(
-        &self,
-        window: std::ops::Range<usize>,
-        arcs: std::ops::Range<usize>,
-    ) -> Inbox<'_, M> {
-        Inbox::from_slots(
+    pub(crate) fn read<'a>(
+        &'a self,
+        graph: &'a Graph,
+        v: Vertex,
+        window: Range<usize>,
+    ) -> Inbox<'a, M> {
+        Inbox::pulled(
             self.round,
-            &self.slots[arcs.clone()],
-            &self.occupied,
+            graph.neighbors(v),
+            &self.records,
+            graph.arc_range(v).start,
             &self.spill[window],
-            arcs.start,
         )
     }
 
-    /// A [`MailboxCursor`] positioned at the first spill entry with arc `>= arc` in a
-    /// **sealed** buffer, by binary search — O(log spill), so each frontier chunk seeds its
-    /// own cursor wherever it starts.
-    pub(crate) fn cursor_at(&self, arc: usize) -> MailboxCursor {
+    /// A [`MailboxCursor`] positioned at the first spill entry with arc `>= arc`, by binary
+    /// search — O(log spill), so each frontier chunk seeds its own cursor wherever it
+    /// starts.
+    pub(crate) fn cursor_at(&self, arc: ArcIdx) -> MailboxCursor {
         MailboxCursor { spill_pos: self.spill.partition_point(|&(a, _)| a < arc) }
     }
 }
 
-/// Walks the spill of a sealed [`ArcMailboxes`] in ascending vertex order from the position
-/// [`ArcMailboxes::cursor_at`] seeded, handing each vertex its spill window in O(spilled
-/// messages for that vertex) amortized.
+/// Walks the spill of the open round in ascending vertex order from the position
+/// [`Fabric::cursor_at`] seeded, handing each vertex its spill window in O(spilled messages
+/// for that vertex) amortized.
 pub(crate) struct MailboxCursor {
     spill_pos: usize,
 }
@@ -212,13 +236,9 @@ pub(crate) struct MailboxCursor {
 impl MailboxCursor {
     /// Consumes all spill entries with arc `< arc_end` (the current vertex's arcs; callers
     /// must advance vertices in ascending order) and returns their range.
-    pub(crate) fn advance<M>(
-        &mut self,
-        mail: &ArcMailboxes<M>,
-        arc_end: usize,
-    ) -> std::ops::Range<usize> {
+    pub(crate) fn advance<M>(&mut self, fabric: &Fabric<M>, arc_end: ArcIdx) -> Range<usize> {
         let start = self.spill_pos;
-        while self.spill_pos < mail.spill.len() && mail.spill[self.spill_pos].0 < arc_end {
+        while self.spill_pos < fabric.spill.len() && fabric.spill[self.spill_pos].0 < arc_end {
             self.spill_pos += 1;
         }
         start..self.spill_pos

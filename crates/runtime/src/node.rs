@@ -1,6 +1,7 @@
 //! The node-program interface of the LOCAL-model simulator.
 
-use arbcolor_graph::Vertex;
+use crate::network::Records;
+use arbcolor_graph::{ArcIdx, Vertex};
 
 /// Everything a vertex is allowed to know at the start of an algorithm.
 ///
@@ -53,12 +54,14 @@ impl Status {
 ///
 /// Logically a sequence of `(port, message)` pairs, where `port` is the receiving vertex's
 /// port towards the sender.  Two physical representations exist: a plain pair slice
-/// ([`Inbox::new`], used by the reference executor and tests) and the flat arc-indexed slot
-/// view of the zero-allocation message fabric (`Inbox::from_slots`), which walks the set
-/// bits of the round's occupancy bitset over the vertex's arcs.  Iteration order is
-/// identical in both: ports ascending — which equals sender-index ascending, because
-/// adjacency lists are sorted — with multiple messages from the same port kept in send
-/// order.
+/// ([`Inbox::new`], used by the reference executor and tests) and the executor's pulled view
+/// of the message fabric (see [`network`](crate::network)), which reads the mail where the
+/// senders left it: the broadcast record of each neighbor whose bit is set in the round's
+/// sender bitset, plus the sorted spill of the senders that used [`Outbox::send`] or
+/// broadcast more than once.  Reading it costs one cached bit test per port, plus one read
+/// per message.  Iteration order is identical in both: ports ascending — which equals
+/// sender-index ascending, because adjacency lists are sorted — with multiple messages from
+/// the same port kept in send order.
 #[derive(Debug)]
 pub struct Inbox<'a, M> {
     round: usize,
@@ -70,26 +73,24 @@ pub struct Inbox<'a, M> {
 enum InboxRepr<'a, M> {
     /// `(port, message)` pairs in delivery order.
     Pairs(&'a [(usize, M)]),
-    /// Arc-indexed slots of the flat message fabric.
-    Slots {
-        /// This vertex's slot window, indexed by port; `Some` holds the first (usually
-        /// only) message delivered to that port this round.
-        slots: &'a [Option<M>],
-        /// The round's slot-occupancy bitset over all arcs (bit `a` set ⇔ arc `a`'s slot
-        /// holds a message); this vertex reads bits `base..base + slots.len()`.
-        occupied: &'a [u64],
-        /// Overflow `(arc, message)` pairs for ports that received more than one message,
-        /// sorted by arc with send order preserved within an arc.
-        spill: &'a [(usize, M)],
+    /// One receiver's view of the pull fabric.
+    Pulled {
+        /// The receiver's neighbors, indexed by port.
+        neighbors: &'a [Vertex],
+        /// The round's broadcast records of every vertex.
+        records: &'a Records<M>,
         /// The vertex's first arc index; `port = arc - base`.
-        base: usize,
+        base: ArcIdx,
+        /// `(arc, message)` pairs from the senders that did not leave a single broadcast,
+        /// sorted by arc with send order kept within an arc.
+        spill: &'a [(ArcIdx, M)],
     },
 }
 
 impl<'a, M> Inbox<'a, M> {
     /// Wraps a slice of `(port, message)` pairs delivered in `round`.
     ///
-    /// This representation is deliberately kept alive alongside the flat-slot one: the
+    /// This representation is deliberately kept alive alongside the pulled one: the
     /// [`ReferenceExecutor`](crate::ReferenceExecutor) oracle must share no fabric code with
     /// the executors it checks, so it builds its inboxes from plain per-vertex pair vectors
     /// through this constructor (as do hand-rolled node-program tests).
@@ -97,16 +98,15 @@ impl<'a, M> Inbox<'a, M> {
         Inbox { round, repr: InboxRepr::Pairs(messages) }
     }
 
-    /// Wraps one vertex's window of the flat arc-indexed fabric (see the type docs),
-    /// delivered in `round`.
-    pub(crate) fn from_slots(
+    /// Wraps one receiver's view of the pull fabric (see the type docs) in `round`.
+    pub(crate) fn pulled(
         round: usize,
-        slots: &'a [Option<M>],
-        occupied: &'a [u64],
-        spill: &'a [(usize, M)],
-        base: usize,
+        neighbors: &'a [Vertex],
+        records: &'a Records<M>,
+        base: ArcIdx,
+        spill: &'a [(ArcIdx, M)],
     ) -> Self {
-        Inbox { round, repr: InboxRepr::Slots { slots, occupied, spill, base } }
+        Inbox { round, repr: InboxRepr::Pulled { neighbors, records, base, spill } }
     }
 
     /// The current round, counted from 1 (round 0 is `init`, which has no inbox).  Every
@@ -121,47 +121,38 @@ impl<'a, M> Inbox<'a, M> {
     pub fn iter(&self) -> impl Iterator<Item = (usize, &'a M)> + '_ {
         match self.repr {
             InboxRepr::Pairs(messages) => InboxIter::Pairs(messages.iter()),
-            InboxRepr::Slots { slots, occupied, spill, base } => {
-                let end = base + slots.len();
-                let word = if base < end { port_bits(occupied, base / 64, base, end) } else { 0 };
-                InboxIter::Slots {
-                    slots,
-                    occupied,
-                    end,
-                    w: base / 64,
-                    word,
-                    spill,
-                    spos: 0,
-                    base,
-                    current: None,
-                }
+            InboxRepr::Pulled { neighbors, records, base, spill } => {
+                let mut recorded = RecordPorts { neighbors, records, port: 0 };
+                let next = recorded.next();
+                InboxIter::Pulled { recorded, next, spill, base }
             }
         }
     }
 
     /// The first message received from the neighbor at `port`, if any.
     ///
-    /// O(1) on the flat-slot representation (one array read), O(len) on the pair slice.
+    /// On the pulled view this is one bit test, or a binary search of the spill when the
+    /// neighbor left no record; O(len) on the pair slice.
     pub fn from_port(&self, port: usize) -> Option<&'a M> {
         match self.repr {
             InboxRepr::Pairs(messages) => messages.iter().find(|(p, _)| *p == port).map(|(_, m)| m),
-            InboxRepr::Slots { slots, .. } => slots.get(port).and_then(|slot| slot.as_ref()),
+            InboxRepr::Pulled { neighbors, records, base, spill, .. } => {
+                let &sender = neighbors.get(port)?;
+                records.get(sender).or_else(|| {
+                    let arc = base + port;
+                    let first = spill.partition_point(|&(a, _)| a < arc);
+                    spill.get(first).filter(|&&(a, _)| a == arc).map(|(_, m)| m)
+                })
+            }
         }
     }
 
-    /// Number of messages received this round.
-    ///
-    /// On the flat-slot representation this is a popcount over the vertex's occupancy
-    /// bits, O(degree / 64).
+    /// Number of messages received this round: one bit test per port on the pulled view.
     pub fn len(&self) -> usize {
         match self.repr {
             InboxRepr::Pairs(messages) => messages.len(),
-            InboxRepr::Slots { slots, occupied, spill, base } => {
-                let end = base + slots.len();
-                let slotted: u32 = (base / 64..end.div_ceil(64))
-                    .map(|w| port_bits(occupied, w, base, end).count_ones())
-                    .sum();
-                slotted as usize + spill.len()
+            InboxRepr::Pulled { neighbors, records, spill, .. } => {
+                neighbors.iter().filter(|&&u| records.get(u).is_some()).count() + spill.len()
             }
         }
     }
@@ -172,37 +163,17 @@ impl<'a, M> Inbox<'a, M> {
     }
 }
 
-/// Word `w` of the occupancy bitset `occupied`, masked to the arcs `base..end`.
-#[inline]
-fn port_bits(occupied: &[u64], w: usize, base: usize, end: usize) -> u64 {
-    let first = w * 64;
-    let mut word = occupied[w];
-    if base > first {
-        word &= u64::MAX << (base - first);
-    }
-    if end < first + 64 {
-        word &= (1u64 << (end - first)) - 1;
-    }
-    word
-}
-
-/// Iterator behind [`Inbox::iter`], merging slots and spill in port order.
+/// Iterator behind [`Inbox::iter`].
 enum InboxIter<'a, M> {
     Pairs(std::slice::Iter<'a, (usize, M)>),
-    Slots {
-        slots: &'a [Option<M>],
-        occupied: &'a [u64],
-        /// One past the vertex's last arc.
-        end: usize,
-        /// The occupancy word being walked, and its bits not yet yielded.
-        w: usize,
-        word: u64,
-        spill: &'a [(usize, M)],
-        spos: usize,
-        base: usize,
-        /// Arc whose spill entries are being drained (its slot message was already
-        /// yielded).
-        current: Option<usize>,
+    /// Merges the record ports and the spill by port; no port has both, because a sender
+    /// leaves either one record or spilled messages in a step.
+    Pulled {
+        recorded: RecordPorts<'a, M>,
+        /// The next record message, peeked so a spilled port before it goes first.
+        next: Option<(usize, &'a M)>,
+        spill: &'a [(ArcIdx, M)],
+        base: ArcIdx,
     },
 }
 
@@ -212,52 +183,80 @@ impl<'a, M> Iterator for InboxIter<'a, M> {
     fn next(&mut self) -> Option<(usize, &'a M)> {
         match self {
             InboxIter::Pairs(iter) => iter.next().map(|(p, m)| (*p, m)),
-            InboxIter::Slots { slots, occupied, end, w, word, spill, spos, base, current } => {
-                if let Some(arc) = *current {
-                    if let Some((a, m)) = spill.get(*spos) {
-                        if *a == arc {
-                            *spos += 1;
-                            return Some((arc - *base, m));
-                        }
+            InboxIter::Pulled { recorded, next, spill, base } => {
+                let rest: &'a [(ArcIdx, M)] = spill;
+                if let Some((arc, message)) = rest.first() {
+                    let port = arc - *base;
+                    if next.map_or(true, |(p, _)| port < p) {
+                        *spill = &rest[1..];
+                        return Some((port, message));
                     }
-                    *current = None;
                 }
-                while *word == 0 {
-                    *w += 1;
-                    if *w * 64 >= *end {
-                        return None;
-                    }
-                    *word = port_bits(occupied, *w, *base, *end);
-                }
-                let arc = *w * 64 + word.trailing_zeros() as usize;
-                *word &= *word - 1;
-                *current = Some(arc);
-                let message =
-                    slots[arc - *base].as_ref().expect("occupied arcs have an occupied slot");
-                Some((arc - *base, message))
+                let item = next.take()?;
+                *next = recorded.next();
+                Some(item)
             }
         }
     }
 }
 
+/// The ports of one receiver whose neighbor left a record for the round, ascending, with
+/// the recorded messages.
+struct RecordPorts<'a, M> {
+    neighbors: &'a [Vertex],
+    records: &'a Records<M>,
+    /// The next port to test.
+    port: usize,
+}
+
+impl<'a, M> Iterator for RecordPorts<'a, M> {
+    type Item = (usize, &'a M);
+
+    fn next(&mut self) -> Option<(usize, &'a M)> {
+        while let Some(&sender) = self.neighbors.get(self.port) {
+            self.port += 1;
+            if let Some(message) = self.records.get(sender) {
+                return Some((self.port - 1, message));
+            }
+        }
+        None
+    }
+}
+
 /// Messages a node wants delivered to its neighbors at the start of the next round.
+///
+/// The outbox keeps the calls that queued them, in call order, and a broadcast is one entry
+/// however many neighbors it reaches: the executor hands a lone broadcast to every receiver
+/// as one record instead of copying it per port.
 #[derive(Debug)]
 pub struct Outbox<M> {
-    messages: Vec<(usize, M)>,
+    queued: Vec<Queued<M>>,
+    /// Messages queued, a broadcast counting once per port.
+    len: usize,
     degree: usize,
+}
+
+/// One call on an [`Outbox`].
+#[derive(Debug)]
+enum Queued<M> {
+    /// `send(port, message)`.
+    Send(usize, M),
+    /// `broadcast(message)` on a vertex with at least one port.
+    Broadcast(M),
 }
 
 impl<M: Clone> Outbox<M> {
     /// Creates an empty outbox for a vertex of the given degree.
     pub fn new(degree: usize) -> Self {
-        Outbox { messages: Vec::new(), degree }
+        Outbox { queued: Vec::new(), len: 0, degree }
     }
 
     /// Re-targets the outbox at a vertex of the given degree, clearing queued messages but
     /// keeping the buffer's capacity — the executors reuse one outbox across all vertices
     /// so steady-state rounds allocate nothing.
     pub fn reset(&mut self, degree: usize) {
-        self.messages.clear();
+        self.queued.clear();
+        self.len = 0;
         self.degree = degree;
     }
 
@@ -268,39 +267,67 @@ impl<M: Clone> Outbox<M> {
     /// Panics if `port` is not a valid port of this vertex.
     pub fn send(&mut self, port: usize, message: M) {
         assert!(port < self.degree, "port {port} out of range (degree {})", self.degree);
-        self.messages.push((port, message));
+        self.queued.push(Queued::Send(port, message));
+        self.len += 1;
     }
 
-    /// Sends a copy of `message` to every neighbor.
+    /// Sends `message` to every neighbor.
     pub fn broadcast(&mut self, message: M) {
-        for port in 0..self.degree {
-            self.messages.push((port, message.clone()));
+        if self.degree > 0 {
+            self.queued.push(Queued::Broadcast(message));
+            self.len += self.degree;
         }
     }
 
-    /// Number of messages queued.
+    /// Number of messages queued (a broadcast counts once per neighbor).
     pub fn len(&self) -> usize {
-        self.messages.len()
+        self.len
     }
 
     /// Whether the outbox is empty.
     pub fn is_empty(&self) -> bool {
-        self.messages.is_empty()
+        self.len == 0
     }
 
-    /// The queued `(port, message)` pairs, in send order.
-    pub(crate) fn queued(&self) -> &[(usize, M)] {
-        &self.messages
+    /// The queued `(port, message)` pairs in send order, a broadcast expanded over ports
+    /// `0..degree` where it was queued.
+    pub(crate) fn messages(&self) -> impl Iterator<Item = (usize, &M)> + '_ {
+        self.queued.iter().flat_map(move |queued| {
+            let (ports, message) = match queued {
+                Queued::Send(port, message) => (*port..*port + 1, message),
+                Queued::Broadcast(message) => (0..self.degree, message),
+            };
+            ports.map(move |port| (port, message))
+        })
     }
 
-    /// Removes and returns the queued `(port, message)` pairs, keeping the buffer capacity.
-    pub fn drain(&mut self) -> impl Iterator<Item = (usize, M)> + '_ {
-        self.messages.drain(..)
+    /// The queued broadcasts in call order, or `None` if anything was sent per port.
+    pub(crate) fn broadcasts_only(&self) -> Option<impl Iterator<Item = &M> + '_> {
+        let only = self.queued.iter().all(|queued| matches!(queued, Queued::Broadcast(_)));
+        only.then(|| {
+            self.queued.iter().filter_map(|queued| match queued {
+                Queued::Broadcast(message) => Some(message),
+                Queued::Send(..) => None,
+            })
+        })
     }
 
-    /// Consumes the outbox, returning the queued `(port, message)` pairs.
+    /// Takes the message out of an outbox that holds exactly one broadcast and nothing
+    /// else, leaving it empty; any other outbox is left as it is.
+    pub(crate) fn take_broadcast(&mut self) -> Option<M> {
+        if !matches!(self.queued.as_slice(), [Queued::Broadcast(_)]) {
+            return None;
+        }
+        self.len = 0;
+        match self.queued.pop() {
+            Some(Queued::Broadcast(message)) => Some(message),
+            _ => None,
+        }
+    }
+
+    /// Consumes the outbox, returning the queued `(port, message)` pairs in send order.
     pub fn into_messages(self) -> Vec<(usize, M)> {
-        self.messages
+        self.messages().map(|(port, message)| (port, message.clone())).collect()
     }
 }
 
@@ -319,9 +346,9 @@ impl<M: Clone> Outbox<M> {
 /// `round` on the **frontier**: the vertices that received at least one message in that
 /// round, plus those whose previous `init`/`round` invocation returned
 /// [`Status::WakeAt`] for this round.  Quiescent vertices are free — a round costs
-/// O(|frontier| + messages), plus O(degree / 64) to read each stepped vertex's inbox off
-/// the occupancy bitset, not O(n).  The status each invocation returns is the vertex's
-/// whole request:
+/// O(|frontier| + messages), plus one cached bit test per port of each stepped vertex to
+/// find its mail (see [`Inbox`]), not O(n).  The status each invocation returns is the
+/// vertex's whole request:
 ///
 /// * [`Status::Active`] — step me only when mail arrives.  Purely message-driven programs
 ///   (empty-inbox rounds would be no-ops) return it and are not invoked until mail shows up.
@@ -388,21 +415,36 @@ mod tests {
         assert!(out.is_empty());
         out.send(1, 7);
         out.broadcast(9);
-        assert_eq!(out.len(), 4);
+        out.send(1, 8);
+        assert_eq!(out.len(), 5);
+        assert!(out.broadcasts_only().is_none(), "per-port sends are not broadcast-only");
+        assert_eq!(out.take_broadcast(), None, "a broadcast among sends is not taken");
         let msgs = out.into_messages();
-        assert_eq!(msgs[0], (1, 7));
-        assert_eq!(msgs.len(), 4);
+        assert_eq!(msgs, vec![(1, 7), (0, 9), (1, 9), (2, 9), (1, 8)], "send order");
+
+        // A lone broadcast is one entry, taken whole; on a vertex without ports it is
+        // nothing at all.
+        let mut out: Outbox<u32> = Outbox::new(3);
+        out.broadcast(4);
+        assert_eq!(out.broadcasts_only().map(|b| b.copied().collect()), Some(vec![4]));
+        assert_eq!(out.take_broadcast(), Some(4));
+        assert!(out.is_empty() && out.into_messages().is_empty());
+        let mut out: Outbox<u32> = Outbox::new(0);
+        out.broadcast(4);
+        assert!(out.is_empty());
+        assert_eq!(out.take_broadcast(), None);
     }
 
     #[test]
     fn outbox_reset_retargets_and_clears() {
         let mut out: Outbox<u32> = Outbox::new(1);
         out.send(0, 3);
+        out.broadcast(5);
         out.reset(2);
         assert!(out.is_empty());
         out.send(1, 4); // port 1 is valid after the reset to degree 2
-        assert_eq!(out.drain().collect::<Vec<_>>(), vec![(1, 4)]);
-        assert!(out.is_empty());
+        out.broadcast(6);
+        assert_eq!(out.into_messages(), vec![(1, 4), (0, 6), (1, 6)]);
     }
 
     #[test]
@@ -424,68 +466,75 @@ mod tests {
         assert_eq!(collected, vec![(0, &5), (2, &7)]);
     }
 
-    /// The occupancy bitset of `arcs` occupied arcs out of `total`.
-    fn occupancy(total: usize, arcs: &[usize]) -> Vec<u64> {
-        let mut words = vec![0u64; total.div_ceil(64)];
-        for &a in arcs {
-            words[a / 64] |= 1 << (a % 64);
+    /// The records of `n` vertices, holding the `(vertex, message, read this round?)`
+    /// entries given.
+    fn records(n: usize, stored: &[(usize, u32, bool)]) -> Records<u32> {
+        let mut records = Records { slots: vec![None; n], sent: vec![0; n.div_ceil(64)] };
+        for &(v, message, current) in stored {
+            records.slots[v] = Some(message);
+            if current {
+                records.sent[v / 64] |= 1 << (v % 64);
+            }
         }
-        words
+        records
     }
 
     #[test]
-    fn slot_inbox_matches_pair_inbox() {
-        // A degree-4 vertex whose arcs are 10..14; ports 0 and 2 received one message each,
-        // port 3 received three (one slotted + two spilled).  Arcs 9 and 14 belong to other
-        // vertices and are occupied too.
-        let slots = vec![Some(5u32), None, Some(7), Some(9)];
-        let occupied = occupancy(20, &[9, 10, 12, 13, 14]);
-        let spill = vec![(13usize, 11u32), (13, 13)];
-        let inbox = Inbox::from_slots(1, &slots, &occupied, &spill, 10);
-        assert_eq!(inbox.len(), 5);
+    fn pulled_inbox_matches_pair_inbox() {
+        // A degree-4 vertex whose arcs are 10..14, towards vertices 3, 5, 8 and 9.  Vertices
+        // 3 and 8 left a record for the round, vertex 5's record is an old one (its bit is
+        // clear), and vertices 5 and 9 spilled: one message on port 1, three on port 3.
+        let neighbors = [3usize, 5, 8, 9];
+        let recs = records(10, &[(3, 5, true), (5, 99, false), (8, 7, true)]);
+        let spill = vec![(11usize, 4u32), (13, 9), (13, 11), (13, 13)];
+        let inbox = Inbox::pulled(1, &neighbors, &recs, 10, &spill);
+        assert_eq!(inbox.len(), 6);
         assert!(!inbox.is_empty());
         assert_eq!(inbox.from_port(0), Some(&5));
-        assert_eq!(inbox.from_port(1), None);
+        assert_eq!(inbox.from_port(1), Some(&4));
         assert_eq!(inbox.from_port(3), Some(&9));
         assert_eq!(inbox.from_port(9), None);
         let collected: Vec<_> = inbox.iter().collect();
-        assert_eq!(collected, vec![(0, &5), (2, &7), (3, &9), (3, &11), (3, &13)]);
+        assert_eq!(collected, vec![(0, &5), (1, &4), (2, &7), (3, &9), (3, &11), (3, &13)]);
 
-        let empty: Inbox<'_, u32> = Inbox::from_slots(1, &slots[1..2], &occupied, &[], 11);
+        // Without the round's bits and spill, the slots hold nothing to read.
+        let stale = records(10, &[(3, 5, false), (8, 7, false)]);
+        let empty = Inbox::pulled(2, &neighbors, &stale, 10, &[]);
         assert!(empty.is_empty());
         assert_eq!(empty.iter().count(), 0);
+        assert_eq!(empty.from_port(0), None);
 
-        // A degree-150 vertex whose arcs 50..200 start mid-word and span four words, with
-        // mail on both ends of every word boundary, spill on the boundary arcs 63, 64 and
-        // 199, and occupied neighbors' arcs 49 and 200 just outside its range.
+        // A degree-150 vertex whose arcs 50..200 lead to vertices 0..150, so its senders'
+        // bits span three words, with records on both sides of every word boundary and
+        // spill on the ports of arcs 62, 65 and 198 (ports 12, 15 and 148).
         let (base, end) = (50usize, 200usize);
-        let hit = [50usize, 51, 63, 64, 100, 127, 128, 191, 192, 199];
-        let mut arcs = hit.to_vec();
-        arcs.extend([49, 200]);
-        let occupied = occupancy(256, &arcs);
-        let slots: Vec<Option<u32>> =
-            (base..end).map(|a| hit.contains(&a).then_some(a as u32 * 10)).collect();
+        let neighbors: Vec<usize> = (0..end - base).collect();
+        let hit = [0usize, 1, 13, 14, 50, 63, 64, 127, 128, 149];
+        let stored: Vec<(usize, u32, bool)> =
+            hit.iter().map(|&port| (port, port as u32 * 10, true)).collect();
+        let recs = records(neighbors.len(), &stored);
         let spill: Vec<(usize, u32)> =
-            vec![(63, 631), (64, 641), (64, 642), (199, 1991), (199, 1992), (199, 1993)];
-        let inbox = Inbox::from_slots(2, &slots, &occupied, &spill, base);
-        let mut pairs = Vec::new();
-        for &a in &hit {
-            pairs.push((a - base, a as u32 * 10));
-            pairs.extend(spill.iter().filter(|&&(s, _)| s == a).map(|&(_, m)| (a - base, m)));
-        }
+            vec![(62, 621), (65, 651), (65, 652), (198, 1981), (198, 1982), (198, 1983)];
+        let inbox = Inbox::pulled(2, &neighbors, &recs, base, &spill);
+        let mut pairs: Vec<(usize, u32)> =
+            hit.iter().map(|&port| (port, port as u32 * 10)).collect();
+        pairs.extend(spill.iter().map(|&(arc, m)| (arc - base, m)));
+        pairs.sort_by_key(|&(port, _)| port);
         let expected = Inbox::new(2, &pairs);
         assert_eq!(inbox.iter().collect::<Vec<_>>(), expected.iter().collect::<Vec<_>>());
         assert_eq!(inbox.len(), inbox.iter().count());
         assert_eq!(inbox.len(), expected.len());
-        assert_eq!(inbox.from_port(199 - base), Some(&1990));
-        assert_eq!(inbox.from_port(65 - base), None);
+        assert_eq!(inbox.from_port(149), Some(&1490));
+        assert_eq!(inbox.from_port(15), Some(&651));
+        assert_eq!(inbox.from_port(16), None);
     }
 
     #[test]
     fn inboxes_carry_the_round() {
         let raw = vec![(0usize, 1u32)];
         assert_eq!(Inbox::new(4, &raw).round(), 4);
-        let empty: Inbox<'_, u32> = Inbox::from_slots(7, &[None], &[0], &[], 0);
+        let recs = records(0, &[]);
+        let empty: Inbox<'_, u32> = Inbox::pulled(7, &[], &recs, 0, &[]);
         assert_eq!(empty.round(), 7);
     }
 

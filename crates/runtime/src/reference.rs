@@ -1,14 +1,14 @@
 //! The reference executor: the pre-fabric `Vec<Vec<(port, message)>>` implementation.
 //!
-//! This is the simulator exactly as it worked before the arc-indexed message fabric: pending
+//! This is the simulator exactly as it worked before the message fabric: pending
 //! messages are pushed into per-vertex mailboxes in sender order, and every delivery derives
 //! the receiver's port with a linear scan of the receiver's adjacency list (the old
 //! `port_of` behaviour — deliberately *not* the mirror table, so the two implementations
 //! share no routing code).  It is kept for two jobs:
 //!
-//! * **Oracle.**  `tests/message_fabric.rs` pins the flat-mailbox executors to this one:
-//!   outputs, rounds, and message counts must stay bit-identical on the generator suite and
-//!   the headline pipelines.  Under a collector it records the same per-round
+//! * **Oracle.**  `tests/message_fabric.rs` pins the [`Executor`](crate::Executor) to this
+//!   one: outputs, rounds, and message counts must stay bit-identical on the generator suite
+//!   and the headline pipelines.  Under a collector it records the same per-round
 //!   [`RoundInstant`]s into its exec span, and `tests/obs_spans.rs` compares them round by
 //!   round (all but `frontier`, which this executor does not have).
 //! * **Baseline.**  Experiment E18 and the `routing` Criterion group race old-vs-new

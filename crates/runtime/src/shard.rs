@@ -37,14 +37,20 @@
 //! 1. The round's work list is the sorted frontier — a deterministic vertex sequence fixed
 //!    *before* any worker runs — split into fixed-size chunks.  The atomic claim cursor
 //!    only decides **which worker** steps which chunk, never the chunk contents.
-//! 2. Workers buffer everything they produce (outgoing messages with their receiving arcs
-//!    in vertex-then-port order, each stepped vertex's [`Status`], and the chunk's
-//!    bandwidth) into per-chunk results (`ChunkOut`); nothing is applied concurrently.
-//!    The coordinator then commits the chunks **in chunk order**, so the pending mailboxes
-//!    receive messages in ascending sender order, spill arrival included.  Bandwidth is
-//!    metered in the workers: a directed edge's load in a round is a sum over its one
-//!    sender's step, and the chunk loads merge in chunk order keeping the first edge that
-//!    reached the maximum, exactly as one meter fed message by message in send order
+//! 2. Workers write only what they own.  A stepped vertex reads its mail from records and
+//!    spill that only the coordinator writes, between steps.  Its worker records its
+//!    [`Status`] in its own flag (each vertex is stepped by one worker per round), marks its
+//!    receivers into the worker's own frontier — a set union, which does not depend on which
+//!    worker stepped which sender — and buffers everything else per chunk (`ChunkOut`): a
+//!    lone broadcast, the per-port spill of any other sender in vertex-then-send order, the
+//!    chunk's halts and later-round alarms, and its bandwidth.  The coordinator then commits
+//!    the chunks **in chunk order**: it stores each broadcast as its sender's record,
+//!    appends the spill (sorted stably by arc before it is read, so each port keeps its send
+//!    order) and folds in halts and alarms, in O(chunks + broadcasts + alarms + spilled
+//!    messages), and ORs the workers' marks into the frontier in O(words marked).
+//!    Bandwidth is metered in the workers: a directed edge's load in a round is a sum over
+//!    its one sender's step, and the chunk loads merge in chunk order keeping the first edge
+//!    that reached the maximum, exactly as one meter fed message by message in send order
 //!    would.
 //! 3. The per-round barrier (the fork/join of [`PoolScope::map`]) makes the exchange
 //!    synchronous: no message produced in round `r` is observable before round `r + 1`.
@@ -76,7 +82,7 @@
 use crate::cost::{CostMode, EdgeLoad, MessageCost};
 use crate::frontier::{Frontier, Statuses};
 use crate::metrics::RoundReport;
-use crate::network::{node_ctx, ArcMailboxes, ExecutionResult, RuntimeError};
+use crate::network::{node_ctx, ExecutionResult, Fabric, RuntimeError};
 use crate::node::{Algorithm, NodeCtx, NodeProgram, Outbox, Status};
 use crate::obs::{self, RoundInstant, WallBuckets};
 use crate::reference::ReferenceExecutor;
@@ -379,66 +385,118 @@ where
 // The round loop
 // ---------------------------------------------------------------------------
 
-/// Everything one stolen chunk produced, buffered for an in-order commit: outgoing
-/// `(receiver arc, receiver, message)` triples in vertex-then-port order (the arc index *is*
-/// the routing information — it pins both the receiving vertex and its port; the receiver
-/// is read on the sender's side, where the adjacency is walked in order, to spare the commit
-/// a random lookup per message), the status every stepped vertex returned, and the chunk's
-/// bandwidth.
+/// Everything one stolen chunk produced, buffered for an in-order commit: the broadcast of
+/// every sender that queued exactly one, the per-port spill of the other senders (each
+/// message with its receiving arc, which pins both the receiver and its port), the halts and
+/// alarms of its stepped vertices, and the chunk's bandwidth and message count.
 ///
 /// Bandwidth is metered here, on the sender side: in a round every message on a directed
 /// edge comes from that edge's one sender, in its one step, so an edge's load is a per-port
-/// sum over one [`ChunkOut::record`] call.  The per-port scratch is zeroed after each
-/// sender, so no per-arc array exists anywhere.
+/// sum over one [`ChunkOut::record`] call.  A sender that only broadcast is charged once per
+/// broadcast; any other sender per port, in a scratch that is zeroed after it, so no
+/// per-arc array exists anywhere.
 ///
 /// A run keeps one per chunk index for all its rounds; the commit drains it and keeps the
 /// capacity, so steady-state rounds allocate nothing.
 struct ChunkOut<M> {
-    outgoing: Vec<(ArcIdx, Vertex, M)>,
-    /// The status each stepped vertex returned, in vertex order (the chunk's share of the
-    /// round frontier).
-    statuses: Vec<(Vertex, Status)>,
+    /// `(sender, message)` of each lone broadcast, in vertex order.
+    broadcasts: Vec<(Vertex, M)>,
+    /// `(receiving arc, message)` of every other sender's messages, in vertex-then-send
+    /// order.
+    spill: Vec<(ArcIdx, M)>,
+    /// Vertices the chunk stepped (its share of the round frontier), and how many of them
+    /// halted.
+    stepped: usize,
+    halts: usize,
+    /// `(round, vertex)` of the later-round alarms its vertices set.
+    alarms: Vec<(usize, Vertex)>,
     /// The outbox every vertex of the chunk sends into.
     outbox: Outbox<M>,
-    /// Bits each port of the vertex being recorded has carried so far (all zero between
-    /// senders).
+    /// Bits each port of the per-port sender being recorded has carried so far (all zero
+    /// between senders).
     port_bits: Vec<u64>,
     /// The chunk's bandwidth, in send order.
     load: EdgeLoad,
+    /// Messages the chunk sent, a broadcast counting once per port.
+    messages: usize,
 }
 
 impl<M: Clone + MessageCost> ChunkOut<M> {
     fn new() -> Self {
         ChunkOut {
-            outgoing: Vec::new(),
-            statuses: Vec::new(),
+            broadcasts: Vec::new(),
+            spill: Vec::new(),
+            stepped: 0,
+            halts: 0,
+            alarms: Vec::new(),
             outbox: Outbox::new(0),
             port_bits: Vec::new(),
             load: EdgeLoad::default(),
+            messages: 0,
         }
     }
 
-    /// Files the step of vertex `v`: its status, the bandwidth of the messages it left in
-    /// the outbox, and the messages themselves — one mirror-arc and one target read per
-    /// message, both in `v`'s arc order, appended in port order so `outgoing` stays in
-    /// global sender order.
-    fn record(&mut self, graph: &Graph, v: Vertex, status: Status) {
-        self.statuses.push((v, status));
-        let arcs = graph.arc_range(v);
-        if self.port_bits.len() < arcs.len() {
-            self.port_bits.resize(arcs.len(), 0);
+    /// Files the step of vertex `v` in `round` (0 for `init`): records its status, charges
+    /// the bandwidth of the messages it left in the outbox, and files the messages — a lone
+    /// broadcast kept whole for its record, anything else expanded per port into the spill,
+    /// one mirror-arc read per message.  Every receiver, and `v` itself when it set an alarm
+    /// for the next round, is marked into `marks`, the worker's next frontier.
+    fn record(
+        &mut self,
+        graph: &Graph,
+        v: Vertex,
+        status: Status,
+        round: usize,
+        statuses: &Statuses,
+        marks: &mut Frontier,
+    ) {
+        self.stepped += 1;
+        self.halts += usize::from(statuses.record(v, status, round, marks, &mut self.alarms));
+        if self.outbox.is_empty() {
+            return;
         }
-        for (port, message) in self.outbox.queued() {
+        self.messages += self.outbox.len();
+        let neighbors = graph.neighbors(v);
+        self.meter(neighbors, v);
+        if let Some(message) = self.outbox.take_broadcast() {
+            for &w in neighbors {
+                marks.mark(w);
+            }
+            self.broadcasts.push((v, message));
+            return;
+        }
+        let mirror = &graph.mirror_arcs()[graph.arc_range(v)];
+        for (port, message) in self.outbox.messages() {
+            marks.mark(neighbors[port]);
+            self.spill.push((mirror[port], message.clone()));
+        }
+    }
+
+    /// Charges the outbox of `v` (whose ports lead to `neighbors`) to the chunk's bandwidth,
+    /// in send order.
+    fn meter(&mut self, neighbors: &[Vertex], v: Vertex) {
+        if let Some(broadcasts) = self.outbox.broadcasts_only() {
+            // Every port carries every broadcast, so all ports share one running load, and
+            // port 0 is the first edge to reach each new value of it.
+            let mut load = 0;
+            for message in broadcasts {
+                let bits = message.encoded_bits();
+                load += bits;
+                self.load.charge_broadcast(bits, neighbors.len(), load, (v, neighbors[0]));
+            }
+            return;
+        }
+        if self.port_bits.len() < neighbors.len() {
+            self.port_bits.resize(neighbors.len(), 0);
+        }
+        for (port, message) in self.outbox.messages() {
             let bits = message.encoded_bits();
-            let load = &mut self.port_bits[*port];
+            let load = &mut self.port_bits[port];
             *load += bits;
-            self.load.charge(bits, *load, (v, graph.arc_target(arcs.start + port)));
+            self.load.charge(bits, *load, (v, neighbors[port]));
         }
-        let mirror = graph.mirror_arcs();
-        for (port, message) in self.outbox.drain() {
+        for (port, _) in self.outbox.messages() {
             self.port_bits[port] = 0;
-            let arc = arcs.start + port;
-            self.outgoing.push((mirror[arc], graph.arc_target(arc), message));
         }
     }
 }
@@ -581,10 +639,14 @@ impl<'g> Executor<'g> {
             }
         }
 
-        // Shared round state.  Workers only ever read it during a fork/join batch; the
-        // coordinator writes it between batches, so the lock is uncontended.
+        // Each worker's marks into the next frontier, absorbed by the commit.
+        let worker_marks: Vec<Mutex<Frontier>> =
+            (0..workers).map(|_| Mutex::new(Frontier::new(n))).collect();
+        // Shared round state.  Workers only read it during a fork/join batch; the coordinator
+        // writes it between batches, so the lock is uncontended.
         let round_lock = RwLock::new(RoundState {
-            inboxes: ArcMailboxes::new(graph.num_arcs()),
+            fabric: Fabric::new(n),
+            frontier: Frontier::new(n),
             schedule: Vec::new(),
             statuses: Statuses::new(n),
         });
@@ -597,6 +659,7 @@ impl<'g> Executor<'g> {
         let round_lock = &round_lock;
         let claim = &claim;
         let chunk_outs = &chunk_outs;
+        let worker_marks = &worker_marks;
         let contexts = &contexts;
         let nodes = &nodes;
 
@@ -607,9 +670,8 @@ impl<'g> Executor<'g> {
         let mut rounds: Vec<RoundInstant> = Vec::new();
         let report = pool.scope(|scope| {
             let mut report = RoundReport::zero();
-            let mut frontier = Frontier::new(n);
-            let mut pending: ArcMailboxes<<A::Node as NodeProgram>::Msg> =
-                ArcMailboxes::new(graph.num_arcs());
+            // The slow-path mail sent in the current step, read in the next round.
+            let mut spill: Vec<(ArcIdx, <A::Node as NodeProgram>::Msg)> = Vec::new();
 
             // Initialization: local computation plus the sends of the first round.  `init`
             // runs for every vertex, in work-stolen chunks of `0..n`; from here on only the
@@ -619,17 +681,23 @@ impl<'g> Executor<'g> {
             // their claims.
             claim.store(0, Ordering::Relaxed);
             lap(timed, &mut wall.step_ns, || {
-                scope.map(vec![(); workers], move |_, ()| loop {
-                    let c = claim.fetch_add(1, Ordering::Relaxed);
-                    if c >= init_chunks {
-                        break;
-                    }
-                    let out = &mut *chunk_outs[c].lock().expect("chunk lock");
-                    for v in c * chunk..((c + 1) * chunk).min(n) {
-                        out.outbox.reset(contexts[v].degree);
-                        let status =
-                            nodes[v].lock().expect("node lock").init(&contexts[v], &mut out.outbox);
-                        out.record(graph, v, status);
+                scope.map(vec![(); workers], move |worker, ()| {
+                    let state = round_lock.read().expect("round lock");
+                    let marks = &mut *worker_marks[worker].lock().expect("marks lock");
+                    loop {
+                        let c = claim.fetch_add(1, Ordering::Relaxed);
+                        if c >= init_chunks {
+                            break;
+                        }
+                        let out = &mut *chunk_outs[c].lock().expect("chunk lock");
+                        for v in c * chunk..((c + 1) * chunk).min(n) {
+                            out.outbox.reset(contexts[v].degree);
+                            let status = nodes[v]
+                                .lock()
+                                .expect("node lock")
+                                .init(&contexts[v], &mut out.outbox);
+                            out.record(graph, v, status, 0, &state.statuses, marks);
+                        }
                     }
                 })
             });
@@ -640,10 +708,9 @@ impl<'g> Executor<'g> {
                     let mut state = round_lock.write().expect("round lock");
                     let stats = commit_chunks(
                         &chunk_outs[..init_chunks],
-                        0,
-                        &mut pending,
-                        &mut frontier,
-                        &mut state.statuses,
+                        worker_marks,
+                        &mut state,
+                        &mut spill,
                     );
                     let bits = stats.load.finish(1, self.cost_mode, &mut report)?;
                     Ok::<_, RuntimeError>((stats.messages, state.statuses.count(), bits))
@@ -664,24 +731,23 @@ impl<'g> Executor<'g> {
                 let active_at_start = total_active;
                 let wall_before = wall.deliver_ns + wall.step_ns + wall.commit_ns;
 
-                // Flip the mailbox double buffer, ring the round's alarms, and publish the
-                // round's sorted frontier.
+                // Open the round's mail, ring its alarms, and publish its sorted frontier.
+                let round = report.rounds;
                 let round_chunks = lap(timed, &mut wall.deliver_ns, || {
                     let mut state = round_lock.write().expect("round lock");
                     let state = &mut *state;
-                    std::mem::swap(&mut pending, &mut state.inboxes);
-                    pending.clear();
-                    state.inboxes.seal(report.rounds);
-                    state.statuses.ring(report.rounds, &mut frontier);
-                    frontier.take(&mut state.schedule);
+                    state.fabric.open(round, &mut spill);
+                    state.statuses.ring(round, &mut state.frontier);
+                    state.frontier.take(&mut state.schedule);
                     state.schedule.len().div_ceil(chunk)
                 });
                 claim.store(0, Ordering::Relaxed);
 
                 lap(timed, &mut wall.step_ns, || {
-                    scope.map(vec![(); workers], move |_, ()| {
+                    scope.map(vec![(); workers], move |worker, ()| {
                         let state = round_lock.read().expect("round lock");
-                        let RoundState { inboxes, schedule, statuses } = &*state;
+                        let RoundState { fabric, schedule, statuses, .. } = &*state;
+                        let marks = &mut *worker_marks[worker].lock().expect("marks lock");
                         loop {
                             let c = claim.fetch_add(1, Ordering::Relaxed);
                             if c >= round_chunks {
@@ -693,23 +759,22 @@ impl<'g> Executor<'g> {
                             // Only scheduled vertices have mail and a chunk's vertices
                             // ascend, so one search seeds a spill cursor that walks the
                             // whole chunk.
-                            let mut cursor = inboxes.cursor_at(graph.arc_range(vertices[0]).start);
+                            let mut cursor = fabric.cursor_at(graph.arc_range(vertices[0]).start);
                             for &v in vertices {
-                                let arcs = graph.arc_range(v);
-                                let spill = cursor.advance(inboxes, arcs.end);
+                                let window = cursor.advance(fabric, graph.arc_range(v).end);
+                                // Mail to a halted vertex is dropped unread (it was counted
+                                // at send time).
                                 if !statuses.is_active(v) {
-                                    // Mail to a halted vertex is dropped unread (it was
-                                    // counted at send time).
                                     continue;
                                 }
-                                let inbox = inboxes.read(spill, arcs);
+                                let inbox = fabric.read(graph, v, window);
                                 out.outbox.reset(contexts[v].degree);
                                 let status = nodes[v].lock().expect("node lock").round(
                                     &contexts[v],
                                     &inbox,
                                     &mut out.outbox,
                                 );
-                                out.record(graph, v, status);
+                                out.record(graph, v, status, round, statuses, marks);
                             }
                         }
                     })
@@ -719,10 +784,9 @@ impl<'g> Executor<'g> {
                     let mut state = round_lock.write().expect("round lock");
                     let stats = commit_chunks(
                         &chunk_outs[..round_chunks],
-                        report.rounds,
-                        &mut pending,
-                        &mut frontier,
-                        &mut state.statuses,
+                        worker_marks,
+                        &mut state,
+                        &mut spill,
                     );
                     total_active = state.statuses.count();
                     let bits = stats.load.finish(report.rounds + 1, self.cost_mode, &mut report)?;
@@ -764,10 +828,12 @@ impl<'g> Executor<'g> {
     }
 }
 
-/// What the workers read during a round: the sealed inboxes, the round's sorted frontier,
-/// and the halt flags.  The coordinator writes it only between fork/join batches.
+/// The round state: the fabric and the round's sorted schedule, which the workers read, the
+/// halt flags, and the next round's frontier.  The coordinator writes it only between
+/// fork/join batches.
 struct RoundState<M> {
-    inboxes: ArcMailboxes<M>,
+    fabric: Fabric<M>,
+    frontier: Frontier,
     schedule: Vec<Vertex>,
     statuses: Statuses,
 }
@@ -775,7 +841,7 @@ struct RoundState<M> {
 /// What [`commit_chunks`] applied, summed over the committed chunks.
 #[derive(Debug, Default, Clone, Copy)]
 struct CommitStats {
-    /// Messages pushed into the pending mailboxes.
+    /// Messages the chunks sent.
     messages: usize,
     /// Vertices the workers actually stepped (the round's frontier).
     stepped: usize,
@@ -785,34 +851,34 @@ struct CommitStats {
     load: EdgeLoad,
 }
 
-/// Commits the chunks produced by one fork/join step of `round` (0 for `init`) **in chunk
-/// order**, draining each: merges its bandwidth, pushes the outgoing messages into the
-/// pending mailboxes (ascending sender order), marks every receiver in the frontier, and
-/// records every returned status in `statuses`.
-///
-/// # Panics
-///
-/// Panics if a vertex returned [`Status::WakeAt`] for a round not after `round`.
+/// Commits the chunks produced by one fork/join step **in chunk order**, draining each: merges its bandwidth, halts and alarms, stores its broadcasts as
+/// their senders' records (retiring the round's), and appends its per-port messages to
+/// `spill`.  Then absorbs the workers' `marks` into the frontier.  O(chunks + broadcasts +
+/// alarms + spilled messages + words marked): a broadcast costs O(1) here, and a stepped
+/// vertex that sent nothing and set no later alarm costs nothing.
 fn commit_chunks<M>(
     chunk_outs: &[Mutex<ChunkOut<M>>],
-    round: usize,
-    pending: &mut ArcMailboxes<M>,
-    frontier: &mut Frontier,
-    statuses: &mut Statuses,
+    marks: &[Mutex<Frontier>],
+    state: &mut RoundState<M>,
+    spill: &mut Vec<(ArcIdx, M)>,
 ) -> CommitStats {
     let mut stats = CommitStats::default();
+    state.fabric.retire();
     for slot in chunk_outs {
         let out = &mut *slot.lock().expect("chunk lock");
-        stats.messages += out.outgoing.len();
-        stats.stepped += out.statuses.len();
+        stats.messages += std::mem::take(&mut out.messages);
+        stats.stepped += std::mem::take(&mut out.stepped);
+        let halts = std::mem::take(&mut out.halts);
+        stats.halts += halts;
         stats.load.merge(std::mem::take(&mut out.load));
-        for (arc, receiver, message) in out.outgoing.drain(..) {
-            pending.push(arc, message);
-            frontier.mark(receiver);
+        state.statuses.merge(halts, &mut out.alarms);
+        for (v, message) in out.broadcasts.drain(..) {
+            state.fabric.store(v, message);
         }
-        for (v, status) in out.statuses.drain(..) {
-            stats.halts += usize::from(statuses.record(v, status, round, frontier));
-        }
+        spill.append(&mut out.spill);
+    }
+    for worker in marks {
+        state.frontier.absorb(&mut worker.lock().expect("marks lock"));
     }
     stats
 }

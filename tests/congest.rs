@@ -107,6 +107,37 @@ impl Algorithm for DoubleSend {
     }
 }
 
+/// Broadcasts its degree twice in `init`, then halts on mail: every edge carries two
+/// messages from its sender in round 1, and a hub's edges the widest.
+struct DoubleBroadcast;
+
+struct DoubleBroadcastNode;
+
+impl NodeProgram for DoubleBroadcastNode {
+    type Msg = u64;
+    type Output = ();
+
+    fn init(&mut self, ctx: &NodeCtx, outbox: &mut Outbox<u64>) -> Status {
+        outbox.broadcast(ctx.degree as u64);
+        outbox.broadcast(ctx.degree as u64);
+        Status::Active
+    }
+
+    fn round(&mut self, _ctx: &NodeCtx, _inbox: &Inbox<'_, u64>, _out: &mut Outbox<u64>) -> Status {
+        Status::Halted
+    }
+
+    fn output(&self, _ctx: &NodeCtx) {}
+}
+
+impl Algorithm for DoubleBroadcast {
+    type Node = DoubleBroadcastNode;
+
+    fn node(&self, _ctx: &NodeCtx) -> DoubleBroadcastNode {
+        DoubleBroadcastNode
+    }
+}
+
 /// Runs `algorithm` on `g` under a `budget`-bit CONGEST mode on the reference executor and
 /// on the work-stealing executor at threads {1, 4} × chunk sizes {1, 7, default}, asserts
 /// that every run fails with the very same error value, and returns it.
@@ -188,6 +219,21 @@ fn congest_mode_rejects_an_over_wide_message_with_the_typed_error() {
         }
         other => panic!("expected CongestBudgetExceeded, got {other:?}"),
     }
+
+    // Two broadcasts in one step add up on every edge of their sender, and the first edge in
+    // send order — the hub's port 0 — is the one named.  The hub of a 100-leaf star sends
+    // its degree, 7 bits, twice; a leaf sends 1 bit twice.
+    let hub = generators::star(101).unwrap().with_shuffled_ids(5);
+    assert_eq!(
+        same_congest_error(&hub, &DoubleBroadcast, 13),
+        RuntimeError::CongestBudgetExceeded {
+            round: 1,
+            sender: 0,
+            receiver: hub.neighbors(0)[0],
+            bits: 14,
+            budget: 13
+        }
+    );
 
     // A budget wide enough for every identifier passes on the same graph, and the run
     // reports the same bits Local mode would have measured.

@@ -1,18 +1,26 @@
-//! Equivalence suite for the arc-indexed message fabric.
+//! Equivalence suite for the pull message fabric.
 //!
-//! The flat-mailbox [`Executor`], at one thread and work-stolen across several, must stay
-//! **bit-identical** — same per-vertex outputs, same round count, same message count — to
-//! the [`ReferenceExecutor`], the preserved pre-fabric implementation with per-vertex
-//! `Vec<Vec<(port, message)>>` mailboxes and linear-scan routing.  The reference shares no
-//! routing or mailbox code with the fabric, so agreement here pins the whole delivery
-//! rewrite: mirror-table routing, slot/spill mailboxes, and inbox iteration order.
+//! The [`Executor`], at one thread and work-stolen across several, must stay
+//! **bit-identical** — same per-vertex outputs, same round count, same message and bit
+//! counts — to the [`ReferenceExecutor`], the preserved pre-fabric implementation with
+//! per-vertex `Vec<Vec<(port, message)>>` mailboxes and linear-scan routing.  The reference
+//! shares no routing or mailbox code with the fabric, so agreement here pins the whole
+//! delivery path: lone broadcasts kept once per sender and pulled by their receivers
+//! through the round's sender bitset, the per-port spill of every other sender (sorted by
+//! arc, send order kept per port), and the merge of the two in an inbox.  The mixed-sender
+//! and sparse-hub tests below read `Inbox::iter`, `from_port` and `len` on both paths,
+//! including a hub whose ports span many frontier chunks.
 
 use arbcolor::mis::mis_from_coloring;
 use arbcolor_baselines::registry::{headline_algorithms, KwBaseline};
 use arbcolor_baselines::ColoringBaseline;
-use arbcolor_graph::generators;
+use arbcolor_graph::{generators, Graph};
 use arbcolor_runtime::algorithms::{FloodMaxId, ProposeMaxId};
-use arbcolor_runtime::{Executor, ExecutorKind, ReferenceExecutor, RunConfig};
+use arbcolor_runtime::obs::{self, RoundInstant, SpanCollector, SpanKind};
+use arbcolor_runtime::{
+    Algorithm, ExecutionResult, Executor, ExecutorKind, Inbox, NodeCtx, NodeProgram, Outbox,
+    ReferenceExecutor, RunConfig, Status,
+};
 use proptest::prelude::*;
 
 mod common;
@@ -106,4 +114,207 @@ fn reference_kind_dispatches_and_reports_one_thread() {
     let flat = run(ExecutorKind::sharded(1)).unwrap();
     assert_eq!(reference.outputs, flat.outputs);
     assert_eq!(reference.report, flat.report);
+}
+
+/// What a vertex saw in one round: `Inbox::iter`, `Inbox::len`, and `Inbox::from_port` on
+/// every port.
+type Seen = (Vec<(usize, u64)>, usize, Vec<Option<u64>>);
+
+fn seen(inbox: &Inbox<'_, u64>, degree: usize) -> Seen {
+    (
+        inbox.iter().map(|(port, &m)| (port, m)).collect(),
+        inbox.len(),
+        (0..degree).map(|port| inbox.from_port(port).copied()).collect(),
+    )
+}
+
+/// For three steps (`init` and rounds 1 and 2), each vertex picks by identifier and step:
+/// the mixed pattern `send(p, a)`, `broadcast(b)`, `send(p, c)`, `broadcast(d)` on one port
+/// `p`, a lone broadcast, or silence.  Every round it records what it saw, and it halts in
+/// round 3, so mixed and lone senders meet in every inbox.
+struct MixedSenders;
+
+struct MixedNode {
+    seen: Vec<Seen>,
+}
+
+impl MixedNode {
+    fn send(ctx: &NodeCtx, step: u64, outbox: &mut Outbox<u64>) {
+        let tag = ctx.id * 100 + step * 10;
+        match (ctx.id + step) % 3 {
+            0 if ctx.degree > 0 => {
+                let port = ((ctx.id + step) % ctx.degree as u64) as usize;
+                outbox.send(port, tag + 1);
+                outbox.broadcast(tag + 2);
+                outbox.send(port, tag + 3);
+                outbox.broadcast(tag + 4);
+            }
+            1 => outbox.broadcast(tag + 5),
+            _ => {}
+        }
+    }
+}
+
+impl NodeProgram for MixedNode {
+    type Msg = u64;
+    type Output = Vec<Seen>;
+
+    fn init(&mut self, ctx: &NodeCtx, outbox: &mut Outbox<u64>) -> Status {
+        Self::send(ctx, 0, outbox);
+        Status::WakeAt(1)
+    }
+
+    fn round(&mut self, ctx: &NodeCtx, inbox: &Inbox<'_, u64>, outbox: &mut Outbox<u64>) -> Status {
+        self.seen.push(seen(inbox, ctx.degree));
+        let round = inbox.round();
+        if round == 3 {
+            return Status::Halted;
+        }
+        Self::send(ctx, round as u64, outbox);
+        Status::WakeAt(round + 1)
+    }
+
+    fn output(&self, _ctx: &NodeCtx) -> Vec<Seen> {
+        self.seen.clone()
+    }
+}
+
+impl Algorithm for MixedSenders {
+    type Node = MixedNode;
+
+    fn node(&self, _ctx: &NodeCtx) -> MixedNode {
+        MixedNode { seen: Vec::new() }
+    }
+}
+
+/// A hub of degree 150 (vertex 0, adjacent to every other vertex) over a path of leaves, so
+/// the hub's ports span many frontier chunks at chunk sizes 1 and 7.
+fn hub_over_a_path(leaves: usize) -> Graph {
+    let spokes = (1..=leaves).map(|v| (0, v));
+    let path = (1..leaves).map(|v| (v, v + 1));
+    Graph::from_edges(leaves + 1, spokes.chain(path)).unwrap().with_shuffled_ids(9)
+}
+
+/// Runs `algorithm` under a scratch collector; returns the result and the run's rounds with
+/// the advisory wall time zeroed.
+fn recorded<A>(
+    executor: &Executor<'_>,
+    algorithm: &A,
+) -> (ExecutionResult<<A::Node as NodeProgram>::Output>, Vec<RoundInstant>)
+where
+    A: Algorithm + Sync,
+    A::Node: Send,
+    <A::Node as NodeProgram>::Msg: Send + Sync,
+    <A::Node as NodeProgram>::Output: Send,
+{
+    let collector = SpanCollector::new();
+    let guard = obs::install(&collector);
+    let result = executor.run(algorithm).unwrap();
+    drop(guard);
+    let spans = collector.snapshot();
+    let exec = spans.iter().find(|s| s.kind == SpanKind::Exec).expect("an executor run");
+    let rounds = exec.rounds.iter().map(|&r| RoundInstant { wall_ns: 0, ..r }).collect();
+    (result, rounds)
+}
+
+#[test]
+fn mixed_sends_and_broadcasts_arrive_in_send_order_on_every_port() {
+    let g = hub_over_a_path(150);
+    assert!(g.degree(0) > 64);
+    let oracle = ReferenceExecutor::new(&g).run(&MixedSenders).unwrap();
+    // Every pattern reached the hub: mixed ports carry four messages in send order.
+    let hub_round_1 = &oracle.outputs[0][0];
+    assert!(hub_round_1.0.windows(2).any(|w| w[0].0 == w[1].0), "some port carries a spill");
+    assert!(hub_round_1.1 > 0 && hub_round_1.1 < 4 * g.degree(0));
+    let mut instants = None;
+    for threads in [1usize, 2, 4] {
+        for chunk_size in [1usize, 7, Executor::DEFAULT_CHUNK_SIZE] {
+            let executor = Executor::new(&g).with_threads(threads).with_chunk_size(chunk_size);
+            let (flat, rounds) = recorded(&executor, &MixedSenders);
+            assert_eq!(flat.outputs, oracle.outputs, "threads {threads}, chunk {chunk_size}");
+            assert_eq!(flat.report, oracle.report, "threads {threads}, chunk {chunk_size}");
+            assert_eq!(*instants.get_or_insert(rounds.clone()), rounds);
+        }
+    }
+}
+
+/// Leaf `i` of a star broadcasts once, in round `i`; the hub wakes every round and records
+/// what it saw, so it is stepped with mail on exactly one of its ports.
+struct OneSpokeARound;
+
+struct SpokeNode {
+    seen: Vec<Seen>,
+}
+
+impl NodeProgram for SpokeNode {
+    type Msg = u64;
+    type Output = Vec<Seen>;
+
+    fn init(&mut self, ctx: &NodeCtx, _outbox: &mut Outbox<u64>) -> Status {
+        Status::WakeAt(if ctx.vertex == 0 { 2 } else { ctx.vertex })
+    }
+
+    fn round(&mut self, ctx: &NodeCtx, inbox: &Inbox<'_, u64>, outbox: &mut Outbox<u64>) -> Status {
+        // The reference executor steps every active vertex every round, so a step before
+        // the alarm is a no-op that repeats it.
+        let round = inbox.round();
+        if ctx.vertex != 0 {
+            if round < ctx.vertex {
+                return Status::WakeAt(ctx.vertex);
+            }
+            outbox.broadcast(ctx.id);
+            return Status::Halted;
+        }
+        if round < 2 {
+            return Status::WakeAt(2);
+        }
+        self.seen.push(seen(inbox, ctx.degree));
+        if round > ctx.degree {
+            Status::Halted
+        } else {
+            Status::WakeAt(round + 1)
+        }
+    }
+
+    fn output(&self, _ctx: &NodeCtx) -> Vec<Seen> {
+        self.seen.clone()
+    }
+}
+
+impl Algorithm for OneSpokeARound {
+    type Node = SpokeNode;
+
+    fn node(&self, _ctx: &NodeCtx) -> SpokeNode {
+        SpokeNode { seen: Vec::new() }
+    }
+}
+
+#[test]
+fn a_hub_with_sparse_mail_reads_exactly_the_port_that_carried_it() {
+    let g = generators::star(101).unwrap().with_shuffled_ids(4);
+    let degree = g.degree(0);
+    let oracle = ReferenceExecutor::new(&g).run(&OneSpokeARound).unwrap();
+    // Round r ≥ 2 delivers leaf r − 1's broadcast on hub port r − 2, and nothing else.
+    let hub = &oracle.outputs[0];
+    assert_eq!(hub.len(), degree);
+    for (i, (pairs, len, by_port)) in hub.iter().enumerate() {
+        let (port, id) = (i, g.id(i + 1));
+        assert_eq!(pairs, &vec![(port, id)], "round {}", i + 2);
+        assert_eq!(*len, 1);
+        assert_eq!(by_port.iter().flatten().count(), 1);
+        assert_eq!(by_port[port], Some(id));
+    }
+    let mut instants = None;
+    for threads in [1usize, 2, 4] {
+        for chunk_size in [1usize, 7, Executor::DEFAULT_CHUNK_SIZE] {
+            let executor = Executor::new(&g).with_threads(threads).with_chunk_size(chunk_size);
+            let (flat, rounds) = recorded(&executor, &OneSpokeARound);
+            assert_eq!(flat.outputs, oracle.outputs, "threads {threads}, chunk {chunk_size}");
+            assert_eq!(flat.report, oracle.report, "threads {threads}, chunk {chunk_size}");
+            // The hub alone is stepped with mail: the frontier is the hub plus the leaf
+            // whose slot it is, never the whole star.
+            assert!(rounds.iter().all(|r| r.frontier <= 2 && r.messages <= 1), "{rounds:?}");
+            assert_eq!(*instants.get_or_insert(rounds.clone()), rounds);
+        }
+    }
 }
