@@ -7,6 +7,9 @@
 //!   directly, without a sort.
 //! * `induce/scattered_half` — the same vertices shuffled: children are numbered by first
 //!   appearance and the edges go through the `GraphBuilder` sort.
+//! * `induce/hubs_139` — the 139 vertices of highest degree, ascending: a hub part of the
+//!   kind Ghaffari–Kuhn's later levels induce, a few vertices with thousands of arcs each in
+//!   a window of nearly the whole graph, so membership goes through the part's rank bitset.
 
 use arbcolor_graph::{generators, InducedSubgraph, Vertex};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -28,8 +31,16 @@ fn bench_induce(c: &mut Criterion) {
     let graph = generators::star_forest_union(200_000, 3, 50, 1).unwrap();
     let whole: Vec<Vertex> = graph.vertices().collect();
     let half: Vec<Vertex> = graph.vertices().step_by(2).collect();
-    let rows =
-        [("whole", whole), ("ascending_half", half.clone()), ("scattered_half", shuffled(half, 7))];
+    let mut hubs: Vec<Vertex> = graph.vertices().collect();
+    hubs.sort_by_key(|&v| (std::cmp::Reverse(graph.degree(v)), v));
+    hubs.truncate(139);
+    hubs.sort_unstable();
+    let rows = [
+        ("whole", whole),
+        ("ascending_half", half.clone()),
+        ("scattered_half", shuffled(half, 7)),
+        ("hubs_139", hubs),
+    ];
     let mut group = c.benchmark_group("induce");
     group.sample_size(10);
     for (name, vertices) in &rows {

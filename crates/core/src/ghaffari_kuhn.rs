@@ -27,6 +27,15 @@
 //! makes legality and list-membership **unconditional**; the recursion only has to keep the
 //! deferred set small.
 //!
+//! **What a level costs.**  A level pays for the instances it holds, not for the whole graph.
+//! Before an instance is induced, the driver marks its vertices in one graph-sized bitset and
+//! walks their arcs up to the first one that stays inside.  An instance with an edge stops
+//! there and is induced as usual.  An instance without one needs no schedule and no rounds:
+//! it is colored straight from its list pool, every vertex taking the first color of its
+//! list, and neither a subgraph nor a strike set is built for it.  On a star-forest union this
+//! is the level-1 instance of every leaf that chose the same half.  The root instance borrows
+//! the caller's lists, and only the halves the first split writes are copies.
+//!
 //! **Deviation from the paper.**  Ghaffari–Kuhn derandomize a one-round random color trial
 //! via the method of conditional expectations; this reproduction instead derandomizes the
 //! half-choice through the defective-coloring schedule above, which preserves the paper's
@@ -40,11 +49,14 @@ use crate::report::ColoringRun;
 use arbcolor_decompose::defective::defective_coloring;
 use arbcolor_decompose::linial::linial_coloring;
 use arbcolor_decompose::reduction::kw_reduce;
-use arbcolor_graph::{ColorPool, Coloring, Graph, InducedSubgraph, Vertex};
+use arbcolor_graph::{
+    ColorPool, Coloring, Graph, InducedSubgraph, PaletteStats, PaletteStatsSnapshot, Vertex,
+};
 use arbcolor_runtime::algorithms::{
     HalvingSplit, ListColorSchedule, ScheduledListColor, SplitChoice, SplitSlot,
 };
 use arbcolor_runtime::{obs, parallel_max, run_algorithm, RoundReport};
+use std::borrow::Cow;
 
 /// Color-space size at or below which an instance is finished by a direct greedy list sweep
 /// (its maximum degree is below this bound too, because lists have greedy slack).
@@ -53,12 +65,12 @@ const BASE_SPACE: u64 = 8;
 /// Upper bound on the number of announcement slots of one halving phase.
 const MAX_SLOTS: usize = 64;
 
-/// One sub-instance of the recursion: a set of original-graph vertices, their remaining
-/// lists (a flat [`ColorPool`], one list per kept vertex in order), and the color-space
-/// interval `[lo, hi)` the lists live in.
-struct Instance {
+/// One sub-instance of the recursion: a strictly ascending set of original-graph vertices,
+/// their remaining lists (a flat [`ColorPool`], one list per kept vertex in order; the root
+/// borrows the caller's pool), and the color-space interval `[lo, hi)` the lists live in.
+struct Instance<'a> {
     vertices: Vec<Vertex>,
-    lists: ColorPool,
+    lists: Cow<'a, ColorPool>,
     lo: u64,
     hi: u64,
 }
@@ -119,10 +131,11 @@ pub fn ghaffari_kuhn_list_coloring(
     let mut deferred: Vec<Vertex> = Vec::new();
     let mut active = vec![Instance {
         vertices: graph.vertices().collect(),
-        lists: lists.pool().clone(),
+        lists: Cow::Borrowed(lists.pool()),
         lo: 0,
         hi: space,
     }];
+    let mut members = vec![0u64; graph.n().div_ceil(64)];
     let mut level = 0usize;
 
     while !active.is_empty() {
@@ -136,9 +149,16 @@ pub fn ghaffari_kuhn_list_coloring(
             if inst.vertices.is_empty() {
                 continue;
             }
+            if !has_internal_edge(graph, &inst.vertices, &mut members) {
+                for (&v, c) in inst.vertices.iter().zip(pick_first(&inst.lists)?) {
+                    colors[v] = Some(c);
+                }
+                continue;
+            }
             let sub = InducedSubgraph::new(graph, &inst.vertices);
-            if inst.hi - inst.lo <= BASE_SPACE || sub.graph.m() == 0 {
-                let (leaf_colors, report) = scheduled_sweep(&sub.graph, inst.lists, None)?;
+            if inst.hi - inst.lo <= BASE_SPACE {
+                let (leaf_colors, report) =
+                    scheduled_sweep(&sub.graph, inst.lists.into_owned(), None)?;
                 for (child, c) in leaf_colors.into_iter().enumerate() {
                     colors[sub.map.to_parent(child)] = Some(c);
                 }
@@ -173,31 +193,28 @@ pub fn ghaffari_kuhn_list_coloring(
             let result = run_algorithm(&sub.graph, &HalvingSplit::new(&slots, num_slots))?;
             split_reports.push(defective.output.report.then(result.report));
 
-            let mut low =
-                Instance { vertices: Vec::new(), lists: ColorPool::new(), lo: inst.lo, hi: mid };
-            let mut high =
-                Instance { vertices: Vec::new(), lists: ColorPool::new(), lo: mid, hi: inst.hi };
+            let (mut low, mut high) =
+                ((Vec::new(), ColorPool::new()), (Vec::new(), ColorPool::new()));
             for (child, choice) in result.outputs.iter().enumerate() {
                 let parent = sub.map.to_parent(child);
                 let list = inst.lists.list(child);
                 let low_count = list.partition_point(|&c| c < mid);
                 match choice {
                     SplitChoice::Low => {
-                        low.vertices.push(parent);
-                        low.lists.push_slice(&list[..low_count]);
+                        low.0.push(parent);
+                        low.1.push_slice(&list[..low_count]);
                     }
                     SplitChoice::High => {
-                        high.vertices.push(parent);
-                        high.lists.push_slice(&list[low_count..]);
+                        high.0.push(parent);
+                        high.1.push_slice(&list[low_count..]);
                     }
                     SplitChoice::Deferred => deferred.push(parent),
                 }
             }
-            if !low.vertices.is_empty() {
-                next.push(low);
-            }
-            if !high.vertices.is_empty() {
-                next.push(high);
+            for ((vertices, lists), lo, hi) in [(low, inst.lo, mid), (high, mid, inst.hi)] {
+                if !vertices.is_empty() {
+                    next.push(Instance { vertices, lists: Cow::Owned(lists), lo, hi });
+                }
             }
         }
 
@@ -237,11 +254,53 @@ pub fn ghaffari_kuhn_list_coloring(
     Ok(ColoringRun::new(coloring, space, report))
 }
 
+/// Whether the subgraph of `graph` induced by `vertices` has an edge.  The members are marked
+/// in `members`, one bit per vertex of `graph` (all clear on entry and on return), and their
+/// arcs are walked up to the first one that stays inside: an instance with edges stops
+/// early, and only an independent one walks every arc.  No subgraph is built either way.
+fn has_internal_edge(graph: &Graph, vertices: &[Vertex], members: &mut [u64]) -> bool {
+    for &v in vertices {
+        members[v / 64] |= 1 << (v % 64);
+    }
+    let found = vertices
+        .iter()
+        .any(|&v| graph.neighbors(v).iter().any(|&u| members[u / 64] & (1 << (u % 64)) != 0));
+    for &v in vertices {
+        members[v / 64] = 0;
+    }
+    found
+}
+
+/// The colors of an instance with no internal edge, straight from its list pool: no
+/// neighbor announces a color and nothing is forbidden, so the greedy sweep would give every
+/// vertex the first color of its list, at zero cost.  The palette counters record one pick
+/// per vertex with nothing struck, as [`ListColorSchedule::pick_isolated`] does, and no
+/// subgraph, schedule or strike set is built.
+fn pick_first(lists: &ColorPool) -> Result<Vec<u64>, CoreError> {
+    let stats = PaletteStats::default();
+    stats.add(PaletteStatsSnapshot { picks_served: lists.len() as u64, ..Default::default() });
+    obs::record_palette(&stats);
+    lists
+        .iter()
+        .enumerate()
+        .map(|(v, list)| list.first().copied().ok_or_else(|| exhausted(v)))
+        .collect()
+}
+
+/// The error of vertex `v` (a child index of the instance) running out of list colors.
+fn exhausted(v: Vertex) -> CoreError {
+    CoreError::InvariantViolated {
+        reason: format!("vertex {v} exhausted its list during a scheduled sweep"),
+    }
+}
+
 /// Greedily list colors a (sub)graph over a legal schedule: Linial plus Kuhn–Wattenhofer
 /// produce a `(Δ+1)`-coloring whose classes become the announcement slots of one
 /// [`ScheduledListColor`] sweep.  `forbidden` carries externally excluded colors per vertex.
 /// An edgeless graph needs no schedule and no executor run: every vertex picks from its
-/// list at once ([`ListColorSchedule::pick_isolated`]), at zero cost.
+/// list at once ([`ListColorSchedule::pick_isolated`]), at zero cost.  The recursion never
+/// gets here with one (it finds independent instances first and picks with [`pick_first`]);
+/// the deferred cleanup does, when no two deferred vertices are adjacent.
 ///
 /// The list and forbidden pools are moved into the run's [`ListColorSchedule`] arena
 /// wholesale — no per-vertex list is ever copied.
@@ -265,17 +324,11 @@ fn scheduled_sweep(
         obs::record_palette(schedule.stats());
         (result.outputs, linial.report.then(reduced.report).then(result.report))
     };
-    let mut out = Vec::with_capacity(graph.n());
-    for (v, chosen) in picks.into_iter().enumerate() {
-        match chosen {
-            Some(c) => out.push(c),
-            None => {
-                return Err(CoreError::InvariantViolated {
-                    reason: format!("vertex {v} exhausted its list during a scheduled sweep"),
-                })
-            }
-        }
-    }
+    let out = picks
+        .into_iter()
+        .enumerate()
+        .map(|(v, chosen)| chosen.ok_or_else(|| exhausted(v)))
+        .collect::<Result<_, _>>()?;
     Ok((out, report))
 }
 

@@ -293,7 +293,9 @@ impl PolynomialFamily {
     /// The recoloring decision of Linial's step, Kuhn's defective coloring and Arb-Recolor:
     /// the smallest `α ∈ F_q` minimizing the number of `neighbors` whose color differs from
     /// `color` and whose polynomial agrees with `ϕ_color` at `α`.  The callers differ only in
-    /// which neighbor colors they pass (all of them, or only the parents').
+    /// which neighbor colors they pass (all of them, or only the parents').  `neighbors` is
+    /// walked more than once (it is cloned per pass), so a caller can pass colors read in
+    /// place, such as a node's inbox, instead of copying them into a buffer first.
     ///
     /// `α = 0` is decided first, from the lowest digits alone (`ϕ_y(0) = y mod q`): one `%` per
     /// neighbor, and if no neighbor collides the answer is 0 without touching `scratch`.
@@ -326,13 +328,19 @@ impl PolynomialFamily {
     /// # Panics
     ///
     /// Panics if `color` or a differently-colored neighbor is `≥ colors`.
-    pub fn best_alpha(&self, color: u64, neighbors: &[u64], scratch: &mut Vec<u64>) -> u64 {
+    pub fn best_alpha<'n, N>(&self, color: u64, neighbors: N, scratch: &mut Vec<u64>) -> u64
+    where
+        N: IntoIterator<Item = &'n u64>,
+        N::IntoIter: Clone,
+    {
+        let neighbors = neighbors.into_iter();
         let q = self.q;
         assert!(color < self.colors, "color {color} out of range (< {})", self.colors);
         let own_low = color % q;
-        let mut collisions = 0;
-        for &y in neighbors.iter().filter(|&&y| y != color) {
+        let (mut others, mut collisions) = (0, 0);
+        for &y in neighbors.clone().filter(|&&y| y != color) {
             assert!(y < self.colors, "color {y} out of range (< {})", self.colors);
+            others += 1;
             collisions += usize::from(y % q == own_low);
         }
         if collisions == 0 {
@@ -340,19 +348,24 @@ impl PolynomialFamily {
         } else if self.counts_roots() {
             self.fewest_roots(color, neighbors, scratch)
         } else {
-            self.scan(color, neighbors, collisions, scratch)
+            self.scan(color, neighbors, others, collisions, scratch)
         }
     }
 
     /// The root-counting path of [`PolynomialFamily::best_alpha`].
-    fn fewest_roots(&self, color: u64, neighbors: &[u64], hits: &mut Vec<u64>) -> u64 {
+    fn fewest_roots<'n>(
+        &self,
+        color: u64,
+        neighbors: impl Iterator<Item = &'n u64>,
+        hits: &mut Vec<u64>,
+    ) -> u64 {
         let q = self.q;
         let tables = self.tables.get_or_init(|| FieldTables::new(q));
         let own = tables.digits(color);
         // One counter per α, then one for "no root".
         hits.clear();
         hits.resize(q as usize + 1, 0);
-        for &y in neighbors.iter().filter(|&&y| y != color) {
+        for &y in neighbors.filter(|&&y| y != color) {
             for root in tables.roots(own, tables.digits(y)) {
                 hits[root as usize] += 1;
             }
@@ -369,14 +382,21 @@ impl PolynomialFamily {
         best_alpha as u64
     }
 
-    /// The scanning path of [`PolynomialFamily::best_alpha`], given the `collisions` at
-    /// `α = 0`.
-    fn scan(&self, color: u64, neighbors: &[u64], collisions: usize, rows: &mut Vec<u64>) -> u64 {
+    /// The scanning path of [`PolynomialFamily::best_alpha`], given the number of
+    /// differently-colored neighbors (`others`) and the `collisions` at `α = 0`.
+    fn scan<'n>(
+        &self,
+        color: u64,
+        neighbors: impl Iterator<Item = &'n u64>,
+        others: usize,
+        collisions: usize,
+        rows: &mut Vec<u64>,
+    ) -> u64 {
         let q = self.q;
         // Layout: the α-powers row, the own row, then one row per differently-colored neighbor.
         let d = self.digits as usize;
         rows.clear();
-        rows.reserve((2 + neighbors.len()) * d);
+        rows.reserve((2 + others) * d);
         rows.resize(d, 0);
         let mut split = |mut value: u64| {
             for _ in 0..d {
@@ -385,7 +405,7 @@ impl PolynomialFamily {
             }
         };
         split(color);
-        neighbors.iter().filter(|&&y| y != color).for_each(|&y| split(y));
+        neighbors.filter(|&&y| y != color).for_each(|&y| split(y));
         let (powers, rows) = rows.split_at_mut(d);
         let (own, others) = rows.split_at(d);
 

@@ -123,16 +123,15 @@ impl<'a> RecolorAlgorithm<'a> {
 #[derive(Debug, Clone)]
 pub struct RecolorNode<'a> {
     schedule: &'a RecolorSchedule,
-    /// Ports whose colors are counted; `None` counts every neighbor.
+    /// Ports whose colors are counted; `None` counts every neighbor.  The counted colors
+    /// are read in place from the inbox, so a step allocates nothing for them.
     parent_ports: Option<Vec<usize>>,
-    /// The counted neighbors' colors of the current round (reused across rounds).
-    counted: Vec<u64>,
     /// Scratch of [`PolynomialFamily::best_alpha`], kept for the whole run.  It stays
     /// unallocated until a round's `α = 0` has a collision.  That round and every later
     /// colliding one fill it with `q + 1` hit counters (root-counting families: 2 or 3 digits
     /// over an odd `q` up to [`ROOT_PATH_MAX_Q`]) or with `(2 + m)·digits` digit-row words for the
-    /// `m` counted neighbors (every other family), so it is reallocated only when a step
-    /// needs more words than the earlier ones.
+    /// `m` differently-colored counted neighbors (every other family), so it is reallocated
+    /// only when a step needs more words than the earlier ones.
     ///
     /// [`ROOT_PATH_MAX_Q`]: crate::algebraic::ROOT_PATH_MAX_Q
     rows: Vec<u64>,
@@ -159,17 +158,17 @@ impl arbcolor_runtime::node::NodeProgram for RecolorNode<'_> {
         inbox: &Inbox<'_, u64>,
         outbox: &mut Outbox<u64>,
     ) -> Status {
-        self.counted.clear();
-        match &self.parent_ports {
-            None => self.counted.extend(inbox.iter().map(|(_, &c)| c)),
-            Some(ports) => {
-                self.counted.extend(ports.iter().filter_map(|&p| inbox.from_port(p).copied()))
-            }
-        }
         let round = inbox.round();
         let family = &self.schedule.steps[round - 1].family;
-        self.color = family
-            .pair_color(self.color, family.best_alpha(self.color, &self.counted, &mut self.rows));
+        let alpha = match &self.parent_ports {
+            None => family.best_alpha(self.color, inbox.iter().map(|(_, c)| c), &mut self.rows),
+            Some(ports) => family.best_alpha(
+                self.color,
+                ports.iter().filter_map(|&p| inbox.from_port(p)),
+                &mut self.rows,
+            ),
+        };
+        self.color = family.pair_color(self.color, alpha);
         if round == self.schedule.steps.len() {
             Status::Halted
         } else {
@@ -191,7 +190,6 @@ impl<'a> Algorithm for RecolorAlgorithm<'a> {
         RecolorNode {
             schedule: self.schedule,
             parent_ports: self.parents.map(|(graph, o)| o.parent_ports(graph, v).collect()),
-            counted: Vec::new(),
             rows: Vec::new(),
             color: self.initial[v],
         }

@@ -14,8 +14,11 @@
 //! * **any other strictly ascending list** — child order follows parent order, so each
 //!   parent neighbor list, filtered to the part, is already ascending in child indices: the
 //!   canonical child edge list is written in one pass and the CSR is laid out from it
-//!   directly, without a sort (a single part allocates nothing parent-sized either; the
-//!   parts of a partition share one parent-sized table);
+//!   directly, without a sort.  A single part allocates nothing parent-sized either: its
+//!   members are found through a bitset with popcount ranks over the part's window once the
+//!   members' arcs outnumber the window's 64-vertex words (a few hubs), and by binary
+//!   search of the part while they do not (a small repair frontier).  The parts of a
+//!   partition share one parent-sized table;
 //! * **anything else** (unsorted, or with duplicates) — children are numbered by first
 //!   appearance, and the edges go through a [`GraphBuilder`] and its sort.
 //!
@@ -264,21 +267,46 @@ pub struct PartitionScratch {
 }
 
 /// The subgraph induced by the strictly ascending `part` on its own, given the parent's
-/// ascending neighbor lists and identifiers: [`induce_ascending`] over a [`PartRank`], or,
-/// when the part is sparser in its window than one vertex per 64 (a dynamic repair's
-/// frontier in a large graph), over a binary search of the part itself, which spares
-/// building a bitset with more words than the part has vertices.
+/// ascending neighbor lists and identifiers: [`induce_ascending`] over whichever membership
+/// test costs less.  A [`PartRank`] answers each arc in O(1) but clears and ranks one word
+/// per 64 vertices of the part's window; a binary search of the part itself builds nothing
+/// but pays `log₂ |part|` comparisons per arc.  So the rank is built once the members' arcs
+/// outnumber the window's words (a few hubs of a large graph), and the search is kept while
+/// they do not (a dynamic repair's small frontier in a large graph).
 pub(crate) fn induce_part<'p>(
     part: &[Vertex],
     neighbors: impl Fn(Vertex) -> &'p [Vertex],
     ids: &[u64],
 ) -> InducedSubgraph<'static> {
-    let span = part.last().map_or(0, |&last| last - part[0] + 1);
-    if part.len() * 64 < span {
-        induce_ascending(part, neighbors, ids, |v| part.binary_search(&v).ok())
-    } else {
+    let rank = rank_pays(part, &neighbors);
+    induce_part_with(part, neighbors, ids, rank)
+}
+
+/// Whether the members of the strictly ascending `part` have more arcs than its window
+/// `[first, last]` has 64-vertex words: the cost rule of [`induce_part`].  The count stops as
+/// soon as it is decided.
+fn rank_pays<'p>(part: &[Vertex], neighbors: &impl Fn(Vertex) -> &'p [Vertex]) -> bool {
+    let words = part.last().map_or(0, |&last| (last - part[0] + 1).div_ceil(64));
+    let mut arcs = 0;
+    part.iter().any(|&v| {
+        arcs += neighbors(v).len();
+        arcs > words
+    })
+}
+
+/// [`induce_part`] with the membership test chosen by the caller: a [`PartRank`] when `rank`
+/// holds, a binary search of `part` otherwise.  Both give the same subgraph and map.
+fn induce_part_with<'p>(
+    part: &[Vertex],
+    neighbors: impl Fn(Vertex) -> &'p [Vertex],
+    ids: &[u64],
+    rank: bool,
+) -> InducedSubgraph<'static> {
+    if rank {
         let rank = PartRank::new(part);
         induce_ascending(part, neighbors, ids, |v| rank.child(v))
+    } else {
+        induce_ascending(part, neighbors, ids, |v| part.binary_search(&v).ok())
     }
 }
 
@@ -548,19 +576,59 @@ mod tests {
         assert!(std::ptr::eq(&*single[&0].graph, &g));
     }
 
+    /// Checks both membership paths of [`induce_part`] on `part` against the builder
+    /// reference (so against each other: same CSR, mirror arcs and map), and that the cost
+    /// rule picks the rank exactly when `rank_expected`.
+    fn check_both_paths(g: &Graph, part: &[Vertex], rank_expected: bool) {
+        let neighbors = |v: Vertex| g.neighbors(v);
+        assert_eq!(rank_pays(part, &neighbors), rank_expected, "cost rule on {part:?}");
+        for rank in [true, false] {
+            let sub = induce_part_with(part, neighbors, g.ids(), rank);
+            check_against_reference(g, part, &sub).unwrap();
+        }
+        check_against_reference(g, part, &InducedSubgraph::new(g, part)).unwrap();
+        check_against_reference(g, part, &Adjacency::from_graph(g).induced(part)).unwrap();
+    }
+
+    /// The rank and binary-search paths of [`induce_part`] give the builder's subgraph and
+    /// map on tiny parts of wide vertices, on repair-frontier shapes and on dense parts.
     #[test]
     fn sparse_and_dense_parts_equal_the_builder() {
-        // One vertex in 100 falls below the bitset's one-per-64 density and is found by
-        // binary search; one in 3 is found through the bitset.
-        let g = generators::gnp(3000, 0.05, 9).unwrap().with_shuffled_ids(10);
-        let adjacency = Adjacency::from_graph(&g);
-        for step in [100, 3] {
-            let part: Vec<Vertex> = (7..g.n()).step_by(step).collect();
-            let sub = InducedSubgraph::new(&g, &part);
-            assert!(sub.graph.m() > 0);
-            check_against_reference(&g, &part, &sub).unwrap();
-            check_against_reference(&g, &part, &adjacency.induced(&part)).unwrap();
+        // Tiny parts of wide vertices: a few hubs of degree ≈ 750 (some adjacent through
+        // the other forests), alone and with leaves, take the rank.
+        let hubs = generators::star_forest_union(3000, 3, 4, 31).unwrap().with_shuffled_ids(5);
+        let mut wide: Vec<Vertex> = hubs.vertices().filter(|&v| hubs.degree(v) > 100).collect();
+        assert!(wide.len() >= 6 && hubs.m() > 0);
+        check_both_paths(&hubs, &wide[..1], true);
+        check_both_paths(&hubs, &wide, true);
+        wide.extend((0..hubs.n()).step_by(97));
+        wide.sort_unstable();
+        wide.dedup();
+        check_both_paths(&hubs, &wide, true);
+
+        // Repair-frontier shapes: a handful of scattered vertices of a sparse graph, whose
+        // arcs fall short of the window's words, keep the binary search.
+        let sparse = generators::gnm(20_000, 80_000, 7).unwrap().with_shuffled_ids(8);
+        for step in [4_001, 1_999, 997] {
+            let frontier: Vec<Vertex> = (11..sparse.n()).step_by(step).collect();
+            check_both_paths(&sparse, &frontier, false);
         }
+        let mut adjacent: Vec<Vertex> = vec![3, 19_000];
+        adjacent.extend(sparse.neighbors(3).iter().copied().take(2));
+        adjacent.sort_unstable();
+        check_both_paths(&sparse, &adjacent, false);
+
+        // Dense ascending parts: every third vertex, and a contiguous block.  One vertex in
+        // 100 is sparse in its window but has ≈ 150 arcs per member, so it takes the rank too.
+        let dense = generators::gnp(3000, 0.05, 9).unwrap().with_shuffled_ids(10);
+        for step in [3, 100] {
+            let part: Vec<Vertex> = (7..dense.n()).step_by(step).collect();
+            check_both_paths(&dense, &part, true);
+        }
+        check_both_paths(&dense, &(500..1700).collect::<Vec<_>>(), true);
+        // The degenerate parts: empty, and one isolated vertex (no arcs, one word).
+        check_both_paths(&Graph::empty(10), &[], false);
+        check_both_paths(&Graph::empty(10), &[4], false);
     }
 
     #[test]

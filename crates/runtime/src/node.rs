@@ -117,8 +117,9 @@ impl<'a, M> Inbox<'a, M> {
     }
 
     /// Iterates over `(port, &message)` pairs (ports ascending; same-port messages in send
-    /// order).
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &'a M)> + '_ {
+    /// order).  The iterator is a cheap copy of a few positions, so a program may clone it to
+    /// walk its mail twice without buffering it.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &'a M)> + Clone + '_ {
         match self.repr {
             InboxRepr::Pairs(messages) => InboxIter::Pairs(messages.iter()),
             InboxRepr::Pulled { neighbors, records, base, spill } => {
@@ -177,6 +178,19 @@ enum InboxIter<'a, M> {
     },
 }
 
+// Written out rather than derived: a derive would demand `M: Clone`, and the iterator
+// holds only positions and shared references.
+impl<M> Clone for InboxIter<'_, M> {
+    fn clone(&self) -> Self {
+        match self {
+            InboxIter::Pairs(iter) => InboxIter::Pairs(iter.clone()),
+            InboxIter::Pulled { recorded, next, spill, base } => {
+                InboxIter::Pulled { recorded: recorded.clone(), next: *next, spill, base: *base }
+            }
+        }
+    }
+}
+
 impl<'a, M> Iterator for InboxIter<'a, M> {
     type Item = (usize, &'a M);
 
@@ -207,6 +221,12 @@ struct RecordPorts<'a, M> {
     records: &'a Records<M>,
     /// The next port to test.
     port: usize,
+}
+
+impl<M> Clone for RecordPorts<'_, M> {
+    fn clone(&self) -> Self {
+        RecordPorts { neighbors: self.neighbors, records: self.records, port: self.port }
+    }
 }
 
 impl<'a, M> Iterator for RecordPorts<'a, M> {

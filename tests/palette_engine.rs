@@ -26,7 +26,7 @@ use arbcolor_graph::{generators, Graph};
 use arbcolor_runtime::algorithms::{
     ListColorSchedule, ListColorSlot, ScheduledListColor, VecScanListColor,
 };
-use arbcolor_runtime::Executor;
+use arbcolor_runtime::{obs, Executor};
 
 /// FNV-1a over the color vector: one shifted color anywhere changes the fingerprint.
 fn fnv(colors: &[u64]) -> u64 {
@@ -190,4 +190,56 @@ fn bitset_and_vecscan_pick_paths_agree_on_greedy_schedules() {
         assert_eq!(bitset.report, vecscan.report, "cost diverged between pick paths");
         assert!(schedule.stats().snapshot().picks_served >= g.n() as u64);
     }
+}
+
+/// Ghaffari–Kuhn on the same 12-hub union, under a collector.  Level 1 finishes a
+/// 3,988-vertex instance with no internal edge (every leaf that chose the low half), the
+/// split levels induce parts of a few hubs of degree ≈ 1000 each, and the one deferred
+/// vertex is picked from its original list past four forbidden colors.  The pin covers the
+/// coloring, the cost and every palette counter, per level included.
+#[test]
+fn hub_ghaffari_kuhn_run_and_palette_counters_are_pinned() {
+    let g = generators::star_forest_union(4000, 3, 4, 31).unwrap().with_shuffled_ids(13);
+    let collector = obs::SpanCollector::new();
+    let run = {
+        let _recording = obs::install(&collector);
+        ghaffari_kuhn_coloring(&g).unwrap()
+    };
+    assert_eq!(fnv(run.coloring.colors()), 0xea94_cb44_d07f_2f48, "hubs/gk: colors diverged");
+    assert_eq!(
+        (run.colors_used, run.report.rounds, run.report.messages, run.report.total_bits),
+        (7, 71, 24194, 25248)
+    );
+    let palette: Vec<(String, u64)> = collector
+        .metrics()
+        .counters()
+        .filter(|(name, _)| name.starts_with("palette."))
+        .map(|(name, value)| (name.to_string(), value))
+        .collect();
+    let expected = [
+        ("palette.colors_struck", 5),
+        ("palette.deferred-cleanup.colors_struck", 4),
+        ("palette.deferred-cleanup.picks_served", 1),
+        ("palette.deferred-cleanup.words_cleared", 0),
+        ("palette.level-1.colors_struck", 0),
+        ("palette.level-1.picks_served", 3988),
+        ("palette.level-1.words_cleared", 0),
+        ("palette.level-3.colors_struck", 0),
+        ("palette.level-3.picks_served", 4),
+        ("palette.level-3.words_cleared", 0),
+        ("palette.level-4.colors_struck", 0),
+        ("palette.level-4.picks_served", 1),
+        ("palette.level-4.words_cleared", 0),
+        ("palette.level-5.colors_struck", 0),
+        ("palette.level-5.picks_served", 1),
+        ("palette.level-5.words_cleared", 0),
+        ("palette.level-8.colors_struck", 1),
+        ("palette.level-8.picks_served", 5),
+        ("palette.level-8.words_cleared", 0),
+        ("palette.picks_served", 4000),
+        ("palette.words_cleared", 0),
+    ];
+    let expected: Vec<(String, u64)> =
+        expected.iter().map(|&(name, value)| (name.to_string(), value)).collect();
+    assert_eq!(palette, expected);
 }
