@@ -195,6 +195,30 @@ mod tests {
     }
 
     #[test]
+    fn mis_sweep_steps_a_blocked_vertex_on_mail_then_waits_for_its_slot() {
+        // Path 0 – 1 – 2 – 3 with slots (0, 3, 1, 0): vertices 0 and 3 join in round 0.
+        // Round 1 steps vertex 1 (blocked by vertex 0's announcement) and vertex 2 (blocked,
+        // in its slot); round 2 nobody, while vertex 1 waits silently; round 3 vertex 1, in
+        // its slot.
+        use arbcolor_runtime::{obs, Executor, ReferenceExecutor};
+        let g = generators::path(4).unwrap();
+        let slots = [0u64, 3, 1, 0];
+        let collector = obs::SpanCollector::new();
+        let guard = obs::install(&collector);
+        let result = Executor::new(&g).run(&MisSweep { slots: &slots }).unwrap();
+        drop(guard);
+        let frontier: Vec<usize> =
+            collector.snapshot()[0].rounds.iter().map(|r| r.frontier).collect();
+        assert_eq!(result.outputs, vec![true, false, false, true]);
+        assert_eq!(result.report.rounds, 3);
+        assert_eq!(result.report.messages, 2);
+        assert_eq!(frontier, vec![2, 0, 1]);
+        let oracle = ReferenceExecutor::new(&g).run(&MisSweep { slots: &slots }).unwrap();
+        assert_eq!(oracle.outputs, result.outputs);
+        assert_eq!(oracle.report, result.report);
+    }
+
+    #[test]
     fn empty_graph_mis_is_everything() {
         let g = arbcolor_graph::Graph::empty(6);
         let coloring = Coloring::constant(&g);

@@ -384,6 +384,40 @@ mod tests {
     }
 
     #[test]
+    fn greedy_sweep_steps_a_waiting_vertex_only_on_mail_and_in_its_slot() {
+        // Path 0 – 1 – 2 – 3 with slots (3, 0, 2, 1) over the range [10, 13).  Vertex 0
+        // forbids 5 (below the offset) and 20 (past the range), which strike nothing.  Round 1
+        // steps vertices 0 and 2 (vertex 1's announcement) and vertex 3 (its slot), round 2
+        // vertex 2 (its slot and vertex 3's announcement), and round 3 vertex 0, which has
+        // waited silently for its slot since its mail in round 1.
+        use arbcolor_graph::PaletteStatsSnapshot;
+        use arbcolor_runtime::{obs, Executor, ReferenceExecutor};
+        let g = generators::path(4).unwrap();
+        let range =
+            |slot, forbidden| SweepSlot { slot, palette_offset: 10, palette_size: 3, forbidden };
+        let slots =
+            vec![range(3, vec![5, 20]), range(0, vec![]), range(2, vec![]), range(1, vec![])];
+        let schedule = SweepSchedule::new(&slots);
+        let collector = obs::SpanCollector::new();
+        let guard = obs::install(&collector);
+        let result = Executor::new(&g).run(&GreedySweep::new(&schedule)).unwrap();
+        drop(guard);
+        let frontier: Vec<usize> =
+            collector.snapshot()[0].rounds.iter().map(|r| r.frontier).collect();
+        assert_eq!(result.outputs, vec![Some(11), Some(10), Some(11), Some(10)]);
+        assert_eq!(result.report.rounds, 3);
+        assert_eq!(result.report.messages, 6);
+        assert_eq!(frontier, vec![3, 1, 1]);
+        // Vertices 2 and 0 each strike 10 once; the out-of-range forbidden colors strike
+        // nothing.
+        let stats = PaletteStatsSnapshot { picks_served: 4, colors_struck: 2, words_cleared: 0 };
+        assert_eq!(schedule.stats().snapshot(), stats);
+        let oracle = ReferenceExecutor::new(&g).run(&GreedySweep::new(&schedule)).unwrap();
+        assert_eq!(oracle.outputs, result.outputs);
+        assert_eq!(oracle.report, result.report);
+    }
+
+    #[test]
     fn sweep_reports_palette_exhaustion() {
         let g = generators::complete(3).unwrap();
         let slots: Vec<SweepSlot> = (0..3)
