@@ -1,13 +1,12 @@
 //! Criterion benchmarks for the bitset palette engine (experiment E24's wall-clock side):
 //! raw [`PaletteSet`] strike/pick micro-costs, and the bitset pick path of
-//! [`ScheduledListColor`] against the preserved `Vec`-scan reference
-//! ([`VecScanListColor`]) on identical greedy-scheduled sweeps.
+//! [`SlotSchedule`] sweeps against the preserved `Vec`-scan reference
+//! ([`VecScanPick`]) on identical greedy-scheduled sweeps: two rules of one slot-sweep
+//! program.
 
 use arbcolor_baselines::greedy::sequential_greedy;
-use arbcolor_graph::{generators, PaletteSet};
-use arbcolor_runtime::algorithms::{
-    ListColorSchedule, ListColorSlot, ScheduledListColor, VecScanListColor,
-};
+use arbcolor_graph::{generators, ColorPool, PaletteSet};
+use arbcolor_runtime::algorithms::{SlotSchedule, SlotSweep, VecScanPick};
 use arbcolor_runtime::Executor;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -31,30 +30,25 @@ fn bench_palette_set(c: &mut Criterion) {
     group.finish();
 }
 
-fn greedy_slots(n: usize) -> (arbcolor_graph::Graph, Vec<ListColorSlot>) {
+fn greedy_schedule(n: usize) -> (arbcolor_graph::Graph, SlotSchedule) {
     let g = generators::random_regular_like(n, 32, 103).unwrap().with_shuffled_ids(17);
     let schedule_coloring = sequential_greedy(&g, None);
-    let slots = g
-        .vertices()
-        .map(|v| ListColorSlot {
-            slot: schedule_coloring.color(v) as usize,
-            palette: (0..=g.degree(v) as u64).collect(),
-            forbidden: Vec::new(),
-        })
-        .collect();
-    (g, slots)
+    let mut palettes = ColorPool::new();
+    for v in g.vertices() {
+        palettes.push_iter(0..=g.degree(v) as u64);
+    }
+    let slots = g.vertices().map(|v| schedule_coloring.color(v) as usize).collect();
+    let schedule = SlotSchedule::lists(slots, palettes, ColorPool::empty_lists(g.n()));
+    (g, schedule)
 }
 
 fn bench_bitset_pick_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("palette_pick_bitset");
     group.sample_size(10);
     for n in [1_000usize, 4_000] {
-        let (g, slots) = greedy_slots(n);
+        let (g, schedule) = greedy_schedule(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &(), |b, ()| {
-            b.iter(|| {
-                let schedule = ListColorSchedule::from_slots(&slots);
-                Executor::new(&g).run(&ScheduledListColor::new(&schedule)).unwrap()
-            })
+            b.iter(|| Executor::new(&g).run(&SlotSweep(&schedule)).unwrap())
         });
     }
     group.finish();
@@ -64,9 +58,9 @@ fn bench_vecscan_pick_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("palette_pick_vecscan");
     group.sample_size(10);
     for n in [1_000usize, 4_000] {
-        let (g, slots) = greedy_slots(n);
+        let (g, schedule) = greedy_schedule(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &(), |b, ()| {
-            b.iter(|| Executor::new(&g).run(&VecScanListColor::new(&slots)).unwrap())
+            b.iter(|| Executor::new(&g).run(&SlotSweep(&VecScanPick(&schedule))).unwrap())
         });
     }
     group.finish();

@@ -791,7 +791,7 @@ pub fn e20_dynamic_recoloring(_sz: SizeClass) -> Vec<Row> {
 /// slot-scheduled sweep whose active set shrinks round over round.
 ///
 /// A Barabási–Albert preferential-attachment graph is colored twice, and each coloring
-/// becomes the slots of a [`ScheduledListColor`] sweep: one color class fires (and halts)
+/// becomes the slots of a list-palette [`SlotSchedule`] sweep: one color class fires (and halts)
 /// per round.  The sweep's exec span records one row per round ([`RoundInstant`]): the
 /// active count at round start, the frontier actually stepped, the messages delivered, and
 /// the wall-clock.  The deterministic columns are gated by the perf pipeline; `wall_ms` is
@@ -811,7 +811,7 @@ pub fn e20_dynamic_recoloring(_sz: SizeClass) -> Vec<Row> {
 /// included, before any row is emitted.  At `Scale(1)` the graph has 10⁶ vertices; the smoke
 /// tier shrinks it to 4 000.
 ///
-/// [`ScheduledListColor`]: arbcolor_runtime::algorithms::ScheduledListColor
+/// [`SlotSchedule`]: arbcolor_runtime::algorithms::SlotSchedule
 /// [`RoundInstant`]: arbcolor_runtime::obs::RoundInstant
 pub fn e21_frontier_collapse(sz: SizeClass) -> Vec<Row> {
     use arbcolor::ghaffari_kuhn::ghaffari_kuhn_coloring;
@@ -834,28 +834,38 @@ pub fn e21_frontier_collapse(sz: SizeClass) -> Vec<Row> {
     rows
 }
 
-/// One E21 sweep: vertex `v` acts in slot `slot(v)` of a [`ScheduledListColor`] run on `g`,
+/// The greedy list sweep of E21 and E24: vertex `v` picks from `{0, …, deg(v)}` (one more
+/// color than its degree, so the sweep always succeeds) in slot `slot(v)`.
+fn degree_list_schedule(
+    g: &Graph,
+    slot: impl Fn(usize) -> usize,
+) -> arbcolor_runtime::algorithms::SlotSchedule {
+    use arbcolor_graph::ColorPool;
+    let mut palettes = ColorPool::with_capacity(g.n(), 2 * g.m() + g.n());
+    for v in g.vertices() {
+        palettes.push_iter(0..=g.degree(v) as u64);
+    }
+    let slots = g.vertices().map(slot).collect();
+    arbcolor_runtime::algorithms::SlotSchedule::lists(
+        slots,
+        palettes,
+        ColorPool::empty_lists(g.n()),
+    )
+}
+
+/// One E21 sweep: vertex `v` acts in slot `slot(v)` of a [`SlotSchedule`] sweep on `g`,
 /// recorded under the installed collector (a scratch one when none is); the rows are named
 /// after `label`.
 ///
-/// [`ScheduledListColor`]: arbcolor_runtime::algorithms::ScheduledListColor
+/// [`SlotSchedule`]: arbcolor_runtime::algorithms::SlotSchedule
 fn e21_sweep(g: &Graph, label: &str, slot: impl Fn(usize) -> usize) -> Vec<Row> {
     use arbcolor_graph::Coloring;
-    use arbcolor_runtime::algorithms::{ListColorSchedule, ListColorSlot, ScheduledListColor};
+    use arbcolor_runtime::algorithms::SlotSweep;
     use arbcolor_runtime::{obs, Executor};
 
     let n = g.n();
-    let slots: Vec<ListColorSlot> = g
-        .vertices()
-        .map(|v| ListColorSlot {
-            slot: slot(v),
-            // One more color than the degree, so the sweep always succeeds.
-            palette: (0..=g.degree(v) as u64).collect(),
-            forbidden: Vec::new(),
-        })
-        .collect();
-    let schedule = ListColorSchedule::from_slots(&slots);
-    let algorithm = ScheduledListColor::new(&schedule);
+    let schedule = degree_list_schedule(g, slot);
+    let algorithm = SlotSweep(&schedule);
 
     // Reuse the collector installed by `--trace-out` when present; the rows are read from
     // the exec spans either way.
@@ -1088,11 +1098,11 @@ pub fn e23_phase_breakdown(sz: SizeClass, seed: u64) -> Vec<Row> {
 }
 
 /// E24 — the palette-engine pick-path race: the word-parallel bitset
-/// [`ScheduledListColor`] against the preserved `Vec`-scan reference
-/// ([`VecScanListColor`]) on the same greedy-scheduled sweep, over the three degree
+/// [`SlotSchedule`] sweep against the preserved `Vec`-scan reference
+/// ([`VecScanPick`]) on the same greedy-scheduled sweep, over the three degree
 /// profiles of the E18 routing race (≈32-regular dense, sparse G(n,p), power-law).
 ///
-/// Each row races both pick paths on an identical [`ListColorSlot`] input (slots from the
+/// Each row races both pick rules on one [`SlotSchedule`] (slots from the
 /// sequential greedy baseline, palette `{0, …, deg(v)}`) and asserts **bit-identical**
 /// colors, rounds, and messages before it is emitted — the engine swap must be invisible
 /// in every deterministic column.  The `picks_served` / `colors_struck` columns come from
@@ -1101,16 +1111,13 @@ pub fn e23_phase_breakdown(sz: SizeClass, seed: u64) -> Vec<Row> {
 /// sweep runs at `n = 10⁵`, where the bitset path must beat the `Vec` scan on the dense
 /// family; the smoke tier shrinks it to 1 500 vertices.
 ///
-/// [`ScheduledListColor`]: arbcolor_runtime::algorithms::ScheduledListColor
-/// [`VecScanListColor`]: arbcolor_runtime::algorithms::VecScanListColor
-/// [`ListColorSlot`]: arbcolor_runtime::algorithms::ListColorSlot
+/// [`SlotSchedule`]: arbcolor_runtime::algorithms::SlotSchedule
+/// [`VecScanPick`]: arbcolor_runtime::algorithms::VecScanPick
 /// [`PaletteStats`]: arbcolor_graph::PaletteStats
 pub fn e24_palette_engine(sz: SizeClass) -> Vec<Row> {
     use arbcolor_baselines::greedy::sequential_greedy;
     use arbcolor_graph::Coloring;
-    use arbcolor_runtime::algorithms::{
-        ListColorSchedule, ListColorSlot, ScheduledListColor, VecScanListColor,
-    };
+    use arbcolor_runtime::algorithms::{SlotSweep, VecScanPick};
     use arbcolor_runtime::Executor;
 
     let n = match sz {
@@ -1127,33 +1134,22 @@ pub fn e24_palette_engine(sz: SizeClass) -> Vec<Row> {
     for (family, generate) in &families {
         let g = &generate(n);
         let schedule_coloring = sequential_greedy(g, None);
-        let slots: Vec<ListColorSlot> = g
-            .vertices()
-            .map(|v| ListColorSlot {
-                slot: schedule_coloring.color(v) as usize,
-                // One more color than the degree, so the sweep always succeeds.
-                palette: (0..=g.degree(v) as u64).collect(),
-                forbidden: Vec::new(),
-            })
-            .collect();
-
-        let schedule = ListColorSchedule::from_slots(&slots);
+        let schedule = degree_list_schedule(g, |v| schedule_coloring.color(v) as usize);
         // Untimed warm-up lap of both paths: the first execution on a freshly generated
         // graph pays one-time page-fault and cache-warming costs that would otherwise be
         // charged to whichever path happens to run first.
-        Executor::new(g).run(&ScheduledListColor::new(&schedule)).expect("sweep terminates");
-        Executor::new(g).run(&VecScanListColor::new(&slots)).expect("sweep terminates");
+        Executor::new(g).run(&SlotSweep(&schedule)).expect("sweep terminates");
+        Executor::new(g).run(&SlotSweep(&VecScanPick(&schedule))).expect("sweep terminates");
         let _ = schedule.stats().take();
 
         let start = Instant::now();
-        let bitset =
-            Executor::new(g).run(&ScheduledListColor::new(&schedule)).expect("sweep terminates");
+        let bitset = Executor::new(g).run(&SlotSweep(&schedule)).expect("sweep terminates");
         let wall_bitset = start.elapsed().as_secs_f64() * 1e3;
         let stats = schedule.stats().snapshot();
 
         let start = Instant::now();
         let vecscan =
-            Executor::new(g).run(&VecScanListColor::new(&slots)).expect("sweep terminates");
+            Executor::new(g).run(&SlotSweep(&VecScanPick(&schedule))).expect("sweep terminates");
         let wall_vecscan = start.elapsed().as_secs_f64() * 1e3;
 
         assert_eq!(bitset.outputs, vecscan.outputs, "pick paths diverged on {family} n={n}");

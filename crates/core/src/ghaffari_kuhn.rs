@@ -49,11 +49,9 @@ use crate::report::ColoringRun;
 use arbcolor_decompose::defective::defective_coloring;
 use arbcolor_decompose::linial::linial_coloring;
 use arbcolor_decompose::reduction::kw_reduce;
-use arbcolor_graph::{
-    ColorPool, Coloring, Graph, InducedSubgraph, PaletteStats, PaletteStatsSnapshot, Vertex,
-};
+use arbcolor_graph::{ColorPool, Coloring, Graph, InducedSubgraph, Vertex};
 use arbcolor_runtime::algorithms::{
-    HalvingSplit, ListColorSchedule, ScheduledListColor, SplitChoice, SplitSlot,
+    picked_colors, HalvingSplit, SlotSchedule, SlotSweep, SplitChoice, SplitSlot,
 };
 use arbcolor_runtime::{obs, parallel_max, run_algorithm, RoundReport};
 use std::borrow::Cow;
@@ -150,15 +148,19 @@ pub fn ghaffari_kuhn_list_coloring(
                 continue;
             }
             if !has_internal_edge(graph, &inst.vertices, &mut members) {
-                for (&v, c) in inst.vertices.iter().zip(pick_first(&inst.lists)?) {
+                let forbidden = ColorPool::empty_lists(inst.vertices.len());
+                for (&v, c) in
+                    inst.vertices.iter().zip(pick_isolated(inst.lists.into_owned(), forbidden)?)
+                {
                     colors[v] = Some(c);
                 }
                 continue;
             }
             let sub = InducedSubgraph::new(graph, &inst.vertices);
             if inst.hi - inst.lo <= BASE_SPACE {
+                let forbidden = ColorPool::empty_lists(sub.graph.n());
                 let (leaf_colors, report) =
-                    scheduled_sweep(&sub.graph, inst.lists.into_owned(), None)?;
+                    scheduled_sweep(&sub.graph, inst.lists.into_owned(), forbidden)?;
                 for (child, c) in leaf_colors.into_iter().enumerate() {
                     colors[sub.map.to_parent(child)] = Some(c);
                 }
@@ -190,7 +192,8 @@ pub fn ghaffari_kuhn_list_coloring(
                     }
                 })
                 .collect();
-            let result = run_algorithm(&sub.graph, &HalvingSplit::new(&slots, num_slots))?;
+            let split = HalvingSplit::new(slots, num_slots);
+            let result = run_algorithm(&sub.graph, &SlotSweep(&split))?;
             split_reports.push(defective.output.report.then(result.report));
 
             let (mut low, mut high) =
@@ -238,8 +241,7 @@ pub fn ghaffari_kuhn_list_coloring(
             cleanup_lists.push_slice(lists.list(parent));
             forbidden.push_iter(graph.neighbors(parent).iter().filter_map(|&u| colors[u]));
         }
-        let (cleanup_colors, cleanup) =
-            scheduled_sweep(&sub.graph, cleanup_lists, Some(forbidden))?;
+        let (cleanup_colors, cleanup) = scheduled_sweep(&sub.graph, cleanup_lists, forbidden)?;
         for (child, c) in cleanup_colors.into_iter().enumerate() {
             colors[sub.map.to_parent(child)] = Some(c);
         }
@@ -271,20 +273,15 @@ fn has_internal_edge(graph: &Graph, vertices: &[Vertex], members: &mut [u64]) ->
     found
 }
 
-/// The colors of an instance with no internal edge, straight from its list pool: no
-/// neighbor announces a color and nothing is forbidden, so the greedy sweep would give every
-/// vertex the first color of its list, at zero cost.  The palette counters record one pick
-/// per vertex with nothing struck, as [`ListColorSchedule::pick_isolated`] does, and no
-/// subgraph, schedule or strike set is built.
-fn pick_first(lists: &ColorPool) -> Result<Vec<u64>, CoreError> {
-    let stats = PaletteStats::default();
-    stats.add(PaletteStatsSnapshot { picks_served: lists.len() as u64, ..Default::default() });
-    obs::record_palette(&stats);
-    lists
-        .iter()
-        .enumerate()
-        .map(|(v, list)| list.first().copied().ok_or_else(|| exhausted(v)))
-        .collect()
+/// The colors of an instance whose vertices have no neighbor in it, straight from its
+/// lists: every vertex takes the first color of its list outside its forbidden set, at zero
+/// cost ([`SlotSchedule::pick_isolated`]).  The independent instances of the recursion take
+/// this path with nothing forbidden, so no subgraph and no strike set is built for them.
+fn pick_isolated(lists: ColorPool, forbidden: ColorPool) -> Result<Vec<u64>, CoreError> {
+    let schedule = SlotSchedule::lists(vec![0; lists.len()], lists, forbidden);
+    let picks = schedule.pick_isolated();
+    obs::record_palette(schedule.stats());
+    picked_colors(picks).map_err(exhausted)
 }
 
 /// The error of vertex `v` (a child index of the instance) running out of list colors.
@@ -296,40 +293,29 @@ fn exhausted(v: Vertex) -> CoreError {
 
 /// Greedily list colors a (sub)graph over a legal schedule: Linial plus Kuhn–Wattenhofer
 /// produce a `(Δ+1)`-coloring whose classes become the announcement slots of one
-/// [`ScheduledListColor`] sweep.  `forbidden` carries externally excluded colors per vertex.
-/// An edgeless graph needs no schedule and no executor run: every vertex picks from its
-/// list at once ([`ListColorSchedule::pick_isolated`]), at zero cost.  The recursion never
-/// gets here with one (it finds independent instances first and picks with [`pick_first`]);
-/// the deferred cleanup does, when no two deferred vertices are adjacent.
+/// [`SlotSchedule`] sweep.  `forbidden` carries externally excluded colors per vertex.
+/// An edgeless graph needs no schedule and no executor run: it takes [`pick_isolated`].  The
+/// recursion never gets here with one (it finds independent instances first); the deferred
+/// cleanup does, when no two deferred vertices are adjacent.
 ///
-/// The list and forbidden pools are moved into the run's [`ListColorSchedule`] arena
-/// wholesale — no per-vertex list is ever copied.
+/// The list and forbidden pools are moved into the run's [`SlotSchedule`] arena wholesale —
+/// no per-vertex list is ever copied.
 fn scheduled_sweep(
     graph: &Graph,
     lists: ColorPool,
-    forbidden: Option<ColorPool>,
+    forbidden: ColorPool,
 ) -> Result<(Vec<u64>, RoundReport), CoreError> {
-    let forbidden = forbidden.unwrap_or_else(|| ColorPool::empty_lists(graph.n()));
-    let (picks, report) = if graph.m() == 0 {
-        let schedule = ListColorSchedule::new(vec![0; graph.n()], lists, forbidden);
-        let picks = schedule.pick_isolated();
-        obs::record_palette(schedule.stats());
-        (picks, RoundReport::zero())
-    } else {
-        let linial = linial_coloring(graph)?;
-        let reduced = kw_reduce(graph, &linial.coloring)?;
-        let slots = (0..graph.n()).map(|v| reduced.coloring.color(v) as usize).collect();
-        let schedule = ListColorSchedule::new(slots, lists, forbidden);
-        let result = run_algorithm(graph, &ScheduledListColor::new(&schedule))?;
-        obs::record_palette(schedule.stats());
-        (result.outputs, linial.report.then(reduced.report).then(result.report))
-    };
-    let out = picks
-        .into_iter()
-        .enumerate()
-        .map(|(v, chosen)| chosen.ok_or_else(|| exhausted(v)))
-        .collect::<Result<_, _>>()?;
-    Ok((out, report))
+    if graph.m() == 0 {
+        return Ok((pick_isolated(lists, forbidden)?, RoundReport::zero()));
+    }
+    let linial = linial_coloring(graph)?;
+    let reduced = kw_reduce(graph, &linial.coloring)?;
+    let slots = (0..graph.n()).map(|v| reduced.coloring.color(v) as usize).collect();
+    let schedule = SlotSchedule::lists(slots, lists, forbidden);
+    let result = run_algorithm(graph, &SlotSweep(&schedule))?;
+    obs::record_palette(schedule.stats());
+    let colors = picked_colors(result.outputs).map_err(exhausted)?;
+    Ok((colors, linial.report.then(reduced.report).then(result.report)))
 }
 
 #[cfg(test)]

@@ -5,70 +5,47 @@
 //! Each class costs one round, so the total is `k` rounds on top of the coloring.  Combining
 //! the sweep with the `O(a)`-coloring of Theorem 4.3 reproduces the paper's MIS bound:
 //! `O(a + a^µ log n)` rounds on graphs of arboricity `a`.
+//!
+//! The sweep is the runtime's [`SlotSweep`] with the [`MisJoin`] rule: the color classes are
+//! the slots, and a vertex announces only that it joined, with an empty message.
 
 use crate::error::CoreError;
 use crate::legal_coloring::{o_a_coloring, OaParams};
-use arbcolor_graph::{Coloring, Graph};
-use arbcolor_runtime::{run_algorithm, Algorithm, Inbox, NodeCtx, Outbox, RoundReport, Status};
+use arbcolor_graph::{Coloring, Graph, Vertex};
+use arbcolor_runtime::algorithms::{SlotSweep, SweepRule};
+use arbcolor_runtime::{run_algorithm, Inbox, RoundReport};
 
-/// The class-sweep MIS algorithm (node-program factory).
+/// The class-sweep MIS rule of a [`SlotSweep`], over the slot (normalized color) of every
+/// vertex: a vertex is blocked by any announcement, and in its slot it joins the MIS, and
+/// announces that with an empty message, unless it is blocked.
 #[derive(Debug, Clone)]
-pub struct MisSweep<'a> {
-    /// The slot (normalized color) of every vertex.
-    slots: &'a [u64],
-}
+pub struct MisJoin<'a>(pub &'a [u64]);
 
-/// Node program of [`MisSweep`].
-#[derive(Debug, Clone)]
-pub struct MisSweepNode {
-    slot: usize,
-    blocked: bool,
-    in_mis: bool,
-}
-
-impl arbcolor_runtime::node::NodeProgram for MisSweepNode {
+impl SweepRule for MisJoin<'_> {
     type Msg = ();
     type Output = bool;
-
-    fn init(&mut self, _ctx: &NodeCtx, outbox: &mut Outbox<()>) -> Status {
-        if self.slot == 0 {
-            self.in_mis = true;
-            outbox.broadcast(());
-            Status::Halted
-        } else {
-            Status::WakeAt(self.slot)
-        }
-    }
-
-    fn round(&mut self, _ctx: &NodeCtx, inbox: &Inbox<'_, ()>, outbox: &mut Outbox<()>) -> Status {
-        if !inbox.is_empty() {
-            self.blocked = true;
-        }
-        if inbox.round() == self.slot {
-            if !self.blocked {
-                self.in_mis = true;
-                outbox.broadcast(());
-            }
-            Status::Halted
-        } else {
-            Status::WakeAt(self.slot)
-        }
-    }
-
-    fn output(&self, _ctx: &NodeCtx) -> bool {
-        self.in_mis
-    }
-}
-
-impl Algorithm for MisSweep<'_> {
-    type Node = MisSweepNode;
-
-    fn node(&self, ctx: &NodeCtx) -> MisSweepNode {
-        MisSweepNode { slot: self.slots[ctx.vertex] as usize, blocked: false, in_mis: false }
-    }
+    /// `(blocked, joined)`.
+    type State = (bool, bool);
 
     fn name(&self) -> &'static str {
         "mis-class-sweep"
+    }
+
+    fn start(&self, v: Vertex) -> (usize, (bool, bool)) {
+        (self.0[v] as usize, (false, false))
+    }
+
+    fn absorb(&self, (blocked, _): &mut (bool, bool), inbox: &Inbox<'_, ()>) {
+        *blocked |= !inbox.is_empty();
+    }
+
+    fn announce(&self, _v: Vertex, (blocked, joined): &mut (bool, bool)) -> Option<()> {
+        *joined = !*blocked;
+        joined.then_some(())
+    }
+
+    fn output(&self, _v: Vertex, &(_, joined): &(bool, bool)) -> bool {
+        joined
     }
 }
 
@@ -121,9 +98,7 @@ pub fn mis_from_coloring(graph: &Graph, coloring: &Coloring) -> Result<MisResult
         });
     }
     let (normalized, _) = coloring.normalized();
-    let slots: Vec<u64> = normalized.colors().to_vec();
-    let algorithm = MisSweep { slots: &slots };
-    let result = run_algorithm(graph, &algorithm)?;
+    let result = run_algorithm(graph, &SlotSweep(&MisJoin(normalized.colors())))?;
     let in_mis = result.outputs;
     let size = in_mis.iter().filter(|&&b| b).count();
     let mis = MisResult { in_mis, size, report: result.report };
@@ -205,7 +180,7 @@ mod tests {
         let slots = [0u64, 3, 1, 0];
         let collector = obs::SpanCollector::new();
         let guard = obs::install(&collector);
-        let result = Executor::new(&g).run(&MisSweep { slots: &slots }).unwrap();
+        let result = Executor::new(&g).run(&SlotSweep(&MisJoin(&slots))).unwrap();
         drop(guard);
         let frontier: Vec<usize> =
             collector.snapshot()[0].rounds.iter().map(|r| r.frontier).collect();
@@ -213,7 +188,7 @@ mod tests {
         assert_eq!(result.report.rounds, 3);
         assert_eq!(result.report.messages, 2);
         assert_eq!(frontier, vec![2, 0, 1]);
-        let oracle = ReferenceExecutor::new(&g).run(&MisSweep { slots: &slots }).unwrap();
+        let oracle = ReferenceExecutor::new(&g).run(&SlotSweep(&MisJoin(&slots))).unwrap();
         assert_eq!(oracle.outputs, result.outputs);
         assert_eq!(oracle.report, result.report);
     }

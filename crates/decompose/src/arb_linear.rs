@@ -18,8 +18,9 @@
 use crate::error::DecomposeError;
 use crate::hpartition::h_partition;
 use crate::linial::linial_coloring;
-use crate::reduction::{run_greedy_sweep, SweepSchedule, SweepSlot};
-use arbcolor_graph::{Coloring, Graph, InducedSubgraph};
+use crate::reduction::run_greedy_sweep;
+use arbcolor_graph::{ColorPool, Coloring, Graph, InducedSubgraph};
+use arbcolor_runtime::algorithms::SlotSchedule;
 use arbcolor_runtime::{obs, RoundReport};
 
 /// Output of [`arboricity_linear_coloring`].
@@ -85,21 +86,14 @@ pub fn arboricity_linear_coloring(
         report = report.then(announce);
         obs::record_leaf("collect-neighbor-colors", announce);
 
-        let slots: Vec<SweepSlot> = (0..sub.graph.n())
-            .map(|child| {
-                let parent_vertex = sub.map.to_parent(child);
-                let forbidden: Vec<u64> =
-                    graph.neighbors(parent_vertex).iter().filter_map(|&u| colors[u]).collect();
-                SweepSlot {
-                    slot: schedule.color(child) as usize,
-                    palette_offset: 0,
-                    palette_size: palette,
-                    forbidden,
-                }
-            })
-            .collect();
-        let (bucket_colors, sweep_report) =
-            run_greedy_sweep(&sub.graph, &SweepSchedule::new(&slots))?;
+        let slots = schedule.colors().iter().map(|&c| c as usize).collect();
+        let mut forbidden = ColorPool::new();
+        for child in 0..sub.graph.n() {
+            let parent_vertex = sub.map.to_parent(child);
+            forbidden.push_iter(graph.neighbors(parent_vertex).iter().filter_map(|&u| colors[u]));
+        }
+        let sweep = SlotSchedule::ranges(slots, vec![0; sub.graph.n()], palette, forbidden);
+        let (bucket_colors, sweep_report) = run_greedy_sweep(&sub.graph, &sweep)?;
         report = report.then(sweep_report);
         obs::record_leaf("bucket-sweep", sweep_report);
         for (child, &c) in bucket_colors.iter().enumerate() {

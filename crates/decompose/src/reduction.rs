@@ -1,13 +1,14 @@
 //! Color-count reductions: greedy class sweeps and Kuhn–Wattenhofer halving.
 //!
-//! * [`GreedySweep`] is the workhorse node program: every vertex is given a *slot*; in its
-//!   slot it picks the smallest color of its private palette range that is not forbidden and
-//!   not announced by a neighbor that already picked, then announces its choice.  When the
-//!   slots come from a legal coloring (neighbors never share a slot) and the palette is large
-//!   enough, the result is a legal coloring.  Cost: `max_slot + 1` rounds.  Slot data lives
-//!   flattened in a shared [`SweepSchedule`] arena, and announced colors are struck into a
-//!   per-vertex [`PaletteSet`] bitset shifted by the palette offset, so a pick is a single
-//!   word scan over the range instead of nested `Vec` scans.
+//! * [`run_greedy_sweep`] is the workhorse: the [`SlotSweep`] of a range-palette
+//!   [`SlotSchedule`].  Every vertex is given a *slot*; in its slot it picks the smallest
+//!   color of its private palette range that is not forbidden and not announced by a
+//!   neighbor that already picked, then announces its choice.  When the slots come from a
+//!   legal coloring (neighbors never share a slot) and the palette is large enough, the
+//!   result is a legal coloring.  Cost: `max_slot` rounds.  Announced colors are struck into
+//!   a per-vertex bitset shifted by the palette offset, so a pick is a single word scan over
+//!   the range, and the bitset is as long as one range, not the whole color space: the
+//!   ranges of [`kw_reduce`] start at `block · (Δ+1)` for large block indices.
 //! * [`greedy_reduce`] reduces a legal `k`-coloring to a `palette`-coloring in `O(k)` rounds
 //!   (one class per round) — the folklore reduction.
 //! * [`kw_reduce`] reduces a legal `k`-coloring to a `(Δ+1)`-coloring in
@@ -15,176 +16,12 @@
 //!   (Kuhn–Wattenhofer PODC'06).
 
 use crate::error::DecomposeError;
-use arbcolor_graph::{ColorPool, Coloring, Graph, PaletteSet, PaletteStats};
-use arbcolor_runtime::{run_algorithm, Algorithm, Inbox, NodeCtx, Outbox, RoundReport, Status};
+use arbcolor_graph::{ColorPool, Coloring, Graph};
+use arbcolor_runtime::algorithms::{picked_colors, SlotSchedule, SlotSweep};
+use arbcolor_runtime::{run_algorithm, RoundReport};
 
-/// Per-vertex input of the greedy sweep (the construction-time view; at run time the data
-/// lives flattened inside a [`SweepSchedule`]).
-#[derive(Debug, Clone)]
-pub struct SweepSlot {
-    /// The round in which this vertex picks its color (vertices with slot 0 pick immediately).
-    pub slot: usize,
-    /// First color of this vertex's palette range.
-    pub palette_offset: u64,
-    /// Size of this vertex's palette range.
-    pub palette_size: u64,
-    /// Colors this vertex must avoid in addition to its neighbors' choices (e.g. colors of
-    /// already-colored neighbors outside the current subgraph).
-    pub forbidden: Vec<u64>,
-}
-
-/// The shared per-execution arena of one [`GreedySweep`] run: the scalar slot data per
-/// vertex, the forbidden sets in one flat [`ColorPool`], and the [`PaletteStats`] reuse
-/// counters the nodes feed.
-#[derive(Debug)]
-pub struct SweepSchedule {
-    slots: Vec<usize>,
-    offsets: Vec<u64>,
-    sizes: Vec<u64>,
-    forbidden: ColorPool,
-    stats: PaletteStats,
-}
-
-impl SweepSchedule {
-    /// Flattens one [`SweepSlot`] per vertex into a schedule.
-    pub fn new(inputs: &[SweepSlot]) -> Self {
-        let mut forbidden =
-            ColorPool::with_capacity(inputs.len(), inputs.iter().map(|s| s.forbidden.len()).sum());
-        for input in inputs {
-            forbidden.push_slice(&input.forbidden);
-        }
-        SweepSchedule {
-            slots: inputs.iter().map(|s| s.slot).collect(),
-            offsets: inputs.iter().map(|s| s.palette_offset).collect(),
-            sizes: inputs.iter().map(|s| s.palette_size).collect(),
-            forbidden,
-            stats: PaletteStats::default(),
-        }
-    }
-
-    /// Number of vertices the schedule covers.
-    pub fn n(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The reuse counters fed by this schedule's nodes; [`run_greedy_sweep`] flushes them
-    /// into the installed metrics registry after the run.
-    pub fn stats(&self) -> &PaletteStats {
-        &self.stats
-    }
-}
-
-/// The greedy sweep algorithm (node-program factory).
-#[derive(Debug, Clone)]
-pub struct GreedySweep<'a> {
-    schedule: &'a SweepSchedule,
-}
-
-impl<'a> GreedySweep<'a> {
-    /// Creates the sweep over a shared [`SweepSchedule`] arena.
-    pub fn new(schedule: &'a SweepSchedule) -> Self {
-        GreedySweep { schedule }
-    }
-}
-
-/// Node program of [`GreedySweep`]: strikes forbidden and announced colors, shifted by the
-/// palette offset, into a [`PaletteSet`] over `[0, palette_size)`.
-///
-/// The offset shift matters: [`kw_reduce`] hands out ranges like `block · (Δ+1)` for large
-/// block indices, so an unshifted bitset over absolute colors would be as long as the whole
-/// color space instead of one palette range.
-#[derive(Debug, Clone)]
-pub struct GreedySweepNode<'a> {
-    slot: usize,
-    offset: u64,
-    stats: &'a PaletteStats,
-    struck: PaletteSet,
-    chosen: Option<u64>,
-}
-
-impl GreedySweepNode<'_> {
-    fn strike(&mut self, color: u64) {
-        // Colors outside [offset, offset + size) can never be picked; ignore them.
-        if color >= self.offset {
-            self.struck.strike(color - self.offset);
-        }
-    }
-
-    fn pick(&mut self) -> Option<u64> {
-        // Smallest unstruck color of the range — identical to the Vec-scan
-        // `range.find(|c| !forbidden.contains(c) && !taken.contains(c))`.
-        let choice = self.struck.first_unstruck().map(|c| c + self.offset);
-        self.chosen = choice;
-        self.stats.record_pick(self.struck.struck_count());
-        choice
-    }
-}
-
-impl arbcolor_runtime::node::NodeProgram for GreedySweepNode<'_> {
-    type Msg = u64;
-    type Output = Option<u64>;
-
-    fn init(&mut self, _ctx: &NodeCtx, outbox: &mut Outbox<u64>) -> Status {
-        if self.slot == 0 {
-            if let Some(c) = self.pick() {
-                outbox.broadcast(c);
-            }
-            Status::Halted
-        } else {
-            Status::WakeAt(self.slot)
-        }
-    }
-
-    fn round(
-        &mut self,
-        _ctx: &NodeCtx,
-        inbox: &Inbox<'_, u64>,
-        outbox: &mut Outbox<u64>,
-    ) -> Status {
-        for (_, &c) in inbox.iter() {
-            self.strike(c);
-        }
-        if inbox.round() == self.slot {
-            if let Some(c) = self.pick() {
-                outbox.broadcast(c);
-            }
-            Status::Halted
-        } else {
-            Status::WakeAt(self.slot)
-        }
-    }
-
-    fn output(&self, _ctx: &NodeCtx) -> Option<u64> {
-        self.chosen
-    }
-}
-
-impl<'a> Algorithm for GreedySweep<'a> {
-    type Node = GreedySweepNode<'a>;
-
-    fn node(&self, ctx: &NodeCtx) -> GreedySweepNode<'a> {
-        let v = ctx.vertex;
-        let offset = self.schedule.offsets[v];
-        let mut node = GreedySweepNode {
-            slot: self.schedule.slots[v],
-            offset,
-            stats: self.schedule.stats(),
-            struck: PaletteSet::new(self.schedule.sizes[v]),
-            chosen: None,
-        };
-        for &c in self.schedule.forbidden.list(v) {
-            node.strike(c);
-        }
-        node
-    }
-
-    fn name(&self) -> &'static str {
-        "greedy-sweep"
-    }
-}
-
-/// Runs a greedy sweep over a [`SweepSchedule`] and returns the chosen colors, flushing the
-/// schedule's palette counters into the installed metrics registry.
+/// Runs a greedy sweep (the [`SlotSweep`] of a [`SlotSchedule`]) and returns the chosen
+/// colors, flushing the schedule's palette counters into the installed metrics registry.
 ///
 /// # Errors
 ///
@@ -192,25 +29,14 @@ impl<'a> Algorithm for GreedySweep<'a> {
 /// its palette (the caller supplied an insufficient palette), and propagates runtime errors.
 pub fn run_greedy_sweep(
     graph: &Graph,
-    schedule: &SweepSchedule,
+    schedule: &SlotSchedule,
 ) -> Result<(Vec<u64>, RoundReport), DecomposeError> {
     assert_eq!(schedule.n(), graph.n(), "one sweep slot per vertex");
-    let algorithm = GreedySweep::new(schedule);
-    let result = run_algorithm(graph, &algorithm)?;
+    let result = run_algorithm(graph, &SlotSweep(schedule))?;
     arbcolor_runtime::obs::record_palette(schedule.stats());
-    let mut colors = Vec::with_capacity(graph.n());
-    for (v, chosen) in result.outputs.into_iter().enumerate() {
-        match chosen {
-            Some(c) => colors.push(c),
-            None => {
-                return Err(DecomposeError::InvariantViolated {
-                    reason: format!(
-                        "vertex {v} found no free color in its palette during a greedy sweep"
-                    ),
-                })
-            }
-        }
-    }
+    let colors = picked_colors(result.outputs).map_err(|v| DecomposeError::InvariantViolated {
+        reason: format!("vertex {v} found no free color in its palette during a greedy sweep"),
+    })?;
     Ok((colors, result.report))
 }
 
@@ -248,16 +74,10 @@ pub fn greedy_reduce(
         });
     }
     let (normalized, _) = coloring.normalized();
-    let slots: Vec<SweepSlot> = graph
-        .vertices()
-        .map(|v| SweepSlot {
-            slot: normalized.color(v) as usize,
-            palette_offset: 0,
-            palette_size: palette,
-            forbidden: Vec::new(),
-        })
-        .collect();
-    let (colors, report) = run_greedy_sweep(graph, &SweepSchedule::new(&slots))?;
+    let slots = normalized.colors().iter().map(|&c| c as usize).collect();
+    let schedule =
+        SlotSchedule::ranges(slots, vec![0; graph.n()], palette, ColorPool::empty_lists(graph.n()));
+    let (colors, report) = run_greedy_sweep(graph, &schedule)?;
     let coloring = Coloring::new(graph, colors)?;
     debug_assert!(coloring.is_legal(graph));
     Ok(ReducedColoring { coloring, report })
@@ -283,26 +103,16 @@ pub fn kw_reduce(graph: &Graph, coloring: &Coloring) -> Result<ReducedColoring, 
     let mut guard = 0;
     while (k as u64) > target {
         let block_size = 2 * target;
-        let slots: Vec<SweepSlot> = graph
-            .vertices()
-            .map(|v| {
-                let c = current.color(v);
-                let block = c / block_size;
-                SweepSlot {
-                    slot: (c % block_size) as usize,
-                    palette_offset: block * target,
-                    palette_size: target,
-                    forbidden: Vec::new(),
-                }
-            })
-            .collect();
-        let (colors, report) = run_greedy_sweep(graph, &SweepSchedule::new(&slots))?;
+        let classes = current.colors();
+        let slots = classes.iter().map(|&c| (c % block_size) as usize).collect();
+        let offsets = classes.iter().map(|&c| c / block_size * target).collect();
+        let forbidden = ColorPool::empty_lists(graph.n());
+        let schedule = SlotSchedule::ranges(slots, offsets, target, forbidden);
+        let (colors, report) = run_greedy_sweep(graph, &schedule)?;
         total = total.then(report);
         let reduced = Coloring::new(graph, colors)?;
         debug_assert!(reduced.is_legal(graph));
-        let (normalized, new_k) = reduced.normalized();
-        current = normalized;
-        k = new_k;
+        (current, k) = reduced.normalized();
         guard += 1;
         if guard > 64 {
             return Err(DecomposeError::InvariantViolated {
@@ -317,6 +127,12 @@ pub fn kw_reduce(graph: &Graph, coloring: &Coloring) -> Result<ReducedColoring, 
 mod tests {
     use super::*;
     use arbcolor_graph::generators;
+
+    /// A schedule of the range `[offset, offset + size)` at every vertex.
+    fn ranges(slots: Vec<usize>, offset: u64, size: u64, forbidden: &[Vec<u64>]) -> SlotSchedule {
+        let n = slots.len();
+        SlotSchedule::ranges(slots, vec![offset; n], size, ColorPool::from_nested(forbidden))
+    }
 
     #[test]
     fn greedy_reduce_reaches_delta_plus_one() {
@@ -368,12 +184,7 @@ mod tests {
     #[test]
     fn sweep_with_forbidden_colors_and_offsets() {
         let g = generators::path(3).unwrap();
-        let slots = vec![
-            SweepSlot { slot: 0, palette_offset: 10, palette_size: 3, forbidden: vec![10] },
-            SweepSlot { slot: 1, palette_offset: 10, palette_size: 3, forbidden: vec![] },
-            SweepSlot { slot: 2, palette_offset: 10, palette_size: 3, forbidden: vec![10, 11] },
-        ];
-        let schedule = SweepSchedule::new(&slots);
+        let schedule = ranges(vec![0, 1, 2], 10, 3, &[vec![10], vec![], vec![10, 11]]);
         let (colors, report) = run_greedy_sweep(&g, &schedule).unwrap();
         assert_eq!(colors[0], 11);
         assert_ne!(colors[1], colors[0]);
@@ -393,14 +204,10 @@ mod tests {
         use arbcolor_graph::PaletteStatsSnapshot;
         use arbcolor_runtime::{obs, Executor, ReferenceExecutor};
         let g = generators::path(4).unwrap();
-        let range =
-            |slot, forbidden| SweepSlot { slot, palette_offset: 10, palette_size: 3, forbidden };
-        let slots =
-            vec![range(3, vec![5, 20]), range(0, vec![]), range(2, vec![]), range(1, vec![])];
-        let schedule = SweepSchedule::new(&slots);
+        let schedule = ranges(vec![3, 0, 2, 1], 10, 3, &[vec![5, 20], vec![], vec![], vec![]]);
         let collector = obs::SpanCollector::new();
         let guard = obs::install(&collector);
-        let result = Executor::new(&g).run(&GreedySweep::new(&schedule)).unwrap();
+        let result = Executor::new(&g).run(&SlotSweep(&schedule)).unwrap();
         drop(guard);
         let frontier: Vec<usize> =
             collector.snapshot()[0].rounds.iter().map(|r| r.frontier).collect();
@@ -412,7 +219,7 @@ mod tests {
         // nothing.
         let stats = PaletteStatsSnapshot { picks_served: 4, colors_struck: 2, words_cleared: 0 };
         assert_eq!(schedule.stats().snapshot(), stats);
-        let oracle = ReferenceExecutor::new(&g).run(&GreedySweep::new(&schedule)).unwrap();
+        let oracle = ReferenceExecutor::new(&g).run(&SlotSweep(&schedule)).unwrap();
         assert_eq!(oracle.outputs, result.outputs);
         assert_eq!(oracle.report, result.report);
     }
@@ -420,10 +227,8 @@ mod tests {
     #[test]
     fn sweep_reports_palette_exhaustion() {
         let g = generators::complete(3).unwrap();
-        let slots: Vec<SweepSlot> = (0..3)
-            .map(|v| SweepSlot { slot: v, palette_offset: 0, palette_size: 2, forbidden: vec![] })
-            .collect();
-        let err = run_greedy_sweep(&g, &SweepSchedule::new(&slots)).unwrap_err();
+        let schedule = ranges(vec![0, 1, 2], 0, 2, &[vec![], vec![], vec![]]);
+        let err = run_greedy_sweep(&g, &schedule).unwrap_err();
         assert!(matches!(err, DecomposeError::InvariantViolated { .. }));
     }
 }

@@ -271,8 +271,9 @@ impl PaletteSet {
 /// A CSR-shaped arena of per-vertex color lists: one flat `colors` array plus an
 /// `offsets` array, the same layout as the graph's adjacency.
 ///
-/// The pool itself imposes no ordering invariant — `ScheduledListColor` palettes are in
-/// preference order, `ColorLists` adds the sorted/deduplicated guarantee at construction.
+/// The pool itself imposes no ordering invariant — the list palettes of a `SlotSchedule`
+/// sweep are in preference order, `ColorLists` adds the sorted/deduplicated guarantee at
+/// construction.
 /// Lists may be empty; sub-instances are built with slice pushes, never per-list `Vec`s.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ColorPool {

@@ -1,34 +1,37 @@
-//! Reference algorithms and reusable scheduled node programs.
+//! Reference algorithms and the slot-sweep node program.
 //!
 //! The first half of this module holds tiny reference algorithms used by tests, documentation
 //! examples and the runtime's own test-suite; they double as templates for how node programs
-//! are written.  The second half holds the generic *scheduled* building blocks shared by the
-//! list-coloring drivers in higher crates:
+//! are written.  The second half holds [`SlotSweep`], the one program behind every class
+//! sweep of the higher crates: each vertex absorbs its neighbors' announcements, acts once in
+//! its *slot*, and halts there or at a common finalize round.  Its [`SweepRule`] decides the
+//! rest:
 //!
-//! * [`ScheduledListColor`] — slot-scheduled greedy list coloring: every vertex is given a
-//!   *slot* and a private candidate list; in its slot it adopts the first list color not
-//!   announced by a neighbor and not externally forbidden.  When the slots come from a legal
-//!   coloring (neighbors never share a slot) and every list is larger than the vertex degree,
-//!   every vertex succeeds.  Slot data lives in a shared [`ListColorSchedule`] arena (flat
-//!   [`ColorPool`]s) that nodes *borrow*, and announced colors are struck into a per-vertex
-//!   [`PaletteSet`] bitset, so a pick is a word scan instead of nested `Vec` scans.
-//! * [`VecScanListColor`] — the pre-palette-engine pick path, kept verbatim (per-vertex
-//!   cloned `Vec`s, `contains` scans, duplicate-accumulating `taken`) as the raced reference
-//!   of experiment E24, exactly like the `ReferenceExecutor` is kept as the executor oracle.
-//! * [`HalvingSplit`] — slot-scheduled color-space bipartition: every vertex is given a slot
-//!   plus the sizes of its palette's intersection with the lower and upper halves of the
-//!   current color space; in its slot it commits to the half with the larger remaining margin
-//!   (palette share minus neighbors already committed there), and after all slots have fired
-//!   it self-defers if its committed half cannot guarantee a proper greedy completion.
+//! * [`SlotSchedule`] — greedy picking on the bitset path: in its slot a vertex adopts the
+//!   first palette color (of a list, or of an `[offset, offset + size)` range) not announced
+//!   by a neighbor and not externally forbidden.  When the slots come from a legal coloring
+//!   and every palette is larger than the vertex degree, every vertex succeeds.  Announced
+//!   colors are struck into a per-vertex [`PaletteSet`] bitset, so a pick is a word scan.
+//! * [`VecScanPick`] — the pre-palette-engine pick path, kept verbatim (per-vertex cloned
+//!   `Vec`s, `contains` scans, duplicate-accumulating `taken`) as the raced reference of
+//!   experiment E24, exactly like the `ReferenceExecutor` is kept as the executor oracle.
+//! * [`HalvingSplit`] — color-space bipartition: every vertex is given a slot plus the sizes
+//!   of its palette's intersection with the lower and upper halves of the current color
+//!   space; in its slot it commits to the half with the larger remaining margin (palette
+//!   share minus neighbors already committed there), and after all slots have fired it
+//!   self-defers if its committed half cannot guarantee a proper greedy completion.
+//! * The MIS class sweep, `arbcolor::mis::MisJoin`, kept with its driver.
 //!
 //! All programs take per-vertex inputs at construction time, exactly like the procedures of
 //! the paper (the output of one phase is locally known to each vertex when the next starts).
-//! The slot schedules read the shared round clock ([`Inbox::round`]) and return
-//! [`Status::WakeAt`] for the next round they must act in, so a vertex that is waiting for
+//! A slot sweep reads the shared round clock ([`Inbox::round`]) and returns
+//! [`Status::WakeAt`] for the next round it must act in, so a vertex that is waiting for
 //! its slot and receives no mail is never stepped.
 
+use crate::cost::MessageCost;
 use crate::node::{Algorithm, Inbox, NodeCtx, NodeProgram, Outbox, Status};
-use arbcolor_graph::{ColorPool, PaletteSet, PaletteStats};
+use arbcolor_graph::{ColorPool, PaletteSet, PaletteStats, PaletteStatsSnapshot, Vertex};
+use std::cmp::Ordering;
 
 /// One-round algorithm: every vertex learns the maximum identifier in its closed neighborhood.
 #[derive(Debug, Clone, Copy, Default)]
@@ -145,58 +148,178 @@ impl Algorithm for FloodMaxId {
     }
 }
 
-/// Per-vertex input of [`ScheduledListColor`] (the construction-time view; at run time the
-/// data lives flattened inside a [`ListColorSchedule`]).
-#[derive(Debug, Clone)]
-pub struct ListColorSlot {
-    /// The round in which this vertex picks its color (slot 0 picks immediately).
-    pub slot: usize,
-    /// Candidate colors in preference order (the vertex's private list).
-    pub palette: Vec<u64>,
-    /// Colors this vertex must avoid in addition to its neighbors' announcements (e.g. final
-    /// colors of already-colored neighbors outside the current subgraph).
-    pub forbidden: Vec<u64>,
+/// What a [`SlotSweep`] does at a vertex: the per-algorithm half of a slot sweep.
+///
+/// The program owns the schedule: it steps a vertex whenever mail arrives, in its slot, and
+/// in the finalize round if the rule has one.  The rule owns everything else.  Its methods
+/// are called on a vertex's own state only, in round order, and they are monomorphized into
+/// the program, so a rule costs exactly the work its methods do.
+pub trait SweepRule {
+    /// The announcement a vertex broadcasts in its slot.
+    type Msg: Clone + MessageCost;
+    /// The per-vertex output.
+    type Output;
+    /// What a vertex keeps between its steps.
+    type State;
+
+    /// The name of the sweep (the name of its exec span).
+    fn name(&self) -> &'static str;
+
+    /// Vertex `v`'s slot and its state before any mail.
+    fn start(&self, v: Vertex) -> (usize, Self::State);
+
+    /// Absorbs the announcements delivered to a vertex in one round.
+    fn absorb(&self, state: &mut Self::State, inbox: &Inbox<'_, Self::Msg>);
+
+    /// Acts in vertex `v`'s slot, after absorbing that round's mail; returns the
+    /// announcement to broadcast, if any.
+    fn announce(&self, v: Vertex, state: &mut Self::State) -> Option<Self::Msg>;
+
+    /// The round in which every vertex finalizes, or `None` when each vertex halts in its
+    /// own slot.  It must be later than every slot; a vertex halts there once it has absorbed
+    /// the last slot's announcements, so its output can depend on all of them.
+    fn finalize_round(&self) -> Option<usize> {
+        None
+    }
+
+    /// The output of vertex `v`.
+    fn output(&self, v: Vertex, state: &Self::State) -> Self::Output;
 }
 
-/// The shared per-execution arena of one [`ScheduledListColor`] run: slots, palettes and
-/// forbidden sets for *all* vertices in flat [`ColorPool`]s, plus the per-vertex strike
-/// bound and the [`PaletteStats`] reuse counters the nodes feed.
+/// A slot sweep (node-program factory): the one program behind every class sweep.
 ///
-/// Node programs borrow slices out of this arena instead of cloning per-vertex `Vec`s, so
-/// constructing a node allocates only its [`PaletteSet`] scratch.
+/// Cost: `max_slot` rounds when every vertex halts in its slot (the finalize round when the
+/// rule has one), and at most one broadcast per vertex.  A vertex is stepped in its slot,
+/// in the finalize round, and whenever a neighbor's announcement arrives, never while it
+/// merely waits.
 #[derive(Debug)]
-pub struct ListColorSchedule {
+pub struct SlotSweep<'a, R>(pub &'a R);
+
+/// Node program of [`SlotSweep`]: borrows the rule and keeps its slot and the rule's state.
+#[derive(Debug)]
+pub struct SlotSweepNode<'a, R: SweepRule> {
+    rule: &'a R,
+    slot: usize,
+    state: R::State,
+}
+
+impl<R: SweepRule> SlotSweepNode<'_, R> {
+    /// Announces in the slot, then halts there or waits for the finalize round.
+    fn act(&mut self, ctx: &NodeCtx, round: usize, outbox: &mut Outbox<R::Msg>) -> Status {
+        if round == self.slot {
+            if let Some(msg) = self.rule.announce(ctx.vertex, &mut self.state) {
+                outbox.broadcast(msg);
+            }
+        }
+        match self.rule.finalize_round() {
+            None if round == self.slot => Status::Halted,
+            None => Status::WakeAt(self.slot),
+            Some(end) if round >= end => Status::Halted,
+            // The last slot's announcements are delivered in round `end`, so the finalize
+            // step waits for them.
+            Some(end) => Status::WakeAt(if round < self.slot { self.slot } else { end }),
+        }
+    }
+}
+
+impl<R: SweepRule> NodeProgram for SlotSweepNode<'_, R> {
+    type Msg = R::Msg;
+    type Output = R::Output;
+
+    fn init(&mut self, ctx: &NodeCtx, outbox: &mut Outbox<R::Msg>) -> Status {
+        self.act(ctx, 0, outbox)
+    }
+
+    fn round(
+        &mut self,
+        ctx: &NodeCtx,
+        inbox: &Inbox<'_, R::Msg>,
+        outbox: &mut Outbox<R::Msg>,
+    ) -> Status {
+        self.rule.absorb(&mut self.state, inbox);
+        self.act(ctx, inbox.round(), outbox)
+    }
+
+    fn output(&self, ctx: &NodeCtx) -> R::Output {
+        self.rule.output(ctx.vertex, &self.state)
+    }
+}
+
+impl<'a, R: SweepRule> Algorithm for SlotSweep<'a, R> {
+    type Node = SlotSweepNode<'a, R>;
+
+    fn node(&self, ctx: &NodeCtx) -> SlotSweepNode<'a, R> {
+        let (slot, state) = self.0.start(ctx.vertex);
+        SlotSweepNode { rule: self.0, slot, state }
+    }
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+}
+
+/// Where the vertices of a [`SlotSchedule`] pick from.
+#[derive(Debug)]
+enum Palettes {
+    /// Vertex `v` picks the first free color of `pool.list(v)`, in list order.
+    Lists(ColorPool),
+    /// Vertex `v` picks the smallest free color of `[offsets[v], offsets[v] + size)`.
+    Ranges { offsets: Vec<u64>, size: u64 },
+}
+
+/// The greedy pick rule on the bitset path, and the shared arena of one run: the slots, the
+/// palettes and forbidden sets of *all* vertices, and the [`PaletteStats`] reuse counters
+/// the nodes feed.
+///
+/// Nodes borrow their lists out of this arena instead of cloning per-vertex `Vec`s, so
+/// constructing a node allocates only its [`PaletteSet`] scratch.  The strike set covers the
+/// colors a palette can hold: `[0, max + 1)` for a list and the vertex's own range for a
+/// range, shifted down by its offset.  Colors outside it are never struck: they cannot be
+/// picked either way.  A sweep of list palettes is named `scheduled-list-color`, one of
+/// ranges `greedy-sweep`.
+#[derive(Debug)]
+pub struct SlotSchedule {
     slots: Vec<usize>,
-    /// One past the largest palette color per vertex — the strike-space bound (colors a
-    /// palette cannot contain are never struck: they cannot be picked either way).
-    bounds: Vec<u64>,
-    palettes: ColorPool,
+    palettes: Palettes,
     forbidden: ColorPool,
     stats: PaletteStats,
 }
 
-impl ListColorSchedule {
-    /// Assembles a schedule from pre-flattened parts; the pools must hold one list per slot.
-    pub fn new(slots: Vec<usize>, palettes: ColorPool, forbidden: ColorPool) -> Self {
+/// The state of a vertex in a [`SlotSchedule`] sweep.
+#[derive(Debug, Clone)]
+pub struct PickState {
+    /// Forbidden and announced colors, shifted down by `offset`.
+    struck: PaletteSet,
+    /// The first color of the vertex's range (0 for a list).
+    offset: u64,
+    chosen: Option<u64>,
+}
+
+impl PickState {
+    fn strike(&mut self, color: u64) {
+        // Colors below the range can never be picked; ignore them.
+        if color >= self.offset {
+            self.struck.strike(color - self.offset);
+        }
+    }
+}
+
+impl SlotSchedule {
+    /// A schedule of list palettes; the pools must hold one list per slot.
+    pub fn lists(slots: Vec<usize>, palettes: ColorPool, forbidden: ColorPool) -> Self {
         assert_eq!(slots.len(), palettes.len(), "one palette per vertex");
-        assert_eq!(slots.len(), forbidden.len(), "one forbidden set per vertex");
-        let bounds = (0..palettes.len())
-            .map(|v| palettes.list(v).iter().copied().max().map_or(0, |c| c + 1))
-            .collect();
-        ListColorSchedule { slots, bounds, palettes, forbidden, stats: PaletteStats::default() }
+        SlotSchedule::with(slots, Palettes::Lists(palettes), forbidden)
     }
 
-    /// Flattens one [`ListColorSlot`] per vertex into a schedule (the nested-input API).
-    pub fn from_slots(inputs: &[ListColorSlot]) -> Self {
-        let mut palettes =
-            ColorPool::with_capacity(inputs.len(), inputs.iter().map(|s| s.palette.len()).sum());
-        let mut forbidden =
-            ColorPool::with_capacity(inputs.len(), inputs.iter().map(|s| s.forbidden.len()).sum());
-        for input in inputs {
-            palettes.push_slice(&input.palette);
-            forbidden.push_slice(&input.forbidden);
-        }
-        ListColorSchedule::new(inputs.iter().map(|s| s.slot).collect(), palettes, forbidden)
+    /// A schedule of range palettes: vertex `v` picks from `[offsets[v], offsets[v] + size)`.
+    pub fn ranges(slots: Vec<usize>, offsets: Vec<u64>, size: u64, forbidden: ColorPool) -> Self {
+        assert_eq!(slots.len(), offsets.len(), "one palette offset per vertex");
+        SlotSchedule::with(slots, Palettes::Ranges { offsets, size }, forbidden)
+    }
+
+    fn with(slots: Vec<usize>, palettes: Palettes, forbidden: ColorPool) -> Self {
+        assert_eq!(slots.len(), forbidden.len(), "one forbidden set per vertex");
+        SlotSchedule { slots, palettes, forbidden, stats: PaletteStats::default() }
     }
 
     /// Number of vertices the schedule covers.
@@ -210,221 +333,150 @@ impl ListColorSchedule {
         &self.stats
     }
 
-    /// The picks of a [`ScheduledListColor`] run on an edgeless graph, without the run.
+    /// The picks of this schedule's sweep on an edgeless graph, without the run.
     ///
     /// No vertex has a neighbor to announce a color, so each takes the first color of its
-    /// list outside its forbidden set, whatever its slot, and the stats record one pick per
-    /// vertex exactly as the nodes would.  With every slot 0 the run it stands for takes no
-    /// rounds and sends no messages.
+    /// palette outside its forbidden set, whatever its slot, and the stats record one pick
+    /// per vertex exactly as the nodes would.  A vertex with nothing forbidden takes the
+    /// first color of its palette with no strike set built.  With every slot 0 the run it
+    /// stands for takes no rounds and sends no messages.
     pub fn pick_isolated(&self) -> Vec<Option<u64>> {
-        (0..self.n())
+        let mut struck = 0;
+        let picks = (0..self.n())
             .map(|v| {
-                let struck = self.struck_set(v);
-                self.stats.record_pick(struck.struck_count());
-                struck.first_unstruck_of(self.palettes.list(v))
+                if self.forbidden.list(v).is_empty() {
+                    return match &self.palettes {
+                        Palettes::Lists(pool) => pool.list(v).first().copied(),
+                        Palettes::Ranges { offsets, size } => (*size > 0).then(|| offsets[v]),
+                    };
+                }
+                let state = self.start(v).1;
+                struck += state.struck.struck_count();
+                self.pick(v, &state)
             })
-            .collect()
+            .collect();
+        self.stats.add(PaletteStatsSnapshot {
+            picks_served: self.n() as u64,
+            colors_struck: struck,
+            words_cleared: 0,
+        });
+        picks
     }
 
-    /// Vertex `v`'s strike set before any announcement: its forbidden colors.
-    fn struck_set(&self, v: usize) -> PaletteSet {
-        let mut struck = PaletteSet::new(self.bounds[v]);
-        for &c in self.forbidden.list(v) {
-            struck.strike(c);
+    /// The first palette color of vertex `v` that `state` has not struck — identical to the
+    /// Vec-scan `find(|c| !forbidden.contains(c) && !taken.contains(c))`, because the strike
+    /// set is exactly `forbidden ∪ taken` within the palette's colors.
+    fn pick(&self, v: Vertex, state: &PickState) -> Option<u64> {
+        match &self.palettes {
+            Palettes::Lists(pool) => state.struck.first_unstruck_of(pool.list(v)),
+            Palettes::Ranges { .. } => state.struck.first_unstruck().map(|c| c + state.offset),
         }
-        struck
     }
 }
 
-/// Slot-scheduled greedy list coloring (node-program factory) on the bitset pick path.
-///
-/// Cost: `max_slot` rounds and one broadcast per vertex.  A vertex is stepped in its slot and
-/// whenever a neighbor's announcement arrives, never while it merely waits.
-#[derive(Debug, Clone)]
-pub struct ScheduledListColor<'a> {
-    schedule: &'a ListColorSchedule,
-}
-
-impl<'a> ScheduledListColor<'a> {
-    /// Creates the algorithm over a shared [`ListColorSchedule`] arena.
-    pub fn new(schedule: &'a ListColorSchedule) -> Self {
-        ScheduledListColor { schedule }
-    }
-}
-
-/// Node program of [`ScheduledListColor`]: borrows its palette from the schedule arena and
-/// strikes forbidden plus announced colors into a [`PaletteSet`].
-#[derive(Debug, Clone)]
-pub struct ScheduledListColorNode<'a> {
-    palette: &'a [u64],
-    slot: usize,
-    stats: &'a PaletteStats,
-    struck: PaletteSet,
-    chosen: Option<u64>,
-}
-
-impl ScheduledListColorNode<'_> {
-    fn pick(&mut self) -> Option<u64> {
-        // The first unstruck color in preference order — identical to the Vec-scan
-        // `find(|c| !forbidden.contains(c) && !taken.contains(c))`, because the strike set
-        // is exactly `forbidden ∪ taken`.
-        let choice = self.struck.first_unstruck_of(self.palette);
-        self.chosen = choice;
-        self.stats.record_pick(self.struck.struck_count());
-        choice
-    }
-}
-
-impl NodeProgram for ScheduledListColorNode<'_> {
+impl SweepRule for SlotSchedule {
     type Msg = u64;
     type Output = Option<u64>;
-
-    fn init(&mut self, _ctx: &NodeCtx, outbox: &mut Outbox<u64>) -> Status {
-        if self.slot == 0 {
-            if let Some(c) = self.pick() {
-                outbox.broadcast(c);
-            }
-            Status::Halted
-        } else {
-            Status::WakeAt(self.slot)
-        }
-    }
-
-    fn round(
-        &mut self,
-        _ctx: &NodeCtx,
-        inbox: &Inbox<'_, u64>,
-        outbox: &mut Outbox<u64>,
-    ) -> Status {
-        for (_, &c) in inbox.iter() {
-            self.struck.strike(c);
-        }
-        if inbox.round() == self.slot {
-            if let Some(c) = self.pick() {
-                outbox.broadcast(c);
-            }
-            Status::Halted
-        } else {
-            Status::WakeAt(self.slot)
-        }
-    }
-
-    fn output(&self, _ctx: &NodeCtx) -> Option<u64> {
-        self.chosen
-    }
-}
-
-impl<'a> Algorithm for ScheduledListColor<'a> {
-    type Node = ScheduledListColorNode<'a>;
-
-    fn node(&self, ctx: &NodeCtx) -> ScheduledListColorNode<'a> {
-        let v = ctx.vertex;
-        ScheduledListColorNode {
-            palette: self.schedule.palettes.list(v),
-            slot: self.schedule.slots[v],
-            stats: self.schedule.stats(),
-            struck: self.schedule.struck_set(v),
-            chosen: None,
-        }
-    }
+    type State = PickState;
 
     fn name(&self) -> &'static str {
-        "scheduled-list-color"
+        match self.palettes {
+            Palettes::Lists(_) => "scheduled-list-color",
+            Palettes::Ranges { .. } => "greedy-sweep",
+        }
+    }
+
+    /// The slot, and a strike set holding the vertex's forbidden colors.
+    fn start(&self, v: Vertex) -> (usize, PickState) {
+        let (bound, offset) = match &self.palettes {
+            Palettes::Lists(pool) => (pool.list(v).iter().copied().max().map_or(0, |c| c + 1), 0),
+            Palettes::Ranges { offsets, size } => (*size, offsets[v]),
+        };
+        let mut state = PickState { struck: PaletteSet::new(bound), offset, chosen: None };
+        for &c in self.forbidden.list(v) {
+            state.strike(c);
+        }
+        (self.slots[v], state)
+    }
+
+    fn absorb(&self, state: &mut PickState, inbox: &Inbox<'_, u64>) {
+        for (_, &c) in inbox.iter() {
+            state.strike(c);
+        }
+    }
+
+    fn announce(&self, v: Vertex, state: &mut PickState) -> Option<u64> {
+        state.chosen = self.pick(v, state);
+        self.stats.record_pick(state.struck.struck_count());
+        state.chosen
+    }
+
+    fn output(&self, _v: Vertex, state: &PickState) -> Option<u64> {
+        state.chosen
     }
 }
 
-/// The pre-palette-engine pick path of [`ScheduledListColor`], preserved verbatim: the node
-/// clones its [`ListColorSlot`], accumulates announced colors (duplicates included) in a
-/// `Vec`, and picks with nested `contains` scans.
+/// The colors of a pick sweep's outputs, or the first vertex that found no free color in
+/// its palette: how a pick sweep fails when its palettes are too small.
+pub fn picked_colors(picks: Vec<Option<u64>>) -> Result<Vec<u64>, Vertex> {
+    picks.into_iter().enumerate().map(|(v, pick)| pick.ok_or(v)).collect()
+}
+
+/// The pre-palette-engine pick rule, preserved verbatim: the node clones its palette (a
+/// range listed in full) and its forbidden set out of the schedule into `Vec`s, accumulates
+/// announced colors (duplicates included) in a `Vec`, and picks with nested `contains` scans.
 ///
 /// Kept as the raced baseline of experiment E24 and the `palette` Criterion group — the
 /// same role the `ReferenceExecutor` plays for the executors.  Outputs are bit-identical
-/// to [`ScheduledListColor`] on every input.
+/// to the [`SlotSchedule`] sweep it shadows on every input.
 #[derive(Debug, Clone)]
-pub struct VecScanListColor<'a> {
-    slots: &'a [ListColorSlot],
-}
+pub struct VecScanPick<'a>(pub &'a SlotSchedule);
 
-impl<'a> VecScanListColor<'a> {
-    /// Creates the algorithm from one [`ListColorSlot`] per vertex.
-    pub fn new(slots: &'a [ListColorSlot]) -> Self {
-        VecScanListColor { slots }
-    }
-}
-
-/// Node program of [`VecScanListColor`].
+/// The state of a vertex in a [`VecScanPick`] sweep.
 #[derive(Debug, Clone)]
-pub struct VecScanListColorNode {
-    input: ListColorSlot,
+pub struct VecScanState {
+    palette: Vec<u64>,
+    forbidden: Vec<u64>,
     taken: Vec<u64>,
     chosen: Option<u64>,
 }
 
-impl VecScanListColorNode {
-    fn pick(&mut self) -> Option<u64> {
-        let choice = self
-            .input
-            .palette
-            .iter()
-            .copied()
-            .find(|c| !self.input.forbidden.contains(c) && !self.taken.contains(c));
-        self.chosen = choice;
-        choice
-    }
-}
-
-impl NodeProgram for VecScanListColorNode {
+impl SweepRule for VecScanPick<'_> {
     type Msg = u64;
     type Output = Option<u64>;
-
-    fn init(&mut self, _ctx: &NodeCtx, outbox: &mut Outbox<u64>) -> Status {
-        if self.input.slot == 0 {
-            if let Some(c) = self.pick() {
-                outbox.broadcast(c);
-            }
-            Status::Halted
-        } else {
-            Status::WakeAt(self.input.slot)
-        }
-    }
-
-    fn round(
-        &mut self,
-        _ctx: &NodeCtx,
-        inbox: &Inbox<'_, u64>,
-        outbox: &mut Outbox<u64>,
-    ) -> Status {
-        for (_, &c) in inbox.iter() {
-            self.taken.push(c);
-        }
-        if inbox.round() == self.input.slot {
-            if let Some(c) = self.pick() {
-                outbox.broadcast(c);
-            }
-            Status::Halted
-        } else {
-            Status::WakeAt(self.input.slot)
-        }
-    }
-
-    fn output(&self, _ctx: &NodeCtx) -> Option<u64> {
-        self.chosen
-    }
-}
-
-impl Algorithm for VecScanListColor<'_> {
-    type Node = VecScanListColorNode;
-
-    fn node(&self, ctx: &NodeCtx) -> VecScanListColorNode {
-        VecScanListColorNode {
-            input: self.slots[ctx.vertex].clone(),
-            taken: Vec::new(),
-            chosen: None,
-        }
-    }
+    type State = VecScanState;
 
     fn name(&self) -> &'static str {
         "vecscan-list-color"
+    }
+
+    fn start(&self, v: Vertex) -> (usize, VecScanState) {
+        let palette = match &self.0.palettes {
+            Palettes::Lists(pool) => pool.list(v).to_vec(),
+            Palettes::Ranges { offsets, size } => (offsets[v]..offsets[v] + size).collect(),
+        };
+        let forbidden = self.0.forbidden.list(v).to_vec();
+        (self.0.slots[v], VecScanState { palette, forbidden, taken: Vec::new(), chosen: None })
+    }
+
+    fn absorb(&self, state: &mut VecScanState, inbox: &Inbox<'_, u64>) {
+        for (_, &c) in inbox.iter() {
+            state.taken.push(c);
+        }
+    }
+
+    fn announce(&self, _v: Vertex, state: &mut VecScanState) -> Option<u64> {
+        let choice = state
+            .palette
+            .iter()
+            .copied()
+            .find(|c| !state.forbidden.contains(c) && !state.taken.contains(c));
+        state.chosen = choice;
+        choice
+    }
+
+    fn output(&self, _v: Vertex, state: &VecScanState) -> Option<u64> {
+        state.chosen
     }
 }
 
@@ -455,24 +507,23 @@ pub enum SplitChoice {
     Deferred,
 }
 
-/// Slot-scheduled color-space bipartition (node-program factory).
+/// The color-space bipartition rule.
 ///
 /// Runs for exactly `num_slots` rounds; every vertex broadcasts its committed half once, in
 /// its slot, and counts the neighbors' announcements as they arrive, so after round
 /// `num_slots` it knows how many neighbors ended up on its half.  A vertex is stepped only
-/// when announcements arrive, in its own slot, and in round `num_slots` to finalize.  Nodes
-/// borrow their [`SplitSlot`] from the shared slice — a split slot is all-scalar, so node
-/// construction is allocation-free.
+/// when announcements arrive, in its own slot, and in round `num_slots` to finalize.  A
+/// split slot is all-scalar, so node construction is allocation-free.
 #[derive(Debug, Clone)]
-pub struct HalvingSplit<'a> {
-    slots: &'a [SplitSlot],
+pub struct HalvingSplit {
+    slots: Vec<SplitSlot>,
     num_slots: usize,
 }
 
-impl<'a> HalvingSplit<'a> {
-    /// Creates the algorithm from one [`SplitSlot`] per vertex; every slot must be smaller
-    /// than `num_slots`.
-    pub fn new(slots: &'a [SplitSlot], num_slots: usize) -> Self {
+impl HalvingSplit {
+    /// Creates the rule from one [`SplitSlot`] per vertex; every slot must be smaller than
+    /// `num_slots`.
+    pub fn new(slots: Vec<SplitSlot>, num_slots: usize) -> Self {
         assert!(num_slots > 0, "at least one slot is required");
         assert!(
             slots.iter().all(|s| s.slot < num_slots),
@@ -482,121 +533,57 @@ impl<'a> HalvingSplit<'a> {
     }
 }
 
-/// Node program of [`HalvingSplit`].
-#[derive(Debug, Clone)]
-pub struct HalvingSplitNode<'a> {
-    input: &'a SplitSlot,
-    num_slots: usize,
-    committed_low: usize,
-    committed_high: usize,
-    side_high: Option<bool>,
-    deferred: bool,
-}
-
-impl HalvingSplitNode<'_> {
-    /// Commits to the half with the larger remaining margin (palette share minus the
-    /// neighbors already committed there).
-    fn decide(&mut self) -> bool {
-        let margin_low = self.input.low_count as i64 - self.committed_low as i64;
-        let margin_high = self.input.high_count as i64 - self.committed_high as i64;
-        let high = match margin_high.cmp(&margin_low) {
-            std::cmp::Ordering::Greater => true,
-            std::cmp::Ordering::Less => false,
-            std::cmp::Ordering::Equal => match self.input.high_count.cmp(&self.input.low_count) {
-                std::cmp::Ordering::Greater => true,
-                std::cmp::Ordering::Less => false,
-                std::cmp::Ordering::Equal => self.input.tie_high,
-            },
-        };
-        self.side_high = Some(high);
-        high
-    }
-
-    /// After every slot has fired: self-defer when the committed half cannot guarantee a
-    /// greedy completion against the neighbors that committed to the same half.
-    fn finalize(&mut self) {
-        let high = self.side_high.expect("every slot fired");
-        let (share, rivals) = if high {
-            (self.input.high_count, self.committed_high)
-        } else {
-            (self.input.low_count, self.committed_low)
-        };
-        self.deferred = share < rivals + 1;
-    }
-
-    /// The next round this vertex must act in after `round` without mail: its slot, then
-    /// round `num_slots` (the slot-(K−1) announcements are delivered in round K, so the
-    /// deferral check waits for them).
-    fn alarm(&self, round: usize) -> Status {
-        Status::WakeAt(if round < self.input.slot { self.input.slot } else { self.num_slots })
-    }
-}
-
-impl NodeProgram for HalvingSplitNode<'_> {
+impl SweepRule for HalvingSplit {
     type Msg = bool;
     type Output = SplitChoice;
+    /// The neighbors committed to the lower and the upper half, and whether the vertex
+    /// committed to the upper half.
+    type State = ([usize; 2], bool);
 
-    fn init(&mut self, _ctx: &NodeCtx, outbox: &mut Outbox<bool>) -> Status {
-        if self.input.slot == 0 {
-            let high = self.decide();
-            outbox.broadcast(high);
-        }
-        self.alarm(0)
+    fn name(&self) -> &'static str {
+        "halving-split"
     }
 
-    fn round(
-        &mut self,
-        _ctx: &NodeCtx,
-        inbox: &Inbox<'_, bool>,
-        outbox: &mut Outbox<bool>,
-    ) -> Status {
+    fn start(&self, v: Vertex) -> (usize, ([usize; 2], bool)) {
+        (self.slots[v].slot, ([0, 0], false))
+    }
+
+    fn absorb(&self, (committed, _): &mut ([usize; 2], bool), inbox: &Inbox<'_, bool>) {
         for (_, &high) in inbox.iter() {
-            if high {
-                self.committed_high += 1;
-            } else {
-                self.committed_low += 1;
-            }
-        }
-        let round = inbox.round();
-        if round == self.input.slot {
-            let high = self.decide();
-            outbox.broadcast(high);
-        }
-        if round >= self.num_slots {
-            self.finalize();
-            Status::Halted
-        } else {
-            self.alarm(round)
+            committed[usize::from(high)] += 1;
         }
     }
 
-    fn output(&self, _ctx: &NodeCtx) -> SplitChoice {
-        if self.deferred {
+    /// Commits to the half with the larger remaining margin (palette share minus the
+    /// neighbors already committed there); ties go to the larger share, then to `tie_high`.
+    fn announce(&self, v: Vertex, (committed, high): &mut ([usize; 2], bool)) -> Option<bool> {
+        let input = &self.slots[v];
+        let margin_low = input.low_count as i64 - committed[0] as i64;
+        let margin_high = input.high_count as i64 - committed[1] as i64;
+        *high = match margin_high.cmp(&margin_low).then(input.high_count.cmp(&input.low_count)) {
+            Ordering::Greater => true,
+            Ordering::Less => false,
+            Ordering::Equal => input.tie_high,
+        };
+        Some(*high)
+    }
+
+    fn finalize_round(&self) -> Option<usize> {
+        Some(self.num_slots)
+    }
+
+    /// Self-defers when the committed half cannot guarantee a greedy completion against the
+    /// neighbors that committed to the same half.
+    fn output(&self, v: Vertex, &(committed, high): &([usize; 2], bool)) -> SplitChoice {
+        let input = &self.slots[v];
+        let share = if high { input.high_count } else { input.low_count };
+        if share < committed[usize::from(high)] + 1 {
             SplitChoice::Deferred
-        } else if self.side_high == Some(true) {
+        } else if high {
             SplitChoice::High
         } else {
             SplitChoice::Low
         }
-    }
-}
-
-impl<'a> Algorithm for HalvingSplit<'a> {
-    type Node = HalvingSplitNode<'a>;
-
-    fn node(&self, ctx: &NodeCtx) -> HalvingSplitNode<'a> {
-        HalvingSplitNode {
-            input: &self.slots[ctx.vertex],
-            num_slots: self.num_slots,
-            committed_low: 0,
-            committed_high: 0,
-            side_high: None,
-            deferred: false,
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "halving-split"
     }
 }
 
@@ -630,13 +617,16 @@ mod tests {
         assert!(result.outputs.iter().all(|&x| x == global_max));
     }
 
-    fn four_cycle_slots() -> Vec<ListColorSlot> {
-        vec![
-            ListColorSlot { slot: 0, palette: vec![9, 5], forbidden: vec![9] },
-            ListColorSlot { slot: 1, palette: vec![5, 7], forbidden: vec![] },
-            ListColorSlot { slot: 0, palette: vec![5, 6], forbidden: vec![] },
-            ListColorSlot { slot: 1, palette: vec![5, 8], forbidden: vec![] },
-        ]
+    /// A list-palette schedule from nested lists.
+    fn lists(slots: &[usize], palettes: &[Vec<u64>], forbidden: &[Vec<u64>]) -> SlotSchedule {
+        let (palettes, forbidden) =
+            (ColorPool::from_nested(palettes), ColorPool::from_nested(forbidden));
+        SlotSchedule::lists(slots.to_vec(), palettes, forbidden)
+    }
+
+    fn four_cycle() -> SlotSchedule {
+        let palettes = [vec![9, 5], vec![5, 7], vec![5, 6], vec![5, 8]];
+        lists(&[0, 1, 0, 1], &palettes, &[vec![9], vec![], vec![], vec![]])
     }
 
     #[test]
@@ -644,8 +634,8 @@ mod tests {
         // A 4-cycle scheduled by a proper 2-coloring; lists are disjoint from {9} via the
         // forbidden set of vertex 0.
         let g = generators::cycle(4).unwrap();
-        let schedule = ListColorSchedule::from_slots(&four_cycle_slots());
-        let result = Executor::new(&g).run(&ScheduledListColor::new(&schedule)).unwrap();
+        let schedule = four_cycle();
+        let result = Executor::new(&g).run(&SlotSweep(&schedule)).unwrap();
         // Vertex 0 avoids forbidden 9 and takes 5; vertex 2 takes 5 (not adjacent to 0);
         // vertices 1 and 3 see both announcements and fall back to their second choice.
         assert_eq!(result.outputs, vec![Some(5), Some(7), Some(5), Some(8)]);
@@ -661,10 +651,9 @@ mod tests {
     #[test]
     fn bitset_and_vecscan_pick_paths_are_bit_identical() {
         let g = generators::cycle(4).unwrap();
-        let slots = four_cycle_slots();
-        let schedule = ListColorSchedule::from_slots(&slots);
-        let bitset = Executor::new(&g).run(&ScheduledListColor::new(&schedule)).unwrap();
-        let vecscan = Executor::new(&g).run(&VecScanListColor::new(&slots)).unwrap();
+        let schedule = four_cycle();
+        let bitset = Executor::new(&g).run(&SlotSweep(&schedule)).unwrap();
+        let vecscan = Executor::new(&g).run(&SlotSweep(&VecScanPick(&schedule))).unwrap();
         assert_eq!(bitset.outputs, vecscan.outputs);
         assert_eq!(bitset.report, vecscan.report);
     }
@@ -681,22 +670,21 @@ mod tests {
             state % bound
         };
         for n in [0usize, 1, 7, 40] {
-            let slots: Vec<ListColorSlot> = (0..n)
+            let (palettes, forbidden): (Vec<Vec<u64>>, Vec<Vec<u64>>) = (0..n)
                 .map(|_| {
                     let palette_len = draw(6) as usize;
                     let forbidden_len = 1 + draw(5) as usize;
-                    ListColorSlot {
-                        slot: 0,
-                        palette: (0..palette_len).map(|_| draw(12)).collect(),
-                        forbidden: (0..forbidden_len).map(|_| draw(14)).collect(),
-                    }
+                    (
+                        (0..palette_len).map(|_| draw(12)).collect(),
+                        (0..forbidden_len).map(|_| draw(14)).collect(),
+                    )
                 })
-                .collect();
+                .unzip();
             let g = arbcolor_graph::Graph::empty(n);
-            let direct = ListColorSchedule::from_slots(&slots);
+            let direct = lists(&vec![0; n], &palettes, &forbidden);
             let picks = direct.pick_isolated();
-            let schedule = ListColorSchedule::from_slots(&slots);
-            let run = ReferenceExecutor::new(&g).run(&ScheduledListColor::new(&schedule)).unwrap();
+            let schedule = lists(&vec![0; n], &palettes, &forbidden);
+            let run = ReferenceExecutor::new(&g).run(&SlotSweep(&schedule)).unwrap();
             assert_eq!(picks, run.outputs, "n = {n}");
             assert_eq!(run.report, crate::RoundReport::zero(), "n = {n}");
             assert_eq!(direct.stats().snapshot(), schedule.stats().snapshot(), "n = {n}");
@@ -704,10 +692,10 @@ mod tests {
             if n == 40 {
                 // The draws cover both outcomes: exhausted lists and forbidden first choices.
                 assert!(picks.contains(&None));
-                assert!(slots
+                assert!(palettes
                     .iter()
                     .zip(&picks)
-                    .any(|(s, p)| p.is_some() && s.palette.first() != p.as_ref()));
+                    .any(|(palette, p)| p.is_some() && palette.first() != p.as_ref()));
             }
         }
     }
@@ -715,15 +703,11 @@ mod tests {
     #[test]
     fn scheduled_list_color_reports_exhausted_lists_as_none() {
         let g = generators::path(2).unwrap();
-        let slots = vec![
-            ListColorSlot { slot: 0, palette: vec![1], forbidden: vec![] },
-            ListColorSlot { slot: 1, palette: vec![1], forbidden: vec![] },
-        ];
-        let schedule = ListColorSchedule::from_slots(&slots);
-        let result = Executor::new(&g).run(&ScheduledListColor::new(&schedule)).unwrap();
+        let schedule = lists(&[0, 1], &[vec![1], vec![1]], &[vec![], vec![]]);
+        let result = Executor::new(&g).run(&SlotSweep(&schedule)).unwrap();
         assert_eq!(result.outputs[0], Some(1));
         assert_eq!(result.outputs[1], None);
-        let vecscan = Executor::new(&g).run(&VecScanListColor::new(&slots)).unwrap();
+        let vecscan = Executor::new(&g).run(&SlotSweep(&VecScanPick(&schedule))).unwrap();
         assert_eq!(result.outputs, vecscan.outputs);
     }
 
@@ -737,7 +721,8 @@ mod tests {
             SplitSlot { slot: 1, low_count: 2, high_count: 2, tie_high: false },
             SplitSlot { slot: 2, low_count: 2, high_count: 2, tie_high: false },
         ];
-        let result = Executor::new(&g).run(&HalvingSplit::new(&slots, 3)).unwrap();
+        let split = HalvingSplit::new(slots, 3);
+        let result = Executor::new(&g).run(&SlotSweep(&split)).unwrap();
         assert_eq!(result.outputs[0], SplitChoice::Low);
         assert_eq!(result.outputs[1], SplitChoice::High);
         // Vertex 2 sees one commitment per half; margins tie, counts tie, tie_high says Low.
@@ -751,18 +736,14 @@ mod tests {
         // announcement (round 1) and vertex 2's (round 2), then waits silently until its
         // slot in round 4; vertex 2 acts in its slot, round 1.
         let g = generators::path(3).unwrap();
-        let slots = vec![
-            ListColorSlot { slot: 0, palette: vec![1, 2], forbidden: vec![] },
-            ListColorSlot { slot: 4, palette: vec![1, 2, 3], forbidden: vec![] },
-            ListColorSlot { slot: 1, palette: vec![2, 1], forbidden: vec![] },
-        ];
-        let schedule = ListColorSchedule::from_slots(&slots);
+        let palettes = [vec![1, 2], vec![1, 2, 3], vec![2, 1]];
+        let schedule = lists(&[0, 4, 1], &palettes, &[vec![], vec![], vec![]]);
         let (result, rounds) =
-            obs::recorded(|| Executor::new(&g).run(&ScheduledListColor::new(&schedule)).unwrap());
+            obs::recorded(|| Executor::new(&g).run(&SlotSweep(&schedule)).unwrap());
         assert_eq!(result.outputs, vec![Some(1), Some(3), Some(2)]);
         assert_eq!(result.report.rounds, 4);
         assert_eq!(rounds.iter().map(|r| r.frontier).collect::<Vec<_>>(), vec![2, 1, 0, 1]);
-        let oracle = ReferenceExecutor::new(&g).run(&ScheduledListColor::new(&schedule)).unwrap();
+        let oracle = ReferenceExecutor::new(&g).run(&SlotSweep(&schedule)).unwrap();
         assert_eq!(oracle.outputs, result.outputs);
         assert_eq!(oracle.report, result.report);
     }
@@ -777,12 +758,12 @@ mod tests {
             SplitSlot { slot: 0, low_count: 2, high_count: 1, tie_high: false },
             SplitSlot { slot: 1, low_count: 2, high_count: 1, tie_high: false },
         ];
-        let (result, rounds) =
-            obs::recorded(|| Executor::new(&g).run(&HalvingSplit::new(&slots, 4)).unwrap());
+        let split = HalvingSplit::new(slots, 4);
+        let (result, rounds) = obs::recorded(|| Executor::new(&g).run(&SlotSweep(&split)).unwrap());
         assert_eq!(result.outputs, vec![SplitChoice::Low, SplitChoice::Low]);
         assert_eq!(result.report.rounds, 4);
         assert_eq!(rounds.iter().map(|r| r.frontier).collect::<Vec<_>>(), vec![1, 1, 0, 2]);
-        let oracle = ReferenceExecutor::new(&g).run(&HalvingSplit::new(&slots, 4)).unwrap();
+        let oracle = ReferenceExecutor::new(&g).run(&SlotSweep(&split)).unwrap();
         assert_eq!(oracle.outputs, result.outputs);
         assert_eq!(oracle.report, result.report);
     }
@@ -796,7 +777,8 @@ mod tests {
             SplitSlot { slot: 0, low_count: 1, high_count: 0, tie_high: false },
             SplitSlot { slot: 0, low_count: 1, high_count: 0, tie_high: false },
         ];
-        let result = Executor::new(&g).run(&HalvingSplit::new(&slots, 1)).unwrap();
+        let split = HalvingSplit::new(slots, 1);
+        let result = Executor::new(&g).run(&SlotSweep(&split)).unwrap();
         assert_eq!(result.outputs, vec![SplitChoice::Deferred, SplitChoice::Deferred]);
     }
 }

@@ -18,10 +18,8 @@
 use arbcolor::legal_coloring::{legal_coloring, LegalColoringParams};
 use arbcolor_baselines::greedy::sequential_greedy;
 use arbcolor_baselines::registry::congest_headliners;
-use arbcolor_graph::generators;
-use arbcolor_runtime::algorithms::{
-    FloodMaxId, ListColorSchedule, ListColorSlot, ScheduledListColor,
-};
+use arbcolor_graph::{generators, ColorPool};
+use arbcolor_runtime::algorithms::{FloodMaxId, SlotSchedule, SlotSweep};
 use arbcolor_runtime::obs::RoundInstant;
 use arbcolor_runtime::{
     obs, ExecutionResult, Executor, ExecutorKind, ReferenceExecutor, RoundReport, RunConfig,
@@ -104,21 +102,18 @@ fn per_round_columns_sum_to_the_report_on_every_executor() {
 fn per_round_messages_miss_exactly_the_last_rounds_sends() {
     let g = generators::barabasi_albert(300, 3, 5).unwrap().with_shuffled_ids(2);
     let greedy = sequential_greedy(&g, None);
-    let slots: Vec<ListColorSlot> = g
-        .vertices()
-        .map(|v| ListColorSlot {
-            slot: greedy.color(v) as usize,
-            palette: (0..=g.degree(v) as u64).collect(),
-            forbidden: Vec::new(),
-        })
-        .collect();
-    let schedule = ListColorSchedule::from_slots(&slots);
-    let last_slot = slots.iter().map(|s| s.slot).max().unwrap();
+    let slots: Vec<usize> = g.vertices().map(|v| greedy.color(v) as usize).collect();
+    let mut palettes = ColorPool::new();
+    for v in g.vertices() {
+        palettes.push_iter(0..=g.degree(v) as u64);
+    }
+    let schedule = SlotSchedule::lists(slots.clone(), palettes, ColorPool::empty_lists(g.n()));
+    let last_slot = slots.iter().copied().max().unwrap();
     // Every vertex of the last slot broadcasts in the last round, and no round delivers it.
     let last_sends: usize =
-        g.vertices().filter(|&v| slots[v].slot == last_slot).map(|v| g.degree(v)).sum();
+        g.vertices().filter(|&v| slots[v] == last_slot).map(|v| g.degree(v)).sum();
     assert!(last_sends > 0);
-    let sweep = ScheduledListColor::new(&schedule);
+    let sweep = SlotSweep(&schedule);
     for (label, (result, rounds)) in [
         ("one-thread", recorded(|| Executor::new(&g).run(&sweep).unwrap())),
         (

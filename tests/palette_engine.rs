@@ -8,11 +8,11 @@
 //! future change to the pick paths that shifts even one color on one vertex fails loudly.
 //! The same table pins Linial, Kuhn-defective and Arb-Kuhn runs, the three users of the
 //! polynomial recoloring step.
-//! A second suite races the bitset [`ScheduledListColor`] against the preserved
-//! [`VecScanListColor`] reference on fresh inputs.
+//! A second suite races the bitset [`SlotSchedule`] sweep against the preserved
+//! [`VecScanPick`] reference on fresh inputs.
 //!
-//! [`ScheduledListColor`]: arbcolor_runtime::algorithms::ScheduledListColor
-//! [`VecScanListColor`]: arbcolor_runtime::algorithms::VecScanListColor
+//! [`SlotSchedule`]: arbcolor_runtime::algorithms::SlotSchedule
+//! [`VecScanPick`]: arbcolor_runtime::algorithms::VecScanPick
 
 use arbcolor::arb_kuhn::arb_kuhn_coloring;
 use arbcolor::ghaffari_kuhn::ghaffari_kuhn_coloring;
@@ -22,10 +22,8 @@ use arbcolor_baselines::greedy::sequential_greedy;
 use arbcolor_decompose::defective::defective_coloring;
 use arbcolor_decompose::linial::{linial_coloring, RecolorSchedule};
 use arbcolor_graph::degeneracy::degeneracy;
-use arbcolor_graph::{generators, Graph};
-use arbcolor_runtime::algorithms::{
-    ListColorSchedule, ListColorSlot, ScheduledListColor, VecScanListColor,
-};
+use arbcolor_graph::{generators, ColorPool, Graph};
+use arbcolor_runtime::algorithms::{SlotSchedule, SlotSweep, VecScanPick};
 use arbcolor_runtime::{obs, Executor};
 
 /// FNV-1a over the color vector: one shifted color anywhere changes the fingerprint.
@@ -175,17 +173,14 @@ fn hub_defective_coloring_is_pinned() {
 fn bitset_and_vecscan_pick_paths_agree_on_greedy_schedules() {
     for (_, g) in &families() {
         let schedule_coloring = sequential_greedy(g, None);
-        let slots: Vec<ListColorSlot> = g
-            .vertices()
-            .map(|v| ListColorSlot {
-                slot: schedule_coloring.color(v) as usize,
-                palette: (0..=g.degree(v) as u64).collect(),
-                forbidden: Vec::new(),
-            })
-            .collect();
-        let schedule = ListColorSchedule::from_slots(&slots);
-        let bitset = Executor::new(g).run(&ScheduledListColor::new(&schedule)).unwrap();
-        let vecscan = Executor::new(g).run(&VecScanListColor::new(&slots)).unwrap();
+        let mut palettes = ColorPool::new();
+        for v in g.vertices() {
+            palettes.push_iter(0..=g.degree(v) as u64);
+        }
+        let slots = g.vertices().map(|v| schedule_coloring.color(v) as usize).collect();
+        let schedule = SlotSchedule::lists(slots, palettes, ColorPool::empty_lists(g.n()));
+        let bitset = Executor::new(g).run(&SlotSweep(&schedule)).unwrap();
+        let vecscan = Executor::new(g).run(&SlotSweep(&VecScanPick(&schedule))).unwrap();
         assert_eq!(bitset.outputs, vecscan.outputs, "pick paths diverged");
         assert_eq!(bitset.report, vecscan.report, "cost diverged between pick paths");
         assert!(schedule.stats().snapshot().picks_served >= g.n() as u64);
