@@ -10,7 +10,8 @@
 //! * the two message shapes of the headliners on a hub graph (`star_forest_union`,
 //!   n = 2·10⁵, 50 hubs of degree in the thousands): `flood/hubs` broadcasts from every
 //!   vertex every round, like Linial's and Arb-Recolor's color exchanges, and `slots/hubs`
-//!   has each vertex broadcast once in a hashed slot out of 26, like GK's halving splits,
+//!   has each vertex broadcast once in a hashed slot out of 26 (a `SlotSweep` with a
+//!   finalize round, like GK's halving splits),
 //!   so hubs are stepped with a few of their thousands of ports carrying mail.  Each row
 //!   prints its messages per run, so ns per message is its median over that count;
 //! * the Ghaffari–Kuhn pipeline under an installed run configuration — what experiment E18
@@ -20,11 +21,9 @@
 //! every comparison is pure wall-clock.
 
 use arbcolor_baselines::registry::headline_algorithms;
-use arbcolor_graph::generators;
-use arbcolor_runtime::{
-    algorithms::FloodMaxId, Algorithm, Executor, ExecutorKind, Inbox, NodeCtx, NodeProgram, Outbox,
-    ReferenceExecutor, RunConfig, Status,
-};
+use arbcolor_graph::{generators, Graph, Vertex};
+use arbcolor_runtime::algorithms::{FloodMaxId, SlotSweep, SweepRule};
+use arbcolor_runtime::{Executor, ExecutorKind, Inbox, ReferenceExecutor, RunConfig};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_routing_primitive(c: &mut Criterion) {
@@ -77,50 +76,40 @@ fn bench_flood_delivery(c: &mut Criterion) {
 
 /// Every vertex broadcasts its identifier once, in round `1 + hash(id) % SLOTS`, sums what
 /// it hears, and halts in round `SLOTS + 1`: sparse mail over many rounds.
-struct SlotBroadcast;
+struct SlotBroadcast<'g>(&'g Graph);
 
 /// The rounds [`SlotBroadcast`] spreads its broadcasts over.
 const SLOTS: u64 = 26;
 
-struct SlotNode {
-    slot: usize,
-    heard: u64,
-}
-
-impl NodeProgram for SlotNode {
+impl SweepRule for SlotBroadcast<'_> {
     type Msg = u64;
     type Output = u64;
+    type State = u64;
 
-    fn init(&mut self, _ctx: &NodeCtx, _outbox: &mut Outbox<u64>) -> Status {
-        Status::WakeAt(self.slot)
+    fn name(&self) -> &'static str {
+        "slot-broadcast"
     }
 
-    fn round(&mut self, ctx: &NodeCtx, inbox: &Inbox<'_, u64>, outbox: &mut Outbox<u64>) -> Status {
+    fn start(&self, v: Vertex) -> (usize, u64) {
+        (1 + ((self.0.id(v).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % SLOTS) as usize, 0)
+    }
+
+    fn absorb(&self, heard: &mut u64, inbox: &Inbox<'_, u64>) {
         for (_, &id) in inbox.iter() {
-            self.heard = self.heard.wrapping_add(id);
-        }
-        let round = inbox.round();
-        if round == self.slot {
-            outbox.broadcast(ctx.id);
-        }
-        match round {
-            r if r > SLOTS as usize => Status::Halted,
-            r if r < self.slot => Status::WakeAt(self.slot),
-            _ => Status::WakeAt(SLOTS as usize + 1),
+            *heard = heard.wrapping_add(id);
         }
     }
 
-    fn output(&self, _ctx: &NodeCtx) -> u64 {
-        self.heard
+    fn announce(&self, v: Vertex, _heard: &mut u64) -> Option<u64> {
+        Some(self.0.id(v))
     }
-}
 
-impl Algorithm for SlotBroadcast {
-    type Node = SlotNode;
+    fn finalize_round(&self) -> Option<usize> {
+        Some(SLOTS as usize + 1)
+    }
 
-    fn node(&self, ctx: &NodeCtx) -> SlotNode {
-        let slot = 1 + (ctx.id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % SLOTS;
-        SlotNode { slot: slot as usize, heard: 0 }
+    fn output(&self, _v: Vertex, &heard: &u64) -> u64 {
+        heard
     }
 }
 
@@ -135,10 +124,11 @@ fn bench_hub_shapes(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("flood/hubs/flat", n), &g, |b, g| {
         b.iter(|| Executor::new(g).run(&flood).unwrap())
     });
-    let messages = Executor::new(&g).run(&SlotBroadcast).unwrap().report.messages;
+    let slots = SlotBroadcast(&g);
+    let messages = Executor::new(&g).run(&SlotSweep(&slots)).unwrap().report.messages;
     println!("slots/hubs/flat: {messages} messages per run");
     group.bench_with_input(BenchmarkId::new("slots/hubs/flat", n), &g, |b, g| {
-        b.iter(|| Executor::new(g).run(&SlotBroadcast).unwrap())
+        b.iter(|| Executor::new(g).run(&SlotSweep(&slots)).unwrap())
     });
     group.finish();
 }
