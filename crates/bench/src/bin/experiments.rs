@@ -42,7 +42,7 @@
 //! service benchmark) as one machine-readable JSON document (schema
 //! `arbcolor-perf-v1`).  The CI `bench-smoke` job writes it to `perf-current.json` and the
 //! `perf_gate` binary diffs its deterministic columns against the committed
-//! `BENCH_PR25.json` baseline, failing the build on regressions (wall-clock columns stay
+//! `BENCH_PR29.json` baseline, failing the build on regressions (wall-clock columns stay
 //! advisory).
 //!
 //! `--trace-out FILE` (or `--trace-out=FILE`) installs an observability collector

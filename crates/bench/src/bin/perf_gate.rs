@@ -1,7 +1,7 @@
 //! The CI perf-regression gate: diffs two `--perf-out` documents.
 //!
 //! Usage:
-//!   cargo run --release -p arbcolor_bench --bin perf_gate -- BENCH_PR25.json perf-current.json
+//!   cargo run --release -p arbcolor_bench --bin perf_gate -- BENCH_PR29.json perf-current.json
 //!
 //! The first argument is the committed baseline, the second the fresh document the current
 //! build produced.  Deterministic columns (colors, rounds, messages,

@@ -1009,9 +1009,12 @@ pub fn e22_congest_bandwidth_race(sz: SizeClass, seed: u64) -> Vec<Row> {
 /// Every row asserts, before it is emitted, that the phase reports sum **bit-exactly** to
 /// the headline report in `rounds`, `messages`, and `total_bits` — the invariant the
 /// `tests/obs_spans.rs` suite also checks across executors — and emits one
-/// `ph_<phase>_{rounds,messages,bits}` column triple per phase.  All phase columns are
-/// deterministic (HKMT draws from `seed`, the `--seed` flag), so the perf gate tracks them
-/// like any other cost column.
+/// `ph_<phase>_{rounds,messages,bits}` column triple per phase, plus `ph_<phase>_steps`,
+/// the vertex steps of the phase's executor runs (Σ `frontier` over their rounds, see
+/// [`obs::phase_steps`](arbcolor_runtime::obs::phase_steps)).  All phase columns are
+/// deterministic (HKMT draws from `seed`, the `--seed` flag) and equal at any thread count
+/// and chunk size of the work-stealing executor, so the perf gate tracks them like any other
+/// cost column; the steps gate lower-is-better.
 pub fn e23_phase_breakdown(sz: SizeClass, seed: u64) -> Vec<Row> {
     use arbcolor_runtime::obs;
 
@@ -1053,22 +1056,28 @@ pub fn e23_phase_breakdown(sz: SizeClass, seed: u64) -> Vec<Row> {
             );
             // Merge GK's per-level spans into one "halving" phase, counting the depth.
             let mut halving_depth = 0usize;
-            let mut phases: Vec<(String, RoundReport)> = Vec::new();
-            for (name, report) in obs::phase_rollup(&spans, parent) {
+            let mut phases: Vec<(String, RoundReport, usize)> = Vec::new();
+            let rollup = obs::phase_rollup(&spans, parent);
+            for ((name, report), (_, steps)) in
+                rollup.into_iter().zip(obs::phase_steps(&spans, parent))
+            {
                 let merged = if name.starts_with("level-") {
                     halving_depth += 1;
                     "halving".to_string()
                 } else {
                     name
                 };
-                match phases.iter_mut().find(|(existing, _)| *existing == merged) {
-                    Some((_, acc)) => *acc = acc.then(report),
-                    None => phases.push((merged, report)),
+                match phases.iter_mut().find(|(existing, ..)| *existing == merged) {
+                    Some((_, acc, acc_steps)) => {
+                        *acc = acc.then(report);
+                        *acc_steps += steps;
+                    }
+                    None => phases.push((merged, report, steps)),
                 }
             }
             assert!(!phases.is_empty(), "{} recorded no phase spans on {family}", outcome.name);
             let phase_sum =
-                phases.iter().fold(RoundReport::zero(), |acc, (_, report)| acc.then(*report));
+                phases.iter().fold(RoundReport::zero(), |acc, (_, report, _)| acc.then(*report));
             assert_eq!(
                 (phase_sum.rounds, phase_sum.messages, phase_sum.total_bits),
                 (outcome.report.rounds, outcome.report.messages, outcome.report.total_bits),
@@ -1084,12 +1093,13 @@ pub fn e23_phase_breakdown(sz: SizeClass, seed: u64) -> Vec<Row> {
                 .with("total_bits", outcome.report.total_bits as f64)
                 .with("halving_depth", halving_depth as f64)
                 .with("legal", 1.0);
-            for (name, report) in &phases {
+            for (name, report, steps) in &phases {
                 let slug = name.replace('-', "_");
                 row = row
                     .with(&format!("ph_{slug}_rounds"), report.rounds as f64)
                     .with(&format!("ph_{slug}_messages"), report.messages as f64)
-                    .with(&format!("ph_{slug}_bits"), report.total_bits as f64);
+                    .with(&format!("ph_{slug}_bits"), report.total_bits as f64)
+                    .with(&format!("ph_{slug}_steps"), *steps as f64);
             }
             rows.push(row);
         }
@@ -1612,9 +1622,15 @@ mod tests {
             if row.workload.contains("barenboim_elkin") {
                 assert!(row.values.contains_key("ph_legal_coloring_rounds"), "{}", row.workload);
             }
+            for key in row.values.keys().filter(|k| k.starts_with("ph_") && k.ends_with("_rounds"))
+            {
+                let steps = key.replace("_rounds", "_steps");
+                assert!(row.values.contains_key(&steps), "{}: {steps}", row.workload);
+            }
             if row.workload.contains("ghaffari_kuhn") {
                 assert!(row.values.contains_key("ph_halving_rounds"), "{}", row.workload);
                 assert!(row.values["halving_depth"] >= 1.0, "{}", row.workload);
+                assert!(row.values["ph_halving_steps"] > 0.0, "{}", row.workload);
             }
             if row.workload.contains("hkmt_random") {
                 assert!(row.values.contains_key("ph_random_trials_rounds"), "{}", row.workload);

@@ -3,7 +3,7 @@
 //! `experiments --perf-out FILE` serializes a [`PerfDoc`] (schema `arbcolor-perf-v1`)
 //! holding the rows of the perf-tracked experiments ([`PERF_EXPERIMENTS`]).  CI writes the
 //! fresh document to the uncommitted `perf-current.json` and the `perf_gate` binary compares
-//! it against the one baseline committed at the repo root, `BENCH_PR25.json`:
+//! it against the one baseline committed at the repo root, `BENCH_PR29.json`:
 //!
 //! * **deterministic columns** (colors, rounds, messages, …) are *gated* — any worsening
 //!   fails the build, because the whole stack is seeded and bit-reproducible, so a drift
@@ -58,6 +58,14 @@ const GATED_LOWER_IS_BETTER: [&str; 15] = [
     "frontier_steps",
     "peak_frontier",
 ];
+
+/// Whether a gated column is lower-is-better: the columns listed above, and E23's per-phase
+/// vertex steps `ph_<phase>_steps` (a phase that steps fewer vertices for the same report
+/// does strictly less work).
+fn is_lower_better(column: &str) -> bool {
+    GATED_LOWER_IS_BETTER.contains(&column)
+        || (column.starts_with("ph_") && column.ends_with("_steps"))
+}
 
 /// Gated columns where *higher* is better (a drop fails the gate): legality, and E21's
 /// `savings_factor` (active-vertex steps per frontier step).
@@ -231,7 +239,7 @@ pub fn compare_docs(baseline: &PerfDoc, current: &PerfDoc) -> PerfComparison {
                         cmp.advisory.push(format!("{label} ({:.2}x)", new / old));
                     }
                 }
-            } else if GATED_LOWER_IS_BETTER.contains(&column.as_str()) {
+            } else if is_lower_better(column) {
                 if new > old {
                     cmp.regressions.push(label);
                 } else if new < old {
@@ -594,6 +602,22 @@ mod tests {
             assert_eq!(cmp.regressions.len(), 1);
             assert!(cmp.regressions[0].contains(column));
         }
+    }
+
+    #[test]
+    fn phase_step_columns_gate_lower_is_better() {
+        let phases = |steps: f64, rounds: f64| {
+            doc(vec![Row::new("E23", "star · ghaffari_kuhn")
+                .with("ph_halving_steps", steps)
+                .with("ph_halving_rounds", rounds)])
+        };
+        let baseline = phases(900.0, 26.0);
+        let fewer = compare_docs(&baseline, &phases(200.0, 26.0));
+        assert!(fewer.is_pass());
+        assert_eq!(fewer.improvements.len(), 1);
+        assert!(!compare_docs(&baseline, &phases(901.0, 26.0)).is_pass(), "more steps gate");
+        // The phase's other columns keep gating on any change.
+        assert!(!compare_docs(&baseline, &phases(900.0, 25.0)).is_pass());
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //!   charge their spans with the very reports they compose the headline [`RoundReport`]
 //!   from, so the rollup of a run's phases sums (via [`RoundReport::then`]) to the headline
 //!   report — the invariant experiment E23 and the `obs_spans` suite assert across all
-//!   three executors.
+//!   three executors.  [`phase_steps`] sums the same phases' vertex steps from their exec
+//!   spans' rounds.
 //! * Per-round records — every executor run under a collector opens a [`SpanKind::Exec`]
 //!   span and hands it one [`RoundInstant`] per round ([`SpanRecord::rounds`]), the only
 //!   per-round record of a run.  Without a collector nothing is recorded or allocated.
@@ -392,6 +393,36 @@ pub fn phase_rollup(spans: &[SpanRecord], parent: usize) -> Vec<(String, RoundRe
     rollup
 }
 
+/// The vertex steps of each phase [`phase_rollup`] returns, by name and in the same order:
+/// the `frontier` of every round of every [`SpanKind::Exec`] span nested anywhere under a
+/// direct phase child of span `parent`, summed.
+///
+/// The work-stealing executor's steps are bit-identical at any thread count and chunk size;
+/// the reference executor's are its active vertices, so only compare runs of one kind.
+pub fn phase_steps(spans: &[SpanRecord], parent: usize) -> Vec<(String, usize)> {
+    let mut steps: Vec<(String, usize)> = Vec::new();
+    // Per span, the index into `steps` of the phase it sits under.  A span's parent is
+    // recorded before it, so one forward pass resolves every span.
+    let mut phase_of: Vec<Option<usize>> = Vec::with_capacity(spans.len());
+    for span in spans {
+        let phase = match span.parent {
+            Some(p) if p == parent && span.kind == SpanKind::Phase => {
+                Some(steps.iter().position(|(name, _)| *name == span.name).unwrap_or_else(|| {
+                    steps.push((span.name.clone(), 0));
+                    steps.len() - 1
+                }))
+            }
+            Some(p) => phase_of.get(p).copied().flatten(),
+            None => None,
+        };
+        if let (Some(k), SpanKind::Exec) = (phase, span.kind) {
+            steps[k].1 += span.rounds.iter().map(|r| r.frontier).sum::<usize>();
+        }
+        phase_of.push(phase);
+    }
+    steps
+}
+
 /// RAII handle of an open span; the span closes when the guard drops.
 ///
 /// All methods are no-ops when the guard was created without an installed collector.
@@ -600,6 +631,42 @@ mod tests {
                 ("b".to_string(), RoundReport::new(7, 70)),
             ]
         );
+    }
+
+    #[test]
+    fn phase_steps_sum_the_frontier_of_every_exec_span_under_a_phase() {
+        let collector = SpanCollector::new();
+        let _guard = install(&collector);
+        let steps = |frontiers: &[usize]| -> Vec<RoundInstant> {
+            frontiers
+                .iter()
+                .map(|&frontier| RoundInstant { frontier, ..Default::default() })
+                .collect()
+        };
+        let run = phase("run");
+        {
+            let a = phase("a");
+            exec_span("x").record_rounds(WallBuckets::default(), steps(&[3, 1]));
+            {
+                // Exec spans nested deeper still count for the direct child.
+                let _deep = phase("deep");
+                exec_span("y").record_rounds(WallBuckets::default(), steps(&[5]));
+            }
+            drop(a);
+        }
+        // An exec span directly under the run belongs to no phase.
+        exec_span("loose").record_rounds(WallBuckets::default(), steps(&[100]));
+        record_leaf("b", RoundReport::new(1, 1));
+        {
+            let _a = phase("a");
+            exec_span("z").record_rounds(WallBuckets::default(), steps(&[2, 2]));
+        }
+        drop(run);
+        let spans = collector.snapshot();
+        assert_eq!(phase_steps(&spans, 0), vec![("a".to_string(), 13), ("b".to_string(), 0)]);
+        let names: Vec<String> =
+            phase_rollup(&spans, 0).into_iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["a", "b"], "the same phases in the same order as the rollup");
     }
 
     #[test]
