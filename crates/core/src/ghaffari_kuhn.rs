@@ -34,7 +34,12 @@
 //! it is colored straight from its list pool, every vertex taking the first color of its
 //! list, and neither a subgraph nor a strike set is built for it.  On a star-forest union this
 //! is the level-1 instance of every leaf that chose the same half.  The root instance borrows
-//! the caller's lists, and only the halves the first split writes are copies.
+//! the caller's lists, and only the halves the first split writes are copies.  Within a
+//! split, a vertex whose list lies so far on one side of the midpoint that its two shares
+//! differ by more than its degree cannot be turned or deferred by any neighbor, so it is
+//! stepped once, in its slot: it sleeps until then and halts at the end of the split without
+//! a finalize step (see `HalvingSplit`).  On a star-forest union those are the leaves, whose
+//! lists `{0, …, deg}` sit wholly in the lower half of the level-0 split.
 //!
 //! **Deviation from the paper.**  Ghaffari–Kuhn derandomize a one-round random color trial
 //! via the method of conditional expectations; this reproduction instead derandomizes the

@@ -19,14 +19,18 @@
 //!   of its palette's intersection with the lower and upper halves of the current color
 //!   space; in its slot it commits to the half with the larger remaining margin (palette
 //!   share minus neighbors already committed there), and after all slots have fired it
-//!   self-defers if its committed half cannot guarantee a proper greedy completion.
+//!   self-defers if its committed half cannot guarantee a proper greedy completion.  A
+//!   vertex whose shares differ by more than its degree is decided before any mail, so it
+//!   sleeps until its slot and halts at the end with no finalize step.
 //! * The MIS class sweep, `arbcolor::mis::MisJoin`, kept with its driver.
 //!
 //! All programs take per-vertex inputs at construction time, exactly like the procedures of
 //! the paper (the output of one phase is locally known to each vertex when the next starts).
 //! A slot sweep reads the shared round clock ([`Inbox::round`]) and returns
 //! [`Status::WakeAt`] for the next round it must act in, so a vertex that is waiting for
-//! its slot and receives no mail is never stepped.
+//! its slot and receives no mail is never stepped; a vertex whose rule needs no mail
+//! returns [`Status::SleepUntil`] and [`Status::HaltAt`] instead, and is not stepped on
+//! mail either.
 
 use crate::cost::MessageCost;
 use crate::node::{Algorithm, Inbox, NodeCtx, NodeProgram, Outbox, Status};
@@ -151,7 +155,9 @@ impl Algorithm for FloodMaxId {
 /// What a [`SlotSweep`] does at a vertex: the per-algorithm half of a slot sweep.
 ///
 /// The program owns the schedule: it steps a vertex whenever mail arrives, in its slot, and
-/// in the finalize round if the rule has one.  The rule owns everything else.  Its methods
+/// in the finalize round if the rule has one — except a vertex the rule says needs no mail
+/// ([`needs_mail`](SweepRule::needs_mail)), which is stepped in its slot only.  The rule
+/// owns everything else.  Its methods
 /// are called on a vertex's own state only, in round order, and they are monomorphized into
 /// the program, so a rule costs exactly the work its methods do.
 pub trait SweepRule {
@@ -182,6 +188,14 @@ pub trait SweepRule {
         None
     }
 
+    /// Whether vertex `v`, of the given degree, can need its mail: `false` promises that its
+    /// announcement and its output are the same whatever announcements reach it, before,
+    /// in and after its slot.  Such a vertex sleeps until its slot and, when the rule has a
+    /// finalize round, halts there without a step after it.
+    fn needs_mail(&self, _v: Vertex, _degree: usize) -> bool {
+        true
+    }
+
     /// The output of vertex `v`.
     fn output(&self, v: Vertex, state: &Self::State) -> Self::Output;
 }
@@ -191,7 +205,10 @@ pub trait SweepRule {
 /// Cost: `max_slot` rounds when every vertex halts in its slot (the finalize round when the
 /// rule has one), and at most one broadcast per vertex.  A vertex is stepped in its slot,
 /// in the finalize round, and whenever a neighbor's announcement arrives, never while it
-/// merely waits.
+/// merely waits.  A vertex that needs no mail is stepped in its slot alone: it returns
+/// [`Status::SleepUntil`] its slot before it, and [`Status::HaltAt`] the finalize round
+/// after it, so the run's report and its per-round `active` and `halts` stay what they
+/// would be if it were stepped.
 #[derive(Debug)]
 pub struct SlotSweep<'a, R>(pub &'a R);
 
@@ -204,20 +221,25 @@ pub struct SlotSweepNode<'a, R: SweepRule> {
 }
 
 impl<R: SweepRule> SlotSweepNode<'_, R> {
-    /// Announces in the slot, then halts there or waits for the finalize round.
+    /// Announces in the slot, then halts there or waits for the finalize round.  A vertex
+    /// that needs no mail sleeps until its slot and then waits to halt in the finalize round.
     fn act(&mut self, ctx: &NodeCtx, round: usize, outbox: &mut Outbox<R::Msg>) -> Status {
         if round == self.slot {
             if let Some(msg) = self.rule.announce(ctx.vertex, &mut self.state) {
                 outbox.broadcast(msg);
             }
         }
+        let mail = self.rule.needs_mail(ctx.vertex, ctx.degree);
+        let wait = |at| if mail { Status::WakeAt(at) } else { Status::SleepUntil(at) };
         match self.rule.finalize_round() {
             None if round == self.slot => Status::Halted,
-            None => Status::WakeAt(self.slot),
+            None => wait(self.slot),
             Some(end) if round >= end => Status::Halted,
+            Some(_) if round < self.slot => wait(self.slot),
             // The last slot's announcements are delivered in round `end`, so the finalize
             // step waits for them.
-            Some(end) => Status::WakeAt(if round < self.slot { self.slot } else { end }),
+            Some(end) if mail => Status::WakeAt(end),
+            Some(end) => Status::HaltAt(end),
         }
     }
 }
@@ -512,8 +534,10 @@ pub enum SplitChoice {
 /// Runs for exactly `num_slots` rounds; every vertex broadcasts its committed half once, in
 /// its slot, and counts the neighbors' announcements as they arrive, so after round
 /// `num_slots` it knows how many neighbors ended up on its half.  A vertex is stepped only
-/// when announcements arrive, in its own slot, and in round `num_slots` to finalize.  A
-/// split slot is all-scalar, so node construction is allocation-free.
+/// when announcements arrive, in its own slot, and in round `num_slots` to finalize — unless
+/// its choice is already decided, in which case it is stepped in its slot alone (see
+/// [`needs_mail`](HalvingSplit::needs_mail)).  A split slot is all-scalar, so node
+/// construction is allocation-free.
 #[derive(Debug, Clone)]
 pub struct HalvingSplit {
     slots: Vec<SplitSlot>,
@@ -570,6 +594,24 @@ impl SweepRule for HalvingSplit {
 
     fn finalize_round(&self) -> Option<usize> {
         Some(self.num_slots)
+    }
+
+    /// A vertex is *decided* — needs no mail — exactly when its palette shares differ by
+    /// more than its degree: `|low_count − high_count| > degree`.
+    ///
+    /// Proof.  Say `low_count > high_count + degree` (the other case is symmetric).  At
+    /// most `degree` neighbors announce, once each, so whatever reaches the vertex,
+    /// `committed[0] + committed[1] ≤ degree`.  Then in its slot
+    /// `margin_high − margin_low = (high_count − low_count) + committed[0] − committed[1]
+    /// ≤ high_count − low_count + degree < 0`, so it commits to the lower half; and in
+    /// [`output`](SweepRule::output) its share `low_count > degree ≥ committed[0]`, so
+    /// `share ≥ committed[0] + 1` and it never defers.  Its announcement and output are
+    /// `Low` for every possible inbox.  Otherwise the shares differ by at most the degree,
+    /// and enough neighbors committing to the larger half can turn or defer the vertex, so
+    /// it needs its mail.
+    fn needs_mail(&self, v: Vertex, degree: usize) -> bool {
+        let input = &self.slots[v];
+        input.low_count.abs_diff(input.high_count) <= degree
     }
 
     /// Self-defers when the committed half cannot guarantee a greedy completion against the
@@ -766,6 +808,44 @@ mod tests {
         let oracle = ReferenceExecutor::new(&g).run(&SlotSweep(&split)).unwrap();
         assert_eq!(oracle.outputs, result.outputs);
         assert_eq!(oracle.report, result.report);
+    }
+
+    #[test]
+    fn halving_split_steps_a_decided_vertex_in_its_slot_only() {
+        // A star: the center (slot 1) holds three colors in each half, so its choice turns
+        // on its mail; each leaf holds three lower-half colors and one neighbor, so it goes
+        // Low whatever it hears.  Leaf 1 announces in `init` and waits to halt in round 4,
+        // leaves 2 and 3 sleep until their slots 1 and 2: round 1 steps the center and leaf
+        // 2, round 2 the center (leaf 2's announcement) and leaf 3, round 3 the center (leaf
+        // 3's), and round 4 the center alone, to finalize, while the leaves halt unstepped.
+        // Stepping every leaf on the center's announcement and in round 4 as well would
+        // give [2, 4, 1, 4].
+        let g = generators::star(4).unwrap();
+        let leaf = |slot| SplitSlot { slot, low_count: 3, high_count: 0, tie_high: false };
+        let slots = vec![
+            SplitSlot { slot: 1, low_count: 3, high_count: 3, tie_high: false },
+            leaf(0),
+            leaf(1),
+            leaf(2),
+        ];
+        let split = HalvingSplit::new(slots, 4);
+        assert!(split.needs_mail(0, 3), "the center is undecided");
+        assert!((1..4).all(|v| !split.needs_mail(v, 1)), "the leaves are decided");
+        let (result, rounds) = obs::recorded(|| Executor::new(&g).run(&SlotSweep(&split)).unwrap());
+        // The center heard leaf 1 commit Low before its slot, so High has the larger margin.
+        let expected = [SplitChoice::High, SplitChoice::Low, SplitChoice::Low, SplitChoice::Low];
+        assert_eq!(result.outputs, expected);
+        assert_eq!(result.report.rounds, 4);
+        assert_eq!(rounds.iter().map(|r| r.frontier).collect::<Vec<_>>(), vec![2, 2, 1, 1]);
+        assert_eq!(rounds.iter().map(|r| r.halts).collect::<Vec<_>>(), vec![0, 0, 0, 4]);
+        let (oracle, oracle_rounds) =
+            obs::recorded(|| ReferenceExecutor::new(&g).run(&SlotSweep(&split)).unwrap());
+        assert_eq!(oracle.outputs, result.outputs);
+        assert_eq!(oracle.report, result.report);
+        let shared = |rounds: &[obs::RoundInstant]| -> Vec<(usize, usize, usize)> {
+            rounds.iter().map(|r| (r.active, r.halts, r.messages)).collect()
+        };
+        assert_eq!(shared(&oracle_rounds), shared(&rounds));
     }
 
     #[test]

@@ -18,8 +18,11 @@
 //!   coordinator [`absorb`](Frontier::absorb)s them in O(words marked): an OR commutes, so
 //!   the union does not depend on which worker stepped which sender.
 //! * `Statuses` — the status every vertex last returned: who has halted, with a maintained
-//!   count, and the pending alarms, keyed by round.  The worker that steps a vertex records
-//!   its status; the coordinator folds in each step's halt count and new alarms.
+//!   count, and the pending alarms, keyed by round.  An alarm set with
+//!   [`Status::SleepUntil`] or [`Status::HaltAt`] also puts its vertex to sleep: it takes no
+//!   mail until the alarm rings, which wakes it or halts it without a step.  The worker that
+//!   steps a vertex records its status; the coordinator folds in each step's halt count and
+//!   new alarms.
 
 use crate::node::Status;
 use arbcolor_graph::Vertex;
@@ -117,7 +120,10 @@ impl Frontier {
 /// An alarm for the next round goes straight into the frontier; later ones wait in a
 /// round → vertices map that grows with the alarms set, never with the round numbers they
 /// name.  A vertex's newest status replaces its alarm, and the stale entry is skipped when
-/// its round opens.
+/// its round opens.  A vertex that returned [`Status::SleepUntil`] or [`Status::HaltAt`] is
+/// asleep until its alarm rings: mail marks it into the frontier, but the round loop skips
+/// it there ([`is_awake`](Statuses::is_awake)).  The ring wakes a sleeper into the frontier
+/// and halts a vertex waiting to halt, which stays counted as active until then.
 ///
 /// A step's workers record the statuses of the vertices they stepped through a shared
 /// reference — each vertex is stepped by one worker per round, and its flag is a relaxed
@@ -125,13 +131,16 @@ impl Frontier {
 /// step's halt count and alarms.
 #[derive(Debug)]
 pub(crate) struct Statuses {
-    /// Per vertex: `HALTED`, the round of its pending alarm, or 0 (mail only).
+    /// Per vertex: `HALTED`; the round of its pending alarm, tagged with `ASLEEP` when it
+    /// takes no mail until then and with `HALTS` too when it halts then; or 0 (mail only).
     last: Vec<AtomicUsize>,
     active: usize,
     alarms: BTreeMap<usize, Vec<Vertex>>,
 }
 
 impl Statuses {
+    const ASLEEP: usize = 1 << (usize::BITS - 1);
+    const HALTS: usize = 1 << (usize::BITS - 2);
     const HALTED: usize = usize::MAX;
 
     /// All of `0..n` active, waiting for mail.
@@ -143,18 +152,20 @@ impl Statuses {
         }
     }
 
-    /// Whether `v` has not halted.
+    /// Whether `v` takes its mail: it has not halted, and it neither sleeps nor waits to
+    /// halt.
     #[inline]
-    pub(crate) fn is_active(&self, v: Vertex) -> bool {
-        self.last[v].load(Ordering::Relaxed) != Self::HALTED
+    pub(crate) fn is_awake(&self, v: Vertex) -> bool {
+        self.last[v].load(Ordering::Relaxed) & Self::ASLEEP == 0
     }
 
-    /// Number of vertices still active, as of the last [`merge`](Statuses::merge).
+    /// Number of vertices still active, as of the last [`merge`](Statuses::merge) or
+    /// [`ring`](Statuses::ring).
     pub(crate) fn count(&self) -> usize {
         self.active
     }
 
-    /// Records the `status` that active vertex `v` returned in `round` (0 for `init`), from
+    /// Records the `status` that awake vertex `v` returned in `round` (0 for `init`), from
     /// the worker that stepped it: an alarm due next round is marked into `marks`, a later
     /// new one is appended to `alarms` as `(round, v)`.  Returns whether `v` halted; the
     /// halt and the alarms count once [`merge`](Statuses::merge)d.
@@ -171,21 +182,25 @@ impl Statuses {
         alarms: &mut Vec<(usize, Vertex)>,
     ) -> bool {
         status.check_alarm(v, round);
-        let last = &self.last[v];
-        let next = match status {
-            Status::Active => 0,
-            Status::WakeAt(at) if at == round + 1 => {
+        let (next, alarm) = match status {
+            Status::Active => (0, None),
+            // No mail can arrive before the next round, so sleeping until it is waking in it.
+            Status::WakeAt(at) | Status::SleepUntil(at) if at == round + 1 => {
                 marks.mark(v);
-                0
+                (0, None)
             }
-            Status::WakeAt(at) => {
-                if last.load(Ordering::Relaxed) != at {
-                    alarms.push((at, v));
-                }
-                at
-            }
-            Status::Halted => Self::HALTED,
+            Status::WakeAt(at) => (at, Some(at)),
+            Status::SleepUntil(at) => (Self::ASLEEP | at, Some(at)),
+            Status::HaltAt(at) => (Self::ASLEEP | Self::HALTS | at, Some(at)),
+            Status::Halted => (Self::HALTED, None),
         };
+        let last = &self.last[v];
+        if let Some(at) = alarm {
+            debug_assert!(at < Self::HALTS, "alarm round {at} out of range");
+            if last.load(Ordering::Relaxed) != next {
+                alarms.push((at, v));
+            }
+        }
         last.store(next, Ordering::Relaxed);
         status == Status::Halted
     }
@@ -199,16 +214,23 @@ impl Statuses {
         }
     }
 
-    /// Marks into `frontier` every vertex whose pending alarm is for `round`, and forgets
-    /// that round's entries.
-    pub(crate) fn ring(&mut self, round: usize, frontier: &mut Frontier) {
+    /// Opens `round`'s alarms: marks into `frontier` every vertex whose pending
+    /// [`Status::WakeAt`] or [`Status::SleepUntil`] is for `round`, halts every vertex whose
+    /// [`Status::HaltAt`] is, and forgets that round's entries.  Returns how many halted.
+    pub(crate) fn ring(&mut self, round: usize, frontier: &mut Frontier) -> usize {
+        let mut halts = 0;
         for v in self.alarms.remove(&round).unwrap_or_default() {
             let last = self.last[v].get_mut();
-            if *last == round {
+            if *last == round || *last == Self::ASLEEP | round {
                 *last = 0;
                 frontier.mark(v);
+            } else if *last == Self::ASLEEP | Self::HALTS | round {
+                *last = Self::HALTED;
+                halts += 1;
             }
         }
+        self.active -= halts;
+        halts
     }
 }
 
@@ -309,7 +331,7 @@ mod tests {
         );
         assert_eq!(halted, vec![false, false, false, false, true]);
         assert_eq!((st.count(), pending(&st)), (4, 3));
-        assert!(!st.is_active(4) && st.is_active(3));
+        assert!(!st.is_awake(4) && st.is_awake(3));
         f.take(&mut schedule);
         assert_eq!(schedule, vec![0]);
         // Round 1: vertex 1 repeats its alarm (no new entry), vertex 2 moves its alarm to
@@ -331,5 +353,49 @@ mod tests {
             assert_eq!(schedule, due, "round {round}");
         }
         assert_eq!(pending(&st), 0, "rung rounds are forgotten");
+    }
+
+    #[test]
+    fn sleepers_take_no_mail_and_halters_halt_when_their_round_opens() {
+        let mut st = Statuses::new(4);
+        let mut f = Frontier::new(4);
+        let mut schedule = Vec::new();
+        let step = |st: &mut Statuses, f: &mut Frontier, round, statuses: &[(Vertex, Status)]| {
+            let (mut marks, mut alarms) = (Frontier::new(4), Vec::new());
+            for &(v, status) in statuses {
+                assert!(!st.record(v, status, round, &mut marks, &mut alarms));
+            }
+            st.merge(0, &mut alarms);
+            f.absorb(&mut marks);
+        };
+        // `init`: sleeping until the next round is waking in it; vertex 1 sleeps until round
+        // 3, vertex 2 waits to halt in round 2, vertex 3 sets a plain alarm for round 3.
+        step(
+            &mut st,
+            &mut f,
+            0,
+            &[
+                (0, Status::SleepUntil(1)),
+                (1, Status::SleepUntil(3)),
+                (2, Status::HaltAt(2)),
+                (3, Status::WakeAt(3)),
+            ],
+        );
+        assert_eq!(st.count(), 4, "a vertex waiting to halt is active");
+        let awake: Vec<bool> = (0..4).map(|v| st.is_awake(v)).collect();
+        assert_eq!(awake, vec![true, false, false, true]);
+        assert_eq!(st.ring(1, &mut f), 0);
+        f.take(&mut schedule);
+        assert_eq!(schedule, vec![0]);
+        // Round 1: vertex 0 will halt in round 3, together with the wake-ups there.
+        step(&mut st, &mut f, 1, &[(0, Status::HaltAt(3))]);
+        assert!(!st.is_awake(0));
+        assert_eq!((st.ring(2, &mut f), st.count()), (1, 3), "vertex 2 halts in round 2");
+        f.take(&mut schedule);
+        assert!(schedule.is_empty());
+        assert_eq!((st.ring(3, &mut f), st.count()), (1, 2), "vertex 0 halts in round 3");
+        f.take(&mut schedule);
+        assert_eq!(schedule, vec![1, 3], "the sleeper and the alarm ring in round 3");
+        assert!(st.is_awake(1) && !st.is_awake(0) && !st.is_awake(2));
     }
 }

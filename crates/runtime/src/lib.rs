@@ -25,7 +25,8 @@
 //!   the `routing` benches race against.
 //! * [`frontier`] — the frontier bitset and the per-vertex halt and alarm book behind
 //!   O(|active|) rounds: delivery marks the receiver, programs that must act without mail
-//!   return [`Status::WakeAt`], quiescent vertices cost nothing.
+//!   return [`Status::WakeAt`], quiescent vertices cost nothing, and a vertex that returned
+//!   [`Status::SleepUntil`] or [`Status::HaltAt`] is not stepped on mail at all.
 //! * [`shard`] — the round loop's home: the [`Executor`], a hand-rolled [`WorkPool`], and
 //!   the thread-scoped [`RunConfig`] (executor kind and cost mode) of [`run_algorithm`].
 //! * [`metrics`] — the [`RoundReport`] cost record and its two composition rules

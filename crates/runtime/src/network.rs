@@ -43,10 +43,12 @@
 //!
 //! On top of the fabric, the round loop ([`Executor`](crate::Executor)) only steps the
 //! **frontier** (see [`frontier`](crate::frontier)): sending to a vertex marks its frontier
-//! bit, and an alarm ([`Status::WakeAt`](crate::Status::WakeAt)) marks its vertex when its
-//! round opens, so a round walks the frontier in ascending vertex order instead of all of
-//! `0..n`.  Halted vertices can still be marked by late mail; they are skipped at iteration
-//! time (their mail is dropped unread).
+//! bit, and an alarm ([`Status::WakeAt`](crate::Status::WakeAt) or
+//! [`Status::SleepUntil`](crate::Status::SleepUntil)) marks its vertex when its round
+//! opens, so a round walks the frontier in ascending vertex order instead of all of `0..n`.
+//! Vertices that halted, sleep, or wait to halt ([`Status::HaltAt`](crate::Status::HaltAt))
+//! can still be marked by mail; they are skipped at iteration time (their mail is dropped
+//! unread).  A vertex waiting to halt halts when its round opens, with no step.
 //!
 //! This module holds the fabric and the types every executor shares; the loop itself lives
 //! in [`shard`](crate::shard).

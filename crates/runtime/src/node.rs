@@ -32,18 +32,29 @@ pub enum Status {
     /// later invocation that returns [`Status::Active`], another `WakeAt`, or
     /// [`Status::Halted`].
     WakeAt(usize),
+    /// Step the node in round `r` with that round's mail, and not before: mail that arrives
+    /// earlier is dropped unread, as for a halted node (it was counted when it was sent).
+    /// `r` must be later than the round that returned it.
+    SleepUntil(usize),
+    /// The node's output is final, and it is never stepped again: its mail is dropped
+    /// unread.  It counts as active until round `r`, and halts at the start of that round
+    /// without a step (the halt counts in round `r`), so the run lasts exactly as long as
+    /// if the node had been stepped in round `r` to return [`Status::Halted`].  `r` must be
+    /// later than the round that returned it.
+    HaltAt(usize),
     /// The node's output is final; it sends the messages produced in this round and then
     /// stops participating.
     Halted,
 }
 
 impl Status {
-    /// Panics unless a [`Status::WakeAt`] returned by `vertex` in `round` names a later round.
+    /// Panics unless a [`Status::WakeAt`], [`Status::SleepUntil`] or [`Status::HaltAt`]
+    /// returned by `vertex` in `round` names a later round.
     pub(crate) fn check_alarm(self, vertex: Vertex, round: usize) {
-        if let Status::WakeAt(at) = self {
+        if let Status::WakeAt(at) | Status::SleepUntil(at) | Status::HaltAt(at) = self {
             assert!(
                 at > round,
-                "vertex {vertex} returned WakeAt({at}) in round {round}: an alarm must name a \
+                "vertex {vertex} returned {self:?} in round {round}: an alarm must name a \
                  later round"
             );
         }
@@ -356,16 +367,17 @@ impl<M: Clone> Outbox<M> {
 /// The executor drives it as follows: `init` runs before the first communication round (for
 /// **every** vertex, as round 0) and may queue messages; then rounds 1, 2, … deliver the
 /// messages queued in the previous round and invoke `round` on the vertices that must act
-/// (see below).  When a node returns [`Status::Halted`], the messages it queued in that
-/// invocation are still delivered, but it takes no further part in the execution.  `output`
-/// is read once the whole network has halted.
+/// (see below).  When a node returns [`Status::Halted`] or [`Status::HaltAt`], the messages
+/// it queued in that invocation are still delivered, but it is never invoked again.
+/// `output` is read once the whole network has halted.
 ///
 /// # Activation contract
 ///
 /// Every processor shares one round clock, read as [`Inbox::round`].  A round only invokes
 /// `round` on the **frontier**: the vertices that received at least one message in that
-/// round, plus those whose previous `init`/`round` invocation returned
-/// [`Status::WakeAt`] for this round.  Quiescent vertices are free — a round costs
+/// round and are neither asleep nor waiting to halt, plus those whose previous
+/// `init`/`round` invocation returned [`Status::WakeAt`] or [`Status::SleepUntil`] for this
+/// round.  Quiescent vertices are free — a round costs
 /// O(|frontier| + messages), plus one cached bit test per port of each stepped vertex to
 /// find its mail (see [`Inbox`]), not O(n).  The status each invocation returns is the
 /// vertex's whole request:
@@ -376,14 +388,21 @@ impl<M: Clone> Outbox<M> {
 ///   arrives.  A slot schedule returns its slot, a give-up deadline its round, and a phase
 ///   machine that acts every round `WakeAt(round + 1)`.  An earlier invocation (on mail)
 ///   returns a new status, which replaces the alarm.
+/// * [`Status::SleepUntil(r)`](Status::SleepUntil) — step me in round `r` and not before;
+///   drop my mail until then.  A vertex whose next action cannot depend on the mail it
+///   would get before its slot returns it.
+/// * [`Status::HaltAt(r)`](Status::HaltAt) — my output is final; never step me again and
+///   drop my mail, but count me as active until round `r`, where I halt without a step.  A
+///   vertex that would otherwise be stepped in a common finalize round only to halt, with
+///   an output no later mail can change, returns it.
 /// * [`Status::Halted`] — done; any pending alarm is dropped.
 ///
 /// An active vertex that is skipped in a round observes nothing, so a program must treat an
 /// invocation before its alarm with an empty inbox as a no-op that returns the same alarm.
 /// The [`ReferenceExecutor`](crate::ReferenceExecutor) oracle still invokes every active
-/// vertex every round (it only checks that alarms name a later round), so the bit-identity
-/// suites double as a check that programs treat a skipped no-op round and an executed one
-/// identically.
+/// vertex every round, except one that sleeps or waits to halt (it only checks that alarms
+/// name a later round), so the bit-identity suites double as a check that programs treat a
+/// skipped no-op round and an executed one identically.
 pub trait NodeProgram {
     /// Message type exchanged by this algorithm.  The [`MessageCost`](crate::cost::MessageCost)
     /// bound is what lets the executors account CONGEST bandwidth for every algorithm.
@@ -563,7 +582,11 @@ mod tests {
         Status::WakeAt(3).check_alarm(0, 2);
         Status::Active.check_alarm(0, 9);
         Status::Halted.check_alarm(0, 9);
-        let late = std::panic::catch_unwind(|| Status::WakeAt(2).check_alarm(5, 2));
-        assert!(late.is_err(), "WakeAt(current round) must panic");
+        Status::SleepUntil(3).check_alarm(0, 2);
+        Status::HaltAt(3).check_alarm(0, 2);
+        for late in [Status::WakeAt(2), Status::SleepUntil(2), Status::HaltAt(1)] {
+            let caught = std::panic::catch_unwind(|| late.check_alarm(5, 2));
+            assert!(caught.is_err(), "{late:?} in round 2 must panic");
+        }
     }
 }

@@ -73,8 +73,8 @@ impl<'g> ReferenceExecutor<'g> {
     /// While a collector is installed, the run's exec span records one [`RoundInstant`] per
     /// round, like [`Executor::run`](crate::Executor::run)'s.  Every deterministic column is
     /// bit-identical to the flat executor's **except** `frontier`: this executor has no
-    /// frontier — it steps every active vertex each round — so its `frontier` equals
-    /// `active`.
+    /// frontier — it steps every awake vertex each round, all but those that sleep or wait
+    /// to halt — and its `frontier` column reports `active`.
     ///
     /// # Errors
     ///
@@ -91,6 +91,9 @@ impl<'g> ReferenceExecutor<'g> {
         let contexts: Vec<_> = graph.vertices().map(|v| node_ctx(graph, v)).collect();
         let mut nodes: Vec<A::Node> = contexts.iter().map(|ctx| algorithm.node(ctx)).collect();
         let mut active = vec![true; n];
+        // Per vertex, the round it sleeps until and whether it halts then (a
+        // `SleepUntil`/`HaltAt` it returned); it is not stepped before that round.
+        let mut asleep: Vec<Option<(usize, bool)>> = vec![None; n];
         let mut report = RoundReport::zero();
 
         // Pending messages for the *next* delivery, stored per receiving vertex as
@@ -107,10 +110,7 @@ impl<'g> ReferenceExecutor<'g> {
         for v in 0..n {
             let mut outbox = Outbox::new(contexts[v].degree);
             let status = nodes[v].init(&contexts[v], &mut outbox);
-            status.check_alarm(v, 0);
-            if status == Status::Halted {
-                active[v] = false;
-            }
+            apply(status, v, 0, &mut active[v], &mut asleep[v]);
             any_outgoing |= !outbox.is_empty();
             deliver_by_scan(graph, v, outbox, &mut pending, &mut report, &mut meter);
         }
@@ -134,20 +134,30 @@ impl<'g> ReferenceExecutor<'g> {
             let active_at_start = active.iter().filter(|&&a| a).count();
             let messages_before = report.messages;
             let mut halts_this_round = 0usize;
+            // The sleepers of this round wake, and the vertices waiting to halt in it halt.
+            for v in 0..n {
+                if let Some((at, halts)) = asleep[v] {
+                    if at == report.rounds {
+                        asleep[v] = None;
+                        if halts {
+                            active[v] = false;
+                            halts_this_round += 1;
+                        }
+                    }
+                }
+            }
 
             any_outgoing = false;
             for v in 0..n {
-                if !active[v] {
+                // Mail to a vertex that sleeps or waits to halt is dropped unread.
+                if !active[v] || asleep[v].is_some() {
                     continue;
                 }
                 let inbox = Inbox::new(report.rounds, &inboxes[v]);
                 let mut outbox = Outbox::new(contexts[v].degree);
                 let status = nodes[v].round(&contexts[v], &inbox, &mut outbox);
-                status.check_alarm(v, report.rounds);
-                if status == Status::Halted {
-                    active[v] = false;
-                    halts_this_round += 1;
-                }
+                apply(status, v, report.rounds, &mut active[v], &mut asleep[v]);
+                halts_this_round += usize::from(!active[v]);
                 any_outgoing |= !outbox.is_empty();
                 deliver_by_scan(graph, v, outbox, &mut pending, &mut report, &mut meter);
             }
@@ -178,6 +188,25 @@ impl<'g> ReferenceExecutor<'g> {
         span.record_rounds(WallBuckets::default(), rounds);
         obs::record_run(&report);
         Ok(ExecutionResult { outputs, report })
+    }
+}
+
+/// Applies the `status` vertex `v` returned in `round` to its flags: [`Status::Halted`]
+/// clears `active`, and [`Status::SleepUntil`]/[`Status::HaltAt`] put it to sleep.  Other
+/// alarms are only checked: this executor steps every awake vertex every round.
+fn apply(
+    status: Status,
+    v: Vertex,
+    round: usize,
+    active: &mut bool,
+    asleep: &mut Option<(usize, bool)>,
+) {
+    status.check_alarm(v, round);
+    match status {
+        Status::Halted => *active = false,
+        Status::SleepUntil(at) => *asleep = Some((at, false)),
+        Status::HaltAt(at) => *asleep = Some((at, true)),
+        Status::Active | Status::WakeAt(_) => {}
     }
 }
 

@@ -731,15 +731,16 @@ impl<'g> Executor<'g> {
                 let active_at_start = total_active;
                 let wall_before = wall.deliver_ns + wall.step_ns + wall.commit_ns;
 
-                // Open the round's mail, ring its alarms, and publish its sorted frontier.
+                // Open the round's mail, ring its alarms (which halts the vertices waiting
+                // to halt in it), and publish its sorted frontier.
                 let round = report.rounds;
-                let round_chunks = lap(timed, &mut wall.deliver_ns, || {
+                let (round_chunks, alarm_halts) = lap(timed, &mut wall.deliver_ns, || {
                     let mut state = round_lock.write().expect("round lock");
                     let state = &mut *state;
                     state.fabric.open(round, &mut spill);
-                    state.statuses.ring(round, &mut state.frontier);
+                    let halts = state.statuses.ring(round, &mut state.frontier);
                     state.frontier.take(&mut state.schedule);
-                    state.schedule.len().div_ceil(chunk)
+                    (state.schedule.len().div_ceil(chunk), halts)
                 });
                 claim.store(0, Ordering::Relaxed);
 
@@ -762,9 +763,9 @@ impl<'g> Executor<'g> {
                             let mut cursor = fabric.cursor_at(graph.arc_range(vertices[0]).start);
                             for &v in vertices {
                                 let window = cursor.advance(fabric, graph.arc_range(v).end);
-                                // Mail to a halted vertex is dropped unread (it was counted
-                                // at send time).
-                                if !statuses.is_active(v) {
+                                // Mail to a vertex that halted, sleeps or waits to halt
+                                // is dropped unread (it was counted at send time).
+                                if !statuses.is_awake(v) {
                                     continue;
                                 }
                                 let inbox = fabric.read(graph, v, window);
@@ -801,7 +802,7 @@ impl<'g> Executor<'g> {
                         messages: carry_messages,
                         total_bits: carry_bits.total,
                         max_edge_bits: carry_bits.max,
-                        halts: stats.halts,
+                        halts: stats.halts + alarm_halts,
                         // The round's three bucket laps.
                         wall_ns: wall.deliver_ns + wall.step_ns + wall.commit_ns - wall_before,
                     });
@@ -1011,6 +1012,174 @@ mod tests {
         let g = generators::path(2).unwrap();
         let script = Scripted(vec![vec![(Status::WakeAt(0), false)]; 2]);
         let _ = Executor::new(&g).run(&script);
+    }
+
+    /// Acts on a per-vertex script keyed by round — `(round, status, broadcast?)`, with
+    /// round 0 answering `init` — and outputs the mail it read, as `(round, [(port,
+    /// message)])`.  A step in an unscripted round (mail, or the reference executor stepping
+    /// every awake vertex) is a no-op that repeats the last status, so the outputs do not
+    /// depend on which executor steps which vertex when.  Each vertex broadcasts
+    /// `100 · vertex + round`.
+    struct Timed(Vec<Vec<(usize, Status, bool)>>);
+
+    struct TimedNode {
+        script: Vec<(usize, Status, bool)>,
+        last: Status,
+        read: Vec<(usize, Vec<(usize, u64)>)>,
+    }
+
+    impl TimedNode {
+        fn act(&mut self, ctx: &NodeCtx, round: usize, outbox: &mut Outbox<u64>) -> Status {
+            if let Some(&(_, status, send)) = self.script.iter().find(|(r, ..)| *r == round) {
+                if send {
+                    outbox.broadcast(100 * ctx.vertex as u64 + round as u64);
+                }
+                self.last = status;
+            }
+            self.last
+        }
+    }
+
+    impl NodeProgram for TimedNode {
+        type Msg = u64;
+        type Output = Vec<(usize, Vec<(usize, u64)>)>;
+
+        fn init(&mut self, ctx: &NodeCtx, outbox: &mut Outbox<u64>) -> Status {
+            self.act(ctx, 0, outbox)
+        }
+
+        fn round(
+            &mut self,
+            ctx: &NodeCtx,
+            inbox: &Inbox<'_, u64>,
+            outbox: &mut Outbox<u64>,
+        ) -> Status {
+            if !inbox.is_empty() {
+                self.read.push((inbox.round(), inbox.iter().map(|(p, &m)| (p, m)).collect()));
+            }
+            self.act(ctx, inbox.round(), outbox)
+        }
+
+        fn output(&self, _ctx: &NodeCtx) -> Self::Output {
+            self.read.clone()
+        }
+    }
+
+    impl Algorithm for Timed {
+        type Node = TimedNode;
+
+        fn node(&self, ctx: &NodeCtx) -> TimedNode {
+            TimedNode { script: self.0[ctx.vertex].clone(), last: Status::Active, read: Vec::new() }
+        }
+    }
+
+    /// A 10-vertex star whose center broadcasts in `init` and rounds 1–6 (so every leaf gets
+    /// mail in rounds 1–7) and halts in round 6, while the leaves sleep and wait to halt
+    /// with mail arriving before, in and after the rounds they name.
+    fn sleepers_and_halters() -> (Graph, Timed) {
+        use Status::{Active, HaltAt, Halted, SleepUntil, WakeAt};
+        let mut center: Vec<(usize, Status, bool)> =
+            (0..6).map(|r| (r, WakeAt(r + 1), true)).collect();
+        center.push((6, Halted, true));
+        let script = Timed(vec![
+            center,
+            // Sleeps through rounds 1–2, reads rounds 3–5.
+            vec![(0, SleepUntil(3), false), (3, Active, true), (5, Halted, false)],
+            // Never stepped: its mail is dropped before, in and after round 4.
+            vec![(0, HaltAt(4), false)],
+            // Reads round 1, sleeps through 2–4, reads round 5, then waits to halt in 7.
+            vec![(0, Active, false), (1, SleepUntil(5), true), (5, HaltAt(7), false)],
+            vec![(0, WakeAt(2), false), (2, SleepUntil(6), false), (6, Halted, true)],
+            // Halts as round 1 opens, without a step.
+            vec![(0, HaltAt(1), false)],
+            // Sleeping until the next round is waking in it.
+            vec![(0, SleepUntil(1), false), (1, HaltAt(2), true)],
+            // Outlives the center: the run lasts until round 9 for it.
+            vec![(0, Active, false), (1, SleepUntil(2), false), (2, HaltAt(9), false)],
+            vec![(0, Halted, true)],
+            vec![(0, SleepUntil(2), true), (2, Halted, true)],
+        ]);
+        (generators::star(10).unwrap(), script)
+    }
+
+    /// The per-round columns both executors share: all but `frontier` and `wall_ns`.
+    fn shared(rounds: &[RoundInstant]) -> Vec<RoundInstant> {
+        rounds.iter().map(|r| RoundInstant { frontier: 0, wall_ns: 0, ..*r }).collect()
+    }
+
+    #[test]
+    fn sleeping_and_halting_vertices_match_the_reference_at_every_configuration() {
+        let (g, script) = sleepers_and_halters();
+        let (oracle, oracle_rounds) =
+            obs::recorded(|| ReferenceExecutor::new(&g).run(&script).unwrap());
+        assert_eq!(oracle.report.rounds, 9, "the last vertex waits to halt in round 9");
+        let column = |rounds: &[RoundInstant], f: fn(&RoundInstant) -> usize| -> Vec<usize> {
+            rounds.iter().map(f).collect()
+        };
+        assert_eq!(column(&oracle_rounds, |r| r.active), vec![9, 8, 6, 6, 5, 4, 2, 1, 1]);
+        assert_eq!(column(&oracle_rounds, |r| r.halts), vec![1, 2, 0, 1, 1, 2, 1, 0, 1]);
+        let reads = |v: usize| oracle.outputs[v].iter().map(|(r, _)| *r).collect::<Vec<_>>();
+        assert_eq!(reads(1), vec![3, 4, 5], "vertex 1 reads from round 3 on");
+        assert!(reads(2).is_empty() && reads(5).is_empty(), "halters read nothing");
+        assert_eq!(reads(3), vec![1, 5]);
+        assert_eq!(reads(4), vec![1, 2, 6]);
+        for threads in [1, 2, 4] {
+            for chunk in [1, 7, 1024] {
+                let executor = Executor::new(&g).with_threads(threads).with_chunk_size(chunk);
+                let (result, rounds) = obs::recorded(|| executor.run(&script).unwrap());
+                let at = format!("threads {threads}, chunk {chunk}");
+                assert_eq!(result.outputs, oracle.outputs, "{at}");
+                assert_eq!(result.report, oracle.report, "{at}");
+                assert_eq!(shared(&rounds), shared(&oracle_rounds), "{at}");
+                // A sleeper or a vertex waiting to halt is never stepped on mail.
+                assert_eq!(frontiers(&rounds), vec![5, 4, 2, 2, 3, 2, 0, 0, 0], "{at}");
+                for limit in [1, 3, 8] {
+                    let stopped = executor.clone().with_max_rounds(limit).run(&script);
+                    let oracle = ReferenceExecutor::new(&g).with_max_rounds(limit).run(&script);
+                    assert_eq!(stopped.unwrap_err(), oracle.unwrap_err(), "{at}, limit {limit}");
+                }
+            }
+        }
+        let stopped = ReferenceExecutor::new(&g).with_max_rounds(8).run(&script).unwrap_err();
+        assert_eq!(
+            stopped,
+            RuntimeError::RoundLimitExceeded { limit: 8, still_active: 1 },
+            "a vertex waiting to halt is still active"
+        );
+    }
+
+    #[test]
+    fn both_executors_reject_a_sleep_or_halt_that_names_the_current_round() {
+        let g = generators::path(2).unwrap();
+        for late in [Status::SleepUntil(1), Status::HaltAt(1), Status::SleepUntil(0)] {
+            // Vertex 0 names round 1 from round 1, or round 0 from `init`.
+            let script = match late {
+                Status::SleepUntil(0) => Scripted(vec![vec![(late, false)]; 2]),
+                _ => Scripted(vec![
+                    vec![(Status::WakeAt(1), false), (late, false)],
+                    vec![(Status::Halted, false)],
+                ]),
+            };
+            for reference in [false, true] {
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    if reference {
+                        let _ = ReferenceExecutor::new(&g).run(&script);
+                    } else {
+                        let _ = Executor::new(&g).run(&script);
+                    }
+                }));
+                let message = run.expect_err("a late alarm must panic");
+                let message = message
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| message.downcast_ref::<&str>().copied())
+                    .unwrap_or_default();
+                assert!(
+                    message.contains("an alarm must name a later round"),
+                    "{late:?} (reference: {reference}): {message}"
+                );
+            }
+        }
     }
 
     #[test]

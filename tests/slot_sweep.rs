@@ -9,12 +9,16 @@
 //!
 //! The slots are a legal coloring that is not first-fit (the greedy classes in reverse), so
 //! a waiting vertex often hears nothing in a round and its alarm keeps it off the frontier.
+//!
+//! The halving split also runs with palette shares that decide some vertices before any
+//! mail (they sleep until their slot and halt with no finalize step), and on random
+//! [`SplitSlot`]s against a sequential oracle.
 
 use arbcolor::mis::MisJoin;
 use arbcolor_baselines::greedy::sequential_greedy;
 use arbcolor_graph::{ColorPool, Graph};
 use arbcolor_runtime::algorithms::{
-    HalvingSplit, SlotSchedule, SlotSweep, SplitSlot, SweepRule, VecScanPick,
+    HalvingSplit, SlotSchedule, SlotSweep, SplitChoice, SplitSlot, SweepRule, VecScanPick,
 };
 use arbcolor_runtime::obs::{self, RoundInstant};
 use arbcolor_runtime::{ExecutionResult, Executor, ReferenceExecutor};
@@ -119,7 +123,97 @@ fn every_sweep_rule_matches_the_reference_at_every_thread_count_and_chunk_size()
         );
         check(&format!("halving split on {family}"), &g, &split);
 
+        // Shares a quarter of the vertices hold wholly in the lower half and a quarter
+        // mostly in the upper one, by more than their degree (decided); the rest as above,
+        // or with all their colors low but no more than their degree (undecided, and
+        // deferred when every neighbor goes low too).
+        let mixed: Vec<SplitSlot> = g
+            .vertices()
+            .map(|v| {
+                let d = g.degree(v);
+                let (low_count, high_count) = match v % 4 {
+                    0 => (d + 1, 0),
+                    1 => (1, d + 2),
+                    2 => (d / 2 + 1, d.div_ceil(2)),
+                    _ => (d, 0),
+                };
+                SplitSlot { slot: slots[v], low_count, high_count, tie_high: v % 3 == 0 }
+            })
+            .collect();
+        let mixed_split = HalvingSplit::new(mixed.clone(), top as usize + 1);
+        let decided = g.vertices().filter(|&v| !mixed_split.needs_mail(v, g.degree(v))).count();
+        assert!(decided > 0 && decided < g.n(), "{family}: {decided} of {} decided", g.n());
+        let choices = check(&format!("mixed halving split on {family}"), &g, &mixed_split);
+        assert_eq!(choices, split_oracle(&g, &mixed), "mixed halving split on {family}");
+
         let classes: Vec<u64> = slots.iter().map(|&s| s as u64).collect();
         check(&format!("MIS sweep on {family}"), &g, &MisJoin(&classes));
     }
+}
+
+/// The halving split computed sequentially: slot by slot, every vertex of the slot commits
+/// on the commitments of its earlier-slot neighbors, then every neighbor counts it; at the
+/// end a vertex defers when its share cannot cover its same-half neighbors.
+fn split_oracle(g: &Graph, slots: &[SplitSlot]) -> Vec<SplitChoice> {
+    let mut committed = vec![[0usize; 2]; g.n()];
+    let mut high = vec![false; g.n()];
+    for slot in 0..=slots.iter().map(|s| s.slot).max().unwrap_or(0) {
+        let movers: Vec<usize> = g.vertices().filter(|&v| slots[v].slot == slot).collect();
+        for &v in &movers {
+            let (s, [low, up]) = (&slots[v], committed[v]);
+            let order = (s.high_count as i64 - up as i64)
+                .cmp(&(s.low_count as i64 - low as i64))
+                .then(s.high_count.cmp(&s.low_count));
+            high[v] = order.is_gt() || (order.is_eq() && s.tie_high);
+        }
+        for &v in &movers {
+            for &u in g.neighbors(v) {
+                committed[u][usize::from(high[v])] += 1;
+            }
+        }
+    }
+    let choice = |v: usize| {
+        let share = if high[v] { slots[v].high_count } else { slots[v].low_count };
+        match (share > committed[v][usize::from(high[v])], high[v]) {
+            (false, _) => SplitChoice::Deferred,
+            (true, true) => SplitChoice::High,
+            (true, false) => SplitChoice::Low,
+        }
+    };
+    g.vertices().map(choice).collect()
+}
+
+#[test]
+fn the_halving_split_matches_a_sequential_oracle_on_random_slots() {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut draw = |bound: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % bound as u64) as usize
+    };
+    let (mut decided, mut deferred) = (0, 0);
+    for (family, g) in generator_suite(120, 11) {
+        for num_slots in [1, 3, 8] {
+            // Shares up to twice the degree plus two, so the shares differ by more than the
+            // degree about as often as not.
+            let slots: Vec<SplitSlot> = g
+                .vertices()
+                .map(|v| SplitSlot {
+                    slot: draw(num_slots),
+                    low_count: draw(2 * g.degree(v) + 3),
+                    high_count: draw(2 * g.degree(v) + 3),
+                    tie_high: draw(2) == 1,
+                })
+                .collect();
+            let split = HalvingSplit::new(slots.clone(), num_slots);
+            decided += g.vertices().filter(|&v| !split.needs_mail(v, g.degree(v))).count();
+            let run = Executor::new(&g).run(&SlotSweep(&split)).unwrap();
+            let oracle = split_oracle(&g, &slots);
+            deferred += oracle.iter().filter(|&&c| c == SplitChoice::Deferred).count();
+            assert_eq!(run.outputs, oracle, "{family} with {num_slots} slots");
+            assert_eq!(run.report.rounds, num_slots, "{family} with {num_slots} slots");
+        }
+    }
+    assert!(decided > 0 && deferred > 0, "the draws cover decided and deferred vertices");
 }
