@@ -157,9 +157,9 @@ impl Algorithm for FloodMaxId {
 /// The program owns the schedule: it steps a vertex whenever mail arrives, in its slot, and
 /// in the finalize round if the rule has one — except a vertex the rule says needs no mail
 /// ([`needs_mail`](SweepRule::needs_mail)), which is stepped in its slot only.  The rule
-/// owns everything else.  Its methods
-/// are called on a vertex's own state only, in round order, and they are monomorphized into
-/// the program, so a rule costs exactly the work its methods do.
+/// owns everything else.  Its methods are called on a vertex's own state only, in round
+/// order, and they are monomorphized into the program, so a rule costs exactly the work its
+/// methods do.
 pub trait SweepRule {
     /// The announcement a vertex broadcasts in its slot.
     type Msg: Clone + MessageCost;
@@ -606,9 +606,9 @@ impl SweepRule for HalvingSplit {
     /// ≤ high_count − low_count + degree < 0`, so it commits to the lower half; and in
     /// [`output`](SweepRule::output) its share `low_count > degree ≥ committed[0]`, so
     /// `share ≥ committed[0] + 1` and it never defers.  Its announcement and output are
-    /// `Low` for every possible inbox.  Otherwise the shares differ by at most the degree,
-    /// and enough neighbors committing to the larger half can turn or defer the vertex, so
-    /// it needs its mail.
+    /// `Low` for every possible inbox.  When the shares differ by at most the degree, the
+    /// neighbors' commitments can outweigh the difference — whether they do depends on the
+    /// slots, which this test does not read — so the vertex keeps its mail.
     fn needs_mail(&self, v: Vertex, degree: usize) -> bool {
         let input = &self.slots[v];
         input.low_count.abs_diff(input.high_count) <= degree

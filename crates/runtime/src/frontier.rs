@@ -172,7 +172,8 @@ impl Statuses {
     ///
     /// # Panics
     ///
-    /// Panics if an alarm names a round not after `round`.
+    /// Panics if an alarm names a round not after `round`, or one that reaches the two top
+    /// bits of a `usize`, which tag the stored round.
     pub(crate) fn record(
         &self,
         v: Vertex,
@@ -196,7 +197,7 @@ impl Statuses {
         };
         let last = &self.last[v];
         if let Some(at) = alarm {
-            debug_assert!(at < Self::HALTS, "alarm round {at} out of range");
+            assert!(at < Self::HALTS, "vertex {v} set an alarm for round {at}, out of range");
             if last.load(Ordering::Relaxed) != next {
                 alarms.push((at, v));
             }
@@ -397,5 +398,13 @@ mod tests {
         f.take(&mut schedule);
         assert_eq!(schedule, vec![1, 3], "the sleeper and the alarm ring in round 3");
         assert!(st.is_awake(1) && !st.is_awake(0) && !st.is_awake(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn an_alarm_round_in_the_tag_bits_is_rejected() {
+        // Stored untagged, round `usize::MAX` would read as a halt that was never counted.
+        let st = Statuses::new(1);
+        st.record(0, Status::WakeAt(usize::MAX), 0, &mut Frontier::new(1), &mut Vec::new());
     }
 }
