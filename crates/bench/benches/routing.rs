@@ -1,13 +1,11 @@
-//! Criterion bench group `routing`: the arc-indexed message fabric against the preserved
+//! Criterion bench group `routing`: the pull message fabric against the preserved
 //! pre-fabric reference executor.
 //!
 //! Three tiers isolate where the win comes from:
 //!
-//! * `mirror_port` vs a linear `port_of` scan — the raw routing primitive, summed over
-//!   every arc of a dense graph;
 //! * a message-dense flood on the full executors — delivery plus mailbox management, no
 //!   algorithm logic;
-//! * the two message shapes of the headliners on a hub graph (`star_forest_union`,
+//! * the two broadcast schedules of the headliners on a hub graph (`star_forest_union`,
 //!   n = 2·10⁵, 50 hubs of degree in the thousands): `flood/hubs` broadcasts from every
 //!   vertex every round, like Linial's and Arb-Recolor's color exchanges, and `slots/hubs`
 //!   has each vertex broadcast once in a hashed slot out of 26 (a `SlotSweep` with a
@@ -24,37 +22,7 @@ use arbcolor_baselines::registry::headline_algorithms;
 use arbcolor_graph::{generators, Graph, Vertex};
 use arbcolor_runtime::algorithms::{FloodMaxId, SlotSweep, SweepRule};
 use arbcolor_runtime::{Executor, ExecutorKind, Inbox, ReferenceExecutor, RunConfig};
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-
-fn bench_routing_primitive(c: &mut Criterion) {
-    let mut group = c.benchmark_group("routing");
-    group.sample_size(20);
-    let n = 2_000usize;
-    let g = generators::random_regular_like(n, 48, 7).unwrap();
-    group.bench_with_input(BenchmarkId::new("port/mirror_table", n), &g, |b, g| {
-        b.iter(|| {
-            let mut acc = 0usize;
-            for v in g.vertices() {
-                for port in 0..g.degree(v) {
-                    acc += g.mirror_port(v, port);
-                }
-            }
-            black_box(acc)
-        })
-    });
-    group.bench_with_input(BenchmarkId::new("port/linear_scan", n), &g, |b, g| {
-        b.iter(|| {
-            let mut acc = 0usize;
-            for v in g.vertices() {
-                for &u in g.neighbors(v) {
-                    acc += g.neighbors(u).iter().position(|&w| w == v).unwrap();
-                }
-            }
-            black_box(acc)
-        })
-    });
-    group.finish();
-}
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_flood_delivery(c: &mut Criterion) {
     let mut group = c.benchmark_group("routing");
@@ -153,11 +121,5 @@ fn bench_headliner_fabric(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_routing_primitive,
-    bench_flood_delivery,
-    bench_hub_shapes,
-    bench_headliner_fabric
-);
+criterion_group!(benches, bench_flood_delivery, bench_hub_shapes, bench_headliner_fabric);
 criterion_main!(benches);

@@ -502,9 +502,9 @@ pub fn e17_sharded_scale(sz: SizeClass) -> Vec<Row> {
 /// power-law generators.
 ///
 /// "Old" is the preserved [`arbcolor_runtime::ReferenceExecutor`]-style fabric (per-vertex
-/// `Vec` mailboxes, O(deg) `port_of` scan per message); "new" is the arc-indexed flat
-/// fabric (O(1) mirror-table routing, one slot per port, zero per-round allocation).  Two
-/// tiers per graph:
+/// `Vec` mailboxes, each broadcast copied per port with an O(deg) `port_of` scan per
+/// message); "new" is the pull fabric (one record per broadcast, read by each receiver
+/// through the round's sender bitset, zero per-round allocation).  Two tiers per graph:
 ///
 /// * a raw-executor race on a message-dense flood (`FloodMaxId`), isolating delivery cost —
 ///   this is where the `O(Σ deg²)`-per-round term of the old fabric shows directly;

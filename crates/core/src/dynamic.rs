@@ -185,8 +185,8 @@ pub struct DynamicColoring {
     /// seeded with the constructor's graph) and cleared by every mutation.
     frozen: OnceCell<Graph>,
     coloring: Coloring,
-    /// How many vertices hold each color, so the maximum color is known without a pass
-    /// over all vertices.
+    /// How many vertices hold each color, so the maximum color and the number of distinct
+    /// colors are known without a pass over all vertices.
     color_counts: BTreeMap<Color, usize>,
     policy: RepairPolicy,
     auto_compact: bool,
@@ -272,6 +272,12 @@ impl DynamicColoring {
     /// The maintained coloring (always legal on [`DynamicColoring::graph`]).
     pub fn coloring(&self) -> &Coloring {
         &self.coloring
+    }
+
+    /// How many distinct colors the coloring uses, read from the maintained counts in O(1)
+    /// (equal to `coloring().distinct_colors()`, which sorts a copy of every color).
+    pub fn distinct_colors(&self) -> usize {
+        self.color_counts.len()
     }
 
     /// Applies one batch of [`GraphUpdate`]s — mixed insertions and removals — and repairs
@@ -428,7 +434,7 @@ impl DynamicColoring {
     /// across executors and replays by construction.
     pub fn compact(&mut self) -> CompactionDelta {
         let _span = obs::phase("compaction");
-        let colors_before = self.coloring.distinct_colors();
+        let colors_before = self.distinct_colors();
         let initial = self.coloring.colors().to_vec();
         let n = self.adjacency.n();
 
@@ -486,11 +492,8 @@ impl DynamicColoring {
         }
         self.color_counts = color_counts(self.coloring.colors());
 
-        let delta = CompactionDelta {
-            colors_before,
-            colors_after: self.coloring.distinct_colors(),
-            recolored,
-        };
+        let delta =
+            CompactionDelta { colors_before, colors_after: self.distinct_colors(), recolored };
         obs::incr_counter("dynamic.compactions", 1);
         obs::incr_counter("dynamic.compaction_recolored", recolored as u64);
         delta
@@ -604,6 +607,23 @@ fn uncount(counts: &mut BTreeMap<Color, usize>, color: Color) {
 mod tests {
     use super::*;
     use arbcolor_graph::{generators, GraphError};
+
+    #[test]
+    fn distinct_colors_follow_a_local_repair_that_frees_a_color() {
+        // Edgeless, so any coloring is legal: vertices 1 and 2 alone hold color 5.
+        let g = Graph::from_edges(4, Vec::new()).unwrap();
+        let coloring = Coloring::new(&g, vec![0, 5, 5, 1]).unwrap();
+        let mut dynamic = DynamicColoring::from_parts(g, coloring)
+            .unwrap()
+            .with_repair_policy(RepairPolicy::AlwaysLocal);
+        assert_eq!(dynamic.distinct_colors(), 3);
+        // Both endpoints of the new edge have degree 1, so the repair moves them into
+        // {0, 1} and color 5 goes out of use.
+        let outcome = dynamic.apply(&[GraphUpdate::InsertEdges(vec![(1, 2)])]).unwrap();
+        assert_eq!(outcome.strategy, RepairStrategy::LocalRepair);
+        assert_eq!(dynamic.coloring().distinct_colors(), 2);
+        assert_eq!(dynamic.distinct_colors(), 2);
+    }
 
     #[test]
     fn no_conflict_batches_change_nothing() {

@@ -28,10 +28,10 @@ pub use trees::{
 use crate::error::GraphError;
 
 /// One seeded representative per generator family, with shuffled identifiers — **the**
-/// canonical fixture for executor-equivalence and routing-invariant suites across the
-/// workspace (`tests/message_fabric.rs`, `tests/sharded_executor.rs`,
-/// `crates/graph/tests/mirror_ports.rs` all draw from this list, so their coverage cannot
-/// silently drift apart).  `n` is clamped up to a size every family accepts; the dense
+/// canonical fixture for the executor-equivalence and port-order suites across the
+/// workspace (`tests/message_fabric.rs`, `tests/sharded_executor.rs` and the graph crate's
+/// `port_of` property suite all draw from this list, so their coverage cannot silently
+/// drift apart).  `n` is clamped up to a size every family accepts; the dense
 /// families are capped so property tests stay fast.
 ///
 /// # Panics

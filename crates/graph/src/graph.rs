@@ -38,10 +38,6 @@ pub struct Graph {
     adjacency: Vec<Vertex>,
     /// For each CSR arc position, the canonical edge index it belongs to.
     arc_edge: Vec<EdgeIdx>,
-    /// For each arc position `a = (v → u)`, the position of the mirror arc `u → v`.  Turns
-    /// message routing (`sender port` → `receiver port`) into a single array read; an
-    /// involution without fixed points (`mirror_arc[mirror_arc[a]] == a`).
-    mirror_arc: Vec<ArcIdx>,
     /// Canonical edge list with endpoints ordered `u < v`.
     edges: Vec<(Vertex, Vertex)>,
     /// Unique LOCAL-model identifiers, a permutation of `1..=n`.
@@ -128,36 +124,6 @@ impl Graph {
     /// Panics if `v >= n`.
     pub fn arc_range(&self, v: Vertex) -> std::ops::Range<ArcIdx> {
         self.offsets[v]..self.offsets[v + 1]
-    }
-
-    /// The head (target vertex) of arc `a`: `arc_target(arc_range(v).start + p)` is the
-    /// neighbor at port `p` of `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a >= num_arcs()`.
-    pub fn arc_target(&self, a: ArcIdx) -> Vertex {
-        self.adjacency[a]
-    }
-
-    /// The full mirror-arc table: `mirror_arcs()[a]` is the arc position of the reverse of
-    /// arc `a`.  Hot loops index this slice directly; for one-off lookups prefer
-    /// [`Graph::mirror_port`].
-    pub fn mirror_arcs(&self) -> &[ArcIdx] {
-        &self.mirror_arc
-    }
-
-    /// O(1) reverse-port lookup: the port at which `v` appears in the adjacency list of its
-    /// neighbor at `port`.  If `u = neighbors(v)[port]`, then
-    /// `neighbors(u)[mirror_port(v, port)] == v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= n` or `port >= degree(v)`.
-    pub fn mirror_port(&self, v: Vertex, port: usize) -> usize {
-        let arc = self.offsets[v] + port;
-        assert!(arc < self.offsets[v + 1], "port {port} out of range for vertex {v}");
-        self.mirror_arc[arc] - self.offsets[self.adjacency[arc]]
     }
 
     /// The canonical edge indices of the edges incident to `v`, aligned with
@@ -267,8 +233,7 @@ impl Graph {
     /// The port (position in `neighbors(v)`) at which `u` appears, if `{u, v}` is an edge.
     ///
     /// O(log deg(v)): adjacency lists are strictly ascending (see [`Graph::neighbors`]), so
-    /// this is a binary search.  Message *routing* should not use this at all — when the
-    /// sender-side port is known, [`Graph::mirror_port`] answers in O(1).
+    /// this is a binary search.
     pub fn port_of(&self, v: Vertex, u: Vertex) -> Option<usize> {
         if v >= self.n {
             return None;
@@ -306,18 +271,13 @@ impl Graph {
         }
         let mut adjacency = vec![0 as Vertex; offsets[n]];
         let mut arc_edge = vec![0 as EdgeIdx; offsets[n]];
-        let mut mirror_arc = vec![0 as ArcIdx; offsets[n]];
         for (e, &(u, v)) in edges.iter().enumerate() {
-            // Both arc positions of edge e are known right here, so the mirror table costs
-            // nothing extra to build.
             let (au, av) = (offsets[u], offsets[v]);
             adjacency[au] = v;
             arc_edge[au] = e;
-            mirror_arc[au] = av;
             offsets[u] += 1;
             adjacency[av] = u;
             arc_edge[av] = e;
-            mirror_arc[av] = au;
             offsets[v] += 1;
         }
         // Every cursor stopped where the next vertex starts.
@@ -328,7 +288,7 @@ impl Graph {
             "adjacency lists must be strictly ascending"
         );
 
-        Graph { n, offsets, adjacency, arc_edge, mirror_arc, edges, ids: (1..=n as u64).collect() }
+        Graph { n, offsets, adjacency, arc_edge, edges, ids: (1..=n as u64).collect() }
     }
 }
 
@@ -467,32 +427,6 @@ mod tests {
             for (i, &u) in nbrs.iter().enumerate() {
                 let (a, b) = g.endpoints(inc[i]);
                 assert!((a == v && b == u) || (a == u && b == v));
-            }
-        }
-    }
-
-    #[test]
-    fn mirror_arcs_are_a_fixed_point_free_involution() {
-        let g = Graph::from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 5), (3, 4), (1, 4)]).unwrap();
-        assert_eq!(g.num_arcs(), 2 * g.m());
-        assert_eq!(g.mirror_arcs().len(), g.num_arcs());
-        for a in 0..g.num_arcs() {
-            let b = g.mirror_arcs()[a];
-            assert_ne!(a, b, "an arc is never its own mirror");
-            assert_eq!(g.mirror_arcs()[b], a, "mirror must be an involution");
-        }
-    }
-
-    #[test]
-    fn mirror_port_round_trips_through_both_endpoints() {
-        let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)]).unwrap();
-        for v in g.vertices() {
-            for (port, &u) in g.neighbors(v).iter().enumerate() {
-                let back = g.mirror_port(v, port);
-                assert_eq!(g.neighbors(u)[back], v);
-                assert_eq!(g.mirror_port(u, back), port);
-                assert_eq!(g.port_of(u, v), Some(back));
-                assert_eq!(g.arc_target(g.arc_range(v).start + port), u);
             }
         }
     }

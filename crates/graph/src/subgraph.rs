@@ -447,8 +447,8 @@ mod tests {
     }
 
     /// Checks `sub` against [`builder_reference`] over `vertices`.  `Graph` equality covers
-    /// every array: offsets, ports (the adjacency order), `incident_edges`, `mirror_arcs`,
-    /// the canonical `edges` and the identifiers.
+    /// every array: offsets, ports (the adjacency order), `incident_edges`, the canonical
+    /// `edges` and the identifiers.
     fn check_against_reference(
         parent: &Graph,
         vertices: &[Vertex],
@@ -456,7 +456,6 @@ mod tests {
     ) -> Result<(), String> {
         let (graph, to_parent) = builder_reference(parent, vertices);
         prop_assert_eq!(&*sub.graph, &graph);
-        prop_assert_eq!(sub.graph.mirror_arcs(), graph.mirror_arcs());
         prop_assert_eq!(sub.map.parent_vertices(), &to_parent[..]);
         for (child, &p) in to_parent.iter().enumerate() {
             prop_assert_eq!(sub.map.to_parent(child), p);
@@ -577,7 +576,7 @@ mod tests {
     }
 
     /// Checks both membership paths of [`induce_part`] on `part` against the builder
-    /// reference (so against each other: same CSR, mirror arcs and map), and that the cost
+    /// reference (so against each other: same CSR and map), and that the cost
     /// rule picks the rank exactly when `rank_expected`.
     fn check_both_paths(g: &Graph, part: &[Vertex], rank_expected: bool) {
         let neighbors = |v: Vertex| g.neighbors(v);

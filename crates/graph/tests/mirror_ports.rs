@@ -1,53 +1,20 @@
-//! Property suite for the arc-indexed routing tables.
+//! Property suite for port lookups.
 //!
-//! The message fabric's O(1) routing rests on three graph-layer invariants, pinned here
-//! against brute-force recomputation across the full generator suite:
-//!
-//! * `mirror_arc` is a fixed-point-free involution pairing the two arcs of every edge;
-//! * `mirror_port(v, p)` agrees with the linear-scan definition of `port_of` (the
-//!   pre-mirror delivery path) at every port of every vertex;
-//! * adjacency lists are strictly ascending, so the binary-search `port_of` agrees with a
-//!   linear scan for *arbitrary* (member and non-member) query pairs.
+//! Adjacency lists are strictly ascending, so the binary-search `port_of` agrees with a
+//! linear scan for *arbitrary* (member and non-member) query pairs; this is pinned here
+//! against brute-force recomputation across the full generator suite.
 
 use arbcolor_graph::generators::seeded_suite as generator_suite;
 use arbcolor_graph::Graph;
 use proptest::prelude::*;
 
-/// The pre-mirror definition: position of `u` in `neighbors(v)` by linear scan.
+/// The linear-scan definition: position of `u` in `neighbors(v)`.
 fn port_by_scan(g: &Graph, v: usize, u: usize) -> Option<usize> {
     g.neighbors(v).iter().position(|&w| w == u)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn mirror_tables_agree_with_linear_scans_on_the_generator_suite(
-        n in 12usize..80,
-        seed in 0u64..1_000,
-    ) {
-        for (family, g) in generator_suite(n, seed) {
-            prop_assert_eq!(g.num_arcs(), 2 * g.m(), "arc count on {}", family);
-            let mirror = g.mirror_arcs();
-            for v in g.vertices() {
-                let arcs = g.arc_range(v);
-                prop_assert_eq!(arcs.len(), g.degree(v), "arc range on {}", family);
-                for (port, &u) in g.neighbors(v).iter().enumerate() {
-                    let arc = arcs.start + port;
-                    // The mirror arc is the reverse arc: it lives in u's range, targets v,
-                    // and mirrors back.
-                    let back = mirror[arc];
-                    prop_assert!(g.arc_range(u).contains(&back), "mirror range on {}", family);
-                    prop_assert_eq!(g.arc_target(back), v, "mirror target on {}", family);
-                    prop_assert_eq!(mirror[back], arc, "involution on {}", family);
-                    // mirror_port == the old linear-scan port_of, both ways.
-                    let mp = g.mirror_port(v, port);
-                    prop_assert_eq!(Some(mp), port_by_scan(&g, u, v), "mirror_port on {}", family);
-                    prop_assert_eq!(g.mirror_port(u, mp), port, "mirror round-trip on {}", family);
-                }
-            }
-        }
-    }
 
     #[test]
     fn binary_search_port_of_agrees_with_linear_scan(

@@ -101,16 +101,15 @@ impl CostMode {
 /// What one round put on the wire: the total bits, and the most loaded directed edge with
 /// its load.
 ///
-/// The flat executor meters on the **sender** side.  In a round every message on a directed
-/// edge comes from that edge's one sender, in its one step, so the edge's load is a per-port
-/// sum inside one step: each stolen chunk folds its senders' messages into one `EdgeLoad`
-/// — a sender that only broadcast in O(1) per broadcast with
-/// [`EdgeLoad::charge_broadcast`], any other sender per port with [`EdgeLoad::charge`] —
-/// and the commit [`merge`](EdgeLoad::merge)s the chunks in chunk order.  Both keep the first edge, in send order, that reached the running maximum (a
-/// strictly larger load replaces it), so the figures — and the edge a
-/// [`RuntimeError::CongestBudgetExceeded`] names — equal those of one sequential per-arc
-/// meter fed message by message, at any thread count and chunk size.  The
-/// [`ReferenceExecutor`](crate::ReferenceExecutor) keeps such a per-arc meter of its own.
+/// The flat executor meters on the **sender** side.  In a round a directed edge carries at
+/// most one message, its sender's one broadcast, so each stolen chunk folds its senders'
+/// broadcasts into one `EdgeLoad` in O(1) each with [`EdgeLoad::charge_broadcast`], and the
+/// commit [`merge`](EdgeLoad::merge)s the chunks in chunk order.  Both keep the first edge,
+/// in send order, that reached the running maximum (a strictly larger load replaces it), so
+/// the figures — and the edge a [`RuntimeError::CongestBudgetExceeded`] names — equal those
+/// of one sequential per-arc meter fed message by message, at any thread count and chunk
+/// size.  The [`ReferenceExecutor`](crate::ReferenceExecutor) keeps such a per-arc meter of
+/// its own, fed with [`EdgeLoad::charge`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct EdgeLoad {
     /// Bits summed over all messages of the round.
@@ -132,21 +131,15 @@ impl EdgeLoad {
         }
     }
 
-    /// Records one broadcast of `bits` per port over `ports` ports, which brought every one
-    /// of the sender's edges to `load`.  Fed message by message in send order, port 0 would
-    /// reach `load` first and the other ports would only tie it, so this equals `ports`
-    /// calls to [`charge`](EdgeLoad::charge) with `edge` on port 0.
+    /// Records one broadcast of `bits` per port over `ports` ports, the only message each
+    /// of those edges carries in the round.  Fed message by message in send order, port 0
+    /// would reach `bits` first and the other ports would only tie it, so this equals
+    /// `ports` calls to [`charge`](EdgeLoad::charge) with `edge` on port 0.
     #[inline]
-    pub(crate) fn charge_broadcast(
-        &mut self,
-        bits: u64,
-        ports: usize,
-        load: u64,
-        edge: (Vertex, Vertex),
-    ) {
+    pub(crate) fn charge_broadcast(&mut self, bits: u64, ports: usize, edge: (Vertex, Vertex)) {
         self.total += bits * ports as u64;
-        if load > self.max {
-            self.max = load;
+        if bits > self.max {
+            self.max = bits;
             self.edge = edge;
         }
     }
@@ -250,17 +243,18 @@ mod tests {
         larger.charge(5, 5, (1, 2));
         first.merge(larger);
         assert_eq!((first.total, first.max, first.edge), (17, 5, (1, 2)));
-        // Two broadcasts from vertex 3 over its ports towards 4, 5 and 6 equal the six
-        // per-port charges in send order: port 0 reaches each new load first.
+        // A broadcast from vertex 3 over its ports towards 4, 5 and 6, then one from vertex
+        // 7 that only ties it, equal the per-port charges in send order: port 0 of the
+        // first sender reaches the maximum first.
         let (mut per_port, mut broadcast) = (EdgeLoad::default(), EdgeLoad::default());
-        for (bits, load) in [(2, 2), (3, 5)] {
-            for receiver in [4, 5, 6] {
-                per_port.charge(bits, load, (3, receiver));
+        for (sender, receivers) in [(3, &[4, 5, 6][..]), (7, &[8, 9][..])] {
+            for &receiver in receivers {
+                per_port.charge(5, 5, (sender, receiver));
             }
-            broadcast.charge_broadcast(bits, 3, load, (3, 4));
+            broadcast.charge_broadcast(5, receivers.len(), (sender, receivers[0]));
         }
         assert_eq!(broadcast, per_port);
-        assert_eq!((broadcast.total, broadcast.max, broadcast.edge), (15, 5, (3, 4)));
+        assert_eq!((broadcast.total, broadcast.max, broadcast.edge), (25, 5, (3, 4)));
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //!   shared cursor and commit in chunk order, so results are bit-identical at any thread
 //!   count and chunk size (see [`shard`]); at the default of one thread the chunks run on
 //!   the caller with no pool.  Delivery runs on the pull message fabric (see
-//!   [`network`]): a broadcast stays with its sender as one record that each receiver
-//!   reads in its own step, other sends take a per-port slow path through the mirror
-//!   table, and bandwidth is metered on the sender side.
+//!   [`network`]): a step sends at most one message, a broadcast to every neighbor, which
+//!   stays with its sender as one record that each receiver reads in its own step, and
+//!   bandwidth is metered on the sender side.
 //! * [`mod@reference`] — the pre-fabric `Vec<Vec<…>>` executor with linear-scan routing, kept
 //!   as the bit-identity oracle (outputs, reports, and per-round records) and the baseline
 //!   the `routing` benches race against.

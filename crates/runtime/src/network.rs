@@ -8,36 +8,28 @@
 //! around the broadcast.  A message stays with its sender, and each receiver pulls it in its
 //! own step, the way a Pregel vertex reads what its neighbors sent:
 //!
-//! 1. **A broadcast is one record.**  A step that queues exactly one
-//!    [`broadcast`](crate::Outbox::broadcast) and nothing else leaves one record for its
-//!    sender: the message in the sender's slot, and the sender's bit in a vertex bitset of
-//!    the round the message is read in.  The bit is the record's stamp, so a slot is never
-//!    cleared, only overwritten by the sender's next broadcast.  The sender's bandwidth is
-//!    metered in O(1); its message count is its degree.
+//! 1. **A broadcast is one record.**  A step sends at most one message, a
+//!    [`broadcast`](crate::Outbox::broadcast) to every neighbor, and a step that sends one
+//!    leaves one record for its sender: the message in the sender's slot, and the sender's
+//!    bit in a vertex bitset of the round the message is read in.  The bit is the record's
+//!    stamp, so a slot is never cleared, only overwritten by the sender's next broadcast.
+//!    The sender's bandwidth is metered in O(1); its message count is its degree.
 //! 2. **Receivers pull.**  A receiver reads its mail while it is stepped, in parallel with
 //!    the other receivers: for each port, one bit of the sender bitset (n / 8 bytes, 25 KB
 //!    at n = 2·10⁵, so it stays in cache), and the sender's slot when the bit is set.  A hub
 //!    that gets mail on a few of its thousands of ports pays one cached bit test per port,
 //!    and the senders pay nothing per message beyond marking the receiver into the next
 //!    frontier.
-//! 3. **Per-port slow path.**  Any other step — one that calls [`send`](crate::Outbox::send)
-//!    or broadcasts more than once — is expanded per port, in send order, into a spill of
-//!    `(receiving arc, message)` pairs through the mirror table (`graph.mirror_arcs()`), and
-//!    metered per port.  The spill is sorted stably by arc when it is not empty, so each
-//!    port keeps its messages in send order, and a cursor seeded once per frontier chunk
-//!    hands each vertex its window.  A sender leaves either a record or spilled messages in
-//!    a step, never both, so an inbox merges the two by port without comparing messages.
-//! 4. **Order preservation.**  Adjacency lists are sorted, so reading a vertex's ports in
+//! 3. **Order preservation.**  Adjacency lists are sorted, so reading a vertex's ports in
 //!    ascending order equals the sender-index order the old `Vec<Vec<(port, msg)>>`
 //!    mailboxes produced; outputs, rounds, and message counts are bit-identical to the
 //!    [`reference`](crate::reference) executor (enforced by `tests/message_fabric.rs`).
 //!
-//! The records and the spill are written only by the coordinator, between steps: its commit
-//! moves each chunk's broadcasts into their senders' slots, sets their bits (clearing the
-//! previous round's), and appends the spill, in O(chunks + broadcasts + spilled messages).
-//! A round of broadcasts costs the coordinator nothing per message.  The round being read
-//! needs no second buffer, because every receiver has read it before the commit overwrites
-//! it.
+//! The records are written only by the coordinator, between steps: its commit moves each
+//! chunk's broadcasts into their senders' slots and sets their bits (clearing the previous
+//! round's), in O(chunks + broadcasts).  A round of broadcasts costs the coordinator
+//! nothing per message.  The round being read needs no second buffer, because every
+//! receiver has read it before the commit overwrites it.
 //!
 //! # Frontier-driven rounds
 //!
@@ -55,10 +47,9 @@
 
 use crate::metrics::RoundReport;
 use crate::node::{Inbox, NodeCtx};
-use arbcolor_graph::{ArcIdx, Graph, Vertex};
+use arbcolor_graph::{Graph, Vertex};
 use std::error::Error;
 use std::fmt;
-use std::ops::Range;
 
 /// Errors raised by the executor.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -152,15 +143,10 @@ pub(crate) struct Fabric<M> {
     records: Records<M>,
     /// The nonzero words of `records.sent`, cleared when the next round's bits are set.
     sent_words: Vec<usize>,
-    /// The slow-path mail of the round being read, as `(receiving arc, message)`, stably
-    /// sorted by arc.
-    spill: Vec<(ArcIdx, M)>,
-    /// The round being read.
-    round: usize,
 }
 
 impl<M> Fabric<M> {
-    /// An empty fabric over `n` vertices, open for `init` (round 0).
+    /// An empty fabric over `n` vertices.
     pub(crate) fn new(n: usize) -> Self {
         Fabric {
             records: Records {
@@ -168,8 +154,6 @@ impl<M> Fabric<M> {
                 sent: vec![0; n.div_ceil(64)],
             },
             sent_words: Vec::new(),
-            spill: Vec::new(),
-            round: 0,
         }
     }
 
@@ -191,59 +175,9 @@ impl<M> Fabric<M> {
         *word |= 1 << (v % 64);
     }
 
-    /// Opens `round` for reading, with `spill` — the slow-path mail sent in the previous
-    /// round — as its spill, sorted stably by arc if it is not empty; `spill` is left empty
-    /// with the old buffer's capacity.
-    pub(crate) fn open(&mut self, round: usize, spill: &mut Vec<(ArcIdx, M)>) {
-        self.round = round;
-        std::mem::swap(&mut self.spill, spill);
-        spill.clear();
-        if !self.spill.is_empty() {
-            self.spill.sort_by_key(|&(arc, _)| arc);
-        }
-    }
-
-    /// The inbox of `v` in the open round, given its spill `window` from a
-    /// [`MailboxCursor`].
-    pub(crate) fn read<'a>(
-        &'a self,
-        graph: &'a Graph,
-        v: Vertex,
-        window: Range<usize>,
-    ) -> Inbox<'a, M> {
-        Inbox::pulled(
-            self.round,
-            graph.neighbors(v),
-            &self.records,
-            graph.arc_range(v).start,
-            &self.spill[window],
-        )
-    }
-
-    /// A [`MailboxCursor`] positioned at the first spill entry with arc `>= arc`, by binary
-    /// search — O(log spill), so each frontier chunk seeds its own cursor wherever it
-    /// starts.
-    pub(crate) fn cursor_at(&self, arc: ArcIdx) -> MailboxCursor {
-        MailboxCursor { spill_pos: self.spill.partition_point(|&(a, _)| a < arc) }
-    }
-}
-
-/// Walks the spill of the open round in ascending vertex order from the position
-/// [`Fabric::cursor_at`] seeded, handing each vertex its spill window in O(spilled messages
-/// for that vertex) amortized.
-pub(crate) struct MailboxCursor {
-    spill_pos: usize,
-}
-
-impl MailboxCursor {
-    /// Consumes all spill entries with arc `< arc_end` (the current vertex's arcs; callers
-    /// must advance vertices in ascending order) and returns their range.
-    pub(crate) fn advance<M>(&mut self, fabric: &Fabric<M>, arc_end: ArcIdx) -> Range<usize> {
-        let start = self.spill_pos;
-        while self.spill_pos < fabric.spill.len() && fabric.spill[self.spill_pos].0 < arc_end {
-            self.spill_pos += 1;
-        }
-        start..self.spill_pos
+    /// The inbox of `v` in `round`, the round whose records are stored.
+    pub(crate) fn read<'a>(&'a self, graph: &'a Graph, v: Vertex, round: usize) -> Inbox<'a, M> {
+        Inbox::pulled(round, graph.neighbors(v), &self.records)
     }
 }
 
@@ -251,7 +185,6 @@ impl MailboxCursor {
 mod tests {
     use super::*;
     use crate::algorithms::{FloodMaxId, ProposeMaxId};
-    use crate::node::{Algorithm, NodeProgram, Outbox, Status};
     use crate::Executor;
     use arbcolor_graph::generators;
 
@@ -300,63 +233,5 @@ mod tests {
         for v in g.vertices() {
             assert_eq!(result.outputs[v], g.id(v));
         }
-    }
-
-    /// Sends two messages down the same port in one round: both must arrive, in send order
-    /// (the spill path of the flat mailboxes).
-    #[derive(Debug, Clone, Copy)]
-    struct DoubleSend;
-
-    #[derive(Debug, Clone)]
-    struct DoubleSendNode {
-        received: Vec<(usize, u64)>,
-    }
-
-    impl NodeProgram for DoubleSendNode {
-        type Msg = u64;
-        type Output = Vec<(usize, u64)>;
-
-        fn init(&mut self, ctx: &NodeCtx, outbox: &mut Outbox<u64>) -> Status {
-            for port in 0..ctx.degree {
-                outbox.send(port, ctx.id * 10);
-                outbox.send(port, ctx.id * 10 + 1);
-            }
-            Status::Active
-        }
-
-        fn round(
-            &mut self,
-            _ctx: &NodeCtx,
-            inbox: &Inbox<'_, u64>,
-            _outbox: &mut Outbox<u64>,
-        ) -> Status {
-            self.received = inbox.iter().map(|(p, &m)| (p, m)).collect();
-            Status::Halted
-        }
-
-        fn output(&self, _ctx: &NodeCtx) -> Vec<(usize, u64)> {
-            self.received.clone()
-        }
-    }
-
-    impl Algorithm for DoubleSend {
-        type Node = DoubleSendNode;
-
-        fn node(&self, _ctx: &NodeCtx) -> DoubleSendNode {
-            DoubleSendNode { received: Vec::new() }
-        }
-    }
-
-    #[test]
-    fn multiple_messages_per_port_take_the_spill_path_in_send_order() {
-        let g = generators::path(3).unwrap(); // vertex 1 has ports to 0 and 2
-        let result = Executor::new(&g).run(&DoubleSend).unwrap();
-        assert_eq!(result.report.messages, 2 * 2 * g.m());
-        let id = |v: usize| g.id(v);
-        assert_eq!(
-            result.outputs[1],
-            vec![(0, id(0) * 10), (0, id(0) * 10 + 1), (1, id(2) * 10), (1, id(2) * 10 + 1),]
-        );
-        assert_eq!(result.outputs[0], vec![(0, id(1) * 10), (0, id(1) * 10 + 1)]);
     }
 }

@@ -1,7 +1,7 @@
 //! The node-program interface of the LOCAL-model simulator.
 
 use crate::network::Records;
-use arbcolor_graph::{ArcIdx, Vertex};
+use arbcolor_graph::Vertex;
 
 /// Everything a vertex is allowed to know at the start of an algorithm.
 ///
@@ -64,15 +64,13 @@ impl Status {
 /// Messages delivered to a node at the start of a round.
 ///
 /// Logically a sequence of `(port, message)` pairs, where `port` is the receiving vertex's
-/// port towards the sender.  Two physical representations exist: a plain pair slice
-/// ([`Inbox::new`], used by the reference executor and tests) and the executor's pulled view
-/// of the message fabric (see [`network`](crate::network)), which reads the mail where the
-/// senders left it: the broadcast record of each neighbor whose bit is set in the round's
-/// sender bitset, plus the sorted spill of the senders that used [`Outbox::send`] or
-/// broadcast more than once.  Reading it costs one cached bit test per port, plus one read
-/// per message.  Iteration order is identical in both: ports ascending — which equals
-/// sender-index ascending, because adjacency lists are sorted — with multiple messages from
-/// the same port kept in send order.
+/// port towards the sender, at most one per port.  Two physical representations exist: a
+/// plain pair slice ([`Inbox::new`], used by the reference executor and tests) and the
+/// executor's pulled view of the message fabric (see [`network`](crate::network)), which
+/// reads the mail where the senders left it: the broadcast record of each neighbor whose
+/// bit is set in the round's sender bitset.  Reading it costs one cached bit test per port,
+/// plus one read per message.  Iteration order is identical in both: ports ascending —
+/// which equals sender-index ascending, because adjacency lists are sorted.
 #[derive(Debug)]
 pub struct Inbox<'a, M> {
     round: usize,
@@ -90,11 +88,6 @@ enum InboxRepr<'a, M> {
         neighbors: &'a [Vertex],
         /// The round's broadcast records of every vertex.
         records: &'a Records<M>,
-        /// The vertex's first arc index; `port = arc - base`.
-        base: ArcIdx,
-        /// `(arc, message)` pairs from the senders that did not leave a single broadcast,
-        /// sorted by arc with send order kept within an arc.
-        spill: &'a [(ArcIdx, M)],
     },
 }
 
@@ -110,14 +103,8 @@ impl<'a, M> Inbox<'a, M> {
     }
 
     /// Wraps one receiver's view of the pull fabric (see the type docs) in `round`.
-    pub(crate) fn pulled(
-        round: usize,
-        neighbors: &'a [Vertex],
-        records: &'a Records<M>,
-        base: ArcIdx,
-        spill: &'a [(ArcIdx, M)],
-    ) -> Self {
-        Inbox { round, repr: InboxRepr::Pulled { neighbors, records, base, spill } }
+    pub(crate) fn pulled(round: usize, neighbors: &'a [Vertex], records: &'a Records<M>) -> Self {
+        Inbox { round, repr: InboxRepr::Pulled { neighbors, records } }
     }
 
     /// The current round, counted from 1 (round 0 is `init`, which has no inbox).  Every
@@ -127,35 +114,25 @@ impl<'a, M> Inbox<'a, M> {
         self.round
     }
 
-    /// Iterates over `(port, &message)` pairs (ports ascending; same-port messages in send
-    /// order).  The iterator is a cheap copy of a few positions, so a program may clone it to
-    /// walk its mail twice without buffering it.
+    /// Iterates over `(port, &message)` pairs, ports ascending.  The iterator is a cheap
+    /// copy of a few positions, so a program may clone it to walk its mail twice without
+    /// buffering it.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &'a M)> + Clone + '_ {
         match self.repr {
             InboxRepr::Pairs(messages) => InboxIter::Pairs(messages.iter()),
-            InboxRepr::Pulled { neighbors, records, base, spill } => {
-                let mut recorded = RecordPorts { neighbors, records, port: 0 };
-                let next = recorded.next();
-                InboxIter::Pulled { recorded, next, spill, base }
+            InboxRepr::Pulled { neighbors, records } => {
+                InboxIter::Pulled(RecordPorts { neighbors, records, port: 0 })
             }
         }
     }
 
-    /// The first message received from the neighbor at `port`, if any.
+    /// The message received from the neighbor at `port`, if any.
     ///
-    /// On the pulled view this is one bit test, or a binary search of the spill when the
-    /// neighbor left no record; O(len) on the pair slice.
+    /// On the pulled view this is one bit test; O(len) on the pair slice.
     pub fn from_port(&self, port: usize) -> Option<&'a M> {
         match self.repr {
             InboxRepr::Pairs(messages) => messages.iter().find(|(p, _)| *p == port).map(|(_, m)| m),
-            InboxRepr::Pulled { neighbors, records, base, spill, .. } => {
-                let &sender = neighbors.get(port)?;
-                records.get(sender).or_else(|| {
-                    let arc = base + port;
-                    let first = spill.partition_point(|&(a, _)| a < arc);
-                    spill.get(first).filter(|&&(a, _)| a == arc).map(|(_, m)| m)
-                })
-            }
+            InboxRepr::Pulled { neighbors, records } => records.get(*neighbors.get(port)?),
         }
     }
 
@@ -163,8 +140,8 @@ impl<'a, M> Inbox<'a, M> {
     pub fn len(&self) -> usize {
         match self.repr {
             InboxRepr::Pairs(messages) => messages.len(),
-            InboxRepr::Pulled { neighbors, records, spill, .. } => {
-                neighbors.iter().filter(|&&u| records.get(u).is_some()).count() + spill.len()
+            InboxRepr::Pulled { neighbors, records } => {
+                neighbors.iter().filter(|&&u| records.get(u).is_some()).count()
             }
         }
     }
@@ -178,15 +155,7 @@ impl<'a, M> Inbox<'a, M> {
 /// Iterator behind [`Inbox::iter`].
 enum InboxIter<'a, M> {
     Pairs(std::slice::Iter<'a, (usize, M)>),
-    /// Merges the record ports and the spill by port; no port has both, because a sender
-    /// leaves either one record or spilled messages in a step.
-    Pulled {
-        recorded: RecordPorts<'a, M>,
-        /// The next record message, peeked so a spilled port before it goes first.
-        next: Option<(usize, &'a M)>,
-        spill: &'a [(ArcIdx, M)],
-        base: ArcIdx,
-    },
+    Pulled(RecordPorts<'a, M>),
 }
 
 // Written out rather than derived: a derive would demand `M: Clone`, and the iterator
@@ -195,9 +164,7 @@ impl<M> Clone for InboxIter<'_, M> {
     fn clone(&self) -> Self {
         match self {
             InboxIter::Pairs(iter) => InboxIter::Pairs(iter.clone()),
-            InboxIter::Pulled { recorded, next, spill, base } => {
-                InboxIter::Pulled { recorded: recorded.clone(), next: *next, spill, base: *base }
-            }
+            InboxIter::Pulled(recorded) => InboxIter::Pulled(recorded.clone()),
         }
     }
 }
@@ -208,19 +175,7 @@ impl<'a, M> Iterator for InboxIter<'a, M> {
     fn next(&mut self) -> Option<(usize, &'a M)> {
         match self {
             InboxIter::Pairs(iter) => iter.next().map(|(p, m)| (*p, m)),
-            InboxIter::Pulled { recorded, next, spill, base } => {
-                let rest: &'a [(ArcIdx, M)] = spill;
-                if let Some((arc, message)) = rest.first() {
-                    let port = arc - *base;
-                    if next.map_or(true, |(p, _)| port < p) {
-                        *spill = &rest[1..];
-                        return Some((port, message));
-                    }
-                }
-                let item = next.take()?;
-                *next = recorded.next();
-                Some(item)
-            }
+            InboxIter::Pulled(recorded) => recorded.next(),
         }
     }
 }
@@ -254,122 +209,72 @@ impl<'a, M> Iterator for RecordPorts<'a, M> {
     }
 }
 
-/// Messages a node wants delivered to its neighbors at the start of the next round.
+/// The message a node wants delivered to its neighbors at the start of the next round.
 ///
-/// The outbox keeps the calls that queued them, in call order, and a broadcast is one entry
-/// however many neighbors it reaches: the executor hands a lone broadcast to every receiver
-/// as one record instead of copying it per port.
+/// A step sends at most one message, and it goes to every neighbor: the outbox holds one
+/// [`broadcast`](Outbox::broadcast), which the executor hands to every receiver as one
+/// record instead of copying it per port.
 #[derive(Debug)]
 pub struct Outbox<M> {
-    queued: Vec<Queued<M>>,
-    /// Messages queued, a broadcast counting once per port.
-    len: usize,
+    message: Option<M>,
     degree: usize,
 }
 
-/// One call on an [`Outbox`].
-#[derive(Debug)]
-enum Queued<M> {
-    /// `send(port, message)`.
-    Send(usize, M),
-    /// `broadcast(message)` on a vertex with at least one port.
-    Broadcast(M),
-}
-
-impl<M: Clone> Outbox<M> {
+impl<M> Outbox<M> {
     /// Creates an empty outbox for a vertex of the given degree.
     pub fn new(degree: usize) -> Self {
-        Outbox { queued: Vec::new(), len: 0, degree }
+        Outbox { message: None, degree }
     }
 
-    /// Re-targets the outbox at a vertex of the given degree, clearing queued messages but
-    /// keeping the buffer's capacity — the executors reuse one outbox across all vertices
-    /// so steady-state rounds allocate nothing.
+    /// Re-targets the outbox at a vertex of the given degree, clearing the queued message —
+    /// the executors reuse one outbox across all vertices.
     pub fn reset(&mut self, degree: usize) {
-        self.queued.clear();
-        self.len = 0;
+        self.message = None;
         self.degree = degree;
     }
 
-    /// Sends `message` to the neighbor at `port`.
+    /// Sends `message` to every neighbor.  On a vertex without neighbors it reaches nobody,
+    /// and counts as no message.
     ///
     /// # Panics
     ///
-    /// Panics if `port` is not a valid port of this vertex.
-    pub fn send(&mut self, port: usize, message: M) {
-        assert!(port < self.degree, "port {port} out of range (degree {})", self.degree);
-        self.queued.push(Queued::Send(port, message));
-        self.len += 1;
-    }
-
-    /// Sends `message` to every neighbor.
+    /// Panics on a second broadcast in the same step: a step sends at most one message.
     pub fn broadcast(&mut self, message: M) {
-        if self.degree > 0 {
-            self.queued.push(Queued::Broadcast(message));
-            self.len += self.degree;
-        }
+        assert!(self.message.is_none(), "a step broadcasts at most once");
+        self.message = Some(message);
     }
 
-    /// Number of messages queued (a broadcast counts once per neighbor).
+    /// Number of messages queued: the degree after a broadcast, else 0.
     pub fn len(&self) -> usize {
-        self.len
+        if self.message.is_some() {
+            self.degree
+        } else {
+            0
+        }
     }
 
     /// Whether the outbox is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
-    /// The queued `(port, message)` pairs in send order, a broadcast expanded over ports
-    /// `0..degree` where it was queued.
-    pub(crate) fn messages(&self) -> impl Iterator<Item = (usize, &M)> + '_ {
-        self.queued.iter().flat_map(move |queued| {
-            let (ports, message) = match queued {
-                Queued::Send(port, message) => (*port..*port + 1, message),
-                Queued::Broadcast(message) => (0..self.degree, message),
-            };
-            ports.map(move |port| (port, message))
-        })
-    }
-
-    /// The queued broadcasts in call order, or `None` if anything was sent per port.
-    pub(crate) fn broadcasts_only(&self) -> Option<impl Iterator<Item = &M> + '_> {
-        let only = self.queued.iter().all(|queued| matches!(queued, Queued::Broadcast(_)));
-        only.then(|| {
-            self.queued.iter().filter_map(|queued| match queued {
-                Queued::Broadcast(message) => Some(message),
-                Queued::Send(..) => None,
-            })
-        })
-    }
-
-    /// Takes the message out of an outbox that holds exactly one broadcast and nothing
-    /// else, leaving it empty; any other outbox is left as it is.
-    pub(crate) fn take_broadcast(&mut self) -> Option<M> {
-        if !matches!(self.queued.as_slice(), [Queued::Broadcast(_)]) {
-            return None;
-        }
-        self.len = 0;
-        match self.queued.pop() {
-            Some(Queued::Broadcast(message)) => Some(message),
-            _ => None,
-        }
-    }
-
-    /// Consumes the outbox, returning the queued `(port, message)` pairs in send order.
-    pub fn into_messages(self) -> Vec<(usize, M)> {
-        self.messages().map(|(port, message)| (port, message.clone())).collect()
+    /// Takes the broadcast out of the outbox, leaving it empty.
+    pub(crate) fn take(&mut self) -> Option<M> {
+        self.message.take()
     }
 }
 
 /// The per-vertex state machine of a distributed algorithm.
 ///
 /// The executor drives it as follows: `init` runs before the first communication round (for
-/// **every** vertex, as round 0) and may queue messages; then rounds 1, 2, … deliver the
+/// **every** vertex, as round 0) and may queue a message; then rounds 1, 2, … deliver the
 /// messages queued in the previous round and invoke `round` on the vertices that must act
-/// (see below).  When a node returns [`Status::Halted`] or [`Status::HaltAt`], the messages
-/// it queued in that invocation are still delivered, but it is never invoked again.
-/// `output` is read once the whole network has halted.
+/// (see below).  Each invocation sends at most one message, a
+/// [`broadcast`](Outbox::broadcast) to every neighbor, as every procedure of the paper
+/// does; a second broadcast in one invocation panics.  When a node returns
+/// [`Status::Halted`] or [`Status::HaltAt`], the message it queued in that invocation is
+/// still delivered, but it is never invoked again.  `output` is read once the whole network
+/// has halted.
 ///
 /// # Activation contract
 ///
@@ -410,10 +315,10 @@ pub trait NodeProgram {
     /// Per-vertex output of the algorithm.
     type Output;
 
-    /// Local initialization; may queue the messages of the first round.
+    /// Local initialization; may queue the message of the first round.
     fn init(&mut self, ctx: &NodeCtx, outbox: &mut Outbox<Self::Msg>) -> Status;
 
-    /// One synchronous round: consume the delivered messages, queue the next round's messages.
+    /// One synchronous round: consume the delivered messages, queue the next round's message.
     fn round(
         &mut self,
         ctx: &NodeCtx,
@@ -450,47 +355,38 @@ mod tests {
 
     #[test]
     fn outbox_send_and_broadcast() {
+        // A broadcast is one entry however many ports it reaches, taken whole; on a vertex
+        // without ports it counts as no message.
         let mut out: Outbox<u32> = Outbox::new(3);
         assert!(out.is_empty());
-        out.send(1, 7);
-        out.broadcast(9);
-        out.send(1, 8);
-        assert_eq!(out.len(), 5);
-        assert!(out.broadcasts_only().is_none(), "per-port sends are not broadcast-only");
-        assert_eq!(out.take_broadcast(), None, "a broadcast among sends is not taken");
-        let msgs = out.into_messages();
-        assert_eq!(msgs, vec![(1, 7), (0, 9), (1, 9), (2, 9), (1, 8)], "send order");
-
-        // A lone broadcast is one entry, taken whole; on a vertex without ports it is
-        // nothing at all.
-        let mut out: Outbox<u32> = Outbox::new(3);
         out.broadcast(4);
-        assert_eq!(out.broadcasts_only().map(|b| b.copied().collect()), Some(vec![4]));
-        assert_eq!(out.take_broadcast(), Some(4));
-        assert!(out.is_empty() && out.into_messages().is_empty());
+        assert_eq!(out.len(), 3);
+        assert_eq!(out.take(), Some(4));
+        assert!(out.is_empty());
+        assert_eq!(out.take(), None);
         let mut out: Outbox<u32> = Outbox::new(0);
         out.broadcast(4);
+        assert_eq!(out.len(), 0);
         assert!(out.is_empty());
-        assert_eq!(out.take_broadcast(), None);
     }
 
     #[test]
     fn outbox_reset_retargets_and_clears() {
         let mut out: Outbox<u32> = Outbox::new(1);
-        out.send(0, 3);
         out.broadcast(5);
         out.reset(2);
         assert!(out.is_empty());
-        out.send(1, 4); // port 1 is valid after the reset to degree 2
-        out.broadcast(6);
-        assert_eq!(out.into_messages(), vec![(1, 4), (0, 6), (1, 6)]);
+        out.broadcast(6); // a new step may broadcast again
+        assert_eq!(out.len(), 2);
+        assert_eq!(out.take(), Some(6));
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn outbox_rejects_bad_port() {
+    #[should_panic(expected = "a step broadcasts at most once")]
+    fn a_second_broadcast_in_one_step_panics() {
         let mut out: Outbox<u32> = Outbox::new(2);
-        out.send(2, 1);
+        out.broadcast(1);
+        out.broadcast(2);
     }
 
     #[test]
@@ -520,52 +416,43 @@ mod tests {
 
     #[test]
     fn pulled_inbox_matches_pair_inbox() {
-        // A degree-4 vertex whose arcs are 10..14, towards vertices 3, 5, 8 and 9.  Vertices
-        // 3 and 8 left a record for the round, vertex 5's record is an old one (its bit is
-        // clear), and vertices 5 and 9 spilled: one message on port 1, three on port 3.
+        // A degree-4 vertex towards vertices 3, 5, 8 and 9.  Vertices 3 and 8 left a record
+        // for the round, and vertex 5's record is an old one (its bit is clear).
         let neighbors = [3usize, 5, 8, 9];
         let recs = records(10, &[(3, 5, true), (5, 99, false), (8, 7, true)]);
-        let spill = vec![(11usize, 4u32), (13, 9), (13, 11), (13, 13)];
-        let inbox = Inbox::pulled(1, &neighbors, &recs, 10, &spill);
-        assert_eq!(inbox.len(), 6);
+        let inbox = Inbox::pulled(1, &neighbors, &recs);
+        assert_eq!(inbox.len(), 2);
         assert!(!inbox.is_empty());
         assert_eq!(inbox.from_port(0), Some(&5));
-        assert_eq!(inbox.from_port(1), Some(&4));
-        assert_eq!(inbox.from_port(3), Some(&9));
+        assert_eq!(inbox.from_port(1), None);
+        assert_eq!(inbox.from_port(2), Some(&7));
         assert_eq!(inbox.from_port(9), None);
         let collected: Vec<_> = inbox.iter().collect();
-        assert_eq!(collected, vec![(0, &5), (1, &4), (2, &7), (3, &9), (3, &11), (3, &13)]);
+        assert_eq!(collected, vec![(0, &5), (2, &7)]);
 
-        // Without the round's bits and spill, the slots hold nothing to read.
+        // Without the round's bits, the slots hold nothing to read.
         let stale = records(10, &[(3, 5, false), (8, 7, false)]);
-        let empty = Inbox::pulled(2, &neighbors, &stale, 10, &[]);
+        let empty = Inbox::pulled(2, &neighbors, &stale);
         assert!(empty.is_empty());
         assert_eq!(empty.iter().count(), 0);
         assert_eq!(empty.from_port(0), None);
 
-        // A degree-150 vertex whose arcs 50..200 lead to vertices 0..150, so its senders'
-        // bits span three words, with records on both sides of every word boundary and
-        // spill on the ports of arcs 62, 65 and 198 (ports 12, 15 and 148).
-        let (base, end) = (50usize, 200usize);
-        let neighbors: Vec<usize> = (0..end - base).collect();
+        // A degree-150 vertex adjacent to vertices 0..150, so its senders' bits span three
+        // words, with records on both sides of every word boundary.
+        let neighbors: Vec<usize> = (0..150).collect();
         let hit = [0usize, 1, 13, 14, 50, 63, 64, 127, 128, 149];
         let stored: Vec<(usize, u32, bool)> =
             hit.iter().map(|&port| (port, port as u32 * 10, true)).collect();
         let recs = records(neighbors.len(), &stored);
-        let spill: Vec<(usize, u32)> =
-            vec![(62, 621), (65, 651), (65, 652), (198, 1981), (198, 1982), (198, 1983)];
-        let inbox = Inbox::pulled(2, &neighbors, &recs, base, &spill);
-        let mut pairs: Vec<(usize, u32)> =
-            hit.iter().map(|&port| (port, port as u32 * 10)).collect();
-        pairs.extend(spill.iter().map(|&(arc, m)| (arc - base, m)));
-        pairs.sort_by_key(|&(port, _)| port);
+        let inbox = Inbox::pulled(2, &neighbors, &recs);
+        let pairs: Vec<(usize, u32)> = hit.iter().map(|&port| (port, port as u32 * 10)).collect();
         let expected = Inbox::new(2, &pairs);
         assert_eq!(inbox.iter().collect::<Vec<_>>(), expected.iter().collect::<Vec<_>>());
         assert_eq!(inbox.len(), inbox.iter().count());
         assert_eq!(inbox.len(), expected.len());
         assert_eq!(inbox.from_port(149), Some(&1490));
-        assert_eq!(inbox.from_port(15), Some(&651));
-        assert_eq!(inbox.from_port(16), None);
+        assert_eq!(inbox.from_port(64), Some(&640));
+        assert_eq!(inbox.from_port(15), None);
     }
 
     #[test]
@@ -573,7 +460,7 @@ mod tests {
         let raw = vec![(0usize, 1u32)];
         assert_eq!(Inbox::new(4, &raw).round(), 4);
         let recs = records(0, &[]);
-        let empty: Inbox<'_, u32> = Inbox::pulled(7, &[], &recs, 0, &[]);
+        let empty: Inbox<'_, u32> = Inbox::pulled(7, &[], &recs);
         assert_eq!(empty.round(), 7);
     }
 

@@ -96,14 +96,13 @@ pub struct RoundInstant {
 /// `wall_ns`; what is left over is setup (contexts, node programs, buffers) and outputs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WallBuckets {
-    /// Opening rounds: taking the spilled mail (sorted when there is any), ringing the
-    /// round's alarms and taking the frontier.
+    /// Opening rounds: ringing the round's alarms and taking the frontier.
     pub deliver_ns: u64,
     /// The fork/join batches that step the node programs (`init` and every round): reading
     /// the mail, stepping, recording statuses and marking receivers.
     pub step_ns: u64,
-    /// Committing the chunks in order (broadcast records, spill, halts and alarms, the
-    /// workers' frontier marks) and closing each round's bandwidth.
+    /// Committing the chunks in order (broadcast records, halts and alarms, the workers'
+    /// frontier marks) and closing each round's bandwidth.
     pub commit_ns: u64,
 }
 

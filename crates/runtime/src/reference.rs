@@ -1,10 +1,10 @@
 //! The reference executor: the pre-fabric `Vec<Vec<(port, message)>>` implementation.
 //!
-//! This is the simulator exactly as it worked before the message fabric: pending
-//! messages are pushed into per-vertex mailboxes in sender order, and every delivery derives
-//! the receiver's port with a linear scan of the receiver's adjacency list (the old
-//! `port_of` behaviour — deliberately *not* the mirror table, so the two implementations
-//! share no routing code).  It is kept for two jobs:
+//! This is the simulator exactly as it worked before the message fabric: a step's one
+//! broadcast is copied per port into per-vertex mailboxes in sender order, and every
+//! delivery derives the receiver's port with a linear scan of the receiver's adjacency list
+//! (the old `port_of` behaviour), so it shares no routing code with the pull fabric.  It is
+//! kept for two jobs:
 //!
 //! * **Oracle.**  `tests/message_fabric.rs` pins the [`Executor`](crate::Executor) to this
 //!   one: outputs, rounds, and message counts must stay bit-identical on the generator suite
@@ -16,8 +16,8 @@
 //!   onto it.
 //!
 //! Its bandwidth accounting is its own too: a per-arc `BandwidthMeter` charged message by
-//! message on the receiver side, where the flat executor sums each sender's ports in the
-//! step that sent them.
+//! message on the receiver side, where the flat executor charges each sender's broadcast
+//! once, in the step that sent it.
 //!
 //! It is not optimized, and should not be used outside tests and benches.
 
@@ -269,23 +269,22 @@ fn swap_mailboxes<T>(pending: &mut Vec<Vec<T>>, inbox: &mut Vec<Vec<T>>) {
     }
 }
 
-/// Routes the outbox of `sender` into the pending per-vertex inboxes, deriving each
-/// receiver's port with a linear scan of its adjacency list — the O(deg)-per-message
-/// delivery the mirror table replaced.  Bandwidth is charged to the receiver-side arc
-/// `arc_range(receiver).start + receiver_port` (derived from the scan, not the mirror
-/// table, to keep the no-shared-routing-code property), the same index the flat executors
-/// charge, so the bit accounting is identical.
+/// Routes the broadcast in the outbox of `sender`, if any, into the pending per-vertex
+/// inboxes one copy per port, deriving each receiver's port with a linear scan of its
+/// adjacency list — O(deg) per message.  Bandwidth is charged to the receiver-side arc
+/// `arc_range(receiver).start + receiver_port`, derived from the scan.
 fn deliver_by_scan<M: Clone + MessageCost>(
     graph: &Graph,
     sender: usize,
-    outbox: Outbox<M>,
+    mut outbox: Outbox<M>,
     pending: &mut [Vec<(usize, M)>],
     report: &mut RoundReport,
     meter: &mut BandwidthMeter,
 ) {
-    let neighbors = graph.neighbors(sender);
-    for (port, message) in outbox.into_messages() {
-        let receiver = neighbors[port];
+    let Some(message) = outbox.take() else {
+        return;
+    };
+    for &receiver in graph.neighbors(sender) {
         let receiver_port = graph
             .neighbors(receiver)
             .iter()
@@ -296,7 +295,7 @@ fn deliver_by_scan<M: Clone + MessageCost>(
             message.encoded_bits(),
             (sender, receiver),
         );
-        pending[receiver].push((receiver_port, message));
+        pending[receiver].push((receiver_port, message.clone()));
         report.messages += 1;
     }
 }

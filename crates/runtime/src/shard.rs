@@ -37,19 +37,17 @@
 //! 1. The round's work list is the sorted frontier — a deterministic vertex sequence fixed
 //!    *before* any worker runs — split into fixed-size chunks.  The atomic claim cursor
 //!    only decides **which worker** steps which chunk, never the chunk contents.
-//! 2. Workers write only what they own.  A stepped vertex reads its mail from records and
-//!    spill that only the coordinator writes, between steps.  Its worker records its
-//!    [`Status`] in its own flag (each vertex is stepped by one worker per round), marks its
-//!    receivers into the worker's own frontier — a set union, which does not depend on which
-//!    worker stepped which sender — and buffers everything else per chunk (`ChunkOut`): a
-//!    lone broadcast, the per-port spill of any other sender in vertex-then-send order, the
-//!    chunk's halts and later-round alarms, and its bandwidth.  The coordinator then commits
-//!    the chunks **in chunk order**: it stores each broadcast as its sender's record,
-//!    appends the spill (sorted stably by arc before it is read, so each port keeps its send
-//!    order) and folds in halts and alarms, in O(chunks + broadcasts + alarms + spilled
-//!    messages), and ORs the workers' marks into the frontier in O(words marked).
-//!    Bandwidth is metered in the workers: a directed edge's load in a round is a sum over
-//!    its one sender's step, and the chunk loads merge in chunk order keeping the first edge
+//! 2. Workers write only what they own.  A stepped vertex reads its mail from records that
+//!    only the coordinator writes, between steps.  Its worker records its [`Status`] in its
+//!    own flag (each vertex is stepped by one worker per round), marks its receivers into
+//!    the worker's own frontier — a set union, which does not depend on which worker
+//!    stepped which sender — and buffers everything else per chunk (`ChunkOut`): its
+//!    broadcast, the chunk's halts and later-round alarms, and its bandwidth.  The
+//!    coordinator then commits the chunks **in chunk order**: it stores each broadcast as
+//!    its sender's record and folds in halts and alarms, in O(chunks + broadcasts +
+//!    alarms), and ORs the workers' marks into the frontier in O(words marked).  Bandwidth
+//!    is metered in the workers: a directed edge carries at most its one sender's one
+//!    broadcast in a round, and the chunk loads merge in chunk order keeping the first edge
 //!    that reached the maximum, exactly as one meter fed message by message in send order
 //!    would.
 //! 3. The per-round barrier (the fork/join of [`PoolScope::map`]) makes the exchange
@@ -86,7 +84,7 @@ use crate::network::{node_ctx, ExecutionResult, Fabric, RuntimeError};
 use crate::node::{Algorithm, NodeCtx, NodeProgram, Outbox, Status};
 use crate::obs::{self, RoundInstant, WallBuckets};
 use crate::reference::ReferenceExecutor;
-use arbcolor_graph::{ArcIdx, Graph, Vertex};
+use arbcolor_graph::{Graph, Vertex};
 use std::cell::Cell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -386,24 +384,18 @@ where
 // ---------------------------------------------------------------------------
 
 /// Everything one stolen chunk produced, buffered for an in-order commit: the broadcast of
-/// every sender that queued exactly one, the per-port spill of the other senders (each
-/// message with its receiving arc, which pins both the receiver and its port), the halts and
-/// alarms of its stepped vertices, and the chunk's bandwidth and message count.
+/// every sender, the halts and alarms of its stepped vertices, and the chunk's bandwidth and
+/// message count.
 ///
-/// Bandwidth is metered here, on the sender side: in a round every message on a directed
-/// edge comes from that edge's one sender, in its one step, so an edge's load is a per-port
-/// sum over one [`ChunkOut::record`] call.  A sender that only broadcast is charged once per
-/// broadcast; any other sender per port, in a scratch that is zeroed after it, so no
+/// Bandwidth is metered here, on the sender side: in a round a directed edge carries at most
+/// the one broadcast of its one sender, so a sender is charged once, in O(1), and no
 /// per-arc array exists anywhere.
 ///
 /// A run keeps one per chunk index for all its rounds; the commit drains it and keeps the
 /// capacity, so steady-state rounds allocate nothing.
 struct ChunkOut<M> {
-    /// `(sender, message)` of each lone broadcast, in vertex order.
+    /// `(sender, message)` of each broadcast, in vertex order.
     broadcasts: Vec<(Vertex, M)>,
-    /// `(receiving arc, message)` of every other sender's messages, in vertex-then-send
-    /// order.
-    spill: Vec<(ArcIdx, M)>,
     /// Vertices the chunk stepped (its share of the round frontier), and how many of them
     /// halted.
     stepped: usize,
@@ -412,35 +404,29 @@ struct ChunkOut<M> {
     alarms: Vec<(usize, Vertex)>,
     /// The outbox every vertex of the chunk sends into.
     outbox: Outbox<M>,
-    /// Bits each port of the per-port sender being recorded has carried so far (all zero
-    /// between senders).
-    port_bits: Vec<u64>,
     /// The chunk's bandwidth, in send order.
     load: EdgeLoad,
     /// Messages the chunk sent, a broadcast counting once per port.
     messages: usize,
 }
 
-impl<M: Clone + MessageCost> ChunkOut<M> {
+impl<M: MessageCost> ChunkOut<M> {
     fn new() -> Self {
         ChunkOut {
             broadcasts: Vec::new(),
-            spill: Vec::new(),
             stepped: 0,
             halts: 0,
             alarms: Vec::new(),
             outbox: Outbox::new(0),
-            port_bits: Vec::new(),
             load: EdgeLoad::default(),
             messages: 0,
         }
     }
 
-    /// Files the step of vertex `v` in `round` (0 for `init`): records its status, charges
-    /// the bandwidth of the messages it left in the outbox, and files the messages — a lone
-    /// broadcast kept whole for its record, anything else expanded per port into the spill,
-    /// one mirror-arc read per message.  Every receiver, and `v` itself when it set an alarm
-    /// for the next round, is marked into `marks`, the worker's next frontier.
+    /// Files the step of vertex `v` in `round` (0 for `init`): records its status, and takes
+    /// the broadcast it left in the outbox, if any, for its record, charging its bandwidth.
+    /// Every receiver, and `v` itself when it set an alarm for the next round, is marked
+    /// into `marks`, the worker's next frontier.
     fn record(
         &mut self,
         graph: &Graph,
@@ -452,52 +438,16 @@ impl<M: Clone + MessageCost> ChunkOut<M> {
     ) {
         self.stepped += 1;
         self.halts += usize::from(statuses.record(v, status, round, marks, &mut self.alarms));
-        if self.outbox.is_empty() {
-            return;
-        }
-        self.messages += self.outbox.len();
         let neighbors = graph.neighbors(v);
-        self.meter(neighbors, v);
-        if let Some(message) = self.outbox.take_broadcast() {
-            for &w in neighbors {
-                marks.mark(w);
-            }
-            self.broadcasts.push((v, message));
+        let Some(message) = self.outbox.take().filter(|_| !neighbors.is_empty()) else {
             return;
+        };
+        self.messages += neighbors.len();
+        self.load.charge_broadcast(message.encoded_bits(), neighbors.len(), (v, neighbors[0]));
+        for &w in neighbors {
+            marks.mark(w);
         }
-        let mirror = &graph.mirror_arcs()[graph.arc_range(v)];
-        for (port, message) in self.outbox.messages() {
-            marks.mark(neighbors[port]);
-            self.spill.push((mirror[port], message.clone()));
-        }
-    }
-
-    /// Charges the outbox of `v` (whose ports lead to `neighbors`) to the chunk's bandwidth,
-    /// in send order.
-    fn meter(&mut self, neighbors: &[Vertex], v: Vertex) {
-        if let Some(broadcasts) = self.outbox.broadcasts_only() {
-            // Every port carries every broadcast, so all ports share one running load, and
-            // port 0 is the first edge to reach each new value of it.
-            let mut load = 0;
-            for message in broadcasts {
-                let bits = message.encoded_bits();
-                load += bits;
-                self.load.charge_broadcast(bits, neighbors.len(), load, (v, neighbors[0]));
-            }
-            return;
-        }
-        if self.port_bits.len() < neighbors.len() {
-            self.port_bits.resize(neighbors.len(), 0);
-        }
-        for (port, message) in self.outbox.messages() {
-            let bits = message.encoded_bits();
-            let load = &mut self.port_bits[port];
-            *load += bits;
-            self.load.charge(bits, *load, (v, neighbors[port]));
-        }
-        for (port, _) in self.outbox.messages() {
-            self.port_bits[port] = 0;
-        }
+        self.broadcasts.push((v, message));
     }
 }
 
@@ -670,8 +620,6 @@ impl<'g> Executor<'g> {
         let mut rounds: Vec<RoundInstant> = Vec::new();
         let report = pool.scope(|scope| {
             let mut report = RoundReport::zero();
-            // The slow-path mail sent in the current step, read in the next round.
-            let mut spill: Vec<(ArcIdx, <A::Node as NodeProgram>::Msg)> = Vec::new();
 
             // Initialization: local computation plus the sends of the first round.  `init`
             // runs for every vertex, in work-stolen chunks of `0..n`; from here on only the
@@ -706,12 +654,7 @@ impl<'g> Executor<'g> {
             let (init_messages, mut total_active, mut carry_bits) =
                 lap(timed, &mut wall.commit_ns, || {
                     let mut state = round_lock.write().expect("round lock");
-                    let stats = commit_chunks(
-                        &chunk_outs[..init_chunks],
-                        worker_marks,
-                        &mut state,
-                        &mut spill,
-                    );
+                    let stats = commit_chunks(&chunk_outs[..init_chunks], worker_marks, &mut state);
                     let bits = stats.load.finish(1, self.cost_mode, &mut report)?;
                     Ok::<_, RuntimeError>((stats.messages, state.statuses.count(), bits))
                 })?;
@@ -731,13 +674,12 @@ impl<'g> Executor<'g> {
                 let active_at_start = total_active;
                 let wall_before = wall.deliver_ns + wall.step_ns + wall.commit_ns;
 
-                // Open the round's mail, ring its alarms (which halts the vertices waiting
-                // to halt in it), and publish its sorted frontier.
+                // Ring the round's alarms (which halts the vertices waiting to halt in it),
+                // and publish its sorted frontier.
                 let round = report.rounds;
                 let (round_chunks, alarm_halts) = lap(timed, &mut wall.deliver_ns, || {
                     let mut state = round_lock.write().expect("round lock");
                     let state = &mut *state;
-                    state.fabric.open(round, &mut spill);
                     let halts = state.statuses.ring(round, &mut state.frontier);
                     state.frontier.take(&mut state.schedule);
                     (state.schedule.len().div_ceil(chunk), halts)
@@ -757,18 +699,13 @@ impl<'g> Executor<'g> {
                             let out = &mut *chunk_outs[c].lock().expect("chunk lock");
                             let vertices =
                                 &schedule[c * chunk..((c + 1) * chunk).min(schedule.len())];
-                            // Only scheduled vertices have mail and a chunk's vertices
-                            // ascend, so one search seeds a spill cursor that walks the
-                            // whole chunk.
-                            let mut cursor = fabric.cursor_at(graph.arc_range(vertices[0]).start);
                             for &v in vertices {
-                                let window = cursor.advance(fabric, graph.arc_range(v).end);
                                 // Mail to a vertex that halted, sleeps or waits to halt
                                 // is dropped unread (it was counted at send time).
                                 if !statuses.is_awake(v) {
                                     continue;
                                 }
-                                let inbox = fabric.read(graph, v, window);
+                                let inbox = fabric.read(graph, v, round);
                                 out.outbox.reset(contexts[v].degree);
                                 let status = nodes[v].lock().expect("node lock").round(
                                     &contexts[v],
@@ -783,12 +720,8 @@ impl<'g> Executor<'g> {
 
                 let (stats, round_bits) = lap(timed, &mut wall.commit_ns, || {
                     let mut state = round_lock.write().expect("round lock");
-                    let stats = commit_chunks(
-                        &chunk_outs[..round_chunks],
-                        worker_marks,
-                        &mut state,
-                        &mut spill,
-                    );
+                    let stats =
+                        commit_chunks(&chunk_outs[..round_chunks], worker_marks, &mut state);
                     total_active = state.statuses.count();
                     let bits = stats.load.finish(report.rounds + 1, self.cost_mode, &mut report)?;
                     Ok::<_, RuntimeError>((stats, bits))
@@ -852,16 +785,15 @@ struct CommitStats {
     load: EdgeLoad,
 }
 
-/// Commits the chunks produced by one fork/join step **in chunk order**, draining each: merges its bandwidth, halts and alarms, stores its broadcasts as
-/// their senders' records (retiring the round's), and appends its per-port messages to
-/// `spill`.  Then absorbs the workers' `marks` into the frontier.  O(chunks + broadcasts +
-/// alarms + spilled messages + words marked): a broadcast costs O(1) here, and a stepped
-/// vertex that sent nothing and set no later alarm costs nothing.
+/// Commits the chunks produced by one fork/join step **in chunk order**, draining each:
+/// merges its bandwidth, halts and alarms, and stores its broadcasts as their senders'
+/// records (retiring the round's).  Then absorbs the workers' `marks` into the frontier.
+/// O(chunks + broadcasts + alarms + words marked): a broadcast costs O(1) here, and a
+/// stepped vertex that sent nothing and set no later alarm costs nothing.
 fn commit_chunks<M>(
     chunk_outs: &[Mutex<ChunkOut<M>>],
     marks: &[Mutex<Frontier>],
     state: &mut RoundState<M>,
-    spill: &mut Vec<(ArcIdx, M)>,
 ) -> CommitStats {
     let mut stats = CommitStats::default();
     state.fabric.retire();
@@ -876,7 +808,6 @@ fn commit_chunks<M>(
         for (v, message) in out.broadcasts.drain(..) {
             state.fabric.store(v, message);
         }
-        spill.append(&mut out.spill);
     }
     for worker in marks {
         state.frontier.absorb(&mut worker.lock().expect("marks lock"));
@@ -1168,18 +1099,88 @@ mod tests {
                         let _ = Executor::new(&g).run(&script);
                     }
                 }));
-                let message = run.expect_err("a late alarm must panic");
-                let message = message
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| message.downcast_ref::<&str>().copied())
-                    .unwrap_or_default();
+                let message = panic_message(run.expect_err("a late alarm must panic"));
                 assert!(
                     message.contains("an alarm must name a later round"),
                     "{late:?} (reference: {reference}): {message}"
                 );
             }
         }
+    }
+
+    /// The message of a caught panic.
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    /// Broadcasts twice in `init`.
+    struct BroadcastTwice;
+
+    impl NodeProgram for BroadcastTwice {
+        type Msg = ();
+        type Output = ();
+
+        fn init(&mut self, _ctx: &NodeCtx, outbox: &mut Outbox<()>) -> Status {
+            outbox.broadcast(());
+            outbox.broadcast(());
+            Status::Halted
+        }
+
+        fn round(&mut self, _: &NodeCtx, _: &Inbox<'_, ()>, _: &mut Outbox<()>) -> Status {
+            Status::Halted
+        }
+
+        fn output(&self, _ctx: &NodeCtx) {}
+    }
+
+    impl Algorithm for BroadcastTwice {
+        type Node = BroadcastTwice;
+
+        fn node(&self, _ctx: &NodeCtx) -> BroadcastTwice {
+            BroadcastTwice
+        }
+    }
+
+    #[test]
+    fn both_executors_reject_a_second_broadcast_in_one_step() {
+        let g = generators::path(3).unwrap();
+        // `None` runs the reference executor, `Some(threads)` the work-stealing one, in
+        // chunks of one vertex so that two threads get two workers.
+        for threads in [None, Some(1), Some(2)] {
+            let run = std::panic::catch_unwind(|| match threads {
+                None => ReferenceExecutor::new(&g).run(&BroadcastTwice).is_ok(),
+                Some(t) => Executor::new(&g)
+                    .with_threads(t)
+                    .with_chunk_size(1)
+                    .run(&BroadcastTwice)
+                    .is_ok(),
+            });
+            let message = panic_message(run.expect_err("a second broadcast must panic"));
+            // Under two workers the panic surfaces as the pool's report of a failed job.
+            if threads != Some(2) {
+                assert!(message.contains("a step broadcasts at most once"), "{message}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_broadcast_on_an_isolated_vertex_counts_no_message() {
+        // Vertex 2 has no neighbors and broadcasts; vertices 0 and 1 stay silent.
+        let g = Graph::from_edges(3, [(0, 1)]).unwrap();
+        let script = Scripted(vec![
+            vec![(Status::Halted, false)],
+            vec![(Status::Halted, false)],
+            vec![(Status::Halted, true)],
+        ]);
+        for threads in [1, 2] {
+            let run = Executor::new(&g).with_threads(threads).with_chunk_size(1).run(&script);
+            assert_eq!(run.unwrap().report, RoundReport::zero(), "threads {threads}");
+        }
+        assert_eq!(ReferenceExecutor::new(&g).run(&script).unwrap().report, RoundReport::zero());
     }
 
     #[test]

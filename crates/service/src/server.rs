@@ -246,7 +246,7 @@ impl ColoringService {
                 n: self.dynamic.adjacency().n() as u64,
                 m: self.dynamic.adjacency().m() as u64,
                 epoch: self.epoch,
-                colors: self.dynamic.coloring().distinct_colors() as u64,
+                colors: self.dynamic.distinct_colors() as u64,
                 max_degree: self.dynamic.adjacency().max_degree() as u64,
                 batches: self.batches,
                 new_edges: self.new_edges,
@@ -422,19 +422,38 @@ impl ServerHandle {
     }
 }
 
-/// Locks `state` with a deadline; `None` means the deadline expired.
-fn lock_with_deadline<'a>(
-    state: &'a Mutex<ColoringService>,
+/// Answers one decoded request against the shared state.  [`Request::Shutdown`] is
+/// answered without touching the state, so even a daemon whose state is poisoned can be
+/// stopped.
+fn respond(state: &Mutex<ColoringService>, request: Request, timeout: Duration) -> Response {
+    if matches!(request, Request::Shutdown) {
+        return Response::ShuttingDown;
+    }
+    match lock_with_deadline(state, timeout) {
+        Ok(mut service) => service.handle(request),
+        Err(err) => Response::Error(err),
+    }
+}
+
+/// Locks `state` with a deadline.  Fails with [`ServiceError::Timeout`] when the deadline
+/// expires, and with [`ServiceError::Internal`] when a request panicked while holding the
+/// lock: its batch may be half-applied, so that state is never served.
+fn lock_with_deadline(
+    state: &Mutex<ColoringService>,
     timeout: Duration,
-) -> Option<std::sync::MutexGuard<'a, ColoringService>> {
+) -> Result<std::sync::MutexGuard<'_, ColoringService>, ServiceError> {
     let deadline = Instant::now() + timeout;
     loop {
         match state.try_lock() {
-            Ok(guard) => return Some(guard),
-            Err(std::sync::TryLockError::Poisoned(poisoned)) => return Some(poisoned.into_inner()),
+            Ok(guard) => return Ok(guard),
+            Err(std::sync::TryLockError::Poisoned(_)) => {
+                return Err(ServiceError::Internal {
+                    reason: "a request panicked while holding the service state".to_string(),
+                })
+            }
             Err(std::sync::TryLockError::WouldBlock) => {
                 if Instant::now() >= deadline {
-                    return None;
+                    return Err(ServiceError::Timeout { millis: timeout.as_millis() as u64 });
                 }
                 thread::sleep(Duration::from_micros(200));
             }
@@ -530,12 +549,7 @@ fn serve_connection(
             // A malformed payload inside a well-framed message is recoverable: reply
             // with the typed error and keep the connection open.
             Err(err) => Response::Error(err),
-            Ok(request) => match lock_with_deadline(state, config.request_timeout) {
-                None => Response::Error(ServiceError::Timeout {
-                    millis: config.request_timeout.as_millis() as u64,
-                }),
-                Some(mut service) => service.handle(request),
-            },
+            Ok(request) => respond(state, request, config.request_timeout),
         };
         let shutting_down = matches!(reply, Response::ShuttingDown);
         if write_frame(&mut stream, &reply.encode()).is_err() {
@@ -749,5 +763,57 @@ mod tests {
         assert!(!svc.shutdown_requested());
         assert!(matches!(svc.handle(Request::Shutdown), Response::ShuttingDown));
         assert!(svc.shutdown_requested());
+    }
+
+    #[test]
+    fn stats_count_the_colors_of_the_maintained_coloring() {
+        let mut svc = service(40);
+        let stats_colors = |svc: &mut ColoringService| match svc.handle(Request::Stats) {
+            Response::Stats(stats) => stats.colors as usize,
+            other => panic!("expected Stats, got {other:?}"),
+        };
+        // A perfect matching on the one-colored edgeless graph puts all 40 vertices on the
+        // frontier, past the threshold of 10, so the batch is repaired by a full recolor.
+        let matching: Vec<(Vertex, Vertex)> = (0..20).map(|i| (2 * i, 2 * i + 1)).collect();
+        let reply = svc.handle(Request::Apply(vec![GraphUpdate::InsertEdges(matching)]));
+        assert!(
+            matches!(reply, Response::Applied { strategy: RepairStrategy::FullRecolor, .. }),
+            "{reply:?}"
+        );
+        assert_eq!(stats_colors(&mut svc), svc.dynamic().coloring().distinct_colors());
+        // Mixed batches, repaired locally: a triangle, then a removal with an insertion.
+        for batch in [
+            vec![GraphUpdate::InsertEdges(vec![(1, 2), (0, 2)])],
+            vec![
+                GraphUpdate::RemoveEdges(vec![(4, 5), (0, 1)]),
+                GraphUpdate::InsertEdges(vec![(3, 4), (2, 5), (1, 3)]),
+            ],
+        ] {
+            let reply = svc.handle(Request::Apply(batch));
+            assert!(matches!(reply, Response::Applied { .. }), "{reply:?}");
+            assert_eq!(stats_colors(&mut svc), svc.dynamic().coloring().distinct_colors());
+        }
+        let reply = svc.handle(Request::Compact);
+        assert!(matches!(reply, Response::Compacted { .. }), "{reply:?}");
+        assert_eq!(stats_colors(&mut svc), svc.dynamic().coloring().distinct_colors());
+    }
+
+    #[test]
+    fn a_poisoned_state_is_never_served_but_the_daemon_still_stops() {
+        let state = Mutex::new(service(6));
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = state.lock().unwrap();
+                panic!("a request panics while holding the state");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err() && state.is_poisoned());
+        let timeout = Duration::from_millis(50);
+        for request in [Request::Stats, Request::QueryColors(vec![0]), Request::Verify] {
+            let reply = respond(&state, request, timeout);
+            assert!(matches!(reply, Response::Error(ServiceError::Internal { .. })), "{reply:?}");
+        }
+        assert!(matches!(respond(&state, Request::Shutdown, timeout), Response::ShuttingDown));
     }
 }

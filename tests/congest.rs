@@ -21,7 +21,7 @@ use arbcolor::hkmt::hkmt_coloring;
 use arbcolor_graph::{generators, Graph};
 use arbcolor_runtime::algorithms::ProposeMaxId;
 use arbcolor_runtime::{
-    Algorithm, CostMode, Executor, ExecutorKind, Inbox, MessageCost, NodeCtx, NodeProgram, Outbox,
+    Algorithm, CostMode, Executor, ExecutorKind, Inbox, NodeCtx, NodeProgram, Outbox,
     ReferenceExecutor, RunConfig, RuntimeError, Status,
 };
 
@@ -76,49 +76,17 @@ fn different_seeds_stay_legal_and_within_delta_plus_one() {
     assert!(colorings.len() > 1, "all seeds produced the same coloring");
 }
 
-/// Sends its identifier down every port in `init`, twice down port 0, then halts on mail:
-/// the port-0 edges carry two messages in one round.
-struct DoubleSend;
+/// Broadcasts its degree in `init`, then halts on mail: a hub's edges carry the widest
+/// message of round 1.
+struct DegreeBroadcast;
 
-struct DoubleSendNode;
+struct DegreeBroadcastNode;
 
-impl NodeProgram for DoubleSendNode {
+impl NodeProgram for DegreeBroadcastNode {
     type Msg = u64;
     type Output = ();
 
     fn init(&mut self, ctx: &NodeCtx, outbox: &mut Outbox<u64>) -> Status {
-        outbox.send(0, ctx.id);
-        outbox.broadcast(ctx.id);
-        Status::Active
-    }
-
-    fn round(&mut self, _ctx: &NodeCtx, _inbox: &Inbox<'_, u64>, _out: &mut Outbox<u64>) -> Status {
-        Status::Halted
-    }
-
-    fn output(&self, _ctx: &NodeCtx) {}
-}
-
-impl Algorithm for DoubleSend {
-    type Node = DoubleSendNode;
-
-    fn node(&self, _ctx: &NodeCtx) -> DoubleSendNode {
-        DoubleSendNode
-    }
-}
-
-/// Broadcasts its degree twice in `init`, then halts on mail: every edge carries two
-/// messages from its sender in round 1, and a hub's edges the widest.
-struct DoubleBroadcast;
-
-struct DoubleBroadcastNode;
-
-impl NodeProgram for DoubleBroadcastNode {
-    type Msg = u64;
-    type Output = ();
-
-    fn init(&mut self, ctx: &NodeCtx, outbox: &mut Outbox<u64>) -> Status {
-        outbox.broadcast(ctx.degree as u64);
         outbox.broadcast(ctx.degree as u64);
         Status::Active
     }
@@ -130,11 +98,11 @@ impl NodeProgram for DoubleBroadcastNode {
     fn output(&self, _ctx: &NodeCtx) {}
 }
 
-impl Algorithm for DoubleBroadcast {
-    type Node = DoubleBroadcastNode;
+impl Algorithm for DegreeBroadcast {
+    type Node = DegreeBroadcastNode;
 
-    fn node(&self, _ctx: &NodeCtx) -> DoubleBroadcastNode {
-        DoubleBroadcastNode
+    fn node(&self, _ctx: &NodeCtx) -> DegreeBroadcastNode {
+        DegreeBroadcastNode
     }
 }
 
@@ -210,28 +178,18 @@ fn congest_mode_rejects_an_over_wide_message_with_the_typed_error() {
             budget: 3
         }
     );
-    // Two messages on one port in one round add up on that edge.
-    let cycle = generators::cycle(30).unwrap().with_shuffled_ids(2);
-    match same_congest_error(&cycle, &DoubleSend, 8) {
-        RuntimeError::CongestBudgetExceeded { round: 1, sender, receiver, bits, budget: 8 } => {
-            assert_eq!(bits, 2 * cycle.id(sender).encoded_bits());
-            assert_eq!(cycle.neighbors(sender)[0], receiver, "the doubled port is port 0");
-        }
-        other => panic!("expected CongestBudgetExceeded, got {other:?}"),
-    }
-
-    // Two broadcasts in one step add up on every edge of their sender, and the first edge in
-    // send order — the hub's port 0 — is the one named.  The hub of a 100-leaf star sends
-    // its degree, 7 bits, twice; a leaf sends 1 bit twice.
+    // A broadcast is charged to every edge of its sender, and the first edge in send order
+    // — the hub's port 0 — is the one named.  The hub of a 100-leaf star sends its degree,
+    // 7 bits; a leaf sends 1 bit.
     let hub = generators::star(101).unwrap().with_shuffled_ids(5);
     assert_eq!(
-        same_congest_error(&hub, &DoubleBroadcast, 13),
+        same_congest_error(&hub, &DegreeBroadcast, 6),
         RuntimeError::CongestBudgetExceeded {
             round: 1,
             sender: 0,
             receiver: hub.neighbors(0)[0],
-            bits: 14,
-            budget: 13
+            bits: 7,
+            budget: 6
         }
     );
 

@@ -5,11 +5,10 @@
 //! counts — to the [`ReferenceExecutor`], the preserved pre-fabric implementation with
 //! per-vertex `Vec<Vec<(port, message)>>` mailboxes and linear-scan routing.  The reference
 //! shares no routing or mailbox code with the fabric, so agreement here pins the whole
-//! delivery path: lone broadcasts kept once per sender and pulled by their receivers
-//! through the round's sender bitset, the per-port spill of every other sender (sorted by
-//! arc, send order kept per port), and the merge of the two in an inbox.  The mixed-sender
-//! and sparse-hub tests below read `Inbox::iter`, `from_port` and `len` on both paths,
-//! including a hub whose ports span many frontier chunks.
+//! delivery path: each step's one broadcast kept once per sender and pulled by its
+//! receivers through the round's sender bitset.  The mixed-sender and sparse-hub tests
+//! below read `Inbox::iter`, `from_port` and `len` on both paths, including a hub whose
+//! ports span many frontier chunks and every word of the sender bitset.
 
 use arbcolor::mis::mis_from_coloring;
 use arbcolor_baselines::registry::{headline_algorithms, KwBaseline};
@@ -128,10 +127,13 @@ fn seen(inbox: &Inbox<'_, u64>, degree: usize) -> Seen {
     )
 }
 
-/// For three steps (`init` and rounds 1 and 2), each vertex picks by identifier and step:
-/// the mixed pattern `send(p, a)`, `broadcast(b)`, `send(p, c)`, `broadcast(d)` on one port
-/// `p`, a lone broadcast, or silence.  Every round it records what it saw, and it halts in
-/// round 3, so mixed and lone senders meet in every inbox.
+/// The vertices on both sides of the sender bitset's 64-bit word boundaries.
+const WORD_EDGES: [usize; 4] = [63, 64, 127, 128];
+
+/// For three steps (`init` and rounds 1 and 2), each vertex broadcasts once or stays silent,
+/// by vertex and step: silent when `(vertex + step) % 3 == 0`, except that the vertices in
+/// [`WORD_EDGES`] always broadcast.  Every round it records what it saw, and it halts in
+/// round 3, so broadcasting and silent neighbors meet in every inbox.
 struct MixedSenders;
 
 struct MixedNode {
@@ -139,18 +141,9 @@ struct MixedNode {
 }
 
 impl MixedNode {
-    fn send(ctx: &NodeCtx, step: u64, outbox: &mut Outbox<u64>) {
-        let tag = ctx.id * 100 + step * 10;
-        match (ctx.id + step) % 3 {
-            0 if ctx.degree > 0 => {
-                let port = ((ctx.id + step) % ctx.degree as u64) as usize;
-                outbox.send(port, tag + 1);
-                outbox.broadcast(tag + 2);
-                outbox.send(port, tag + 3);
-                outbox.broadcast(tag + 4);
-            }
-            1 => outbox.broadcast(tag + 5),
-            _ => {}
+    fn send(ctx: &NodeCtx, step: usize, outbox: &mut Outbox<u64>) {
+        if (ctx.vertex + step) % 3 != 0 || WORD_EDGES.contains(&ctx.vertex) {
+            outbox.broadcast(ctx.id * 100 + step as u64 * 10 + 5);
         }
     }
 }
@@ -170,7 +163,7 @@ impl NodeProgram for MixedNode {
         if round == 3 {
             return Status::Halted;
         }
-        Self::send(ctx, round as u64, outbox);
+        Self::send(ctx, round, outbox);
         Status::WakeAt(round + 1)
     }
 
@@ -222,10 +215,12 @@ fn mixed_sends_and_broadcasts_arrive_in_send_order_on_every_port() {
     let g = hub_over_a_path(150);
     assert!(g.degree(0) > 64);
     let oracle = ReferenceExecutor::new(&g).run(&MixedSenders).unwrap();
-    // Every pattern reached the hub: mixed ports carry four messages in send order.
-    let hub_round_1 = &oracle.outputs[0][0];
-    assert!(hub_round_1.0.windows(2).any(|w| w[0].0 == w[1].0), "some port carries a spill");
-    assert!(hub_round_1.1 > 0 && hub_round_1.1 < 4 * g.degree(0));
+    // Both kinds of leaves reached the hub, whose port `v - 1` leads to leaf `v`: the
+    // broadcasts of the leaves on both sides of every word boundary arrived, and the
+    // silent leaves left their ports empty.
+    let (_, len, by_port) = &oracle.outputs[0][0];
+    assert!(*len > 0 && *len < g.degree(0));
+    assert!(WORD_EDGES.iter().all(|&v| by_port[v - 1].is_some()), "{by_port:?}");
     let mut instants = None;
     for threads in [1usize, 2, 4] {
         for chunk_size in [1usize, 7, Executor::DEFAULT_CHUNK_SIZE] {
